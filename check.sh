@@ -1,10 +1,15 @@
 #!/bin/sh
-# check.sh — the one-command repo gate: vet + tier-1 tests + race detector.
-# The race pass matters here: view maintenance fans Propagate+Apply out over
-# a worker pool by default, and the Store/UpdatedReader read-only contracts
-# it relies on are only enforced by these tests.
+# check.sh — the one-command repo gate. In order: gofmt, go vet, the tier-1
+# tests with a coverage floor, the race detector over everything (view
+# maintenance fans Propagate+Apply out over a worker pool, and the
+# Store/UpdatedReader read-only contracts it relies on are only enforced by
+# these tests; arena poison is on under -race), a fuzz smoke of the three
+# front ends, the xqtop golden frames, the MVCC concurrency battery under a
+# deadline, the unused-field lint over the shared-DAG and MVCC structs, and
+# last the repository's one benchmark against its own bounds (≈ 3 min).
 #
-# Usage: ./check.sh [extra go test args, e.g. -short]
+# Usage: ./check.sh [extra go test args, e.g. -count=1; -short falls under the
+# coverage floor]
 set -eu
 cd "$(dirname "$0")"
 
@@ -53,164 +58,34 @@ go test ./internal/compile/ -run '^$' -fuzz '^FuzzCompile$' -fuzztime "$fuzz_smo
 go test ./internal/update/ -run '^$' -fuzz '^FuzzParseUpdates$' -fuzztime "$fuzz_smoke" >&2
 go test ./internal/flexkey/ -run '^$' -fuzz '^FuzzFlexKeyBetween$' -fuzztime "$fuzz_smoke" >&2
 
-# Cross-PR benchmark regression gates: when both captures of a pair exist,
-# the shared benchmark names must not have regressed past the threshold.
-# The PR4→PR5 pair is held to 5%: its shared names are the 1000-book
-# cached-join rounds, and PR 5 routed them through the round-transaction
-# staging machinery, which was required to cost ≤5%.
-if [ -f BENCH_PR3.json ] && [ -f BENCH_PR4.json ]; then
-	echo "== bench_diff BENCH_PR3.json BENCH_PR4.json (15% gate)" >&2
-	scripts/bench_diff.sh BENCH_PR3.json BENCH_PR4.json 15 >&2
-fi
-if [ -f BENCH_PR4.json ] && [ -f BENCH_PR5.json ]; then
-	echo "== bench_diff BENCH_PR4.json BENCH_PR5.json (5% gate)" >&2
-	scripts/bench_diff.sh BENCH_PR4.json BENCH_PR5.json 5 >&2
-fi
-# The PR5→PR6 pair is an improvement lock, not an overhead allowance: PR 6
-# moved round tuple traffic into a round-scoped arena, compacts batches
-# before validation, and dropped the per-call O(source) seen-map wipe from
-# path navigation, landing every maintenance arm at 37–61% below its PR 5
-# ns/op and allocs/op at a sixth. The 0% ns/op gate keeps any later change
-# from quietly giving that back; cache=skip is excluded from the ns gate
-# because a pruned round runs in microseconds and its ns/op is scheduler
-# noise, but it stays in the allocs gate (allocs are deterministic, with a
-# small tolerance for sync.Pool victim-cache timing).
-if [ -f BENCH_PR5.json ] && [ -f BENCH_PR6.json ]; then
-	echo "== bench_diff BENCH_PR5.json BENCH_PR6.json (0% gate, maintenance arms)" >&2
-	scripts/bench_diff.sh BENCH_PR5.json BENCH_PR6.json 0 'cache=on|cache=off|commit|rollback' >&2
-	echo "== allocs_diff BENCH_PR5.json BENCH_PR6.json (5% gate)" >&2
-	scripts/allocs_diff.sh BENCH_PR5.json BENCH_PR6.json 5 >&2
-fi
-
-# PR 7 round telemetry: the xqtop dashboard must build, and its golden
-# frames must hold at both reference terminal sizes (the renderer is pure,
-# so the frames are fully deterministic).
+# The xqtop dashboard must build, and its golden frames must hold at both
+# reference terminal sizes (the renderer is pure, so the frames are fully
+# deterministic).
 echo "== xqtop build + golden frames" >&2
 go build ./cmd/xqtop ./cmd/xqview
 go test ./internal/top/ -run 'TestRenderGolden|TestRenderShape' >&2
 
-# The PR6→PR7 pair is a parity lock: round telemetry is gated on
-# obs.Enabled(), so the default-off maintenance arms must not move (3% ns/op
-# noise margin, 5% allocs). Within the PR 7 capture itself, the obs=on arm
-# of BenchmarkMaintainTelemetry prices the whole enabled pipeline on the
-# 1000-book cached join round and is bounded at 1% over its obs=off twin.
-if [ -f BENCH_PR6.json ] && [ -f BENCH_PR7.json ]; then
-	echo "== bench_diff BENCH_PR6.json BENCH_PR7.json (3% gate, maintenance arms)" >&2
-	scripts/bench_diff.sh BENCH_PR6.json BENCH_PR7.json 3 'cache=on|cache=off|commit|rollback' >&2
-	echo "== allocs_diff BENCH_PR6.json BENCH_PR7.json (5% gate)" >&2
-	scripts/allocs_diff.sh BENCH_PR6.json BENCH_PR7.json 5 >&2
-fi
-if [ -f BENCH_PR7.json ]; then
-	echo "== telemetry-on overhead (1% gate, BenchmarkMaintainTelemetry)" >&2
-	awk '
-		/"name": "BenchmarkMaintainTelemetry\/obs=off"/ {
-			off = $0; sub(/.*"ns_per_op": /, "", off); sub(/[,}].*/, "", off)
-		}
-		/"name": "BenchmarkMaintainTelemetry\/obs=on"/ {
-			on = $0; sub(/.*"ns_per_op": /, "", on); sub(/[,}].*/, "", on)
-		}
-		END {
-			if (!off || !on) { print "BENCH_PR7.json missing telemetry arms"; exit 2 }
-			delta = 100 * (on - off) / off
-			printf "telemetry on/off: %.0f / %.0f ns/op (%+.2f%%, threshold 1%%)\n", on, off, delta
-			if (delta > 1) { printf "REGRESSION: enabled telemetry costs %.2f%% > 1%%\n", delta; exit 1 }
-		}
-	' BENCH_PR7.json >&2
-fi
-
-# PR 9 shared sub-plan maintenance. The seed→PR9 pair is a parity lock on
-# the single-view maintenance arms: a lone view has no cross-view prefix to
-# share, so the sharing machinery (fingerprinting at analyze time, the
-# per-round DAG match, the empty shared phase) must not move them (3% ns/op
-# noise margin, 5% allocs). BENCH_PR9_BASE.json is the seed (pre-PR9)
-# capture re-run on the SAME machine as BENCH_PR9.json — cross-machine
-# captures (e.g. the committed BENCH_PR7.json) differ by far more than the
-# gate margin, so the baseline must be regenerated alongside the PR 9
-# capture: git stash; scripts/bench_pr7.sh 10x 5; git stash pop;
-# mv BENCH_PR7.json.new → BENCH_PR9_BASE.json. Within the PR 9 capture
-# itself, the headline gate holds share=on at 50 overlapping views to ≥5x
-# faster than share=off — the whole point of propagating a shared prefix
-# once and fanning out.
-if [ -f BENCH_PR9_BASE.json ] && [ -f BENCH_PR9.json ]; then
-	echo "== bench_diff BENCH_PR9_BASE.json BENCH_PR9.json (3% gate, maintenance arms)" >&2
-	scripts/bench_diff.sh BENCH_PR9_BASE.json BENCH_PR9.json 3 'cache=on|cache=off|commit|rollback' >&2
-	echo "== allocs_diff BENCH_PR9_BASE.json BENCH_PR9.json (5% gate)" >&2
-	scripts/allocs_diff.sh BENCH_PR9_BASE.json BENCH_PR9.json 5 >&2
-fi
-if [ -f BENCH_PR9.json ]; then
-	echo "== shared sub-plan speedup (≥5x gate at 50 views)" >&2
-	awk '
-		/"name": "BenchmarkMaintainSharedViews\/views=50\/share=on"/ {
-			on = $0; sub(/.*"ns_per_op": /, "", on); sub(/[,}].*/, "", on)
-		}
-		/"name": "BenchmarkMaintainSharedViews\/views=50\/share=off"/ {
-			off = $0; sub(/.*"ns_per_op": /, "", off); sub(/[,}].*/, "", off)
-		}
-		END {
-			if (!on || !off) { print "BENCH_PR9.json missing views=50 share arms"; exit 2 }
-			speedup = off / on
-			printf "share off/on at 50 views: %.0f / %.0f ns/op (%.1fx, threshold 5x)\n", off, on, speedup
-			if (speedup < 5) { printf "REGRESSION: shared sub-plans only %.1fx faster < 5x\n", speedup; exit 1 }
-		}
-	' BENCH_PR9.json >&2
-fi
-
-# PR 10 MVCC snapshot serving. The concurrency battery runs under -race
-# with an explicit deadline (a lost wakeup or livelock in the epoch
-# registry must fail the gate, not hang it): the randomized linearizability
-# sweep, the epoch-reclamation leak test, and the crash-consistency sweeps
-# that pin reader isolation across aborted rounds. Arena poison is on under
-# -race, so a published extent aliasing round-arena memory fails here too.
+# The MVCC concurrency battery runs under -race with an explicit deadline (a
+# lost wakeup or livelock in the epoch registry must fail the gate, not hang
+# it): the randomized linearizability sweep, the epoch-reclamation leak
+# test, and the crash-consistency sweeps that pin reader isolation across
+# aborted rounds. Arena poison is on under -race, so a published extent
+# aliasing round-arena memory fails here too.
 echo "== MVCC concurrency battery (-race, 300s deadline)" >&2
 go test -race -timeout 300s \
 	-run 'TestSnapshotLinearizability|TestSnapshotEpochReclamation|TestSnapRegLifecycle|TestCrashConsistencyEverySite|TestSharedCrashConsistencyEverySite' \
 	. ./internal/core/ >&2
 
-# The seed→PR10 pair is a parity lock on the maintenance arms: the bench
-# harness drives core.MaintainAll with no epoch registry attached, so the
-# MVCC machinery (COW extent apply, candidate version build, the epoch
-# registry) must not move them (3% ns/op noise margin, 5% allocs).
-# BENCH_PR10_BASE.json is the pre-PR10 tree re-benchmarked on the SAME
-# machine as BENCH_PR10.json (cross-machine captures differ by more than
-# the gate margin): git stash; scripts/bench_pr9.sh 10x 5; git stash pop;
-# edit "pr" to "10-base"; mv BENCH_PR9.json BENCH_PR10_BASE.json.
-if [ -f BENCH_PR10_BASE.json ] && [ -f BENCH_PR10.json ]; then
-	echo "== bench_diff BENCH_PR10_BASE.json BENCH_PR10.json (3% gate, maintenance arms)" >&2
-	scripts/bench_diff.sh BENCH_PR10_BASE.json BENCH_PR10.json 3 'cache=on|cache=off|commit|rollback' >&2
-	echo "== allocs_diff BENCH_PR10_BASE.json BENCH_PR10.json (5% gate)" >&2
-	scripts/allocs_diff.sh BENCH_PR10_BASE.json BENCH_PR10.json 5 >&2
-fi
-# Within the PR 10 capture, the headline gate: snapshot read p99 with
-# maintenance rounds committing concurrently must stay under 2x the
-# reader-only p99 — readers acquire a published version and never wait for
-# the writer, so the only tail cost is sharing the machine with the round
-# itself.
-if [ -f BENCH_PR10.json ]; then
-	echo "== mixed-workload read tail (p99 rounds=on ≤ 2x rounds=off)" >&2
-	awk '
-		/"name": "BenchmarkServeMixed\/read\/rounds=off"/ {
-			off = $0; sub(/.*"p99_ns": /, "", off); sub(/[,}].*/, "", off)
-		}
-		/"name": "BenchmarkServeMixed\/read\/rounds=on"/ {
-			on = $0; sub(/.*"p99_ns": /, "", on); sub(/[,}].*/, "", on)
-		}
-		END {
-			if (!off || !on) { print "BENCH_PR10.json missing ServeMixed read arms"; exit 2 }
-			ratio = on / off
-			printf "read p99 rounds on/off: %.0f / %.0f ns (%.2fx, threshold 2x)\n", on, off, ratio
-			if (ratio > 2) { printf "REGRESSION: concurrent rounds inflate read p99 %.2fx > 2x\n", ratio; exit 1 }
-		}
-	' BENCH_PR10.json >&2
-fi
+# Unused-field lint: a field of the shared-DAG or MVCC plumbing that nothing
+# reads means a broken subscription, fan-out, publish or drain path.
+echo "== structcheck (shared DAG and MVCC snapshot structs)" >&2
+sh scripts/structcheck.sh internal/xat/shared.go internal/core/txn.go \
+	internal/core/snapshot.go internal/xmldoc/snapshot.go >&2
 
-# Unused-field lint over the PR 9 DAG structs: a field of the shared-DAG
-# plumbing that nothing reads means a broken subscription or fan-out path.
-echo "== structcheck (shared DAG structs)" >&2
-sh scripts/structcheck.sh internal/xat/shared.go internal/core/txn.go >&2
-
-# Unused-field lint over the PR 10 MVCC structs: a field of the version or
-# registry plumbing that nothing reads means a broken publish or drain path.
-echo "== structcheck (MVCC snapshot structs)" >&2
-sh scripts/structcheck.sh internal/core/snapshot.go internal/xmldoc/snapshot.go >&2
+# The benchmark, twice over this tree: every operation checked against the
+# recompute oracle, every end-to-end metric × workload beside the bound
+# BENCHMARK.json gives it (see benchmark/README.md).
+echo "== go run ./benchmark -repeat 2 -check" >&2
+go run ./benchmark -repeat 2 -check >&2
 
 echo "check.sh: all green" >&2

@@ -27,7 +27,7 @@ var runners = map[string]func(float64) (*bench.Figure, error){
 	"4.9": bench.Fig4_9, "4.10": bench.Fig4_10,
 	"9.1": bench.Fig9_1, "9.2": bench.Fig9_2, "9.3": bench.Fig9_3,
 	"9.4": bench.Fig9_4, "9.5": bench.Fig9_5, "9.6": bench.Fig9_6,
-	"ablation": bench.Ablation, "parallel": bench.FigParallel, "obs": bench.FigObs,
+	"parallel": bench.FigParallel, "obs": bench.FigObs,
 }
 
 func main() {
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *fig != "" {
 		r, ok := runners[*fig]
 		if !ok {
-			return fmt.Errorf("unknown figure %q (known: 3.7 3.8 3.9 3.10 4.9 4.10 9.1..9.6 ablation parallel obs)", *fig)
+			return fmt.Errorf("unknown figure %q (known: 3.7 3.8 3.9 3.10 4.9 4.10 9.1..9.6 parallel obs)", *fig)
 		}
 		f, err := r(*scale)
 		if err != nil {

@@ -6,23 +6,17 @@
 //	xqview -doc name=file.xml [-doc name2=file2.xml ...] -query query.xq \
 //	       [-updates updates.xqu | -replay stream.jsonl] [-record stream.jsonl] \
 //	       [-journal] [-explain view=flexkey] [-plan] [-sapt] [-report] \
-//	       [-pretty] [-parallel N] [-cache] [-arena=off] [-compact=off] \
-//	       [-share=off] \
+//	       [-pretty] [-parallel N] [-readers N] \
 //	       [-trace out.json] [-http :6060] [-serve] [-top] [-logjson] [-v] \
 //	       [-fault site[:error|panic[:hit]]]
 //
 // The view is materialized and printed. With -updates, the update script is
 // applied through the VPA pipeline and the refreshed view is printed; with
-// -report, the maintenance breakdown is printed to stderr. -cache turns on
-// the cross-round propagation state cache and the view-relevance filter:
-// base operator tables survive between update batches (invalidated only
-// when a batch's regions touch their source documents) and views provably
-// untouched by a batch skip their Propagate+Apply phases. Results are
-// identical either way; only maintenance cost changes. -share (on by
-// default) groups structurally identical plan prefixes across views into a
-// shared DAG so each prefix's delta propagates once per round and fans out
-// to every subscribing view; -share=off gives every view a fully private
-// propagation.
+// -report, the maintenance breakdown is printed to stderr. Maintenance has
+// one configuration: base operator tables are cached across update batches,
+// views a batch cannot touch skip their Propagate+Apply phases, plan
+// prefixes shared by several views propagate once per round, round
+// transients live in an arena, and batches are compacted before validation.
 //
 // Observability: -trace records every VPA phase and XAT operator as spans
 // and writes Chrome trace-event JSON (open in chrome://tracing or Perfetto
@@ -65,7 +59,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -147,10 +140,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	report := fs.Bool("report", false, "print the maintenance report to stderr")
 	pretty := fs.Bool("pretty", false, "indent the printed view")
 	parallel := fs.Int("parallel", 0, "max views maintained concurrently per batch (0 = GOMAXPROCS, 1 = sequential)")
-	cacheOn := fs.Bool("cache", false, "cache base operator tables across update batches and skip views untouched by a batch")
-	shareFlag := fs.String("share", "on", "cross-view shared sub-plan maintenance, on|off (structurally identical plan prefixes propagate once per round and fan out; results identical)")
-	arenaFlag := fs.String("arena", "on", "round-scoped arena allocation for maintenance transients, on|off (off = plain heap allocation; results identical)")
-	compactFlag := fs.String("compact", "on", "pre-validation update-batch normalization, on|off (cancel insert+delete pairs, coalesce repeated replaces, merge adjacent inserts; decisions are journaled)")
 	traceFile := fs.String("trace", "", "write Chrome trace-event JSON of the maintenance run to this file")
 	httpAddr := fs.String("http", "", "serve /metrics, /debug/vars, /debug/pprof and /stats/rounds on this address (e.g. :6060)")
 	serve := fs.Bool("serve", false, "with -http: keep serving after the run instead of exiting")
@@ -205,25 +194,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	db := xqview.NewDatabase()
 	db.SetParallelism(*parallel)
-	if *cacheOn {
-		db.SetCacheBaseTables(true)
-		db.SetSkipDisjointViews(true)
-	}
-	arenaOn, err := onOff("arena", *arenaFlag)
-	if err != nil {
-		return err
-	}
-	compactOn, err := onOff("compact", *compactFlag)
-	if err != nil {
-		return err
-	}
-	shareOn, err := onOff("share", *shareFlag)
-	if err != nil {
-		return err
-	}
-	db.SetArena(arenaOn)
-	db.SetCompaction(compactOn)
-	db.SetShareSubplans(shareOn)
 	db.SetLogger(log)
 
 	var tracer *obs.Tracer
@@ -244,13 +214,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("observability endpoint: %w", err)
 		}
-		srv := &http.Server{Handler: obs.Handler(obs.Default,
-			obs.Route{Pattern: "/journal", Handler: journal.Default.HTTPHandler()},
-			obs.Route{Pattern: "/stats/rounds", Handler: obs.RoundsHandler(obs.Default, obs.Rounds, journalExtras)},
-			obs.Route{Pattern: "/snapshot", Handler: snapshotHandler(db)},
-			obs.Route{Pattern: "/view", Handler: viewHandler(db)},
-			obs.Route{Pattern: "/query", Handler: queryHandler(db)})}
-		go srv.Serve(ln)
+		go newServer(db).Serve(ln)
 		defer ln.Close()
 		log.Info("observability endpoint up", "addr", ln.Addr().String(),
 			"paths", "/metrics /debug/vars /debug/pprof/ /journal /stats/rounds /snapshot /view /query")
@@ -426,17 +390,6 @@ func topLoop(w io.Writer) {
 		case <-tick.C:
 		}
 	}
-}
-
-// onOff parses an on|off flag value.
-func onOff(name, v string) (bool, error) {
-	switch v {
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	}
-	return false, fmt.Errorf("-%s: want on or off, got %q", name, v)
 }
 
 // armFault parses -fault's site[:error|panic[:hit]] spec and arms the

@@ -57,35 +57,6 @@ delete $b`)
 	}
 }
 
-// TestRunArenaCompactFlags drives one update run with both hot-path
-// optimizations off and checks bad values are rejected: -arena/-compact must
-// not change results, only how the round allocates and batches.
-func TestRunArenaCompactFlags(t *testing.T) {
-	dir := t.TempDir()
-	doc := write(t, dir, "bib.xml", `<bib><book year="1994"><title>A</title></book><book year="2000"><title>B</title></book></bib>`)
-	query := write(t, dir, "q.xq", `<r>{ for $b in doc("bib.xml")/bib/book return $b/title }</r>`)
-	upd := write(t, dir, "u.xqu", `
-for $b in document("bib.xml")/bib/book
-where $b/title = "B"
-update $b
-delete $b`)
-	var out, errw strings.Builder
-	err := run([]string{"-doc", "bib.xml=" + doc, "-query", query,
-		"-updates", upd, "-arena=off", "-compact=off"}, &out, &errw)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, errw.String())
-	}
-	if strings.Contains(out.String(), "B") {
-		t.Fatalf("deleted title still present:\n%s", out.String())
-	}
-	for _, bad := range []string{"-arena=none", "-compact=1"} {
-		var o, e strings.Builder
-		if err := run([]string{"-doc", "bib.xml=" + doc, "-query", query, bad}, &o, &e); err == nil {
-			t.Fatalf("%s accepted", bad)
-		}
-	}
-}
-
 func TestRunParallelFlag(t *testing.T) {
 	dir := t.TempDir()
 	doc := write(t, dir, "bib.xml", `<bib><book year="1994"><title>A</title></book><book year="2000"><title>B</title></book></bib>`)

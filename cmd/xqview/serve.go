@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"xqview"
+	"xqview/internal/journal"
 	"xqview/internal/obs"
 )
 
@@ -24,6 +25,31 @@ import (
 // mixed-workload gate checks; obs.ReadSeconds is the shared registration the
 // /stats/rounds payload reads the same series through.
 var hRead = obs.ReadSeconds(obs.Default)
+
+// Connection deadlines of the serving endpoint, so a client that stalls
+// cannot hold a connection (and its goroutine) forever. There is no write
+// deadline: /debug/pprof/profile streams for 30 s by design.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer mounts the observability routes plus the snapshot read endpoints
+// over db, with the connection deadlines above.
+func newServer(db *xqview.Database) *http.Server {
+	return &http.Server{
+		Handler: obs.Handler(obs.Default,
+			obs.Route{Pattern: "/journal", Handler: journal.Default.HTTPHandler()},
+			obs.Route{Pattern: "/stats/rounds", Handler: obs.RoundsHandler(obs.Default, obs.Rounds, journalExtras)},
+			obs.Route{Pattern: "/snapshot", Handler: snapshotHandler(db)},
+			obs.Route{Pattern: "/view", Handler: viewHandler(db)},
+			obs.Route{Pattern: "/query", Handler: queryHandler(db)}),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // snapshotHandler serves /snapshot: a JSON digest of the current published
 // version — epoch, store overlay depth, documents, and per-view cache

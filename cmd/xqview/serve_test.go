@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"xqview"
 	"xqview/internal/obs"
 )
 
@@ -170,4 +173,51 @@ func TestRunReadersFlagValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "non-negative") {
 		t.Fatalf("negative readers: err = %v", err)
 	}
+}
+
+// TestServerDropsStalledClient pins the endpoint's connection deadlines: a
+// client that never finishes its request header is disconnected by the
+// server once readHeaderTimeout passes, and /healthz keeps answering on
+// other connections before and after.
+func TestServerDropsStalledClient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(xqview.NewDatabase())
+	go srv.Serve(ln)
+	defer srv.Close()
+	healthz := func(when string) {
+		t.Helper()
+		resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+		if err != nil {
+			t.Fatalf("/healthz %s: %v", when, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz %s = %d", when, resp.StatusCode)
+		}
+	}
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	// The header block is never terminated.
+	if _, err := io.WriteString(stalled, "GET /healthz HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	healthz("beside the stalled connection")
+
+	stalled.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second))
+	n, err := stalled.Read(make([]byte, 1))
+	var ne net.Error
+	switch {
+	case err == nil:
+		t.Fatalf("server answered a request whose header never ended (%d bytes)", n)
+	case errors.As(err, &ne) && ne.Timeout():
+		t.Fatalf("server still holds the stalled connection %v past its header deadline", 10*time.Second)
+	}
+	healthz("after the stalled connection was dropped")
 }

@@ -27,8 +27,8 @@ func Compile(src string) (*xat.Plan, error) {
 	return CompileExpr(ast)
 }
 
-// NoOptimize disables the Minimum Schema pruning pass (Sec 2.4); used by
-// correctness tests and ablation measurements.
+// NoOptimize disables the Minimum Schema pruning pass (Sec 2.4): the
+// unoptimized plan is the reference the optimizer tests compare against.
 var NoOptimize = false
 
 // CompileExpr compiles an already-parsed XQuery expression.

@@ -126,6 +126,9 @@ func (c *compiler) compileNested(e xquery.Expr, cur *xat.Op, sc *scope) (*xat.Op
 		return g, col, nil
 
 	case *xquery.Seq:
+		if len(x.Items) == 0 {
+			return nil, "", fmt.Errorf("compile: the empty sequence () is not supported in a return clause")
+		}
 		var cols []string
 		var err error
 		for _, it := range x.Items {

@@ -7,77 +7,18 @@ import (
 	"xqview/internal/faultinject"
 )
 
-// Round-scoped arena allocation must be invisible in results: arena-on and
-// arena-off (heap) rounds produce byte-identical extents under every update
-// stream, and a faulted arena round rolls back without leaking arena memory
-// into surviving state (the poison mode active under -race turns any
-// round-escaping arena pointer into corruption these differentials catch).
-
-// TestArenaDifferentialRandomized drives randomized batches through an
-// arena-on arm and a DisableArena (heap) arm over twin stores, with the
-// state cache on in both so the cross-round promotion boundary is exercised:
-// canonical extents must stay byte-identical after every round.
-func TestArenaDifferentialRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xA2E7A))
-	queries := []string{
-		RunningExample,
-		`<result>{ for $b in doc("bib.xml")/bib/book return <t>{$b/title}</t> }</result>`,
-		`<result>{
-			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
-			where $b/title = $e/b-title
-			return <pair>{$b/title} {$e/price}</pair> }</result>`,
-	}
-	bibXML, pricesXML := randomBib(rng, 6), randomPrices(rng, 5)
-	onStore, onViews := cacheArm(t, bibXML, pricesXML, queries)
-	offStore, offViews := cacheArm(t, bibXML, pricesXML, queries)
-	onOpts := Options{Parallelism: 1, CacheBaseTables: true}
-	offOpts := Options{Parallelism: 1, CacheBaseTables: true, DisableArena: true}
-	rounds := 20
-	if testing.Short() {
-		rounds = 6
-	}
-	for round := 0; round < rounds; round++ {
-		prims := randomBatch(t, rng, onStore, 1+rng.Intn(3))
-		if !conflictFree(prims) {
-			continue
-		}
-		want, err := RecomputeAll(onStore, queries, deepClonePrims(prims), offOpts)
-		if err != nil {
-			t.Fatalf("round %d recompute: %v", round, err)
-		}
-		if _, err := MaintainAll(onStore, onViews, deepClonePrims(prims), onOpts); err != nil {
-			t.Fatalf("round %d arena-on: %v", round, err)
-		}
-		if _, err := MaintainAll(offStore, offViews, deepClonePrims(prims), offOpts); err != nil {
-			t.Fatalf("round %d arena-off: %v", round, err)
-		}
-		for i := range onViews {
-			on, off := CanonicalXML(onViews[i].Extent), CanonicalXML(offViews[i].Extent)
-			if on != off {
-				t.Fatalf("round %d view %d: arena changed the extent\non:  %s\noff: %s", round, i, on, off)
-			}
-			if got := onViews[i].XML(); got != want[i] {
-				t.Fatalf("round %d view %d: arena arm diverges from recompute\ngot:  %s\nwant: %s", round, i, got, want[i])
-			}
-		}
-	}
-}
-
-// TestCrashConsistencyArenaSweep re-runs the seeded fault sweep with the
-// faulted arm on the arena and the fault-free twin on the heap: every
-// rollback must leave the arena arm byte-identical to its pre-round state
-// (the round arena is released wholesale right after the pre-image
-// restoration, so any slice the rollback failed to promote to the heap shows
-// up as poisoned data here), and every retried round must land identical to
-// the heap twin.
+// TestCrashConsistencyArenaSweep is a seeded fault sweep aimed at the round
+// arena: the arena is released wholesale right after a rollback restores the
+// pre-images, so any slice the rollback failed to promote to the heap shows
+// up as poisoned data (poison mode is on under -race) in the byte-identical
+// pre-round comparison, and every retried round must land identical to a
+// fault-free twin.
 func TestCrashConsistencyArenaSweep(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(0xA2E7A5EED))
 	bib, prices := randomBib(rng, 6), randomPrices(rng, 5)
-	a := newCrashArm(t, bib, prices) // arena, faulted
-	b := newCrashArm(t, bib, prices) // heap, fault-free
-	arenaOpts := Options{Parallelism: 4, CacheBaseTables: true}
-	heapOpts := Options{Parallelism: 4, CacheBaseTables: true, DisableArena: true}
+	a := newCrashArm(t, bib, prices) // faulted
+	b := newCrashArm(t, bib, prices) // fault-free twin
 	rounds := 25
 	if testing.Short() {
 		rounds = 8
@@ -93,7 +34,7 @@ func TestCrashConsistencyArenaSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, merr := MaintainAll(a.store, a.views, primsA, arenaOpts)
+		_, merr := MaintainAll(a.store, a.views, primsA, crashOpts)
 		fired := faultinject.Fired(site)
 		faultinject.Reset()
 		if fired {
@@ -103,17 +44,17 @@ func TestCrashConsistencyArenaSweep(t *testing.T) {
 			if d := pre.diff(a.snapshot()); d != "" {
 				t.Fatalf("seed %d (%s %s hit=%d): arena rollback not byte-identical: %s", seed, site, mode, hit, d)
 			}
-			if _, err := MaintainAll(a.store, a.views, primsA, arenaOpts); err != nil {
+			if _, err := MaintainAll(a.store, a.views, primsA, crashOpts); err != nil {
 				t.Fatalf("seed %d retry: %v", seed, err)
 			}
 		} else if merr != nil {
 			t.Fatalf("seed %d: site %s never fired but round failed: %v", seed, site, merr)
 		}
-		if _, err := MaintainAll(b.store, b.views, primsB, heapOpts); err != nil {
-			t.Fatalf("seed %d heap twin: %v", seed, err)
+		if _, err := MaintainAll(b.store, b.views, primsB, crashOpts); err != nil {
+			t.Fatalf("seed %d twin: %v", seed, err)
 		}
 		if d := a.snapshot().diff(b.snapshot()); d != "" {
-			t.Fatalf("seed %d: arena arm diverged from heap twin: %s", seed, d)
+			t.Fatalf("seed %d: faulted arm diverged from twin: %s", seed, d)
 		}
 	}
 }

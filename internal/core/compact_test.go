@@ -3,22 +3,20 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"xqview/internal/flexkey"
-	"xqview/internal/journal"
 	"xqview/internal/update"
+	"xqview/internal/validate"
 	"xqview/internal/xmldoc"
 )
 
 // Delta-batch compaction must be invisible in results and truthful in the
-// journal: a compaction-on arm and a compaction-off arm produce byte-identical
-// extents on every batch both accept, verdicts agree modulo the dropped
-// primitives, and explain output only ever differs by "compacted:" lines.
+// journal. The randomized oracle's dup-replaces family covers both on whole
+// rounds; the tests here pin the batches compaction admits.
 
-// compactArmQueries shape the differential; the join keeps the replace-heavy
-// prices side involved.
+// compactArmQueries are the oracle's dup-replaces family; the join keeps the
+// replace-heavy prices side involved.
 var compactArmQueries = []string{
 	RunningExample,
 	`<result>{ for $b in doc("bib.xml")/bib/book return <t>{$b/title}</t> }</result>`,
@@ -27,7 +25,7 @@ var compactArmQueries = []string{
 
 // dupReplaceBatch builds a conflict-free random batch and extends the run of
 // one replace primitive with extra writes to the same node, so coalesce has
-// something to do while the batch stays valid for the uncompacted arm.
+// something to do.
 func dupReplaceBatch(t *testing.T, rng *rand.Rand, s *xmldoc.Store) []*update.Primitive {
 	t.Helper()
 	for tries := 0; tries < 50; tries++ {
@@ -57,127 +55,10 @@ func dupReplaceBatch(t *testing.T, rng *rand.Rand, s *xmldoc.Store) []*update.Pr
 	return nil
 }
 
-// armRound maintains one round on an arm with journaling and returns the
-// journaled round plus explain output for every fused view key.
-func armRound(t *testing.T, store *xmldoc.Store, views []*View, prims []*update.Primitive, opts Options) (*journal.Round, map[string]string) {
-	t.Helper()
-	journal.Default.Reset()
-	if _, err := MaintainAll(store, views, prims, opts); err != nil {
-		t.Fatalf("maintain: %v", err)
-	}
-	rounds := journal.Default.Rounds()
-	if len(rounds) != 1 {
-		t.Fatalf("journaled %d rounds", len(rounds))
-	}
-	r := rounds[0]
-	explains := map[string]string{}
-	for _, vl := range r.PerView {
-		for _, f := range vl.Fusions {
-			id := vl.View + "\x00" + f.ViewKey
-			if _, ok := explains[id]; ok {
-				continue
-			}
-			text, err := journal.Default.Explain(vl.View, f.ViewKey)
-			if err != nil {
-				t.Fatalf("explain %s %s: %v", vl.View, f.ViewKey, err)
-			}
-			explains[id] = text
-		}
-	}
-	return r, explains
-}
-
-func TestCompactionDifferentialRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xC0A1E5CE))
-	bibXML, pricesXML := randomBib(rng, 6), randomPrices(rng, 5)
-	onStore, onViews := cacheArm(t, bibXML, pricesXML, compactArmQueries)
-	offStore, offViews := cacheArm(t, bibXML, pricesXML, compactArmQueries)
-	for i := range onViews {
-		name := fmt.Sprintf("cv-%d", i)
-		onViews[i].Name, offViews[i].Name = name, name
-	}
-	onOpts := Options{Parallelism: 1}
-	offOpts := Options{Parallelism: 1, DisableCompaction: true}
-
-	prev := journal.SetEnabled(true)
-	defer journal.SetEnabled(prev)
-	defer journal.Default.Reset()
-
-	rounds, compacted := 20, 0
-	if testing.Short() {
-		rounds = 6
-	}
-	for round := 0; round < rounds; round++ {
-		prims := dupReplaceBatch(t, rng, onStore)
-		wants, err := RecomputeAll(onStore, compactArmQueries, deepClonePrims(prims), onOpts)
-		if err != nil {
-			t.Fatalf("round %d recompute: %v", round, err)
-		}
-		offRound, offExp := armRound(t, offStore, offViews, deepClonePrims(prims), offOpts)
-		onRound, onExp := armRound(t, onStore, onViews, deepClonePrims(prims), onOpts)
-
-		for i := range onViews {
-			on, off := CanonicalXML(onViews[i].Extent), CanonicalXML(offViews[i].Extent)
-			if on != off {
-				t.Fatalf("round %d view %d: compaction changed the extent\non:  %s\noff: %s", round, i, on, off)
-			}
-			if got := onViews[i].XML(); got != wants[i] {
-				t.Fatalf("round %d view %d: compacted arm diverges from recompute\ngot:  %s\nwant: %s", round, i, got, wants[i])
-			}
-		}
-
-		// The journal snapshots the ORIGINAL stream in both arms.
-		if len(onRound.Prims) != len(prims) || len(offRound.Prims) != len(prims) {
-			t.Fatalf("round %d: journaled prim counts %d/%d, want %d",
-				round, len(onRound.Prims), len(offRound.Prims), len(prims))
-		}
-		// Verdicts agree modulo compaction: the on-arm's verdicts (already
-		// remapped to original indexes) are exactly the off-arm's minus the
-		// dropped primitives.
-		droppedIdx := map[int]bool{}
-		for _, c := range onRound.Compactions {
-			for _, d := range c.Dropped {
-				droppedIdx[d] = true
-			}
-		}
-		if len(droppedIdx) > 0 {
-			compacted++
-		}
-		var surviving []journal.Verdict
-		for _, v := range offRound.Verdicts {
-			if !droppedIdx[v.Prim] {
-				surviving = append(surviving, v)
-			}
-		}
-		if fmt.Sprint(onRound.Verdicts) != fmt.Sprint(surviving) {
-			t.Fatalf("round %d: verdicts diverge modulo compaction\non:        %v\nsurviving: %v\ndropped:   %v",
-				round, onRound.Verdicts, surviving, droppedIdx)
-		}
-		// Explain output for every fused view key is identical across arms,
-		// except that compacted primitives are annotated instead of carrying
-		// a verdict.
-		for id, offText := range offExp {
-			onText, ok := onExp[id]
-			if !ok {
-				t.Fatalf("round %d: view key %q fused in off arm only", round, strings.ReplaceAll(id, "\x00", "/"))
-			}
-			if onText == offText {
-				continue
-			}
-			if !strings.Contains(onText, "compacted:") {
-				t.Fatalf("round %d: explain diverged without a compaction annotation\non:  %s\noff: %s", round, onText, offText)
-			}
-		}
-	}
-	if compacted == 0 {
-		t.Fatal("no round compacted anything; differential test is vacuous")
-	}
-}
-
 // TestCompactionWidensBatchLanguage pins the FLUX-style composition payoff:
 // merge and cancel admit batches that reference in-batch inserted nodes,
-// which plain validation rejects (the parent is not in the base store), and
-// the compacted result matches sequential application.
+// which validation alone would reject (the parent is not in the base store),
+// and the compacted result matches sequential application.
 func TestCompactionWidensBatchLanguage(t *testing.T) {
 	mkArm := func(t *testing.T) (*xmldoc.Store, *View) {
 		s := xmldoc.NewStore()
@@ -208,12 +89,11 @@ func TestCompactionWidensBatchLanguage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sequential ground truth rejected the batch: %v", err)
 		}
-		if _, err := MaintainAll(s, []*View{v}, prims(),
-			Options{Parallelism: 1, DisableCompaction: true}); err == nil {
-			t.Fatal("uncompacted arm accepted an in-batch parent reference; merge rule is vacuous")
+		if _, err := validate.Validate(s, v.SAPT, prims()); err == nil {
+			t.Fatal("validation alone accepts an in-batch parent reference; merge rule is vacuous")
 		}
 		if _, err := MaintainAll(s, []*View{v}, prims(), Options{Parallelism: 1}); err != nil {
-			t.Fatalf("compacted arm rejected the batch: %v", err)
+			t.Fatalf("merged batch rejected: %v", err)
 		}
 		if got := v.XML(); got != want {
 			t.Fatalf("merged batch diverges from sequential application\ngot:  %s\nwant: %s", got, want)
@@ -233,12 +113,11 @@ func TestCompactionWidensBatchLanguage(t *testing.T) {
 				{Kind: update.Delete, Doc: "bib.xml", Key: k},
 			}
 		}
-		if _, err := MaintainAll(s, []*View{v}, prims(),
-			Options{Parallelism: 1, DisableCompaction: true}); err == nil {
-			t.Fatal("uncompacted arm accepted an in-batch delete target; cancel rule is vacuous")
+		if _, err := validate.Validate(s, v.SAPT, prims()); err == nil {
+			t.Fatal("validation alone accepts an in-batch delete target; cancel rule is vacuous")
 		}
 		if _, err := MaintainAll(s, []*View{v}, prims(), Options{Parallelism: 1}); err != nil {
-			t.Fatalf("compacted arm rejected the annihilating batch: %v", err)
+			t.Fatalf("annihilating batch rejected: %v", err)
 		}
 		if got := v.XML(); got != before {
 			t.Fatalf("annihilated batch changed the extent\ngot:    %s\nbefore: %s", got, before)

@@ -17,7 +17,11 @@ import (
 // workers (or the process) down.
 var fpPoolTask = faultinject.Register("core.pool.task")
 
-// Options configures a maintenance or recomputation run.
+// Options configures a maintenance or recomputation run. It carries a
+// resource bound and plumbing only: maintenance always runs state-cached,
+// shared across views, arena-backed, batch-compacted and relevance-filtered,
+// and full recomputation (RecomputeAll / View.Materialize) is the oracle that
+// one path is tested against.
 type Options struct {
 	// Parallelism bounds the number of views maintained concurrently during
 	// the Propagate+Apply phases (and the number of concurrent clones during
@@ -31,51 +35,12 @@ type Options struct {
 	// (xqview -trace). A nil Tracer costs nothing.
 	Tracer *obs.Tracer
 
-	// CacheBaseTables carries each view's base operator tables across
-	// maintenance rounds (the propagation state cache): base sub-plan
-	// derivations the join/aggregate equations need are served from the
-	// prior round's tables, folded forward by the round's own deltas, with
-	// region-driven invalidation. Off by default; cache-on is byte-identical
-	// to cache-off (enforced by the differential tests).
-	CacheBaseTables bool
-
-	// SkipDisjointViews makes MaintainAll skip the Propagate+Apply phases
-	// for views whose SAPT classifies every primitive of the batch as
-	// irrelevant (the batch's update regions cannot touch the view). Skipped
-	// views report MaintStats.Skipped=1 and journal a skip verdict so
-	// explain output stays truthful. Off by default.
-	SkipDisjointViews bool
-
-	// DisableArena turns off round-scoped arena allocation: every view's
-	// propagation then allocates tuples and cells on the Go heap, exactly as
-	// the pre-arena engine did. The arena is on by default (and compiled out
-	// entirely under the arena_off build tag); arena-on and arena-off rounds
-	// are byte-identical (enforced by the differential tests).
-	DisableArena bool
-
-	// ShareSubplans maintains operator subtrees shared by several views once
-	// per round: equal-fingerprint shareable subtrees are grouped into a
-	// shared DAG (xat.BuildSharedDAG), each group's representative
-	// propagates exactly once against a shared cache partition, and the
-	// resulting delta tables seed every live subscriber's private suffix.
-	// Off by default; share-on is byte-identical to share-off (enforced by
-	// the differential tests). Workloads without cross-view overlap build an
-	// empty DAG and pay nothing.
-	ShareSubplans bool
-
 	// SharedDAG, when non-nil and built over exactly the round's view plans,
-	// is reused instead of rebuilding the DAG per round — this is what keeps
-	// the shared cache partitions warm across rounds (Database maintains one
-	// per view set). Ignored unless ShareSubplans is set; a stale DAG (plans
-	// changed) is detected via Matches and rebuilt fresh for the round.
+	// is reused instead of rebuilding the shared sub-plan DAG per round —
+	// this is what keeps the shared cache partitions warm across rounds
+	// (Database maintains one per view set). A nil or stale DAG (plans
+	// changed) is detected via Matches and built fresh for the round.
 	SharedDAG *xat.SharedDAG
-
-	// DisableCompaction turns off delta-batch compaction: the primitive
-	// batch is then validated and propagated exactly as submitted, without
-	// cancelling insert+delete pairs, coalescing repeated replaces, or
-	// merging adjacent insert fragments. Compaction is on by default; every
-	// compaction decision is journaled so explain output stays truthful.
-	DisableCompaction bool
 
 	// Snapshots, when non-nil, is the MVCC epoch registry the round publishes
 	// into: after the source refresh succeeds (and before the infallible

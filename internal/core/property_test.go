@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"xqview/internal/deepunion"
+	"xqview/internal/journal"
 	"xqview/internal/update"
+	"xqview/internal/xat"
 	"xqview/internal/xmldoc"
 )
 
@@ -271,45 +273,136 @@ func TestPropertyIncrementalEqualsRecompute(t *testing.T) {
 	}
 }
 
-// TestPropertySequentialBatches applies several batches in sequence to the
-// same view, verifying consistency after every batch (stability of semantic
-// identifiers across maintenance rounds, Sec 4.6).
-func TestPropertySequentialBatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+// newArm builds one store + views fixture over the bib/prices pair. Twin
+// arms load the same documents in the same order, so FlexKey assignment — and
+// therefore every key a primitive references — is identical across arms.
+func newArm(t *testing.T, bibXML, pricesXML string, queries []string) (*xmldoc.Store, []*View) {
+	t.Helper()
 	s := xmldoc.NewStore()
-	if _, err := s.Load("bib.xml", randomBib(rng, 5)); err != nil {
+	if _, err := s.Load("bib.xml", bibXML); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Load("prices.xml", randomPrices(rng, 4)); err != nil {
+	if _, err := s.Load("prices.xml", pricesXML); err != nil {
 		t.Fatal(err)
 	}
-	v, err := NewView(s, RunningExample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := 20
-	if testing.Short() {
-		rounds = 6
-	}
-	for round := 0; round < rounds; round++ {
-		prims := randomBatch(t, rng, s, 1+rng.Intn(3))
-		if !conflictFree(prims) {
-			continue
-		}
-		var ps []string
-		for _, p := range prims {
-			ps = append(ps, p.String())
-		}
-		want, err := Recompute(s, RunningExample, prims)
+	views := make([]*View, len(queries))
+	for i, q := range queries {
+		v, err := NewView(s, q)
 		if err != nil {
-			t.Fatalf("round %d recompute: %v", round, err)
+			t.Fatalf("view %d: %v", i, err)
 		}
-		if _, err := v.ApplyUpdates(prims); err != nil {
-			t.Fatalf("round %d apply: %v", round, err)
-		}
-		if got := v.XML(); got != want {
-			t.Fatalf("round %d mismatch:\nprims:\n  %s\nincr: %s\nfull: %s",
-				round, strings.Join(ps, "\n  "), got, want)
-		}
+		v.Name = fmt.Sprintf("v%d", i)
+		views[i] = v
+	}
+	return s, views
+}
+
+// roundFamilies are the view sets the randomized round oracle runs over.
+// Each names the mechanisms its rounds must exercise, so a family that stops
+// hitting the state cache, seeding shared prefixes or compacting batches
+// fails instead of passing vacuously.
+var roundFamilies = []struct {
+	name    string
+	seed    int64
+	queries []string
+	// dupReplace draws batches that repeat a replace (dupReplaceBatch), so
+	// compaction has something to coalesce.
+	dupReplace bool
+	wantCache  bool // private state caches must serve hits
+	wantShared bool // shared prefixes must seed member views
+}{
+	{name: "running-example", seed: 99, queries: []string{RunningExample}, wantCache: true},
+	{name: "joins-and-flats", seed: 0xCAC4E, wantCache: true, wantShared: true, queries: []string{
+		RunningExample,
+		`<result>{ for $b in doc("bib.xml")/bib/book return <t>{$b/title}</t> }</result>`,
+		`<result>{
+			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+			where $b/title = $e/b-title
+			return <pair>{$b/title} {$e/price}</pair> }</result>`,
+		`<result>{ for $e in doc("prices.xml")/prices/entry return <p>{$e/price}</p> }</result>`,
+	}},
+	{name: "crash-queries", seed: 0x7241, queries: crashQueries, wantShared: true},
+	{name: "dup-replaces", seed: 0xC0A1E5CE, queries: compactArmQueries, dupReplace: true},
+	{name: "shared-families", seed: 0x54A12E, queries: sharedFamilies, wantShared: true},
+}
+
+// TestRoundsMatchRecomputeRandomized is the refresh theorem on whole rounds:
+// randomized primitive streams run through MaintainAll over each family,
+// round after round on the same store, and after every round every view's
+// extent must equal full recomputation. The DAG is held across rounds as
+// Database does, so shared cache partitions fold forward like private ones.
+func TestRoundsMatchRecomputeRandomized(t *testing.T) {
+	defer journal.SetEnabled(journal.SetEnabled(true))
+	defer journal.Default.Reset()
+	for _, fam := range roundFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(fam.seed))
+			store, views := newArm(t, randomBib(rng, 6), randomPrices(rng, 5), fam.queries)
+			opts := Options{SharedDAG: xat.BuildSharedDAG(plansOf(views))}
+			rounds := 25
+			if testing.Short() {
+				rounds = 8
+			}
+			seeded, compacted := 0, 0
+			for round := 0; round < rounds; round++ {
+				var prims []*update.Primitive
+				if fam.dupReplace {
+					prims = dupReplaceBatch(t, rng, store)
+				} else if prims = randomBatch(t, rng, store, 1+rng.Intn(3)); !conflictFree(prims) {
+					continue
+				}
+				wants, err := RecomputeAll(store, fam.queries, deepClonePrims(prims))
+				if err != nil {
+					t.Fatalf("round %d recompute: %v", round, err)
+				}
+				journal.Default.Reset()
+				stats, err := MaintainAll(store, views, prims, opts)
+				if err != nil {
+					t.Fatalf("round %d maintain: %v", round, err)
+				}
+				for i, v := range views {
+					seeded += stats[i].SharedPrefixes
+					if got := v.XML(); got != wants[i] {
+						t.Fatalf("round %d view %d diverges from recompute\nprims: %v\nincr: %s\nfull: %s",
+							round, i, prims, got, wants[i])
+					}
+				}
+				// The journal stays truthful about compaction: it snapshots
+				// the ORIGINAL stream, and no verdict names a primitive that
+				// compaction dropped before validation.
+				jr := journal.Default.Rounds()[0]
+				if len(jr.Prims) != len(prims) {
+					t.Fatalf("round %d: journaled %d prims, submitted %d", round, len(jr.Prims), len(prims))
+				}
+				dropped := map[int]bool{}
+				for _, c := range jr.Compactions {
+					for _, d := range c.Dropped {
+						dropped[d] = true
+					}
+				}
+				if len(dropped) > 0 {
+					compacted++
+				}
+				for _, vd := range jr.Verdicts {
+					if vd.Prim < 0 || vd.Prim >= len(prims) || dropped[vd.Prim] {
+						t.Fatalf("round %d: verdict %+v names a dropped or unknown primitive (dropped %v)",
+							round, vd, dropped)
+					}
+				}
+			}
+			hits := 0
+			for _, v := range views {
+				hits += v.CacheStats().Hits
+			}
+			if fam.wantCache && hits == 0 {
+				t.Error("no view ever hit its state cache; the oracle run is vacuous for the cache")
+			}
+			if fam.wantShared && seeded == 0 {
+				t.Error("no shared prefix was ever seeded; the oracle run is vacuous for sharing")
+			}
+			if fam.dupReplace && compacted == 0 {
+				t.Error("no round compacted anything; the oracle run is vacuous for compaction")
+			}
+		})
 	}
 }

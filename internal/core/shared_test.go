@@ -16,10 +16,11 @@ import (
 	"xqview/internal/xmldoc"
 )
 
-// Shared sub-plan maintenance must be invisible in results: share=on and
-// share=off rounds produce byte-identical extents, journals and Explain
-// output under every update stream, while the shared frontier turns
-// per-view subtree propagations into one propagation per distinct prefix.
+// Shared sub-plan maintenance must be invisible in results: a view maintained
+// inside a family that shares its prefix produces the same extent, journal
+// lineage and Explain output as the same view maintained alone, while the
+// shared frontier turns per-view subtree propagations into one propagation
+// per distinct prefix.
 
 // sharedFamilies are three view families with overlapping prefixes: the
 // book family shares Source→Navigate over bib.xml, the price family the
@@ -45,43 +46,12 @@ var sharedFamilies = []string{
 		return <deal>{$e/price}</deal> }</result>`,
 }
 
-// sharedArm builds one differential arm: twin arms load the same documents
-// in the same order so FlexKey assignment is identical.
-func sharedArm(t *testing.T, bibXML, pricesXML string, queries []string) (*xmldoc.Store, []*View) {
-	t.Helper()
-	s := xmldoc.NewStore()
-	if _, err := s.Load("bib.xml", bibXML); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load("prices.xml", pricesXML); err != nil {
-		t.Fatal(err)
-	}
-	views := make([]*View, len(queries))
-	for i, q := range queries {
-		v, err := NewView(s, q)
-		if err != nil {
-			t.Fatalf("view %d: %v", i, err)
-		}
-		v.Name = fmt.Sprintf("v%d", i)
-		views[i] = v
-	}
-	return s, views
-}
-
-func plansOf(views []*View) []*xat.Plan {
-	plans := make([]*xat.Plan, len(views))
-	for i, v := range views {
-		plans[i] = v.Plan
-	}
-	return plans
-}
-
 // TestSharedDAGGrouping pins the DAG construction itself: the three
 // families must factor into at least three shared groups, every group needs
 // two distinct subscribing views, and a single view shares nothing.
 func TestSharedDAGGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x0DA6))
-	_, views := sharedArm(t, randomBib(rng, 3), randomPrices(rng, 3), sharedFamilies)
+	_, views := newArm(t, randomBib(rng, 3), randomPrices(rng, 3), sharedFamilies)
 	dag := xat.BuildSharedDAG(plansOf(views))
 	if len(dag.Groups) < 3 {
 		t.Fatalf("expected >=3 shared groups across the families, got %d", len(dag.Groups))
@@ -125,18 +95,8 @@ func TestSharedDAGGrouping(t *testing.T) {
 	}
 }
 
-// journalDump marshals the retained rounds for byte comparison.
-func journalDump(t *testing.T) string {
-	t.Helper()
-	b, err := json.Marshal(journal.Default.Rounds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 // explainAll renders Explain for every view at each primitive's anchor key.
-// A no-lineage error is part of the rendered output: both arms must produce
+// A no-lineage error is part of the rendered output: every arm must produce
 // it for the same (view, key) pairs.
 func explainAll(views []*View, prims []*update.Primitive) string {
 	var b strings.Builder
@@ -156,94 +116,124 @@ func explainAll(views []*View, prims []*update.Primitive) string {
 	return b.String()
 }
 
-// TestSharedDifferentialRandomized is the correctness backstop of the
-// shared frontier: randomized primitive streams run through a share=on arm
-// (cache, skip filter and arena all on) and a share=off arm over twin
-// stores. After every round each view's canonical extent, the round's
-// journal and the Explain output of every touched key must be
-// byte-identical across arms, and the shared arm must also match full
-// recomputation.
-func TestSharedDifferentialRandomized(t *testing.T) {
-	defer journal.SetEnabled(journal.SetEnabled(false))
-	journal.SetEnabled(true)
+// lineageFamilies are view sets whose members differ ONLY in constructor
+// tags: each member reads the same source paths, so the family's merged SAPT
+// classifies every primitive exactly as each member's own SAPT does, and the
+// validated batch a member sees is the same whether it is maintained inside
+// the family or alone.
+var lineageFamilies = map[string][]string{
+	"books": {
+		`<result>{ for $b in doc("bib.xml")/bib/book return <t>{$b/title}</t> }</result>`,
+		`<result>{ for $b in doc("bib.xml")/bib/book return <u>{$b/title}</u> }</result>`,
+	},
+	"prices": {
+		`<result>{ for $e in doc("prices.xml")/prices/entry return <p>{$e/price}</p> }</result>`,
+		`<result>{ for $e in doc("prices.xml")/prices/entry return <q>{$e/price}</q> }</result>`,
+	},
+	"joins": {
+		`<result>{
+			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+			where $b/title = $e/b-title
+			return <pair>{$b/title} {$e/price}</pair> }</result>`,
+		`<result>{
+			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+			where $b/title = $e/b-title
+			return <deal>{$b/title} {$e/price}</deal> }</result>`,
+		`<result>{
+			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+			where $b/title = $e/b-title
+			return <offer>{$b/title} {$e/price}</offer> }</result>`,
+	},
+}
+
+// viewRecord is everything one arm recorded about one view in one round.
+type viewRecord struct {
+	extent, lineage, explain string
+}
+
+// recordRound maintains one journaled round and returns, per view, its
+// canonical extent, its marshalled journal lineage and its Explain output at
+// every primitive's anchor key, plus the round's verdicts and how many shared
+// prefixes were seeded into the views.
+func recordRound(t *testing.T, store *xmldoc.Store, views []*View, prims []*update.Primitive, opts Options) (recs []viewRecord, verdicts string, seeded int) {
+	t.Helper()
+	journal.Default.Reset()
+	stats, err := MaintainAll(store, views, prims, opts)
+	if err != nil {
+		t.Fatalf("maintain: %v", err)
+	}
+	jr := journal.Default.Rounds()[0]
+	recs = make([]viewRecord, len(views))
+	for i, v := range views {
+		lineage, err := json.Marshal(jr.PerView[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = viewRecord{CanonicalXML(v.Extent), string(lineage), explainAll(views[i:i+1], prims)}
+		seeded += stats[i].SharedPrefixes
+	}
+	return recs, fmt.Sprint(jr.Verdicts), seeded
+}
+
+// TestSharedTogetherMatchesAlone is the byte-identity backstop of the shared
+// frontier. A view maintained alone forms no shared group by construction
+// (BuildSharedDAG needs two subscribers), so each family runs as one
+// together arm plus one alone arm per member over twin stores: after every
+// randomized round each member's extent, journal lineage and Explain output
+// in the together arm — where its prefix was propagated once and seeded —
+// must equal what the same view recorded alone.
+func TestSharedTogetherMatchesAlone(t *testing.T) {
+	defer journal.SetEnabled(journal.SetEnabled(true))
 	defer journal.Default.Reset()
-
-	rng := rand.New(rand.NewSource(0x54A12E))
-	bibXML, pricesXML := randomBib(rng, 6), randomPrices(rng, 5)
-	onStore, onViews := sharedArm(t, bibXML, pricesXML, sharedFamilies)
-	offStore, offViews := sharedArm(t, bibXML, pricesXML, sharedFamilies)
-	dag := xat.BuildSharedDAG(plansOf(onViews))
-	if len(dag.Groups) == 0 {
-		t.Fatal("no shared groups formed; differential test is vacuous")
-	}
-	// The arms differ ONLY in sharing: cache, relevance filter and arena are
-	// identical, so journal and Explain byte-comparison isolates the shared
-	// frontier.
-	onOpts := Options{Parallelism: 1, CacheBaseTables: true, SkipDisjointViews: true,
-		ShareSubplans: true, SharedDAG: dag}
-	offOpts := Options{Parallelism: 1, CacheBaseTables: true, SkipDisjointViews: true}
-	rounds := 25
-	if testing.Short() {
-		rounds = 8
-	}
-	sharedSeeded := 0
-	for round := 0; round < rounds; round++ {
-		prims := randomBatch(t, rng, onStore, 1+rng.Intn(3))
-		if !conflictFree(prims) {
-			continue
-		}
-		queries := make([]string, len(onViews))
-		for i, v := range onViews {
-			queries[i] = v.Query
-		}
-		wants, err := RecomputeAll(onStore, queries, deepClonePrims(prims), offOpts)
-		if err != nil {
-			t.Fatalf("round %d recompute: %v", round, err)
-		}
-
-		journal.Default.Reset()
-		primsOn := deepClonePrims(prims)
-		stats, err := MaintainAll(onStore, onViews, primsOn, onOpts)
-		if err != nil {
-			t.Fatalf("round %d share-on maintain: %v", round, err)
-		}
-		for _, ms := range stats {
-			sharedSeeded += ms.SharedPrefixes
-		}
-		onJournal := journalDump(t)
-		onExplain := explainAll(onViews, primsOn)
-
-		journal.Default.Reset()
-		primsOff := deepClonePrims(prims)
-		if _, err := MaintainAll(offStore, offViews, primsOff, offOpts); err != nil {
-			t.Fatalf("round %d share-off maintain: %v", round, err)
-		}
-		offJournal := journalDump(t)
-		offExplain := explainAll(offViews, primsOff)
-
-		for i := range onViews {
-			on := CanonicalXML(onViews[i].Extent)
-			off := CanonicalXML(offViews[i].Extent)
-			if on != off {
-				t.Fatalf("round %d view %d: share-on diverges from share-off\non:  %s\noff: %s",
-					round, i, on, off)
+	for name, queries := range lineageFamilies {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(0x54A12E))
+			bibXML, pricesXML := randomBib(rng, 6), randomPrices(rng, 5)
+			store, views := newArm(t, bibXML, pricesXML, queries)
+			dag := xat.BuildSharedDAG(plansOf(views))
+			if len(dag.Groups) == 0 {
+				t.Fatal("family forms no shared group; the comparison is vacuous")
 			}
-			if got := onViews[i].XML(); got != wants[i] {
-				t.Fatalf("round %d view %d: share-on diverges from recompute\non:   %s\nfull: %s",
-					round, i, got, wants[i])
+			type arm struct {
+				store *xmldoc.Store
+				views []*View
 			}
-		}
-		if onJournal != offJournal {
-			t.Fatalf("round %d: journal diverges across arms\n--- on ---\n%s\n--- off ---\n%s",
-				round, onJournal, offJournal)
-		}
-		if onExplain != offExplain {
-			t.Fatalf("round %d: explain diverges across arms\n--- on ---\n%s\n--- off ---\n%s",
-				round, onExplain, offExplain)
-		}
-	}
-	if sharedSeeded == 0 {
-		t.Fatal("share-on arm never seeded a shared prefix; differential test is vacuous")
+			alone := make([]arm, len(views))
+			for i, v := range views {
+				s, vs := newArm(t, bibXML, pricesXML, queries[i:i+1])
+				vs[0].Name = v.Name
+				alone[i] = arm{s, vs}
+			}
+			rounds := 25
+			if testing.Short() {
+				rounds = 8
+			}
+			seeded := 0
+			for round := 0; round < rounds; round++ {
+				prims := randomBatch(t, rng, store, 1+rng.Intn(3))
+				if !conflictFree(prims) {
+					continue
+				}
+				// Validation assigns insert keys on the primitives it is
+				// handed, so every arm gets its own copy of the batch.
+				together, verdicts, n := recordRound(t, store, views, deepClonePrims(prims), Options{SharedDAG: dag})
+				seeded += n
+				for i, a := range alone {
+					solo, soloVerdicts, _ := recordRound(t, a.store, a.views, deepClonePrims(prims), Options{})
+					if soloVerdicts != verdicts {
+						t.Fatalf("round %d view %d: verdicts differ alone vs together; family premise broken\nalone:    %s\ntogether: %s",
+							round, i, soloVerdicts, verdicts)
+					}
+					if solo[0] != together[i] {
+						t.Fatalf("round %d view %d: together diverges from alone\n--- together ---\n%+v\n--- alone ---\n%+v",
+							round, i, together[i], solo[0])
+					}
+				}
+			}
+			if seeded == 0 {
+				t.Fatal("together arm never seeded a shared prefix; comparison is vacuous")
+			}
+		})
 	}
 }
 
@@ -264,11 +254,11 @@ func sharedCrashSnapshot(a *crashArm, dag *xat.SharedDAG) string {
 	return b.String()
 }
 
-// TestSharedCrashConsistencyEverySite reruns the PR 5 fault sweep with the
-// shared frontier on: a fault at any site — including the shared groups'
-// own propagate and prepare steps — must roll back store, extents, private
+// TestSharedCrashConsistencyEverySite reruns the PR 5 fault sweep holding a
+// warm shared DAG: a fault at any site — including the shared groups' own
+// propagate and prepare steps — must roll back store, extents, private
 // caches AND shared cache partitions byte-identical, and the retry must
-// match a fault-free share=on twin.
+// match a fault-free twin.
 func TestSharedCrashConsistencyEverySite(t *testing.T) {
 	sites := FaultSites()
 	for _, site := range sites {
@@ -285,11 +275,9 @@ func TestSharedCrashConsistencyEverySite(t *testing.T) {
 					t.Fatal("crash queries share no prefixes; sweep is vacuous")
 				}
 				optsA := a.opts()
-				optsA.ShareSubplans, optsA.SharedDAG = true, dagA
-				optsA.SkipDisjointViews = true
+				optsA.SharedDAG = dagA
 				optsB := b.opts()
-				optsB.ShareSubplans, optsB.SharedDAG = true, dagB
-				optsB.SkipDisjointViews = true
+				optsB.SharedDAG = dagB
 
 				warm := randomBatch(t, rng, a.store, 2)
 				if _, err := MaintainAll(a.store, a.views, deepClonePrims(warm), optsA); err != nil {
@@ -368,7 +356,7 @@ func TestSharedSkipAccounting(t *testing.T) {
 	if len(dag.Groups) == 0 {
 		t.Fatal("views share no prefix; test is vacuous")
 	}
-	opts := Options{Parallelism: 1, SkipDisjointViews: true, ShareSubplans: true, SharedDAG: dag}
+	opts := Options{Parallelism: 1, SharedDAG: dag}
 	skippedCounter := obs.Default.CounterOf("xqview_views_skipped_total", "views skipped by the region-relevance filter")
 	before := skippedCounter.Value()
 
@@ -434,11 +422,12 @@ func TestSharedDisjointFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	views := []*View{v1, v2}
-	dag := xat.BuildSharedDAG(plansOf(views))
-	if len(dag.Groups) == 0 {
+	if dag := xat.BuildSharedDAG(plansOf(views)); len(dag.Groups) == 0 {
 		t.Fatal("views share no prefix; test is vacuous")
 	}
-	opts := Options{Parallelism: 1, SkipDisjointViews: true, ShareSubplans: true, SharedDAG: dag}
+	// No SharedDAG supplied: the round groups the plans itself, as it does
+	// for any direct MaintainAll caller.
+	opts := Options{Parallelism: 1}
 
 	// The batch touches other.xml only: both subscribers skip, so the
 	// shared prefix must not propagate.
@@ -539,8 +528,7 @@ func TestSharedStaleEviction(t *testing.T) {
 	if len(dag.Groups) == 0 {
 		t.Fatal("join views share no group; test is vacuous")
 	}
-	opts := Options{Parallelism: 1, CacheBaseTables: true, SkipDisjointViews: true,
-		ShareSubplans: true, SharedDAG: dag}
+	opts := Options{Parallelism: 1, SharedDAG: dag}
 	bibRoot, _ := s.RootElem("bib.xml")
 
 	step := func(name string, prims []*update.Primitive) []*MaintStats {

@@ -16,7 +16,7 @@ func TestRoundTelemetrySample(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	obs.Rounds.Reset()
 	s, views, prims := obsFixture(t)
-	opt := Options{Parallelism: 2, CacheBaseTables: true}
+	opt := Options{Parallelism: 2}
 	if _, err := MaintainAll(s, views, prims, opt); err != nil {
 		t.Fatal(err)
 	}

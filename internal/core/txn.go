@@ -62,9 +62,9 @@ type roundTxn struct {
 	views  []*View
 	stages []viewStage
 	// shared holds the round's shared-group cache commits, one slot per
-	// group of the round's SharedDAG (nil when sharing is off or the DAG is
-	// empty). Installed before the per-view stages at commit; order is
-	// irrelevant — the partitions are disjoint.
+	// group of the round's SharedDAG (nil when the DAG is empty). Installed
+	// before the per-view stages at commit; order is irrelevant — the
+	// partitions are disjoint.
 	shared []sharedStage
 }
 

@@ -36,9 +36,8 @@ type View struct {
 	// maintenance runs.
 	ExecStats xat.Stats
 
-	// cache is the cross-round propagation state cache (Options.
-	// CacheBaseTables). Lazily created; only the worker maintaining this
-	// view touches it during a round.
+	// cache is the cross-round propagation state cache. Lazily created;
+	// only the worker maintaining this view touches it during a round.
 	cache *xat.StateCache
 }
 
@@ -66,6 +65,16 @@ func (v *View) CacheStats() xat.CacheStats {
 	return v.cache.Stats()
 }
 
+// plansOf lists the views' plans in view order, the shape BuildSharedDAG and
+// SharedDAG.Matches take.
+func plansOf(views []*View) []*xat.Plan {
+	plans := make([]*xat.Plan, len(views))
+	for i, v := range views {
+		plans[i] = v.Plan
+	}
+	return plans
+}
+
 // displayName labels the view for traces and errors: its Name if set, else
 // its position in the batch.
 func (v *View) displayName(i int) string {
@@ -88,15 +97,15 @@ type MaintStats struct {
 	DeltaRoots int
 
 	// Skipped is 1 when the view's Propagate+Apply phases were skipped
-	// because the batch's regions cannot touch it (Options.
-	// SkipDisjointViews); summing over rounds counts skips. A view counts
-	// as skipped even when a shared prefix it subscribes to ran for other
-	// views this round — the skip describes this view's own work.
+	// because the batch's regions cannot touch it; summing over rounds
+	// counts skips. A view counts as skipped even when a shared prefix it
+	// subscribes to ran for other views this round — the skip describes
+	// this view's own work.
 	Skipped int
 
 	// SharedPrefixes counts the shared sub-plan results seeded into this
-	// view's propagation (Options.ShareSubplans): subtrees the view did not
-	// have to re-propagate itself.
+	// view's propagation: subtrees the view did not have to re-propagate
+	// itself.
 	SharedPrefixes int
 }
 
@@ -224,7 +233,7 @@ func MaintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 }
 
 // cViewsSkipped counts views whose Propagate+Apply was pruned by the
-// relevance filter (Options.SkipDisjointViews).
+// relevance filter.
 var cViewsSkipped = obs.Default.CounterOf("xqview_views_skipped_total", "views skipped by the region-relevance filter")
 
 // viewDisjoint reports whether every primitive of the validated batch is
@@ -290,18 +299,16 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 	// journal snapshots the ORIGINAL stream and verdict indexes are remapped
 	// back to it — explain numbers primitives identically either way.
 	orig := prims
-	if !opt.DisableCompaction {
-		cspan := root.Child("Compact")
-		compacted, keptIdx, decisions := update.CompactBatch(prims)
-		if len(decisions) > 0 {
-			prims = compacted
-			jrec.SetVerdictMap(keptIdx)
-			for _, d := range decisions {
-				jrec.Compaction(d.Rule, d.Kept, d.Dropped, d.Detail)
-			}
+	cspan := root.Child("Compact")
+	compacted, keptIdx, decisions := update.CompactBatch(prims)
+	if len(decisions) > 0 {
+		prims = compacted
+		jrec.SetVerdictMap(keptIdx)
+		for _, d := range decisions {
+			jrec.Compaction(d.Rule, d.Kept, d.Dropped, d.Detail)
 		}
-		cspan.Arg("in", len(orig)).Arg("out", len(prims)).End()
 	}
+	cspan.Arg("in", len(orig)).Arg("out", len(prims)).End()
 
 	// --- Validate phase (shared, single-threaded) ---
 	vspan := root.Child("Validate")
@@ -323,42 +330,36 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 		Arg("rewritten", batch.Stats.Rewritten).End()
 
 	// --- Shared-frontier phase: propagate each shared sub-plan prefix once,
-	// before the per-view pool (Options.ShareSubplans) ---
+	// before the per-view pool. The caller's DAG is reused when it was built
+	// over exactly these plans (warm shared partitions); otherwise the round
+	// groups the plans itself. ---
 	din := deltaInput(store, batch)
-	var dag *xat.SharedDAG
-	if opt.ShareSubplans {
-		plans := make([]*xat.Plan, len(views))
-		for i, v := range views {
-			plans[i] = v.Plan
-		}
-		dag = opt.SharedDAG
-		if !dag.Matches(plans) {
-			dag = xat.BuildSharedDAG(plans)
-		}
+	plans := plansOf(views)
+	dag := opt.SharedDAG
+	if !dag.Matches(plans) {
+		dag = xat.BuildSharedDAG(plans)
 	}
 	// skipFlags precomputes the relevance filter for every view when the
 	// shared phase runs: a group only propagates when at least one LIVE
 	// member subscribes — a view skipped for relevance must not force
 	// shared-prefix work on its behalf alone. seeds[i] carries the shared
 	// results into view i's propagation. Both stay nil when the DAG is empty
-	// so the no-sharing path is exactly the pre-sharing pipeline.
+	// (no two views overlap) and each worker runs the filter for its own view.
 	var skipFlags []bool
 	var seeds [][]xat.Seed
 	var shr sharedRound
-	if dag != nil && len(dag.Groups) > 0 {
+	if len(dag.Groups) > 0 {
 		sspan := root.Child("SharedPrefixes")
 		skipFlags = make([]bool, len(views))
-		if opt.SkipDisjointViews {
-			// viewDisjoint itself cannot fail, but the pool's dispatch site
-			// can (fault injection) — the round must abort like any other.
-			err = forEachIndex(len(views), opt, func(i int) error {
-				skipFlags[i] = viewDisjoint(store, views[i], batch)
-				return nil
-			})
-			if err != nil {
-				sspan.End()
-				return nil, err
-			}
+		// viewDisjoint itself cannot fail, but the pool's dispatch site can
+		// (fault injection) — the round must abort like any other.
+		err = forEachIndex(len(views), opt, func(i int) error {
+			skipFlags[i] = viewDisjoint(store, views[i], batch)
+			return nil
+		})
+		if err != nil {
+			sspan.End()
+			return nil, err
 		}
 		results := make([]*xat.SharedResult, len(dag.Groups))
 		txn.shared = make([]sharedStage, len(dag.Groups))
@@ -459,10 +460,10 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 		// When the shared phase ran, the verdicts were precomputed (the live-
 		// subscriber counts needed them); a view stays skipped even when a
 		// shared prefix it subscribes to ran for other views.
-		skipped := false
+		var skipped bool
 		if skipFlags != nil {
 			skipped = skipFlags[i]
-		} else if opt.SkipDisjointViews {
+		} else {
 			skipped = viewDisjoint(store, v, batch)
 		}
 		if skipped {
@@ -475,19 +476,12 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 			out[i] = ms
 			return nil
 		}
-		var cache *xat.StateCache
-		if opt.CacheBaseTables {
-			cache = v.stateCache()
-		}
+		cache := v.stateCache()
 		// Round arena: registered in the view's stage slot before the first
 		// tuple is allocated, so commit and rollback both release it even if
-		// this task dies mid-propagate. NewAlloc returns nil under the
-		// arena_off build tag, which falls back to plain heap allocation.
-		var alloc *xat.Alloc
-		if !opt.DisableArena {
-			alloc = xat.NewAlloc()
-			txn.stages[i].alloc = alloc
-		}
+		// this task dies mid-propagate.
+		alloc := xat.NewAlloc()
+		txn.stages[i].alloc = alloc
 		// Seeds from the shared phase intercept this view's propagation at
 		// each subscribed frontier: the shared delta tables (heap-allocated,
 		// immutable, fanned out to every subscriber) stand in for the

@@ -10,8 +10,8 @@ import (
 // Alloc bundles the round-scoped arena pools the delta engine allocates
 // tuples from: one pool per hot type (tuples, cell slices, item backing
 // arrays, table tuple-pointer slices). A nil *Alloc is valid everywhere and
-// means "allocate from the heap", which is both the arena_off escape hatch
-// and the path taken by one-shot full view computation.
+// means "allocate from the heap": the path taken by one-shot full view
+// computation (Execute, Materialize).
 //
 // The lifetime contract is the round transaction's: core.roundTxn owns one
 // Alloc per view worker and calls Release at commit/rollback. Nothing
@@ -48,13 +48,8 @@ var allocPool = sync.Pool{New: func() any {
 	}
 }}
 
-// NewAlloc returns a round arena, or nil when the build was made with
-// -tags arena_off (a nil Alloc degrades every call site to plain heap
-// allocation).
+// NewAlloc returns a round arena from the recycler.
 func NewAlloc() *Alloc {
-	if !arenaEnabled {
-		return nil
-	}
 	return allocPool.Get().(*Alloc)
 }
 

@@ -15,7 +15,7 @@ import (
 // constructors stop touching the heap once the pools are warm: every Get is
 // a bump-pointer advance into a retained chunk and Release rewinds it. These
 // tests pin that contract with testing.AllocsPerRun; the benchmarks report
-// allocs/op so check.sh can gate regressions.
+// allocs/op.
 
 // tupleSink keeps the measured rounds from being optimized away.
 var tupleSink *Tuple
@@ -44,9 +44,6 @@ func tupleRound() {
 // per-tuple constructors: after a warm-up that grows the chunks, a full
 // allocate-then-release round performs no heap allocation at all.
 func TestArenaSteadyStateZeroAllocs(t *testing.T) {
-	if !arenaEnabled {
-		t.Skip("built with -tags arena_off")
-	}
 	if arena.Poisoning() {
 		t.Skip("poison mode drops chunks at Release, so rounds re-allocate by design")
 	}
@@ -61,12 +58,10 @@ func TestArenaSteadyStateZeroAllocs(t *testing.T) {
 // TestDeltaNavArenaAllocs asserts the deltaNav propagation path is
 // allocation-gated per tuple: with the arena on, growing the round's delta
 // (more inserted books → more tuples through NavUnnest/NavCollection/Tagger)
-// must cost a fraction of the heap path's per-tuple allocations. Measured
-// over a 2-insert and a 32-insert batch with the identical plan and base.
+// must cost a fraction of the per-tuple allocations of the nil-Alloc heap
+// path one-shot execution uses. Measured over a 2-insert and a 32-insert
+// batch with the identical plan and base.
 func TestDeltaNavArenaAllocs(t *testing.T) {
-	if !arenaEnabled {
-		t.Skip("built with -tags arena_off")
-	}
 	if arena.Poisoning() {
 		t.Skip("poison mode drops chunks at Release, so rounds re-allocate by design")
 	}
@@ -79,7 +74,7 @@ func TestDeltaNavArenaAllocs(t *testing.T) {
 			if withArena {
 				a = NewAlloc()
 			}
-			if _, err := PropagateDeltaAlloc(plan, in, obs.Span{}, nil, nil, a); err != nil {
+			if _, err := PropagateDeltaShared(plan, in, obs.Span{}, nil, nil, a, nil); err != nil {
 				t.Fatal(err)
 			}
 			a.Release()
@@ -167,18 +162,15 @@ func BenchmarkDeltaNav(b *testing.B) {
 	for _, arm := range []struct {
 		name  string
 		arena bool
-	}{{"arena=on", true}, {"arena=off", false}} {
+	}{{"alloc=arena", true}, {"alloc=heap", false}} {
 		b.Run(arm.name, func(b *testing.B) {
-			if arm.arena && !arenaEnabled {
-				b.Skip("built with -tags arena_off")
-			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var a *Alloc
 				if arm.arena {
 					a = NewAlloc()
 				}
-				if _, err := PropagateDeltaAlloc(plan, in, obs.Span{}, nil, nil, a); err != nil {
+				if _, err := PropagateDeltaShared(plan, in, obs.Span{}, nil, nil, a, nil); err != nil {
 					b.Fatal(err)
 				}
 				a.Release()

@@ -49,53 +49,33 @@ type DeltaResult struct {
 // concurrency contract); each call builds private environments and returns
 // freshly allocated delta trees and stats.
 func PropagateDelta(p *Plan, in *DeltaInput) (*DeltaResult, error) {
-	return PropagateDeltaTraced(p, in, obs.Span{})
+	return PropagateDeltaShared(p, in, obs.Span{}, nil, nil, nil, nil)
 }
 
-// PropagateDeltaTraced is PropagateDelta with an observability parent span:
-// every operator of the maintenance plan emits a child span (named
-// "Kind#id", carrying its delta tuple count) nested under parent, and base
-// sub-plan derivations emit "base:Kind#id" spans. The zero Span disables
-// tracing with no measurable cost; metric counters are gated separately on
-// obs.Enabled().
-func PropagateDeltaTraced(p *Plan, in *DeltaInput, parent obs.Span) (*DeltaResult, error) {
-	return PropagateDeltaObserved(p, in, parent, nil)
-}
-
-// PropagateDeltaObserved is PropagateDeltaTraced with an optional
-// provenance recorder: every operator's delta evaluation lands in the
-// journal as an OpRecord (input FlexKeys consumed, output delta tuples
-// produced, each linked to its originating update region). A nil recorder
-// records nothing.
-func PropagateDeltaObserved(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec) (*DeltaResult, error) {
-	return PropagateDeltaCached(p, in, parent, rec, nil)
-}
-
-// PropagateDeltaCached is PropagateDeltaObserved with an optional cross-round
-// state cache: base sub-plan tables are served from tables the cache carried
-// over from prior rounds, and this round's fresh derivations and per-operator
-// deltas are staged on the cache so the caller can Commit them once the
-// apply phase succeeds. A nil cache reproduces the uncached engine exactly.
-func PropagateDeltaCached(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec, cache *StateCache) (*DeltaResult, error) {
-	return PropagateDeltaAlloc(p, in, parent, rec, cache, nil)
-}
-
-// PropagateDeltaAlloc is PropagateDeltaCached with an optional round arena:
-// all intermediate tuples, cells and table slices come from alloc and die
-// wholesale when the owning round transaction releases it. The state cache
-// is told the round ran arena-backed so it deep-copies staged tables out at
-// its Prepare boundary. A nil alloc reproduces heap allocation exactly.
-func PropagateDeltaAlloc(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec, cache *StateCache, alloc *Alloc) (*DeltaResult, error) {
-	return PropagateDeltaShared(p, in, parent, rec, cache, alloc, nil)
-}
-
-// PropagateDeltaShared is PropagateDeltaAlloc with shared sub-plan seeds:
-// each Seed hands the propagation a shared prefix's precomputed round
-// deltas, so when the walk reaches the seed's frontier operator it serves
-// the shared delta table instead of re-propagating the subtree (staging the
-// per-operator deltas on the view's private cache and replaying the shared
-// lineage records, so cache folds and journal output are byte-identical to
-// an unseeded run). Nil/empty seeds reproduce PropagateDeltaAlloc exactly.
+// PropagateDeltaShared is PropagateDelta with the maintenance round's
+// plumbing, each piece optional:
+//
+//   - parent: every operator of the maintenance plan emits a child span
+//     (named "Kind#id", carrying its delta tuple count) nested under it, and
+//     base sub-plan derivations emit "base:Kind#id" spans. The zero Span
+//     disables tracing; metric counters are gated separately on obs.Enabled().
+//   - rec: every operator's delta evaluation lands in the journal as an
+//     OpRecord (input FlexKeys consumed, output delta tuples produced, each
+//     linked to its originating update region).
+//   - cache: base sub-plan tables are served from tables the cache carried
+//     over from prior rounds, and this round's fresh derivations and
+//     per-operator deltas are staged on it so the caller can commit them once
+//     the apply phase succeeds.
+//   - alloc: all intermediate tuples, cells and table slices come from the
+//     round arena and die wholesale when the owning round transaction
+//     releases it; the state cache deep-copies staged tables out at its
+//     Prepare boundary. Nil allocates on the heap.
+//   - seeds: each Seed hands the propagation a shared prefix's precomputed
+//     round deltas, so when the walk reaches the seed's frontier operator it
+//     serves the shared delta table instead of re-propagating the subtree
+//     (staging the per-operator deltas on the view's private cache and
+//     replaying the shared lineage records, so cache folds and journal output
+//     are byte-identical to an unseeded run).
 func PropagateDeltaShared(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec, cache *StateCache, alloc *Alloc, seeds []Seed) (*DeltaResult, error) {
 	if err := fpPropagate.Fire(); err != nil {
 		return nil, err
@@ -137,7 +117,7 @@ type deltaEngine struct {
 	env      *Env // over the post-update reader
 	baseEnv  *Env // over the pre-update store
 	baseMemo map[*Op]*Table
-	cache    *StateCache      // cross-round base-table cache (nil = off)
+	cache    *StateCache      // cross-round base-table cache (nil on one-shot PropagateDelta calls)
 	span     obs.Span         // parent span for per-operator tracing (zero = off)
 	rec      *journal.ViewRec // provenance recorder (nil = off)
 	recOut   map[int][]string // op ID -> distinct output lineage keys recorded
@@ -271,20 +251,6 @@ func (e *deltaEngine) envFor(tp *Tuple) *Env {
 
 func empty(t *Table) bool { return t == nil || len(t.Tuples) == 0 }
 
-// DeltaTrace enables per-operator tracing of delta tables (debugging).
-var DeltaTrace = false
-
-// Ablation knobs: disable individual design choices so their contribution
-// can be measured (see the ablation table in EXPERIMENTS.md). Not for
-// production use; they only make the engine slower, never incorrect.
-var (
-	// AblationNoJoinHash forces nested-loop joins everywhere.
-	AblationNoJoinHash = false
-	// AblationNoNavPruning makes patch-tuple navigation scan whole
-	// documents instead of pruning to the update region.
-	AblationNoNavPruning = false
-)
-
 // delta computes the delta table of operator o. It is the single choke
 // point of the propagate phase, so the per-operator observability lives
 // here: a child span per operator (inputs recurse inside delta1, so spans
@@ -315,9 +281,6 @@ func (e *deltaEngine) delta(o *Op) (*Table, error) {
 	}
 	if err == nil && e.rec.Active() {
 		e.recordOp(o, t)
-	}
-	if DeltaTrace && err == nil {
-		fmt.Printf("== delta op #%d %s ==\n%s\n", o.ID, o.Kind, t.String())
 	}
 	return t, err
 }
@@ -591,7 +554,7 @@ func (e *deltaEngine) deltaNav(o *Op, din *Table, collection bool) *Table {
 		// and interior (bulk updates then cost per-region, not per-document).
 		var keep func(flexkey.Key) bool
 		var anchor flexkey.Key
-		if !collection && tp.Kind == Patch && r != nil && !AblationNoNavPruning {
+		if !collection && tp.Kind == Patch && r != nil {
 			anchor = r.Anchor
 			e.keepRegion = r
 			keep = e.keepFn
@@ -734,7 +697,7 @@ func (e *deltaEngine) deltaJoin(o *Op) (*Table, error) {
 	// index is built at most once per join evaluation and shared.
 	var brIdx *joinIndex
 	indexFor := func(rts []*Tuple) *joinIndex {
-		if hl < 0 || len(rts) <= 8 || AblationNoJoinHash {
+		if hl < 0 || len(rts) <= 8 {
 			return nil
 		}
 		if len(rts) == len(br.Tuples) && &rts[0] == &br.Tuples[0] {

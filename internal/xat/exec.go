@@ -423,7 +423,7 @@ func execJoin(o *Op, env *Env, l, r *Table, outer bool) *Table {
 	}
 	lcols := len(l.Cols)
 	pad := env.alloc.makeCells(len(r.Cols), len(r.Cols))
-	if hl != "" && len(r.Tuples) > 4 && !AblationNoJoinHash {
+	if hl != "" && len(r.Tuples) > 4 {
 		idx := buildJoinIndex(env, r.Tuples, r.Col(hr))
 		lc := l.Col(hl)
 		for _, lt := range l.Tuples {

@@ -134,11 +134,11 @@ func TestReaderContractMaterializeAndPropagate(t *testing.T) {
 
 	// The cached engine shares the same contract, including its Commit.
 	cache := xat.NewStateCache()
-	if _, err := xat.PropagateDeltaCached(v.Plan, din, obs.Span{}, nil, cache); err != nil {
+	if _, err := xat.PropagateDeltaShared(v.Plan, din, obs.Span{}, nil, cache, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	cache.Commit(din.Regions)
-	if _, err := xat.PropagateDeltaCached(v.Plan, din, obs.Span{}, nil, cache); err != nil {
+	if _, err := xat.PropagateDeltaShared(v.Plan, din, obs.Span{}, nil, cache, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	requireUnchanged(t, s, snap, "cached propagate")

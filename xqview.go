@@ -10,6 +10,10 @@
 // fused into the materialized extent by a count-aware deep union — without
 // recomputing the view.
 //
+// Maintenance has one configuration: every round runs state-cached, shared
+// across views, arena-backed, batch-compacted and relevance-filtered, and
+// full recomputation (View.Recompute) is the oracle it is tested against.
+//
 // Quick start:
 //
 //	db := xqview.NewDatabase()
@@ -79,10 +83,6 @@ func (db *Database) publishFull() {
 // partitions). Callers hold db.mu. A rebuild starts from empty partitions;
 // the next round re-derives them.
 func (db *Database) rebuildSharedDAG() {
-	if !db.opts.ShareSubplans {
-		db.opts.SharedDAG = nil
-		return
-	}
 	plans := make([]*xat.Plan, len(db.views))
 	for i, v := range db.views {
 		plans[i] = v.view.Plan
@@ -107,69 +107,6 @@ func (db *Database) SetParallelism(n int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.opts.Parallelism = n
-}
-
-// SetCacheBaseTables toggles the cross-round propagation state cache: base
-// operator tables the join/aggregate propagation equations consult are
-// carried from round to round, folded forward by each round's own deltas,
-// and invalidated only when a round's update regions touch their source
-// documents. Off by default. Results are byte-identical either way; only
-// the propagate-phase cost changes (toward O(delta) instead of O(source)).
-func (db *Database) SetCacheBaseTables(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.CacheBaseTables = on
-}
-
-// SetSkipDisjointViews toggles the view-relevance filter: views whose access
-// patterns are provably disjoint from an update batch's regions skip the
-// Propagate+Apply phases of that batch entirely (their extents cannot
-// change). Off by default. Skips are recorded in the journal so explain
-// output stays truthful.
-func (db *Database) SetSkipDisjointViews(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.SkipDisjointViews = on
-}
-
-// SetShareSubplans toggles cross-view shared sub-plan maintenance: operator
-// subtrees that appear (structurally identical) in two or more view plans are
-// grouped into a shared DAG and each group's delta is propagated exactly once
-// per maintenance round, then fanned out to every subscribing view's private
-// plan suffix. Off by default. Results, journal records and explain output are
-// byte-identical either way; only the propagate-phase cost changes — rounds
-// over N overlapping views approach the cost of one view plus N cheap
-// suffixes.
-func (db *Database) SetShareSubplans(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.ShareSubplans = on
-	db.rebuildSharedDAG()
-}
-
-// SetArena toggles round-scoped arena allocation for maintenance rounds
-// (on by default). With the arena on, each round's transient tuples, cells
-// and delta trees are bump-allocated from recycled chunks released wholesale
-// at commit or rollback; with it off every allocation goes to the Go heap.
-// Results are byte-identical either way — the switch exists for debugging
-// and for measuring the arena's effect. Builds made with -tags arena_off
-// have no arena regardless of this setting.
-func (db *Database) SetArena(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.DisableArena = !on
-}
-
-// SetCompaction toggles delta-batch compaction (on by default): before
-// validation, each round's primitive batch is normalized — repeated replaces
-// of one node collapse to the last write, inserts into in-batch inserted
-// fragments are spliced into them, and insert+delete pairs of the same node
-// annihilate. Every decision is journaled, so explain output stays truthful
-// about dropped primitives.
-func (db *Database) SetCompaction(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.DisableCompaction = !on
 }
 
 // SetTracer attaches an observability tracer: every maintenance batch

@@ -1,8 +1,13 @@
 package xqview
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"xqview/internal/core"
+	"xqview/internal/obs"
 )
 
 const bibXML = `
@@ -226,5 +231,89 @@ insert <book year="2020"><title>C` + string(rune('a'+i%26)) + `</title></book> i
 			_ = v.XML()
 			_, _ = db.DocumentXML("bib.xml")
 		}
+	}
+}
+
+// TestZeroOptionsIsProduction pins that there is one maintenance path and
+// the zero value selects it: a fresh NewDatabase with no setter called shows,
+// in the round telemetry of a few ApplyUpdates calls over a shared-join
+// family, a private join and one disjoint view, state-cache hits, shared-prefix hits, a
+// relevance skip, arena traffic and a compacted batch. The reflect check
+// keeps core.Options free of behaviour switches.
+func TestZeroOptionsIsProduction(t *testing.T) {
+	for ot, i := reflect.TypeFor[core.Options](), 0; i < ot.NumField(); i++ {
+		if f := ot.Field(i); f.Type.Kind() == reflect.Bool {
+			t.Errorf("core.Options.%s is a bool: maintenance has one path, add no switch", f.Name)
+		}
+	}
+
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	obs.Rounds.Reset()
+	defer obs.Rounds.Reset()
+	db := NewDatabase()
+	docs := map[string]string{
+		"bib.xml": bibXML,
+		"prices.xml": `<prices>
+			<entry><price>65.95</price><b-title>TCP/IP Illustrated</b-title></entry>
+			<entry><price>39.95</price><b-title>Data on the Web</b-title></entry>
+		</prices>`,
+		"other.xml": `<other><item><name>x</name></item></other>`,
+	}
+	for name, xml := range docs {
+		if err := db.LoadDocument(name, xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tag := range []string{"pair", "deal", "offer"} {
+		if _, err := db.CreateView(fmt.Sprintf(`<result>{
+			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+			where $b/title = $e/b-title
+			return <%s>{$b/title} {$e/price}</%s> }</result>`, tag, tag)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		// A join of its own beside the family: its base tables are private
+		// state-cache entries, where the family's live in the shared partition.
+		`<result>{
+			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+			where $b/title = $e/b-title and $b/@year = "2000"
+			return <recent>{$e/price}</recent> }</result>`,
+		// Disjoint from every update below.
+		`<result>{ for $i in doc("other.xml")/other/item return $i/name }</result>`,
+	} {
+		if _, err := db.CreateView(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replace := func(price string) string {
+		return `
+for $e in document("prices.xml")/prices/entry
+where $e/b-title = "Data on the Web"
+update $e
+replace $e/price/text() with "` + price + `"`
+	}
+	for _, script := range []string{
+		replace("41.00"),
+		replace("42.00") + replace("43.00"), // the second write wins before validation
+		replace("44.00"),
+	} {
+		if _, err := db.ApplyUpdates(script); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var sum obs.RoundSample
+	compacted := false
+	for _, r := range obs.Rounds.Snapshot() {
+		sum.CacheHits += r.CacheHits
+		sum.SharedHits += r.SharedHits
+		sum.Skipped += r.Skipped
+		sum.ArenaBytes += r.ArenaBytes
+		compacted = compacted || r.PrimsOut < r.PrimsIn
+	}
+	if sum.CacheHits == 0 || sum.SharedHits == 0 || sum.Skipped == 0 || sum.ArenaBytes == 0 || !compacted {
+		t.Fatalf("default database is not on the production path: cache hits %d, shared hits %d, skipped views %d, arena bytes %d, compacted %v",
+			sum.CacheHits, sum.SharedHits, sum.Skipped, sum.ArenaBytes, compacted)
 	}
 }
