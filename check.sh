@@ -5,8 +5,10 @@
 # Store/UpdatedReader read-only contracts it relies on are only enforced by
 # these tests; arena poison is on under -race), a fuzz smoke of the three
 # front ends, the xqtop golden frames, the MVCC concurrency battery under a
-# deadline, the unused-field lint over the shared-DAG and MVCC structs, and
-# last the repository's one benchmark against its own bounds (≈ 3 min).
+# deadline (the read path's frame-body memo test rides in it: racing first
+# readers, bodies shared across versions), the unused-field lint over the
+# shared-DAG and MVCC structs, and last the repository's one benchmark
+# against its own bounds (≈ 3 min).
 #
 # Usage: ./check.sh [extra go test args, e.g. -count=1; -short falls under the
 # coverage floor]
@@ -68,12 +70,14 @@ go test ./internal/top/ -run 'TestRenderGolden|TestRenderShape' >&2
 # The MVCC concurrency battery runs under -race with an explicit deadline (a
 # lost wakeup or livelock in the epoch registry must fail the gate, not hang
 # it): the randomized linearizability sweep, the epoch-reclamation leak
-# test, and the crash-consistency sweeps that pin reader isolation across
-# aborted rounds. Arena poison is on under -race, so a published extent
-# aliasing round-arena memory fails here too.
+# test (versions and the frame bodies they hold), the frame-body memo test
+# (first readers of an epoch race to one body), and the crash-consistency
+# sweeps that pin reader isolation across aborted rounds. Arena poison is on
+# under -race, so a published extent aliasing round-arena memory fails here
+# too.
 echo "== MVCC concurrency battery (-race, 300s deadline)" >&2
 go test -race -timeout 300s \
-	-run 'TestSnapshotLinearizability|TestSnapshotEpochReclamation|TestSnapRegLifecycle|TestCrashConsistencyEverySite|TestSharedCrashConsistencyEverySite' \
+	-run 'TestSnapshotLinearizability|TestSnapshotEpochReclamation|TestSnapRegLifecycle|TestFrameBodySharedAcrossVersions|TestCrashConsistencyEverySite|TestSharedCrashConsistencyEverySite' \
 	. ./internal/core/ >&2
 
 # Unused-field lint: a field of the shared-DAG or MVCC plumbing that nothing

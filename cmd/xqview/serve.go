@@ -9,6 +9,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -106,9 +107,18 @@ func viewHandler(db *xqview.Database) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 		w.Header().Set("X-Xqview-Epoch", fmt.Sprint(snap.Epoch()))
-		fmt.Fprintln(w, xml)
+		writeBody(w, xml)
 		hRead.Observe(time.Since(start))
 	})
+}
+
+// writeBody sends a serialized result and the newline that ends it without
+// copying the string: a view body is shared by every reader of its version.
+// A failed write means the client went away; there is nobody to tell.
+func writeBody(w http.ResponseWriter, body string) {
+	if _, err := io.WriteString(w, body); err == nil {
+		_, _ = io.WriteString(w, "\n")
+	}
 }
 
 // queryHandler serves /query?q=EXPR: an ad-hoc XQuery evaluated against the
@@ -131,7 +141,7 @@ func queryHandler(db *xqview.Database) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 		w.Header().Set("X-Xqview-Epoch", fmt.Sprint(snap.Epoch()))
-		fmt.Fprintln(w, res)
+		writeBody(w, res)
 		hRead.Observe(time.Since(start))
 	})
 }
@@ -146,10 +156,11 @@ type readerReport struct {
 }
 
 // startReaders launches n goroutines that serve the named view from
-// snapshots in a tight loop — acquire, serialize, release — while the
-// caller applies updates. The returned stop function drains the pool and
-// reports what it measured. Readers never take the maintenance lock, so the
-// pool models concurrent HTTP clients hammering /view during maintenance.
+// snapshots in a tight loop — acquire, read the frame's body, release —
+// while the caller applies updates. The returned stop function drains the
+// pool and reports what it measured. Readers never take the maintenance
+// lock, so the pool models concurrent HTTP clients hammering /view during
+// maintenance.
 func startReaders(db *xqview.Database, view string, n int) func() readerReport {
 	var (
 		stop atomic.Bool

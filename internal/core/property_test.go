@@ -366,6 +366,11 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 						t.Fatalf("round %d view %d diverges from recompute\nprims: %v\nincr: %s\nfull: %s",
 							round, i, prims, got, wants[i])
 					}
+					// The serving serializer against the fragment tree it replaced.
+					if got, want := xat.ExtentXML(v.Extent), fragXML(v.Extent); got != want {
+						t.Fatalf("round %d view %d: ExtentXML differs from Frag().String()\nstream: %s\nfrag:   %s",
+							round, i, got, want)
+					}
 				}
 				// The journal stays truthful about compaction: it snapshots
 				// the ORIGINAL stream, and no verdict names a primitive that
@@ -404,5 +409,71 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 				t.Error("no round compacted anything; the oracle run is vacuous for compaction")
 			}
 		})
+	}
+}
+
+// fragXML serializes an extent the way reads did before ExtentXML: one
+// xmldoc.Frag tree per root, printed and concatenated. It is the reference
+// the streaming serializer must match byte for byte.
+func fragXML(roots []*xat.VNode) string {
+	var b strings.Builder
+	for _, r := range roots {
+		if f := r.Frag(); f != nil {
+			b.WriteString(f.String())
+		}
+	}
+	return b.String()
+}
+
+// TestExtentXMLMatchesFragOnHandBuiltTrees covers what maintained extents
+// rarely hold: dead subtrees, attribute nodes in element content, elements
+// whose every child is dropped, and values that need escaping.
+func TestExtentXMLMatchesFragOnHandBuiltTrees(t *testing.T) {
+	type nodes = []*xat.VNode
+	el := func(name string, count int, attrs nodes, kids ...*xat.VNode) *xat.VNode {
+		return &xat.VNode{Kind: xmldoc.Element, Name: name, Count: count, Attrs: attrs, Children: kids}
+	}
+	attr := func(name, v string, count int) *xat.VNode {
+		return &xat.VNode{Kind: xmldoc.Attr, Name: name, Value: v, Count: count}
+	}
+	text := func(v string, count int) *xat.VNode {
+		return &xat.VNode{Kind: xmldoc.Text, Value: v, Count: count}
+	}
+	const hostile = "a&b<c \"q\"\tt\nn\rr"
+	cases := map[string]nodes{
+		"empty extent":          nil,
+		"dead root":             {el("a", 0, nil, text("x", 1))},
+		"negative subtree":      {el("a", 1, nil, el("gone", -1, nil, text("x", 1)), el("kept", 2, nil, text("y", 1)))},
+		"only dead children":    {el("a", 1, nil, el("b", 0, nil), text("t", -1)), el("c", 1, nil)},
+		"only hoisted children": {el("a", 1, nil, attr("k", "v", 1), attr("dead", "v", 0))},
+		"hoisted after own attrs": {el("a", 1, nodes{attr("own", "1", 1), attr("dead", "2", 0)},
+			text("before", 1), attr("late", "3", 1), el("b", 1, nodes{attr("x", "y", 1)}))},
+		"empty text survives":      {el("a", 1, nil, text("", 1))},
+		"text escapes":             {el("a", 1, nil, text(`1 < 2 && 3 > 2 "q"`, 1))},
+		"attr escapes":             {el("a", 1, nodes{attr("k", hostile, 1)}, attr("h", "say \"hi\"\n", 1), text("x", 1))},
+		"bare attr and text roots": {attr("k", "a\"b", 1), text("a&b", 1), attr("dead", "v", 0)},
+		"several roots":            {el("r", 1, nil, el("s", 1, nil, text("1", 1))), text(" ", 1), el("r", 3, nil)},
+	}
+	for name, roots := range cases {
+		if got, want := xat.ExtentXML(roots), fragXML(roots); got != want {
+			t.Errorf("%s:\nstream: %s\nfrag:   %s", name, got, want)
+		}
+		if len(roots) > 0 {
+			want := ""
+			if f := roots[0].Frag(); f != nil {
+				want = f.String()
+			}
+			if got := roots[0].XML(); got != want {
+				t.Errorf("%s: VNode.XML = %s, want %s", name, got, want)
+			}
+		}
+	}
+	// The attribute case must also be well-formed, not just self-consistent.
+	back, err := xmldoc.Parse(xat.ExtentXML(cases["attr escapes"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Attrs[0].Value; got != hostile {
+		t.Errorf("attribute came back %q", got)
 	}
 }

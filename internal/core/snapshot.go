@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -43,16 +42,43 @@ type ViewFrame struct {
 	Query  string
 	Extent []*xat.VNode
 	Cache  *xat.CacheSnap
+
+	// body is Extent serialized. Publishing leaves it empty: the first reader
+	// of the frame fills it and every later reader of the version gets those
+	// bytes. A successor frame over the same extent roots starts from whatever
+	// is here when it is built (inheritBody), so an extent that rounds leave
+	// alone is serialized once per change, not once per version. Nothing else
+	// references the string: it dies with the last frame that holds it.
+	body atomic.Pointer[string]
 }
 
-// XML serializes the frame's extent, byte-identical to View.XML at the
-// version's commit point.
+// XML returns the frame's extent serialized, byte-identical to View.XML at
+// the version's commit point. Readers racing the first call each serialize
+// the same immutable extent; one result is kept and all of them return it.
 func (f *ViewFrame) XML() string {
-	var b strings.Builder
-	for _, r := range f.Extent {
-		b.WriteString(r.XML())
+	if s := f.body.Load(); s != nil {
+		return *s
 	}
-	return b.String()
+	s := xat.ExtentXML(f.Extent)
+	if f.body.CompareAndSwap(nil, &s) {
+		return s
+	}
+	return *f.body.Load()
+}
+
+// inheritBody starts f from the body of frame i of prev when that frame is
+// the same view over the same extent roots. Extents are immutable once
+// published and every change installs a fresh root slice (the COW apply,
+// Materialize), so slice identity is extent identity.
+func (f *ViewFrame) inheritBody(prev *Version, i int) {
+	if prev == nil || i >= len(prev.Frames) {
+		return
+	}
+	p := &prev.Frames[i]
+	if p.View == f.View && len(p.Extent) == len(f.Extent) &&
+		(len(f.Extent) == 0 || &p.Extent[0] == &f.Extent[0]) {
+		f.body.Store(p.body.Load())
+	}
 }
 
 // Version is one immutable published state of the whole database: a store
@@ -212,32 +238,42 @@ func (r *SnapReg) Epoch() uint64 {
 }
 
 // PublishFull captures the store and every view's live state as a fresh
-// version and publishes it. This is the out-of-band path — initial load,
-// document loads, view creation, recomputation — where no undo log exists
+// version and publishes it. This is the out-of-band path for mutations of
+// the store itself — initial load, document loads — where no undo log exists
 // to derive a delta from, so the store snapshot is a full clone. Callers
 // must hold the database's write lock (the store must be quiescent).
 func (r *SnapReg) PublishFull(store *xmldoc.Store, views []*View) {
-	v := &Version{
+	r.publishLive(xmldoc.SnapOf(store), views)
+}
+
+// PublishFrames publishes the views' live state over the current version's
+// store snapshot: the out-of-band path for changes that leave the store
+// alone — view creation, renaming, recomputation. The snapshot is immutable,
+// so the new version shares it instead of cloning the store again. Callers
+// hold the database's write lock and have published at least once.
+func (r *SnapReg) PublishFrames(views []*View) {
+	r.publishLive(r.Current().Store, views)
+}
+
+func (r *SnapReg) publishLive(store *xmldoc.Snap, views []*View) {
+	r.Publish(&Version{
 		Seq:    r.seq.Add(1),
-		Store:  xmldoc.SnapOf(store),
-		Frames: liveFrames(views),
-	}
-	r.Publish(v)
+		Store:  store,
+		Frames: liveFrames(views, r.Current()),
+	})
 }
 
 // liveFrames captures every view's current extent and cache as frames.
 // Extents are immutable going forward (the COW apply never writes published
 // nodes), so capturing the slice headers is enough.
-func liveFrames(views []*View) []ViewFrame {
+func liveFrames(views []*View, prev *Version) []ViewFrame {
 	frames := make([]ViewFrame, len(views))
 	for i, cv := range views {
-		frames[i] = ViewFrame{
-			View:   cv,
-			Name:   cv.displayName(i),
-			Query:  cv.Query,
-			Extent: cv.Extent,
-			Cache:  cv.cache.SnapshotView(nil),
-		}
+		f := &frames[i]
+		f.View, f.Name, f.Query = cv, cv.displayName(i), cv.Query
+		f.Extent = cv.Extent
+		f.Cache = cv.cache.SnapshotView(nil)
+		f.inheritBody(prev, i)
 	}
 	return frames
 }
@@ -247,7 +283,8 @@ func liveFrames(views []*View) []ViewFrame {
 // version's with a delta built from the live undo log (post-images of
 // exactly the touched keys), staged views contribute their candidate
 // extents and prepared cache views, untouched views carry their frames
-// forward. The caller publishes the result only after txn.commit().
+// forward, serialized body included. The caller publishes the result only
+// after txn.commit().
 func buildCandidate(reg *SnapReg, store *xmldoc.Store, views []*View, txn *roundTxn) (*Version, error) {
 	if err := fpSnapBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("snapshot build: %w", err)
@@ -262,15 +299,16 @@ func buildCandidate(reg *SnapReg, store *xmldoc.Store, views []*View, txn *round
 	}
 	v := &Version{Seq: reg.seq.Add(1), Store: snap, Frames: make([]ViewFrame, len(views))}
 	for i, cv := range views {
-		f := ViewFrame{View: cv, Name: cv.displayName(i), Query: cv.Query}
+		f := &v.Frames[i]
+		f.View, f.Name, f.Query = cv, cv.displayName(i), cv.Query
 		if st := &txn.stages[i]; st.staged {
 			f.Extent = st.extent
 			f.Cache = st.cache.SnapshotView(st.prep)
 		} else {
 			f.Extent = cv.Extent
 			f.Cache = cv.cache.SnapshotView(nil)
+			f.inheritBody(prev, i)
 		}
-		v.Frames[i] = f
 	}
 	return v, nil
 }
@@ -293,10 +331,5 @@ func QueryReader(r xmldoc.Reader, query string) (string, error) {
 	if col == "" && len(tbl.Cols) > 0 {
 		col = tbl.Cols[len(tbl.Cols)-1]
 	}
-	roots := xat.MaterializeResult(env, tbl, col)
-	var b strings.Builder
-	for _, root := range roots {
-		b.WriteString(root.XML())
-	}
-	return b.String(), nil
+	return xat.ExtentXML(xat.MaterializeResult(env, tbl, col)), nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"xqview/internal/update"
 	"xqview/internal/xmldoc"
@@ -61,7 +62,10 @@ func TestSnapRegLifecycle(t *testing.T) {
 // (each reader pins at most one version; predecessors drain as the churn
 // moves on), must drain to zero once the readers stop, and the heap must
 // come back down — a registry that silently retained version chains would
-// hold every round's delta alive and fail the final delta check.
+// hold every round's delta alive and fail the final delta check. Every
+// round's serialized frame body is tracked with a finalizer: once the
+// versions are retired and drained, only the published one may still be
+// reachable.
 func TestSnapshotEpochReclamation(t *testing.T) {
 	const (
 		rounds  = 1000
@@ -111,6 +115,22 @@ func TestSnapshotEpochReclamation(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
+	// bodies counts the distinct frame bodies the writer saw filled, freed
+	// the ones the collector has since reclaimed. Each round rewrites every
+	// qty, so each version has a body of its own.
+	var bodies, freed atomic.Int64
+	var lastBody *string
+	trackBody := func() {
+		h := reg.Acquire()
+		defer h.Release()
+		_ = h.Frames[0].XML()
+		if p := h.Frames[0].body.Load(); p != lastBody {
+			lastBody = p
+			bodies.Add(1)
+			runtime.SetFinalizer(p, func(*string) { freed.Add(1) })
+		}
+	}
+
 	maxRetired := 0
 	for i := 0; i < rounds; i++ {
 		prims, err := update.ParseAndEvaluate(s, fmt.Sprintf(`
@@ -129,9 +149,11 @@ replace $i/qty/text() with "%d"`, i%97))
 		if n := reg.RetiredCount(); n > maxRetired {
 			maxRetired = n
 		}
+		trackBody()
 	}
 	done.Store(true)
 	wg.Wait()
+	lastBody = nil
 
 	if maxRetired > retiredBound {
 		t.Fatalf("retired list peaked at %d with %d readers, want <= %d", maxRetired, readers, retiredBound)
@@ -144,6 +166,17 @@ replace $i/qty/text() with "%d"`, i%97))
 	}
 	if reads.Load() < readers {
 		t.Fatalf("reader churn never ran: %d reads", reads.Load())
+	}
+
+	// Finalizers run on their own goroutine after a collection finds the
+	// object unreachable: collect until all but the live body are gone.
+	deadline := time.Now().Add(10 * time.Second)
+	for freed.Load() < bodies.Load()-1 && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if b, f := bodies.Load(), freed.Load(); b < rounds || f < b-1 {
+		t.Fatalf("%d frame bodies filled over %d rounds, %d reclaimed after drain; want all but the published one", b, rounds, f)
 	}
 
 	runtime.GC()

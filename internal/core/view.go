@@ -151,13 +151,7 @@ func (v *View) Materialize() error {
 }
 
 // XML serializes the current extent.
-func (v *View) XML() string {
-	var b strings.Builder
-	for _, r := range v.Extent {
-		b.WriteString(r.XML())
-	}
-	return b.String()
-}
+func (v *View) XML() string { return xat.ExtentXML(v.Extent) }
 
 // ApplyScript parses XQuery update statements, evaluates them against the
 // store and maintains the view incrementally.
@@ -728,15 +722,11 @@ func CanonicalXML(roots []*xat.VNode) string {
 	for i, r := range roots {
 		cs[i] = r.Clone()
 	}
-	var b strings.Builder
 	for _, r := range cs {
 		canonicalize(r)
 	}
 	sortCanonical(cs)
-	for _, r := range cs {
-		b.WriteString(r.XML())
-	}
-	return b.String()
+	return xat.ExtentXML(cs)
 }
 
 func canonicalize(n *xat.VNode) {

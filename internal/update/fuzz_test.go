@@ -45,6 +45,17 @@ func FuzzParseUpdates(f *testing.F) {
 				if p.Parent == "" {
 					t.Fatalf("prim %d: insert without parent (src %q)", i, src)
 				}
+				// What the parser accepted must serialize well-formed, with
+				// every attribute value intact (quotes, tabs, newlines).
+				back, err := xmldoc.Parse(p.Frag.String())
+				if err != nil {
+					t.Fatalf("prim %d: fragment %s does not re-parse: %v (src %q)", i, p.Frag, err, src)
+				}
+				for j, a := range p.Frag.Attrs {
+					if got := back.Attrs[j].Value; got != a.Value {
+						t.Fatalf("prim %d: attribute %s=%q came back %q (src %q)", i, a.Name, a.Value, got, src)
+					}
+				}
 			case Delete:
 				if p.Key == "" {
 					t.Fatalf("prim %d: delete without key (src %q)", i, src)

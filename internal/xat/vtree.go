@@ -175,7 +175,8 @@ func sortVNodes(ns []*VNode) {
 }
 
 // Frag converts the view tree into a detached XML fragment, dropping nodes
-// whose count is not positive.
+// whose count is not positive. Serving goes through ExtentXML; the fragment
+// is for indented output and for the tests that compare the two.
 func (n *VNode) Frag() *xmldoc.Frag {
 	if n.Count <= 0 {
 		return nil
@@ -211,11 +212,100 @@ func (n *VNode) Frag() *xmldoc.Frag {
 
 // XML serializes the view tree.
 func (n *VNode) XML() string {
-	f := n.Frag()
-	if f == nil {
-		return ""
+	return ExtentXML([]*VNode{n})
+}
+
+// ExtentXML serializes a sequence of view trees into one string, byte for
+// byte what concatenating Frag().String() over the roots gives, without
+// building the fragments: nodes whose count is not positive are dropped, an
+// attribute node in element content moves into the start tag (XQuery
+// constructor semantics), and an element nothing survives under closes
+// itself.
+func ExtentXML(roots []*VNode) string {
+	size := 0
+	for _, r := range roots {
+		size += r.xmlSize()
 	}
-	return f.String()
+	var b strings.Builder
+	b.Grow(size)
+	for _, r := range roots {
+		r.writeXML(&b)
+	}
+	return b.String()
+}
+
+// xmlSize estimates the length writeXML produces so the builder is sized
+// once: exact but for escapes (which add) and self-closed elements (which
+// drop the end tag).
+func (n *VNode) xmlSize() int {
+	if n.Count <= 0 {
+		return 0
+	}
+	switch n.Kind {
+	case xmldoc.Text:
+		return len(n.Value)
+	case xmldoc.Attr:
+		return len(n.Name) + len(n.Value) + len(`=""`)
+	}
+	size := 2*len(n.Name) + len("<></>")
+	for _, a := range n.Attrs {
+		if a.Count > 0 {
+			size += 1 + a.xmlSize()
+		}
+	}
+	for _, c := range n.Children {
+		if c.Kind == xmldoc.Attr && c.Count > 0 {
+			size++
+		}
+		size += c.xmlSize()
+	}
+	return size
+}
+
+func (n *VNode) writeXML(b *strings.Builder) {
+	if n.Count <= 0 {
+		return
+	}
+	switch n.Kind {
+	case xmldoc.Text:
+		xmldoc.WriteText(b, n.Value)
+		return
+	case xmldoc.Attr:
+		xmldoc.WriteAttr(b, n.Name, n.Value)
+		return
+	}
+	b.WriteByte('<')
+	b.WriteString(n.Name)
+	for _, a := range n.Attrs {
+		if a.Count > 0 {
+			b.WriteByte(' ')
+			xmldoc.WriteAttr(b, a.Name, a.Value)
+		}
+	}
+	content := false
+	for _, c := range n.Children {
+		switch {
+		case c.Count <= 0:
+		case c.Kind == xmldoc.Attr:
+			b.WriteByte(' ')
+			xmldoc.WriteAttr(b, c.Name, c.Value)
+		default:
+			content = true
+		}
+	}
+	if !content {
+		b.WriteString("/>")
+		return
+	}
+	b.WriteByte('>')
+	for _, c := range n.Children {
+		if c.Kind != xmldoc.Attr {
+			c.writeXML(b)
+		}
+	}
+	b.WriteString("</")
+	b.WriteString(n.Name)
+	b.WriteByte('>')
 }
 
 // Clone deep-copies a view tree. The child index is not carried over.

@@ -122,7 +122,7 @@ func writeFragIndent(b *strings.Builder, f *Frag, indent string, depth int) {
 		}
 	case Text:
 		b.WriteString(pad)
-		b.WriteString(escapeText(f.Value))
+		WriteText(b, f.Value)
 		b.WriteByte('\n')
 	case Attr:
 		// handled by the parent element
@@ -131,7 +131,8 @@ func writeFragIndent(b *strings.Builder, f *Frag, indent string, depth int) {
 		b.WriteByte('<')
 		b.WriteString(f.Name)
 		for _, a := range f.Attrs {
-			fmt.Fprintf(b, ` %s=%q`, a.Name, escapeAttr(a.Value))
+			b.WriteByte(' ')
+			WriteAttr(b, a.Name, a.Value)
 		}
 		if len(f.Children) == 0 {
 			b.WriteString("/>\n")
@@ -140,7 +141,7 @@ func writeFragIndent(b *strings.Builder, f *Frag, indent string, depth int) {
 		if textOnly(f) {
 			b.WriteByte('>')
 			for _, c := range f.Children {
-				b.WriteString(escapeText(c.Value))
+				WriteText(b, c.Value)
 			}
 			b.WriteString("</" + f.Name + ">\n")
 			return
@@ -169,15 +170,15 @@ func writeFrag(b *strings.Builder, f *Frag) {
 			writeFrag(b, c)
 		}
 	case Text:
-		b.WriteString(escapeText(f.Value))
+		WriteText(b, f.Value)
 	case Attr:
-		fmt.Fprintf(b, `%s=%q`, f.Name, f.Value)
+		WriteAttr(b, f.Name, f.Value)
 	case Element:
 		b.WriteByte('<')
 		b.WriteString(f.Name)
 		for _, a := range f.Attrs {
 			b.WriteByte(' ')
-			fmt.Fprintf(b, `%s=%q`, a.Name, escapeAttr(a.Value))
+			WriteAttr(b, a.Name, a.Value)
 		}
 		if len(f.Children) == 0 {
 			b.WriteString("/>")
@@ -193,12 +194,26 @@ func writeFrag(b *strings.Builder, f *Frag) {
 	}
 }
 
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
+// The two escapers every serializer in the repo writes through. A Replacer is
+// safe for concurrent use and builds its lookup table once, so they are
+// package-level. Attribute values also escape the quote that delimits them
+// and the whitespace an XML parser would otherwise normalize away.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;",
+		"\t", "&#9;", "\n", "&#10;", "\r", "&#13;")
+)
+
+// WriteText appends s to b escaped as element content.
+func WriteText(b *strings.Builder, s string) {
+	textEscaper.WriteString(b, s)
 }
 
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;")
-	return r.Replace(s)
+// WriteAttr appends name="value" to b with the value escaped, so that
+// parsing the output yields value back.
+func WriteAttr(b *strings.Builder, name, value string) {
+	b.WriteString(name)
+	b.WriteString(`="`)
+	attrEscaper.WriteString(b, value)
+	b.WriteByte('"')
 }

@@ -1,6 +1,7 @@
 package xmldoc
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -232,6 +233,39 @@ func TestEscaping(t *testing.T) {
 	}
 	if f.Attrs[0].Value != "5 < 6" {
 		t.Fatalf("attr round trip: %q", f.Attrs[0].Value)
+	}
+}
+
+// TestAttrValuesRoundTrip pins well-formed attribute output in both writers:
+// a value holding the delimiting quote, whitespace a parser would normalize,
+// or markup characters must come back from Parse unchanged, and a value with
+// none of them must serialize exactly as written.
+func TestAttrValuesRoundTrip(t *testing.T) {
+	values := []string{`say "hi"`, "tab\there", "line\nbreak", "cr\rhere", `a&b<c>d`, `c:\dir`, "plain"}
+	f := Elem("a")
+	for i, v := range values {
+		f.Attrs = append(f.Attrs, AttrF(fmt.Sprintf("k%d", i), v))
+	}
+	f.Children = []*Frag{Elem("b", AttrF("k", `"`), TextF("x"))}
+	for name, out := range map[string]string{"String": f.String(), "StringIndent": f.StringIndent("  ")} {
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("%s: reparse %q: %v", name, out, err)
+		}
+		for i, v := range values {
+			if got := back.Attrs[i].Value; got != v {
+				t.Errorf("%s: attribute %d came back %q, want %q", name, i, got, v)
+			}
+		}
+		if got := back.Children[0].Attrs[0].Value; got != `"` {
+			t.Errorf("%s: nested attribute came back %q", name, got)
+		}
+	}
+	if got, want := AttrF("k", "say \"hi\"\n").String(), `k="say &quot;hi&quot;&#10;"`; got != want {
+		t.Errorf("bare attribute = %s, want %s", got, want)
+	}
+	if got, want := Elem("a", AttrF("x", "1 > 0"), TextF("t")).String(), `<a x="1 > 0">t</a>`; got != want {
+		t.Errorf("plain value changed: %s, want %s", got, want)
 	}
 }
 

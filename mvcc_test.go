@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // MVCC linearizability battery: concurrent readers snapshotting while
@@ -179,4 +180,161 @@ func TestSnapshotLinearizability(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFrameBodySharedAcrossVersions pins the read path's memo: a frame's
+// extent is serialized by its first reader, every later reader of that
+// version gets the same bytes, a successor version whose round (or rename)
+// left the extent alone serves them too, and any change of the extent
+// serves a fresh body equal to evaluating the view's query on the snapshot.
+func TestFrameBodySharedAcrossVersions(t *testing.T) {
+	db := NewDatabase()
+	if err := db.LoadDocument("inv.xml", `<inv><item id="1"><qty>5</qty></item><item id="2"><qty>7</qty></item></inv>`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadDocument("log.xml", `<log><e>boot</e></log>`); err != nil {
+		t.Fatal(err)
+	}
+	qtys, err := db.CreateView(`<qtys>{ for $i in doc("inv.xml")/inv/item return $i/qty }</qtys>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateView(`<es>{ for $e in doc("log.xml")/log/e return $e }</es>`); err != nil {
+		t.Fatal(err)
+	}
+	name := qtys.Name()
+	// read serves the view from a fresh snapshot and checks it against the
+	// view's own query evaluated on that snapshot.
+	read := func() string {
+		t.Helper()
+		snap := db.Snapshot()
+		defer snap.Release()
+		got, err := snap.ViewXML(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := snap.Query(qtys.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("epoch %d: ViewXML = %s, Query = %s", snap.Epoch(), got, want)
+		}
+		return got
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	apply := func(script string, wantSkipped bool) {
+		t.Helper()
+		reports, err := db.ApplyUpdates(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reports[0].Skipped != wantSkipped {
+			t.Fatalf("qtys skipped = %v, want %v", reports[0].Skipped, wantSkipped)
+		}
+	}
+
+	first := read()
+	if again := read(); !same(first, again) {
+		t.Fatal("two reads of one epoch serialized the extent twice")
+	}
+	apply(`for $l in document("log.xml")/log update $l insert <e>tick</e> into $l`, true)
+	if skipped := read(); !same(first, skipped) {
+		t.Fatal("a round that skipped the view re-serialized its extent")
+	}
+	apply(`for $i in document("inv.xml")/inv/item where $i/@id = "1" update $i replace $i/qty/text() with "6"`, false)
+	touched := read()
+	if touched == first || same(touched, first) {
+		t.Fatalf("a round that changed the view still serves %s", touched)
+	}
+	if err := qtys.Recompute(); err != nil {
+		t.Fatal(err)
+	}
+	recomputed := read()
+	if recomputed != touched || same(recomputed, touched) {
+		t.Fatal("Recompute must serve an equal body serialized from the new extent")
+	}
+	qtys.SetName("renamed")
+	name = "renamed"
+	if renamed := read(); !same(renamed, recomputed) {
+		t.Fatal("SetName re-serialized an unchanged extent")
+	}
+
+	// Readers racing the first read of a fresh epoch all end up with the one
+	// body the frame kept, and reading it again allocates nothing.
+	apply(`for $i in document("inv.xml")/inv update $i insert <item id="3"><qty>1</qty></item> into $i`, false)
+	snap := db.Snapshot()
+	defer snap.Release()
+	const racers = 8
+	bodies := make([]string, racers)
+	var wg sync.WaitGroup
+	for r := 0; r < racers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			bodies[r], _ = snap.ViewXML(name)
+		}(r)
+	}
+	wg.Wait()
+	kept := read()
+	for r, b := range bodies {
+		if !same(b, kept) {
+			t.Fatalf("racer %d got its own body %q, frame kept %q", r, b, kept)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = snap.ViewXML(name) }); allocs != 0 {
+		t.Fatalf("ViewXML on a served snapshot allocates %v times per call", allocs)
+	}
+}
+
+// TestFrameOnlyPublishSharesStore pins which paths capture the store: view
+// creation, renaming and recomputation publish new frames over the store
+// snapshot already published (no O(store) clone, same answers), a document
+// load captures the store anew.
+func TestFrameOnlyPublishSharesStore(t *testing.T) {
+	db := NewDatabase()
+	if err := db.LoadDocument("inv.xml", `<inv><item id="1"><qty>5</qty></item></inv>`); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Snapshot()
+	defer before.Release()
+	const q = `doc("inv.xml")/inv/item/qty`
+	check := func(step string, wantShared bool) {
+		t.Helper()
+		after := db.Snapshot()
+		defer after.Release()
+		if after.Epoch() <= before.Epoch() {
+			t.Fatalf("%s published nothing", step)
+		}
+		if shared := after.v.Store == before.v.Store; shared != wantShared {
+			t.Fatalf("%s: store snapshot shared = %v, want %v", step, shared, wantShared)
+		}
+		for _, read := range []func(*Snapshot) (string, error){
+			func(s *Snapshot) (string, error) { return s.Query(q) },
+			func(s *Snapshot) (string, error) { return s.DocumentXML("inv.xml") },
+		} {
+			want, err := read(before)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := read(after); err != nil || got != want {
+				t.Fatalf("%s: snapshot answers %q (%v), previous one %q", step, got, err, want)
+			}
+		}
+	}
+	v, err := db.CreateView(`<qtys>{ for $i in doc("inv.xml")/inv/item return $i/qty }</qtys>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("CreateView", true)
+	v.SetName("q")
+	check("SetName", true)
+	if err := v.Recompute(); err != nil {
+		t.Fatal(err)
+	}
+	check("Recompute", true)
+	if err := db.LoadDocument("other.xml", `<o/>`); err != nil {
+		t.Fatal(err)
+	}
+	check("LoadDocument", false)
 }

@@ -55,9 +55,10 @@ type Database struct {
 
 	// snaps is the MVCC epoch registry: every committed maintenance round
 	// publishes the next immutable version into it (store snapshot, view
-	// extents, read-only cache views), and out-of-band mutations (document
-	// loads, view creation, recomputation) publish full captures. Readers
-	// acquire version handles lock-free through it.
+	// extents, read-only cache views); document loads publish a full capture
+	// of the store, view creation, renaming and recomputation publish new
+	// frames over the same store snapshot. Readers acquire version handles
+	// lock-free through it.
 	snaps *core.SnapReg
 }
 
@@ -72,10 +73,17 @@ func (db *Database) coreViews() []*core.View {
 }
 
 // publishFull captures the live store and extents as a fresh version, for
-// the out-of-band mutation paths that have no round delta. Callers hold
+// the out-of-band store mutations that have no round delta. Callers hold
 // db.mu exclusively.
 func (db *Database) publishFull() {
 	db.snaps.PublishFull(db.store, db.coreViews())
+}
+
+// publishFrames publishes the views' live state over the published store
+// snapshot, for the out-of-band paths that leave the store alone. Callers
+// hold db.mu exclusively.
+func (db *Database) publishFrames() {
+	db.snaps.PublishFrames(db.coreViews())
 }
 
 // rebuildSharedDAG regroups the registered views' plans into the shared
@@ -224,7 +232,7 @@ func (db *Database) CreateView(query string) (*View, error) {
 	// A new plan may overlap existing ones: regroup the shared DAG.
 	db.rebuildSharedDAG()
 	// Readers acquire the new view's frame from the next published version.
-	db.publishFull()
+	db.publishFrames()
 	return v, nil
 }
 
@@ -252,7 +260,7 @@ func (v *View) SetName(name string) {
 	defer v.db.mu.Unlock()
 	v.view.Name = name
 	// Frames capture the name; republish so snapshot lookups see it.
-	v.db.publishFull()
+	v.db.publishFrames()
 }
 
 // frame returns the view's frame in the published version, with a handle
@@ -301,8 +309,8 @@ func (v *View) Recompute() error {
 	v.db.mu.Lock()
 	defer v.db.mu.Unlock()
 	err := v.view.Materialize()
-	// The extent changed outside a round: publish a full capture.
-	v.db.publishFull()
+	// The extent changed outside a round; the store did not.
+	v.db.publishFrames()
 	return err
 }
 
