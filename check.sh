@@ -7,8 +7,8 @@
 # front ends, the xqtop golden frames, the MVCC concurrency battery under a
 # deadline (the read path's frame-body memo test rides in it: racing first
 # readers, bodies shared across versions), the unused-field lint over the
-# shared-DAG and MVCC structs, and last the repository's one benchmark
-# against its own bounds (≈ 3 min).
+# shared-DAG, MVCC and script-evaluation structs, and last the repository's
+# one benchmark against its own bounds (≈ 3 min).
 #
 # Usage: ./check.sh [extra go test args, e.g. -count=1; -short falls under the
 # coverage floor]
@@ -53,7 +53,10 @@ go test -race "$@" ./...
 # Fuzz smoke: each native fuzz target runs briefly past its checked-in
 # seed corpus (testdata/fuzz/) so newly-introduced panics in the query
 # frontend, the update language, or FlexKey gap generation surface here
-# rather than only in long offline fuzzing.
+# rather than only in long offline fuzzing. FuzzParseUpdates is also a
+# differential: every input's primitives and errors must be those of the
+# per-statement reference evaluator (script-scoped evaluation shares binding
+# lists and answers repeated "=" probes from a hash).
 fuzz_smoke="${FUZZ_SMOKE:-3s}"
 echo "== fuzz smoke (-fuzztime $fuzz_smoke per target)" >&2
 go test ./internal/compile/ -run '^$' -fuzz '^FuzzCompile$' -fuzztime "$fuzz_smoke" >&2
@@ -81,10 +84,12 @@ go test -race -timeout 300s \
 	. ./internal/core/ >&2
 
 # Unused-field lint: a field of the shared-DAG or MVCC plumbing that nothing
-# reads means a broken subscription, fan-out, publish or drain path.
-echo "== structcheck (shared DAG and MVCC snapshot structs)" >&2
+# reads means a broken subscription, fan-out, publish or drain path; a memo
+# field of the script evaluation context that nothing reads is a dead cache.
+echo "== structcheck (shared DAG, MVCC snapshot and script evaluation structs)" >&2
 sh scripts/structcheck.sh internal/xat/shared.go internal/core/txn.go \
-	internal/core/snapshot.go internal/xmldoc/snapshot.go >&2
+	internal/core/snapshot.go internal/xmldoc/snapshot.go \
+	internal/update/script.go >&2
 
 # The benchmark, twice over this tree: every operation checked against the
 # recompute oracle, every end-to-end metric × workload beside the bound

@@ -51,7 +51,7 @@ func FigObs(scale float64) (*Figure, error) {
 			for r := 0; r < rounds; r++ {
 				prims := heteroBatch(store, fmt.Sprintf("o%d", r))
 				t0 := time.Now()
-				_, err := core.MaintainAll(store, views, prims,
+				_, err := core.MaintainAll(store, views, prims, 0,
 					core.Options{Parallelism: 1, Tracer: tracer})
 				if err != nil {
 					return 0, err

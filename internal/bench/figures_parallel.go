@@ -62,7 +62,7 @@ func FigParallel(scale float64) (*Figure, error) {
 			}
 			prims := heteroBatch(store, fmt.Sprintf("p%d", parallelism))
 			t0 := time.Now()
-			_, err = core.MaintainAll(store, views, prims,
+			_, err = core.MaintainAll(store, views, prims, 0,
 				core.Options{Parallelism: parallelism})
 			return time.Since(t0), err
 		}

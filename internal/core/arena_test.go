@@ -34,7 +34,7 @@ func TestCrashConsistencyArenaSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, merr := MaintainAll(a.store, a.views, primsA, crashOpts)
+		_, merr := MaintainAll(a.store, a.views, primsA, 0, crashOpts)
 		fired := faultinject.Fired(site)
 		faultinject.Reset()
 		if fired {
@@ -44,13 +44,13 @@ func TestCrashConsistencyArenaSweep(t *testing.T) {
 			if d := pre.diff(a.snapshot()); d != "" {
 				t.Fatalf("seed %d (%s %s hit=%d): arena rollback not byte-identical: %s", seed, site, mode, hit, d)
 			}
-			if _, err := MaintainAll(a.store, a.views, primsA, crashOpts); err != nil {
+			if _, err := MaintainAll(a.store, a.views, primsA, 0, crashOpts); err != nil {
 				t.Fatalf("seed %d retry: %v", seed, err)
 			}
 		} else if merr != nil {
 			t.Fatalf("seed %d: site %s never fired but round failed: %v", seed, site, merr)
 		}
-		if _, err := MaintainAll(b.store, b.views, primsB, crashOpts); err != nil {
+		if _, err := MaintainAll(b.store, b.views, primsB, 0, crashOpts); err != nil {
 			t.Fatalf("seed %d twin: %v", seed, err)
 		}
 		if d := a.snapshot().diff(b.snapshot()); d != "" {

@@ -43,7 +43,7 @@ func TestCacheInvalidationPerPrimitive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recompute: %v", name, err)
 		}
-		if _, err := MaintainAll(s, []*View{v}, prims, opts); err != nil {
+		if _, err := MaintainAll(s, []*View{v}, prims, 0, opts); err != nil {
 			t.Fatalf("%s: maintain: %v", name, err)
 		}
 		if got := v.XML(); got != want {
@@ -125,7 +125,7 @@ func TestCacheMultiDocPartialTouch(t *testing.T) {
 		}}
 	}
 	// Round 1 warms the cache (both join sides derive fresh).
-	if _, err := MaintainAll(s, []*View{v}, mkInsert(1), opts); err != nil {
+	if _, err := MaintainAll(s, []*View{v}, mkInsert(1), 0, opts); err != nil {
 		t.Fatal(err)
 	}
 	warm := v.CacheStats()
@@ -137,7 +137,7 @@ func TestCacheMultiDocPartialTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s, []*View{v}, mkInsert(2), opts); err != nil {
+	if _, err := MaintainAll(s, []*View{v}, mkInsert(2), 0, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.XML(); got != want {
@@ -191,7 +191,7 @@ func TestDisjointViewSkipped(t *testing.T) {
 			xmldoc.Elem("price", xmldoc.TextF("1.00")),
 			xmldoc.Elem("b-title", xmldoc.TextF("Skip"))),
 	}}
-	stats, err := MaintainAll(s, []*View{bibView, priView}, prims,
+	stats, err := MaintainAll(s, []*View{bibView, priView}, prims, 0,
 		Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestCacheSurvivesSkips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		stats, err := MaintainAll(s, []*View{v}, prims, opts)
+		stats, err := MaintainAll(s, []*View{v}, prims, 0, opts)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}

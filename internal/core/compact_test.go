@@ -92,7 +92,7 @@ func TestCompactionWidensBatchLanguage(t *testing.T) {
 		if _, err := validate.Validate(s, v.SAPT, prims()); err == nil {
 			t.Fatal("validation alone accepts an in-batch parent reference; merge rule is vacuous")
 		}
-		if _, err := MaintainAll(s, []*View{v}, prims(), Options{Parallelism: 1}); err != nil {
+		if _, err := MaintainAll(s, []*View{v}, prims(), 0, Options{Parallelism: 1}); err != nil {
 			t.Fatalf("merged batch rejected: %v", err)
 		}
 		if got := v.XML(); got != want {
@@ -116,7 +116,7 @@ func TestCompactionWidensBatchLanguage(t *testing.T) {
 		if _, err := validate.Validate(s, v.SAPT, prims()); err == nil {
 			t.Fatal("validation alone accepts an in-batch delete target; cancel rule is vacuous")
 		}
-		if _, err := MaintainAll(s, []*View{v}, prims(), Options{Parallelism: 1}); err != nil {
+		if _, err := MaintainAll(s, []*View{v}, prims(), 0, Options{Parallelism: 1}); err != nil {
 			t.Fatalf("annihilating batch rejected: %v", err)
 		}
 		if got := v.XML(); got != before {

@@ -57,7 +57,7 @@ func TestMaintainAllConsistency(t *testing.T) {
 			}
 			wants[i] = w
 		}
-		stats, err := MaintainAll(s, views, prims)
+		stats, err := MaintainAll(s, views, prims, 0)
 		if err != nil {
 			t.Fatalf("round %d maintain: %v", round, err)
 		}
@@ -127,11 +127,11 @@ func TestMaintainAllParallelDeterminism(t *testing.T) {
 		if !conflictFree(prims) {
 			continue
 		}
-		seqStats, err := MaintainAll(seqStore, seqViews, deepClonePrims(prims), Options{Parallelism: 1})
+		seqStats, err := MaintainAll(seqStore, seqViews, deepClonePrims(prims), 0, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("round %d sequential: %v", round, err)
 		}
-		parStats, err := MaintainAll(parStore, parViews, deepClonePrims(prims), Options{Parallelism: 8})
+		parStats, err := MaintainAll(parStore, parViews, deepClonePrims(prims), 0, Options{Parallelism: 8})
 		if err != nil {
 			t.Fatalf("round %d parallel: %v", round, err)
 		}
@@ -185,7 +185,7 @@ func TestMaintainAllParallelConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d recompute: %v", round, err)
 		}
-		if _, err := MaintainAll(s, views, prims, Options{Parallelism: 8}); err != nil {
+		if _, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 8}); err != nil {
 			t.Fatalf("round %d maintain: %v", round, err)
 		}
 		for i, v := range views {
@@ -298,7 +298,7 @@ func TestMaintainAllParallelError(t *testing.T) {
 	prims := []*update.Primitive{{Kind: update.Insert, Doc: "bib.xml", Parent: bib,
 		Frag: xmldoc.Elem("book", xmldoc.AttrF("year", "1994"),
 			xmldoc.Elem("title", xmldoc.TextF(fmt.Sprintf("x-%d", 1))))}}
-	if _, err := MaintainAll(s, views, prims, Options{Parallelism: 4}); err == nil {
+	if _, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 4}); err == nil {
 		t.Fatal("expected an error from the sabotaged view")
 	}
 }
@@ -311,7 +311,7 @@ func TestMaintainAllRejectsForeignView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s1, []*View{v}, nil); err == nil {
+	if _, err := MaintainAll(s1, []*View{v}, nil, 0); err == nil {
 		t.Fatal("foreign view accepted")
 	}
 }
@@ -324,7 +324,7 @@ func TestMaintainAllEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := v.XML()
-	if _, err := MaintainAll(s, []*View{v}, nil); err != nil {
+	if _, err := MaintainAll(s, []*View{v}, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if v.XML() != before {

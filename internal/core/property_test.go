@@ -356,7 +356,7 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 					t.Fatalf("round %d recompute: %v", round, err)
 				}
 				journal.Default.Reset()
-				stats, err := MaintainAll(store, views, prims, opts)
+				stats, err := MaintainAll(store, views, prims, 0, opts)
 				if err != nil {
 					t.Fatalf("round %d maintain: %v", round, err)
 				}

@@ -158,7 +158,7 @@ type viewRecord struct {
 func recordRound(t *testing.T, store *xmldoc.Store, views []*View, prims []*update.Primitive, opts Options) (recs []viewRecord, verdicts string, seeded int) {
 	t.Helper()
 	journal.Default.Reset()
-	stats, err := MaintainAll(store, views, prims, opts)
+	stats, err := MaintainAll(store, views, prims, 0, opts)
 	if err != nil {
 		t.Fatalf("maintain: %v", err)
 	}
@@ -280,10 +280,10 @@ func TestSharedCrashConsistencyEverySite(t *testing.T) {
 				optsB.SharedDAG = dagB
 
 				warm := randomBatch(t, rng, a.store, 2)
-				if _, err := MaintainAll(a.store, a.views, deepClonePrims(warm), optsA); err != nil {
+				if _, err := MaintainAll(a.store, a.views, deepClonePrims(warm), 0, optsA); err != nil {
 					t.Fatalf("warmup: %v", err)
 				}
-				if _, err := MaintainAll(b.store, b.views, deepClonePrims(warm), optsB); err != nil {
+				if _, err := MaintainAll(b.store, b.views, deepClonePrims(warm), 0, optsB); err != nil {
 					t.Fatalf("twin warmup: %v", err)
 				}
 				pre := sharedCrashSnapshot(a, dagA)
@@ -293,7 +293,7 @@ func TestSharedCrashConsistencyEverySite(t *testing.T) {
 				if err := faultinject.Arm(site, mode, 1); err != nil {
 					t.Fatal(err)
 				}
-				_, err := MaintainAll(a.store, a.views, primsA, optsA)
+				_, err := MaintainAll(a.store, a.views, primsA, 0, optsA)
 				if err == nil {
 					t.Fatalf("armed %s did not fail the round", site)
 				}
@@ -309,10 +309,10 @@ func TestSharedCrashConsistencyEverySite(t *testing.T) {
 						site, mode, pre, post)
 				}
 
-				if _, err := MaintainAll(a.store, a.views, primsA, optsA); err != nil {
+				if _, err := MaintainAll(a.store, a.views, primsA, 0, optsA); err != nil {
 					t.Fatalf("retry after %s: %v", site, err)
 				}
-				if _, err := MaintainAll(b.store, b.views, primsB, optsB); err != nil {
+				if _, err := MaintainAll(b.store, b.views, primsB, 0, optsB); err != nil {
 					t.Fatalf("twin round: %v", err)
 				}
 				if got, want := sharedCrashSnapshot(a, dagA), sharedCrashSnapshot(b, dagB); got != want {
@@ -374,7 +374,7 @@ func TestSharedSkipAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := MaintainAll(s, views, prims, opts)
+	stats, err := MaintainAll(s, views, prims, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestSharedDisjointFastPath(t *testing.T) {
 		Kind: update.Insert, Doc: "other.xml", Parent: otherRoot,
 		Frag: xmldoc.Elem("item", xmldoc.Elem("name", xmldoc.TextF("y"))),
 	}}
-	stats, err := MaintainAll(s, views, prims, opts)
+	stats, err := MaintainAll(s, views, prims, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestSharedDisjointFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err = MaintainAll(s, views, prims, opts)
+	stats, err = MaintainAll(s, views, prims, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestSharedStaleEviction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s recompute: %v", name, err)
 		}
-		stats, err := MaintainAll(s, views, prims, opts)
+		stats, err := MaintainAll(s, views, prims, 0, opts)
 		if err != nil {
 			t.Fatalf("%s maintain: %v", name, err)
 		}

@@ -141,7 +141,7 @@ replace $i/qty/text() with "%d"`, i%97))
 			wg.Wait()
 			t.Fatal(err)
 		}
-		if _, err := MaintainAll(s, views, prims, opt); err != nil {
+		if _, err := MaintainAll(s, views, prims, 0, opt); err != nil {
 			done.Store(true)
 			wg.Wait()
 			t.Fatalf("round %d: %v", i, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"xqview/internal/obs"
 	"xqview/internal/update"
@@ -17,7 +18,7 @@ func TestRoundTelemetrySample(t *testing.T) {
 	obs.Rounds.Reset()
 	s, views, prims := obsFixture(t)
 	opt := Options{Parallelism: 2}
-	if _, err := MaintainAll(s, views, prims, opt); err != nil {
+	if _, err := MaintainAll(s, views, prims, 0, opt); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Rounds.Total(); got != 1 {
@@ -59,7 +60,7 @@ replace $entry/price/text() with "71"
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s, views, prims2, opt); err != nil {
+	if _, err := MaintainAll(s, views, prims2, 0, opt); err != nil {
 		t.Fatal(err)
 	}
 	sm2, _ := obs.Rounds.Last()
@@ -83,7 +84,7 @@ func TestRoundTelemetryAborted(t *testing.T) {
 	for _, op := range views[2].Plan.Ops() {
 		op.Kind = xat.OpKind(99)
 	}
-	if _, err := MaintainAll(s, views, prims, Options{Parallelism: 1}); err == nil {
+	if _, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 1}); err == nil {
 		t.Fatal("expected propagate failure")
 	}
 	sm, ok := obs.Rounds.Last()
@@ -95,13 +96,59 @@ func TestRoundTelemetryAborted(t *testing.T) {
 	}
 }
 
+// TestRoundTelemetryEval checks what a round does with the evaluation time
+// its caller hands it: the sample carries it as EvalNS — on aborted rounds
+// too — outside TotalNS, and the tracer shows it as a ParseEvaluate span on
+// the round's track that ends where MaintainAll starts. A zero duration
+// (primitives that came from no script) leaves no span.
+func TestRoundTelemetryEval(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	obs.Rounds.Reset()
+	s, views, prims := obsFixture(t)
+	tr := obs.NewTracer()
+	time.Sleep(2 * time.Millisecond) // the span must fit between the tracer's start and the round's
+	const eval = time.Millisecond
+	stats, err := MaintainAll(s, views, prims, eval, Options{Parallelism: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, _ := obs.Rounds.Last()
+	if sm.EvalNS != eval.Nanoseconds() || sm.TotalNS != stats[0].Total.Nanoseconds() {
+		t.Fatalf("eval_ns %d total_ns %d, want %d and the report's total %d", sm.EvalNS, sm.TotalNS, eval.Nanoseconds(), stats[0].Total.Nanoseconds())
+	}
+	var pe, round obs.Event
+	for _, ev := range tr.Events() {
+		switch ev.Name {
+		case "ParseEvaluate":
+			pe = ev
+		case "MaintainAll":
+			if ev.Ph == "X" {
+				round = ev
+			}
+		}
+	}
+	if pe.Ph != "X" || pe.TID != round.TID || pe.Dur != 1000 || pe.TS+pe.Dur-round.TS > 0.01 || round.TS-pe.TS-pe.Dur > 0.01 {
+		t.Fatalf("ParseEvaluate span %+v is not a 1000 µs sibling ending where MaintainAll starts (%+v)", pe, round)
+	}
+
+	for _, op := range views[2].Plan.Ops() {
+		op.Kind = xat.OpKind(99)
+	}
+	if _, err := MaintainAll(s, views, prims, eval, Options{Parallelism: 1}); err == nil {
+		t.Fatal("expected propagate failure")
+	}
+	if sm, _ := obs.Rounds.Last(); !sm.Aborted || sm.EvalNS != eval.Nanoseconds() {
+		t.Fatalf("aborted sample = %+v, want eval_ns %d", sm, eval.Nanoseconds())
+	}
+}
+
 // TestRoundTelemetryDisabled pins the gate: with obs off a maintenance round
 // must not touch the ring at all.
 func TestRoundTelemetryDisabled(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(false))
 	obs.Rounds.Reset()
 	s, views, prims := obsFixture(t)
-	if _, err := MaintainAll(s, views, prims); err != nil {
+	if _, err := MaintainAll(s, views, prims, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Rounds.Total(); got != 0 {
@@ -121,7 +168,7 @@ func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	reg.PublishFull(s, views)
 	h := reg.Acquire() // pins the pre-round version across the swap
 	defer h.Release()
-	if _, err := MaintainAll(s, views, prims, Options{Snapshots: reg}); err != nil {
+	if _, err := MaintainAll(s, views, prims, 0, Options{Snapshots: reg}); err != nil {
 		t.Fatal(err)
 	}
 	sm, ok := obs.Rounds.Last()

@@ -156,11 +156,12 @@ func (v *View) XML() string { return xat.ExtentXML(v.Extent) }
 // ApplyScript parses XQuery update statements, evaluates them against the
 // store and maintains the view incrementally.
 func (v *View) ApplyScript(src string, opts ...Options) (*MaintStats, error) {
+	t0 := time.Now()
 	prims, err := update.ParseAndEvaluate(v.Store, src)
 	if err != nil {
 		return nil, err
 	}
-	return v.ApplyUpdates(prims, opts...)
+	return v.maintain(prims, time.Since(t0), opts)
 }
 
 // ApplyUpdates runs the full VPA pipeline for a batch of primitives:
@@ -169,7 +170,11 @@ func (v *View) ApplyScript(src string, opts ...Options) (*MaintStats, error) {
 // apply (deep union into the extent), and finally refreshing the source
 // documents themselves.
 func (v *View) ApplyUpdates(prims []*update.Primitive, opts ...Options) (*MaintStats, error) {
-	all, err := MaintainAll(v.Store, []*View{v}, prims, opts...)
+	return v.maintain(prims, 0, opts)
+}
+
+func (v *View) maintain(prims []*update.Primitive, eval time.Duration, opts []Options) (*MaintStats, error) {
+	all, err := MaintainAll(v.Store, []*View{v}, prims, eval, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +203,13 @@ func (v *View) ApplyUpdates(prims []*update.Primitive, opts ...Options) (*MaintS
 // documents and cached propagation state are restored byte-identical to the
 // pre-round state, the journal records an aborted round, and the error is
 // returned. A failed batch can simply be retried.
-func MaintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, opts ...Options) ([]*MaintStats, error) {
+//
+// eval is the time the caller spent producing prims from an update script
+// (update.ParseAndEvaluate); zero when the primitives did not come from one.
+// It is work done for the round but ahead of it: the round reports it as a
+// ParseEvaluate span preceding its own and as RoundSample.EvalNS, and keeps
+// it out of MaintStats.Total.
+func MaintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, eval time.Duration, opts ...Options) ([]*MaintStats, error) {
 	opt := getOpts(opts)
 	// Provenance journaling: MaintainAll owns the round lifecycle — it
 	// stamps the round ID at Begin and commits the round (success or
@@ -214,7 +225,7 @@ func MaintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 		}
 		jrec = journal.Default.Begin(names, len(prims))
 	}
-	out, err := maintainAll(store, views, prims, opt, jrec)
+	out, err := maintainAll(store, views, prims, eval, opt, jrec)
 	if err != nil {
 		// The round transaction restored all pre-round state (including the
 		// caches, whose entries still describe the restored store), so the
@@ -244,7 +255,7 @@ func viewDisjoint(store *xmldoc.Store, v *View, batch *validate.Batch) bool {
 	return true
 }
 
-func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, opt Options, jrec *journal.RoundRec) (out []*MaintStats, err error) {
+func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, eval time.Duration, opt Options, jrec *journal.RoundRec) (out []*MaintStats, err error) {
 	start := time.Now()
 	trees := make([]*sapt.Tree, len(views))
 	for i, v := range views {
@@ -257,6 +268,9 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 	root := opt.Tracer.StartSpan("MaintainAll").
 		Arg("views", len(views)).Arg("prims", len(prims))
 	defer root.End()
+	if eval > 0 {
+		root.Before("ParseEvaluate", eval)
+	}
 	probe := beginRoundProbe(views)
 	nprims := len(prims)
 
@@ -278,6 +292,7 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 			if probe.active {
 				obs.Rounds.Append(obs.RoundSample{
 					Aborted: true,
+					EvalNS:  eval.Nanoseconds(),
 					TotalNS: time.Since(start).Nanoseconds(),
 					Views:   int32(len(views)),
 					PrimsIn: int32(nprims),
@@ -603,6 +618,7 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 	if probe.active {
 		recordMaintain(out)
 		s := probe.sample(out, views, len(orig), len(prims), arenaBytes, arenaChunks, shr)
+		s.EvalNS = eval.Nanoseconds()
 		if cand != nil {
 			s.SnapEpoch = int64(cand.Seq)
 			s.SnapRetired = int32(opt.Snapshots.RetiredCount())

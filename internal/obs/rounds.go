@@ -34,6 +34,11 @@ type RoundSample struct {
 	// of an aborted round cover the work done before the rollback.
 	Aborted bool `json:"aborted,omitempty"`
 
+	// EvalNS is the wall time spent parsing the round's update script and
+	// evaluating its targets, before the round began: it is not part of
+	// TotalNS. Zero when the primitives did not come from a script.
+	EvalNS int64 `json:"eval_ns"`
+
 	// Wall time per VPA phase, nanoseconds. Validate/Source/Total are
 	// per-batch; Propagate/Apply sum the per-view work of the round.
 	ValidateNS  int64 `json:"validate_ns"`

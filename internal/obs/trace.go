@@ -131,6 +131,20 @@ func (s Span) Child(name string) Span {
 	return Span{tr: s.tr, name: name, tid: s.tid, t0: time.Since(s.tr.start), args: map[string]any{}}
 }
 
+// Before records a finished span that ran for d and ended where s began, on
+// s's track: a sibling immediately preceding s. It is how work timed by a
+// caller ahead of the span's owner (a script's parse and target evaluation,
+// ahead of its round) lands on the owner's track.
+func (s Span) Before(name string, d time.Duration) {
+	if s.tr == nil {
+		return
+	}
+	d = min(d, s.t0) // a tracer attached mid-way cannot place what came before it
+	s.tr.append(Event{Name: name, Ph: "X", PID: 1, TID: s.tid,
+		TS:  float64((s.t0 - d).Nanoseconds()) / 1e3,
+		Dur: float64(d.Nanoseconds()) / 1e3})
+}
+
 // Enabled reports whether the span records anything; use it to skip
 // argument computation on the disabled path.
 func (s Span) Enabled() bool { return s.tr != nil }

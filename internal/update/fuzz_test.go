@@ -19,19 +19,27 @@ func fuzzStore(t testing.TB) *xmldoc.Store {
 }
 
 // FuzzParseUpdates drives arbitrary source through the update-language
-// parser and evaluator. Invariants: no panic; on success every primitive is
-// well-formed (known kind, target document registered, inserts carry a
-// fragment, deletes/replaces carry a key).
+// parser and evaluator. Invariants: no panic; primitives and errors are the
+// per-statement reference evaluator's (a conflicting script is rejected
+// instead); on success every primitive is well-formed (known kind, target
+// document registered, inserts carry a fragment, deletes/replaces carry a
+// key).
 func FuzzParseUpdates(f *testing.F) {
 	f.Add(`for $b in document("bib.xml")/bib/book where $b/title = "Data on the Web" update $b delete $b`)
 	f.Add(`for $b in document("bib.xml")/bib update $b insert <book year="1996"><title>New</title></book> into $b`)
 	f.Add(`for $b in document("bib.xml")/bib/book update $b replace $b/title with "Renamed"`)
 	f.Add(`for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b insert <note/> after $b`)
+	f.Add(`for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b delete $b/title
+for $b in document("bib.xml")/bib/book where $b/@year = "2000.0" update $b replace $b/title with "x"
+for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b delete $b`)
 	f.Add(`for $b in`)
 	f.Add(`update $b delete $b`)
 	f.Add(``)
 	f.Fuzz(func(t *testing.T, src string) {
 		s := fuzzStore(t)
+		if _, err := checkAgainstReference(s, src); err != nil {
+			t.Fatalf("%v (src %q)", err, src)
+		}
 		prims, err := ParseAndEvaluate(s, src)
 		if err != nil {
 			return

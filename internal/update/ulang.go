@@ -1,9 +1,7 @@
 package update
 
 import (
-	"encoding/xml"
 	"fmt"
-	"io"
 	"strings"
 
 	"xqview/internal/flexkey"
@@ -21,9 +19,19 @@ import (
 //	( insert <fragment/> (after|before|into) $v[/path]
 //	| delete $v[/path]
 //	| replace $v/path with "literal" )
+//
+// Every statement is evaluated against the store as it is on entry (nothing
+// here writes it), so a script is one batch: the primitives of all
+// statements, in statement order. Statements are parsed and evaluated one
+// after the other — the first error, of either kind, is the one returned —
+// but through one evaluation context (scriptEval), so a script costs one
+// evaluation of each distinct for-path and, from the second "=" probe of
+// one where-path, a hash lookup per statement instead of a scan. A script
+// in which a delete or replace targets a node an earlier primitive deletes
+// is rejected (scriptEval.conflict).
 func ParseAndEvaluate(s *xmldoc.Store, src string) ([]*Primitive, error) {
 	p := &uparser{src: src}
-	var prims []*Primitive
+	e := scriptEval{store: s}
 	for {
 		p.skipWS()
 		if p.pos >= len(p.src) {
@@ -33,25 +41,29 @@ func ParseAndEvaluate(s *xmldoc.Store, src string) ([]*Primitive, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps, err := stmt.evaluate(s)
-		if err != nil {
+		if err := e.evaluate(stmt); err != nil {
 			return nil, err
 		}
-		prims = append(prims, ps...)
 	}
-	return prims, nil
+	if err := e.conflict(); err != nil {
+		return nil, err
+	}
+	return e.prims, nil
 }
 
 type ucond struct {
 	path *xpath.Path
+	src  string // source text of path ("" when the condition is on $v itself)
 	op   string
 	lit  string
 }
 
 type statement struct {
+	offset  int // source offset of the statement's 'for'
 	varName string
 	doc     string
 	path    *xpath.Path
+	pathSrc string // source text of path
 	conds   []ucond
 
 	action   Kind
@@ -59,6 +71,8 @@ type statement struct {
 	position string      // after | before | into (insert)
 	target   *xpath.Path // relative path from $v (nil = $v itself)
 	newValue string      // replace
+
+	evalState
 }
 
 type uparser struct {
@@ -143,27 +157,35 @@ func (p *uparser) varRef() (string, error) {
 }
 
 // varPath parses $v with an optional relative path, verifying the variable.
-func (p *uparser) varPath(expect string) (*xpath.Path, error) {
+func (p *uparser) varPath(expect string) (*xpath.Path, string, error) {
 	v, err := p.varRef()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if v != expect {
-		return nil, p.errf("unexpected variable $%s (bound variable is $%s)", v, expect)
+		return nil, "", p.errf("unexpected variable $%s (bound variable is $%s)", v, expect)
 	}
-	if p.pos < len(p.src) && p.src[p.pos] == '/' {
-		path, n, err := xpath.ParsePrefix(p.src[p.pos:])
-		if err != nil {
-			return nil, err
-		}
-		p.pos += n
-		return path, nil
+	return p.optPath()
+}
+
+// optPath parses the path that follows a document(...) call or a variable
+// reference, if there is one, and returns it with its source text. Equal
+// texts are equal paths, which is what the script evaluator keys its shared
+// binding lists and value columns on.
+func (p *uparser) optPath() (*xpath.Path, string, error) {
+	if p.pos >= len(p.src) || p.src[p.pos] != '/' {
+		return nil, "", nil
 	}
-	return nil, nil
+	path, n, err := xpath.ParsePrefix(p.src[p.pos:])
+	if err != nil {
+		return nil, "", err
+	}
+	p.pos += n
+	return path, p.src[p.pos-n : p.pos], nil
 }
 
 func (p *uparser) parseStatement() (*statement, error) {
-	st := &statement{}
+	st := &statement{offset: p.pos}
 	if !p.keyword("for") {
 		return nil, p.errf("expected 'for'")
 	}
@@ -192,17 +214,12 @@ func (p *uparser) parseStatement() (*statement, error) {
 		return nil, p.errf("expected )")
 	}
 	p.pos++
-	if p.pos < len(p.src) && p.src[p.pos] == '/' {
-		path, n, err := xpath.ParsePrefix(p.src[p.pos:])
-		if err != nil {
-			return nil, err
-		}
-		p.pos += n
-		st.path = path
+	if st.path, st.pathSrc, err = p.optPath(); err != nil {
+		return nil, err
 	}
 	if p.keyword("where") {
 		for {
-			cpath, err := p.varPath(st.varName)
+			cpath, csrc, err := p.varPath(st.varName)
 			if err != nil {
 				return nil, err
 			}
@@ -222,7 +239,7 @@ func (p *uparser) parseStatement() (*statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.conds = append(st.conds, ucond{path: cpath, op: op, lit: lit})
+			st.conds = append(st.conds, ucond{path: cpath, src: csrc, op: op, lit: lit})
 			if !p.keyword("and") {
 				break
 			}
@@ -231,7 +248,7 @@ func (p *uparser) parseStatement() (*statement, error) {
 	if !p.keyword("update") {
 		return nil, p.errf("expected 'update'")
 	}
-	if _, err := p.varPath(st.varName); err != nil {
+	if _, _, err := p.varPath(st.varName); err != nil {
 		return nil, err
 	}
 	switch {
@@ -252,20 +269,20 @@ func (p *uparser) parseStatement() (*statement, error) {
 		default:
 			return nil, p.errf("expected after/before/into")
 		}
-		st.target, err = p.varPath(st.varName)
+		st.target, _, err = p.varPath(st.varName)
 		if err != nil {
 			return nil, err
 		}
 	case p.keyword("delete"):
 		st.action = Delete
-		tgt, err := p.varPath(st.varName)
+		tgt, _, err := p.varPath(st.varName)
 		if err != nil {
 			return nil, err
 		}
 		st.target = tgt
 	case p.keyword("replace"):
 		st.action = Replace
-		tgt, err := p.varPath(st.varName)
+		tgt, _, err := p.varPath(st.varName)
 		if err != nil {
 			return nil, err
 		}
@@ -283,94 +300,23 @@ func (p *uparser) parseStatement() (*statement, error) {
 	return st, nil
 }
 
-// fragment parses one balanced XML element at the cursor using the
-// encoding/xml tokenizer's input offset.
+// fragment parses one balanced XML element at the cursor. A fragment is an
+// element: a leading comment or processing instruction is not skipped.
 func (p *uparser) fragment() (*xmldoc.Frag, error) {
 	p.skipWS()
 	if p.pos >= len(p.src) || p.src[p.pos] != '<' {
 		return nil, p.errf("expected XML fragment")
 	}
 	rest := p.src[p.pos:]
-	dec := xml.NewDecoder(strings.NewReader(rest))
-	depth := 0
-	var end int64
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			return nil, p.errf("unterminated XML fragment")
-		}
-		if err != nil {
-			return nil, p.errf("bad XML fragment: %v", err)
-		}
-		switch tok.(type) {
-		case xml.StartElement:
-			depth++
-		case xml.EndElement:
-			depth--
-		}
-		if depth == 0 {
-			end = dec.InputOffset()
-			break
-		}
+	if strings.HasPrefix(rest, "<!") || strings.HasPrefix(rest, "<?") {
+		return nil, p.errf("bad XML fragment: xmldoc: no root element")
 	}
-	fragSrc := rest[:end]
-	f, err := xmldoc.Parse(fragSrc)
+	f, n, err := xmldoc.ParsePrefix(rest)
 	if err != nil {
 		return nil, p.errf("bad XML fragment: %v", err)
 	}
-	p.pos += int(end)
+	p.pos += n
 	return f, nil
-}
-
-func (st *statement) evaluate(s *xmldoc.Store) ([]*Primitive, error) {
-	docRoot, ok := s.Root(st.doc)
-	if !ok {
-		return nil, fmt.Errorf("update: document %q not loaded", st.doc)
-	}
-	var bindings []flexkey.Key
-	if st.path == nil {
-		bindings = []flexkey.Key{docRoot}
-	} else {
-		bindings = xpath.Eval(s, docRoot, st.path)
-	}
-	var prims []*Primitive
-	for _, b := range bindings {
-		if !st.condsHold(s, b) {
-			continue
-		}
-		targets := []flexkey.Key{b}
-		if st.target != nil {
-			targets = xpath.Eval(s, b, st.target)
-		}
-		for _, tgt := range targets {
-			prim, err := st.primitiveFor(s, tgt)
-			if err != nil {
-				return nil, err
-			}
-			prims = append(prims, prim)
-		}
-	}
-	return prims, nil
-}
-
-func (st *statement) condsHold(s *xmldoc.Store, b flexkey.Key) bool {
-	for _, c := range st.conds {
-		hit := false
-		targets := []flexkey.Key{b}
-		if c.path != nil {
-			targets = xpath.Eval(s, b, c.path)
-		}
-		for _, t := range targets {
-			if xpath.CompareValues(xmldoc.StringValue(s, t), c.op, c.lit) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false
-		}
-	}
-	return true
 }
 
 func (st *statement) primitiveFor(s *xmldoc.Store, tgt flexkey.Key) (*Primitive, error) {

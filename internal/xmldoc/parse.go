@@ -12,9 +12,44 @@ import (
 // text is preserved verbatim.
 func Parse(src string) (*Frag, error) {
 	dec := xml.NewDecoder(strings.NewReader(src))
+	root, err := parseRoot(dec)
+	if err != nil {
+		return nil, err
+	}
+	// Only comments, processing instructions and whitespace may follow.
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			return root, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := tok.(xml.StartElement); ok {
+			return nil, fmt.Errorf("xmldoc: multiple root elements")
+		}
+	}
+}
+
+// ParsePrefix parses the single-rooted fragment src begins with, under
+// Parse's rules, and stops where its root element closes: n is the number of
+// bytes consumed, so a caller embedding XML in a larger language (the update
+// language's insert fragments) tokenizes the fragment once and resumes at
+// src[n:].
+func ParsePrefix(src string) (f *Frag, n int, err error) {
+	dec := xml.NewDecoder(strings.NewReader(src))
+	if f, err = parseRoot(dec); err != nil {
+		return nil, 0, err
+	}
+	return f, int(dec.InputOffset()), nil
+}
+
+// parseRoot reads tokens up to and including the end tag of the first
+// element and returns that element's tree.
+func parseRoot(dec *xml.Decoder) (*Frag, error) {
 	var stack []*Frag
 	var root *Frag
-	for {
+	for root == nil || len(stack) > 0 {
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
@@ -32,9 +67,6 @@ func Parse(src string) (*Frag, error) {
 				e.Attrs = append(e.Attrs, &Frag{Kind: Attr, Name: a.Name.Local, Value: a.Value})
 			}
 			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmldoc: multiple root elements")
-				}
 				root = e
 			} else {
 				p := stack[len(stack)-1]

@@ -208,6 +208,40 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// ParsePrefix stops where the first element closes and reports how far it
+// read; the fragment it returns is the one Parse builds from those bytes, and
+// its errors are Parse's.
+func TestParsePrefix(t *testing.T) {
+	for _, c := range []struct{ src, frag string }{
+		{`<a/> after $b`, `<a/>`},
+		{`<a x="1"><b>t</b> <c/></a><d/>`, `<a x="1"><b>t</b> <c/></a>`},
+		{`<a>one<!-- c -->two</a>tail`, `<a>one<!-- c -->two</a>`},
+		{`<?xml version="1.0"?><a> x </a> `, `<?xml version="1.0"?><a> x </a>`},
+	} {
+		f, n, err := ParsePrefix(c.src)
+		if err != nil {
+			t.Fatalf("ParsePrefix(%q): %v", c.src, err)
+		}
+		if c.src[:n] != c.frag {
+			t.Fatalf("ParsePrefix(%q) consumed %q, want %q", c.src, c.src[:n], c.frag)
+		}
+		whole, err := Parse(c.frag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.String() != whole.String() {
+			t.Fatalf("ParsePrefix(%q) = %s, Parse of the same bytes = %s", c.src, f, whole)
+		}
+	}
+	for _, bad := range []string{"", "text only", "<a><b></a>", "<a><b>", "<a x=1/>", "<!-- only -->"} {
+		_, _, perr := ParsePrefix(bad)
+		_, err := Parse(bad)
+		if perr == nil || err == nil || perr.Error() != err.Error() {
+			t.Fatalf("ParsePrefix(%q) error %v, Parse error %v", bad, perr, err)
+		}
+	}
+}
+
 func TestSubtreeSize(t *testing.T) {
 	s, root := loadBib(t)
 	books := ChildElems(s, root, "book")

@@ -298,36 +298,26 @@ func Eval(r xmldoc.Reader, start flexkey.Key, path *Path) []flexkey.Key {
 	return ctx
 }
 
+// evalStep applies one location step to every context node. Contexts are
+// distinct (Eval starts from one node, and each step's output is distinct),
+// so the child, attribute and text() results of different contexts are
+// disjoint: only a descendant step over several contexts — which may be
+// nested in one another — can reach a node twice and needs the dedup set.
 func evalStep(r xmldoc.Reader, ctx []flexkey.Key, st *Step) []flexkey.Key {
+	if len(ctx) == 1 {
+		return applyPreds(r, stepFrom(r, ctx[0], st), st.Preds)
+	}
 	var out []flexkey.Key
-	seen := make(map[flexkey.Key]bool)
+	var seen map[flexkey.Key]bool
+	if st.Axis == Descendant {
+		seen = make(map[flexkey.Key]bool)
+	}
 	for _, c := range ctx {
-		var matched []flexkey.Key
-		switch st.Kind {
-		case AttrTest:
-			if st.Axis == Descendant {
-				for _, e := range append([]flexkey.Key{c}, xmldoc.DescendantElems(r, c, "*")...) {
-					if a, ok := xmldoc.Attribute(r, e, st.Name); ok {
-						matched = append(matched, a)
-					}
-				}
-			} else if a, ok := xmldoc.Attribute(r, c, st.Name); ok {
-				matched = append(matched, a)
-			}
-		case TextTest:
-			if st.Axis == Descendant {
-				matched = descendantTexts(r, c)
-			} else {
-				matched = xmldoc.TextChildren(r, c)
-			}
-		default:
-			if st.Axis == Descendant {
-				matched = xmldoc.DescendantElems(r, c, st.Name)
-			} else {
-				matched = xmldoc.ChildElems(r, c, st.Name)
-			}
+		matched := applyPreds(r, stepFrom(r, c, st), st.Preds)
+		if seen == nil {
+			out = append(out, matched...)
+			continue
 		}
-		matched = applyPreds(r, matched, st.Preds)
 		for _, m := range matched {
 			if !seen[m] {
 				seen[m] = true
@@ -336,6 +326,37 @@ func evalStep(r xmldoc.Reader, ctx []flexkey.Key, st *Step) []flexkey.Key {
 		}
 	}
 	return out
+}
+
+// stepFrom returns the nodes the step's axis and node test reach from one
+// context node, in document order, before predicates.
+func stepFrom(r xmldoc.Reader, c flexkey.Key, st *Step) []flexkey.Key {
+	switch st.Kind {
+	case AttrTest:
+		if st.Axis == Descendant {
+			var matched []flexkey.Key
+			for _, e := range append([]flexkey.Key{c}, xmldoc.DescendantElems(r, c, "*")...) {
+				if a, ok := xmldoc.Attribute(r, e, st.Name); ok {
+					matched = append(matched, a)
+				}
+			}
+			return matched
+		}
+		if a, ok := xmldoc.Attribute(r, c, st.Name); ok {
+			return []flexkey.Key{a}
+		}
+		return nil
+	case TextTest:
+		if st.Axis == Descendant {
+			return descendantTexts(r, c)
+		}
+		return xmldoc.TextChildren(r, c)
+	default:
+		if st.Axis == Descendant {
+			return xmldoc.DescendantElems(r, c, st.Name)
+		}
+		return xmldoc.ChildElems(r, c, st.Name)
+	}
 }
 
 func descendantTexts(r xmldoc.Reader, k flexkey.Key) []flexkey.Key {
@@ -397,8 +418,8 @@ func evalPred(r xmldoc.Reader, n flexkey.Key, pr Pred) bool {
 // numeric comparison when both parse as numbers (XQuery general comparison
 // on untyped data), else string comparison.
 func CompareValues(a, op, b string) bool {
-	af, aok := parseNum(a)
-	bf, bok := parseNum(b)
+	af, aok := ParseNum(a)
+	bf, bok := ParseNum(b)
 	var cmp int
 	if aok && bok {
 		switch {
@@ -427,7 +448,11 @@ func CompareValues(a, op, b string) bool {
 	return false
 }
 
-func parseNum(s string) (float64, bool) {
+// ParseNum is CompareValues' notion of a number: an optional minus sign,
+// digits and at most one dot, surrounding white space ignored. Two values it
+// accepts compare by the numbers it returns, so an index that wants to agree
+// with CompareValues on "=" keys such values by that number.
+func ParseNum(s string) (float64, bool) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, false

@@ -1,8 +1,12 @@
 package xpath
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"xqview/internal/flexkey"
 	"xqview/internal/xmldoc"
 )
 
@@ -181,6 +185,75 @@ func TestCompareValues(t *testing.T) {
 	for _, c := range cases {
 		if got := CompareValues(c.a, c.op, c.b); got != c.want {
 			t.Fatalf("CompareValues(%q %s %q) = %v", c.a, c.op, c.b, got)
+		}
+	}
+}
+
+// evalDedupEverywhere is the step kernel as it was before the child step
+// stopped deduplicating: every step, whatever its axis, filters its output
+// through a seen set.
+func evalDedupEverywhere(r xmldoc.Reader, start flexkey.Key, path *Path) []flexkey.Key {
+	ctx := []flexkey.Key{start}
+	for i := range path.Steps {
+		st := &path.Steps[i]
+		var out []flexkey.Key
+		seen := map[flexkey.Key]bool{}
+		for _, c := range ctx {
+			for _, m := range applyPreds(r, stepFrom(r, c, st), st.Preds) {
+				if !seen[m] {
+					seen[m] = true
+					out = append(out, m)
+				}
+			}
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		ctx = out
+	}
+	return ctx
+}
+
+// randomTree grows an element over the names a, b, c with nesting (a inside
+// a, b inside b), optional x attributes and text children.
+func randomTree(rng *rand.Rand, name string, depth int) *xmldoc.Frag {
+	e := xmldoc.Elem(name)
+	if rng.Intn(3) == 0 {
+		e.Attrs = append(e.Attrs, &xmldoc.Frag{Kind: xmldoc.Attr, Name: "x", Value: fmt.Sprint(rng.Intn(3))})
+	}
+	for i, n := 0, rng.Intn(4); i < n && depth > 0; i++ {
+		if rng.Intn(4) == 0 {
+			e.Children = append(e.Children, &xmldoc.Frag{Kind: xmldoc.Text, Value: fmt.Sprint(rng.Intn(5))})
+			continue
+		}
+		e.Children = append(e.Children, randomTree(rng, string("abc"[rng.Intn(3)]), depth-1))
+	}
+	return e
+}
+
+// TestChildStepMatchesDedupEverywhere pins the induction the child step
+// relies on: from one start node, every step's output is distinct, so only
+// the descendant axis over several (possibly nested) contexts needs a dedup
+// set. The order of hits is the reference's too.
+func TestChildStepMatchesDedupEverywhere(t *testing.T) {
+	paths := []string{
+		"a//b/c", "//a//b", "//a//a/b", "a/b/@x", "//a/@x", "//@x", "//a/text()", "//text()",
+		"a//b[1]/c", "*//*/c", "//a[b]/c", `//a[@x = "1"]//b`, "//b[2]//c/text()", "a/a/a", "//a//b//c",
+		`//a[b = "3"]/b`, "*/*/*",
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := xmldoc.NewStore()
+		root, err := s.LoadFragment("t.xml", randomTree(rng, "a", 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range paths {
+			p := MustParse(src)
+			got, want := Eval(s, root, p), evalDedupEverywhere(s, root, p)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %s:\n got  %v\n want %v", seed, src, got, want)
+			}
 		}
 	}
 }

@@ -164,7 +164,7 @@ func (db *Database) ReplayUpdates(r io.Reader) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for i, prims := range rounds {
-		if _, err := db.applyPrims(prims); err != nil {
+		if _, err := db.applyPrims(prims, 0); err != nil {
 			return i, fmt.Errorf("xqview: replaying batch %d: %w", i+1, err)
 		}
 	}
@@ -372,10 +372,12 @@ func (v *View) ApplyUpdates(script string) (*MaintenanceReport, error) {
 func (db *Database) ApplyUpdates(script string) ([]*MaintenanceReport, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	t0 := time.Now()
 	prims, err := update.ParseAndEvaluate(db.store, script)
 	if err != nil {
 		return nil, err
 	}
+	eval := time.Since(t0)
 	if db.rec != nil {
 		// Record before maintenance: keys are assigned during validation,
 		// so the stream stays replayable against the pre-update documents.
@@ -383,17 +385,18 @@ func (db *Database) ApplyUpdates(script string) ([]*MaintenanceReport, error) {
 			return nil, fmt.Errorf("xqview: recording update batch: %w", err)
 		}
 	}
-	return db.applyPrims(prims)
+	return db.applyPrims(prims, eval)
 }
 
 // applyPrims maintains every registered view under one batch of update
-// primitives. Callers hold db.mu.
-func (db *Database) applyPrims(prims []*update.Primitive) ([]*MaintenanceReport, error) {
+// primitives; eval is the time their script took to parse and evaluate (zero
+// for a replayed batch). Callers hold db.mu.
+func (db *Database) applyPrims(prims []*update.Primitive, eval time.Duration) ([]*MaintenanceReport, error) {
 	views := make([]*core.View, len(db.views))
 	for i, v := range db.views {
 		views[i] = v.view
 	}
-	stats, err := core.MaintainAll(db.store, views, prims, db.opts)
+	stats, err := core.MaintainAll(db.store, views, prims, eval, db.opts)
 	if err != nil {
 		if db.log != nil {
 			db.log.Error("maintenance failed", "err", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xqview/internal/core"
+	"xqview/internal/journal"
 	"xqview/internal/obs"
 )
 
@@ -315,5 +316,64 @@ replace $e/price/text() with "` + price + `"`
 	if sum.CacheHits == 0 || sum.SharedHits == 0 || sum.Skipped == 0 || sum.ArenaBytes == 0 || !compacted {
 		t.Fatalf("default database is not on the production path: cache hits %d, shared hits %d, skipped views %d, arena bytes %d, compacted %v",
 			sum.CacheHits, sum.SharedHits, sum.Skipped, sum.ArenaBytes, compacted)
+	}
+}
+
+// A script is evaluated before its round and the round's telemetry says how
+// long that took: eval_ns in the round sample, outside total_ns, and a
+// ParseEvaluate span on the round's track, ahead of MaintainAll. A script
+// whose statements collide (here: a book deleted twice) is rejected by the
+// evaluation — no round starts, so there is no sample, no journal record
+// and nothing to roll back — and the database takes the next script as if
+// the rejected one had never been sent.
+func TestScriptEvaluationPrecedesRound(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	defer journal.SetEnabled(journal.SetEnabled(true))
+	obs.Rounds.Reset()
+	defer obs.Rounds.Reset()
+	db := NewDatabase()
+	if err := db.LoadDocument("bib.xml", bibXML); err != nil {
+		t.Fatal(err)
+	}
+	v, err := db.CreateView(`<result>{ for $b in doc("bib.xml")/bib/book return $b/title }</result>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	db.SetTracer(tr)
+	del := `for $b in document("bib.xml")/bib/book where $b/title = "Data on the Web" update $b delete $b` + "\n"
+
+	before, rounds := v.XML(), journal.Default.Len()
+	_, err = db.ApplyUpdates(del + del)
+	if err == nil || !strings.Contains(err.Error(), "statement 2 (offset "+fmt.Sprint(len(del))+") deletes") ||
+		!strings.Contains(err.Error(), "statement 1 (offset 0) already deletes") {
+		t.Fatalf("double delete: error %v", err)
+	}
+	if obs.Rounds.Total() != 0 || journal.Default.Len() != rounds || tr.Len() != 0 || v.XML() != before {
+		t.Fatalf("rejected script left a trace: %d samples, %d journal rounds (was %d), %d trace events, extent %s",
+			obs.Rounds.Total(), journal.Default.Len(), rounds, tr.Len(), v.XML())
+	}
+
+	reps, err := db.ApplyUpdates(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := v.XML(), `<result><title>TCP/IP Illustrated</title></result>`; got != want {
+		t.Fatalf("after delete: %s", got)
+	}
+	sm, _ := obs.Rounds.Last()
+	if sm.EvalNS <= 0 || sm.TotalNS != reps[0].Total.Nanoseconds() {
+		t.Fatalf("sample eval_ns %d total_ns %d, report total %d", sm.EvalNS, sm.TotalNS, reps[0].Total.Nanoseconds())
+	}
+	var names []string
+	tids := map[int64]bool{}
+	for _, ev := range tr.Events() {
+		if ev.Ph == "X" && (ev.Name == "ParseEvaluate" || ev.Name == "MaintainAll") {
+			names = append(names, ev.Name)
+			tids[ev.TID] = true
+		}
+	}
+	if !reflect.DeepEqual(names, []string{"ParseEvaluate", "MaintainAll"}) || len(tids) != 1 {
+		t.Fatalf("trace has %v on %d tracks, want ParseEvaluate then MaintainAll on one", names, len(tids))
 	}
 }
