@@ -7,8 +7,8 @@
 # front ends, the xqtop golden frames, the MVCC concurrency battery under a
 # deadline (the read path's frame-body memo test rides in it: racing first
 # readers, bodies shared across versions), the unused-field lint over the
-# shared-DAG, MVCC and script-evaluation structs, and last the repository's
-# one benchmark against its own bounds (≈ 3 min).
+# round, shared-DAG, MVCC and script-evaluation structs, and last the
+# repository's one benchmark against its own bounds (≈ 3 min).
 #
 # Usage: ./check.sh [extra go test args, e.g. -count=1; -short falls under the
 # coverage floor]
@@ -83,13 +83,12 @@ go test -race -timeout 300s \
 	-run 'TestSnapshotLinearizability|TestSnapshotEpochReclamation|TestSnapRegLifecycle|TestFrameBodySharedAcrossVersions|TestCrashConsistencyEverySite|TestSharedCrashConsistencyEverySite' \
 	. ./internal/core/ >&2
 
-# Unused-field lint: a field of the shared-DAG or MVCC plumbing that nothing
-# reads means a broken subscription, fan-out, publish or drain path; a memo
-# field of the script evaluation context that nothing reads is a dead cache.
-echo "== structcheck (shared DAG, MVCC snapshot and script evaluation structs)" >&2
-sh scripts/structcheck.sh internal/xat/shared.go internal/core/txn.go \
-	internal/core/snapshot.go internal/xmldoc/snapshot.go \
-	internal/update/script.go >&2
+# Unused-field lint: a round field nothing references is a phase slot no
+# phase fills or reports; a shared-DAG or MVCC field, a broken fan-out,
+# publish or drain path; a script-evaluation one, a dead memo.
+echo "== structcheck (round, shared DAG, MVCC snapshot and script evaluation structs)" >&2
+sh scripts/structcheck.sh internal/core/round.go internal/xat/shared.go internal/core/txn.go \
+	internal/core/snapshot.go internal/xmldoc/snapshot.go internal/update/script.go >&2
 
 # The benchmark, twice over this tree: every operation checked against the
 # recompute oracle, every end-to-end metric × workload beside the bound

@@ -5,11 +5,12 @@
 //
 //	xbench                 # all figures at default scale
 //	xbench -fig 9.2        # one figure
-//	xbench -fig parallel   # the parallel multi-view maintenance figure
-//	xbench -fig obs        # the observability-overhead figure
 //	xbench -scale 0.25     # smaller sweeps
 //	xbench -markdown       # markdown tables (for EXPERIMENTS.md)
-//	xbench -parallel 4     # pool size for the parallel arms (0 = GOMAXPROCS)
+//
+// Parallel maintenance speedup and observability overhead are not figures
+// here: the benchmark (go run ./benchmark) reports them as core.pool_speedup
+// and obs.trace_overhead_pct.
 package main
 
 import (
@@ -27,7 +28,6 @@ var runners = map[string]func(float64) (*bench.Figure, error){
 	"4.9": bench.Fig4_9, "4.10": bench.Fig4_10,
 	"9.1": bench.Fig9_1, "9.2": bench.Fig9_2, "9.3": bench.Fig9_3,
 	"9.4": bench.Fig9_4, "9.5": bench.Fig9_5, "9.6": bench.Fig9_6,
-	"parallel": bench.FigParallel, "obs": bench.FigObs,
 }
 
 func main() {
@@ -43,16 +43,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fig := fs.String("fig", "", "figure id to run (e.g. 9.2); empty = all")
 	scale := fs.Float64("scale", 1.0, "dataset scale factor")
 	markdown := fs.Bool("markdown", false, "emit markdown tables")
-	parallel := fs.Int("parallel", 0, "worker pool size for the parallel maintenance arms (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	bench.Parallelism = *parallel
 	var figs []*bench.Figure
 	if *fig != "" {
 		r, ok := runners[*fig]
 		if !ok {
-			return fmt.Errorf("unknown figure %q (known: 3.7 3.8 3.9 3.10 4.9 4.10 9.1..9.6 parallel obs)", *fig)
+			return fmt.Errorf("unknown figure %q (known: 3.7 3.8 3.9 3.10 4.9 4.10 9.1..9.6)", *fig)
 		}
 		f, err := r(*scale)
 		if err != nil {

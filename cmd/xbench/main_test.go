@@ -25,20 +25,6 @@ func TestRunMarkdown(t *testing.T) {
 	}
 }
 
-func TestRunParallelFigure(t *testing.T) {
-	var out, errw strings.Builder
-	if err := run([]string{"-fig", "parallel", "-scale", "0.05", "-parallel", "2"}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "Fig P.1") || !strings.Contains(s, "speedup") {
-		t.Fatalf("parallel figure output: %s", s)
-	}
-	if !strings.Contains(s, "pool = 2 workers") {
-		t.Fatalf("-parallel flag not honored: %s", s)
-	}
-}
-
 func TestRunUnknownFigure(t *testing.T) {
 	var out, errw strings.Builder
 	if err := run([]string{"-fig", "42"}, &out, &errw); err == nil {

@@ -105,7 +105,6 @@ func All(scale float64) ([]*Figure, error) {
 		Fig3_7, Fig3_8, Fig3_9, Fig3_10,
 		Fig4_9, Fig4_10,
 		Fig9_1, Fig9_2, Fig9_3, Fig9_4, Fig9_5, Fig9_6,
-		FigParallel, FigObs,
 	}
 	var out []*Figure
 	for _, r := range runners {

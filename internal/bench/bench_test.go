@@ -15,7 +15,7 @@ func TestAllFiguresRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(figs) != 14 {
+	if len(figs) != 12 {
 		t.Fatalf("figures: %d", len(figs))
 	}
 	for _, f := range figs {

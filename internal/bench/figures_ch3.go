@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"xqview/internal/xmark"
-	"xqview/internal/xmldoc"
 )
 
 // The four order-experiment queries of Fig 3.6, over the XMark-style
@@ -156,15 +154,4 @@ func Fig4_9(scale float64) (*Figure, error) {
 // Fig4_10 reproduces Fig 4.10: semantic-id generation overhead, Query 2.
 func Fig4_10(scale float64) (*Figure, error) {
 	return identFigure("Fig 4.10", "semantic identifier overhead, Query 2 (grouped construction)", IdentQ2, scale)
-}
-
-// siteStore is a helper shared with benchmarks.
-func siteStore(n int) (*xmldoc.Store, error) {
-	return xmark.LoadSite(xmark.DefaultSite(n))
-}
-
-// Materialize builds a view and returns creation time (benchmark kernel).
-func Materialize(store *xmldoc.Store, query string) (time.Duration, error) {
-	_, d, err := timeView(store, query)
-	return d, err
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xqview/internal/flexkey"
+	"xqview/internal/journal"
 	"xqview/internal/update"
 	"xqview/internal/validate"
 	"xqview/internal/xmldoc"
@@ -55,72 +58,96 @@ func dupReplaceBatch(t *testing.T, rng *rand.Rand, s *xmldoc.Store) []*update.Pr
 	return nil
 }
 
-// TestCompactionWidensBatchLanguage pins the FLUX-style composition payoff:
-// merge and cancel admit batches that reference in-batch inserted nodes,
-// which validation alone would reject (the parent is not in the base store),
-// and the compacted result matches sequential application.
+// TestCompactionWidensBatchLanguage pins what compaction does not do: it
+// never rewrites a batch into one validation accepts. A batch that inserts
+// under, or deletes, a node another primitive of the same batch inserts
+// cannot come from an update script (every statement sees the pre-script
+// store), so no rule splices or cancels such pairs and validation rejects
+// them. The round aborts before touching anything: store, extents and state
+// cache stay byte-identical, the journal's earlier rounds are unchanged, and
+// the only new record is the aborted round, with no compaction decision.
 func TestCompactionWidensBatchLanguage(t *testing.T) {
-	mkArm := func(t *testing.T) (*xmldoc.Store, *View) {
-		s := xmldoc.NewStore()
-		if _, err := s.Load("bib.xml", `<bib><book year="1994"><title>Base</title></book></bib>`); err != nil {
-			t.Fatal(err)
-		}
-		v, err := NewView(s, `<result>{ for $b in doc("bib.xml")/bib/book return <t>{$b/title}</t> }</result>`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, v
+	defer journal.SetEnabled(journal.SetEnabled(true))
+	defer journal.Default.Reset()
+	// inserted builds a hand-made batch's first primitive: a new book with
+	// its key already assigned, so a second primitive can name it.
+	inserted := func(s *xmldoc.Store) (*update.Primitive, flexkey.Key) {
+		root, _ := s.RootElem("bib.xml")
+		books := xmldoc.ChildElems(s, root, "book")
+		k := flexkey.SiblingBetween(root, books[len(books)-1], "")
+		return &update.Primitive{Kind: update.Insert, Doc: "bib.xml", Parent: root, Key: k,
+			Frag: xmldoc.Elem("book", xmldoc.Elem("title", xmldoc.TextF("Grown")))}, k
 	}
-
-	t.Run("merge", func(t *testing.T) {
-		s, v := mkArm(t)
-		root, _ := s.RootElem("bib.xml")
-		books := xmldoc.ChildElems(s, root, "book")
-		k := flexkey.SiblingBetween(root, books[len(books)-1], "")
-		prims := func() []*update.Primitive {
-			return []*update.Primitive{
-				{Kind: update.Insert, Doc: "bib.xml", Parent: root, Key: k,
-					Frag: xmldoc.Elem("book", xmldoc.Elem("title", xmldoc.TextF("Grown")))},
-				{Kind: update.Insert, Doc: "bib.xml", Parent: k,
-					Frag: xmldoc.Elem("extra", xmldoc.TextF("tail"))},
+	cases := map[string]func(s *xmldoc.Store) []*update.Primitive{
+		"merge": func(s *xmldoc.Store) []*update.Primitive {
+			ins, k := inserted(s)
+			return []*update.Primitive{ins,
+				{Kind: update.Insert, Doc: "bib.xml", Parent: k, Frag: xmldoc.Elem("extra", xmldoc.TextF("tail"))}}
+		},
+		"cancel": func(s *xmldoc.Store) []*update.Primitive {
+			ins, k := inserted(s)
+			return []*update.Primitive{ins, {Kind: update.Delete, Doc: "bib.xml", Key: k}}
+		},
+	}
+	for name, batch := range cases {
+		t.Run(name, func(t *testing.T) {
+			journal.Default.Reset()
+			s := xmldoc.NewStore()
+			if _, err := s.Load("bib.xml", `<bib><book year="1994"><title>Base</title></book></bib>`); err != nil {
+				t.Fatal(err)
 			}
-		}
-		want, err := Recompute(s, v.Query, prims())
-		if err != nil {
-			t.Fatalf("sequential ground truth rejected the batch: %v", err)
-		}
-		if _, err := validate.Validate(s, v.SAPT, prims()); err == nil {
-			t.Fatal("validation alone accepts an in-batch parent reference; merge rule is vacuous")
-		}
-		if _, err := MaintainAll(s, []*View{v}, prims(), 0, Options{Parallelism: 1}); err != nil {
-			t.Fatalf("merged batch rejected: %v", err)
-		}
-		if got := v.XML(); got != want {
-			t.Fatalf("merged batch diverges from sequential application\ngot:  %s\nwant: %s", got, want)
-		}
-	})
-
-	t.Run("cancel", func(t *testing.T) {
-		s, v := mkArm(t)
-		before := v.XML()
-		root, _ := s.RootElem("bib.xml")
-		books := xmldoc.ChildElems(s, root, "book")
-		k := flexkey.SiblingBetween(root, books[len(books)-1], "")
-		prims := func() []*update.Primitive {
-			return []*update.Primitive{
-				{Kind: update.Insert, Doc: "bib.xml", Parent: root, Key: k,
-					Frag: xmldoc.Elem("book", xmldoc.Elem("title", xmldoc.TextF("Ephemeral")))},
-				{Kind: update.Delete, Doc: "bib.xml", Key: k},
+			v, err := NewView(s, `<result>{ for $b in doc("bib.xml")/bib/book return <t>{$b/title}</t> }</result>`)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if _, err := validate.Validate(s, v.SAPT, prims()); err == nil {
-			t.Fatal("validation alone accepts an in-batch delete target; cancel rule is vacuous")
-		}
-		if _, err := MaintainAll(s, []*View{v}, prims(), 0, Options{Parallelism: 1}); err != nil {
-			t.Fatalf("annihilating batch rejected: %v", err)
-		}
-		if got := v.XML(); got != before {
-			t.Fatalf("annihilated batch changed the extent\ngot:    %s\nbefore: %s", got, before)
-		}
-	})
+			// One committed round first, so cache and journal hold state.
+			warm, err := update.ParseAndEvaluate(s, `for $b in document("bib.xml")/bib/book update $b replace $b/title/text() with "Warm"`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := MaintainAll(s, []*View{v}, warm, 0); err != nil {
+				t.Fatal(err)
+			}
+			state := func() string {
+				var b strings.Builder
+				b.WriteString(s.DebugDump())
+				for _, r := range v.Extent {
+					b.WriteString(r.Dump())
+				}
+				b.WriteString(v.cache.Fingerprint())
+				return b.String()
+			}
+			pre, preJournal := state(), journalJSON(t, journal.Default.Rounds())
+
+			prims := batch(s)
+			if _, _, decs := update.CompactBatch(prims); decs != nil {
+				t.Fatalf("compaction rewrote the batch: %+v", decs)
+			}
+			if _, err := validate.Validate(s, v.SAPT, prims); err == nil {
+				t.Fatal("validation accepts an in-batch reference to an inserted node")
+			}
+			if _, err := MaintainAll(s, []*View{v}, prims, 0); err == nil || !strings.Contains(err.Error(), "validate") {
+				t.Fatalf("round over the %s-shaped batch: err = %v, want a validation error", name, err)
+			}
+			if got := state(); got != pre {
+				t.Fatalf("rejected round changed store, extent or cache:\n--- before ---\n%s\n--- after ---\n%s", pre, got)
+			}
+			rounds := journal.Default.Rounds()
+			if got := journalJSON(t, rounds[:len(rounds)-1]); got != preJournal {
+				t.Fatalf("rejected round changed earlier journal rounds:\n%s\nwant:\n%s", got, preJournal)
+			}
+			if last := rounds[len(rounds)-1]; !last.Aborted || len(last.Compactions) != 0 {
+				t.Fatalf("rejected round journaled as aborted=%v with compactions %+v", last.Aborted, last.Compactions)
+			}
+		})
+	}
+}
+
+func journalJSON(t *testing.T, rounds []*journal.Round) string {
+	t.Helper()
+	b, err := json.Marshal(rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -15,7 +15,7 @@ import (
 // Fault points at the MVCC commit path's two new boundaries: building the
 // candidate version (after the source refresh, while the undo log is still
 // live) and the instant before the pointer swap. Both fire BEFORE the
-// infallible txn.commit(), so an injected fault aborts the round with the
+// infallible install of the round, so an injected fault aborts the round with the
 // old version still published — in-flight readers never observe a torn
 // state, and rollback restores the writer-side structures byte-identically.
 var (
@@ -284,8 +284,8 @@ func liveFrames(views []*View, prev *Version) []ViewFrame {
 // exactly the touched keys), staged views contribute their candidate
 // extents and prepared cache views, untouched views carry their frames
 // forward, serialized body included. The caller publishes the result only
-// after txn.commit().
-func buildCandidate(reg *SnapReg, store *xmldoc.Store, views []*View, txn *roundTxn) (*Version, error) {
+// after the round installed.
+func buildCandidate(reg *SnapReg, store *xmldoc.Store, views []*View, stages []viewStage) (*Version, error) {
 	if err := fpSnapBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("snapshot build: %w", err)
 	}
@@ -301,7 +301,7 @@ func buildCandidate(reg *SnapReg, store *xmldoc.Store, views []*View, txn *round
 	for i, cv := range views {
 		f := &v.Frames[i]
 		f.View, f.Name, f.Query = cv, cv.displayName(i), cv.Query
-		if st := &txn.stages[i]; st.staged {
+		if st := &stages[i]; st.staged {
 			f.Extent = st.extent
 			f.Cache = st.cache.SnapshotView(st.prep)
 		} else {

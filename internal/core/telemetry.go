@@ -7,13 +7,13 @@ import (
 	"xqview/internal/xat"
 )
 
-// Round telemetry: maintainAll assembles one obs.RoundSample per round from
-// the stats the pipeline already produces — phase durations and deep-union
-// traffic from MaintStats, cache activity as a lifetime-counter diff across
-// the round, arena occupancy sampled just before the round transaction
-// releases its arenas, and a heap-object delta from runtime/metrics. All of
-// it is gated on obs.Enabled() once at round start, so the disabled path
-// pays one atomic load and allocates nothing.
+// Round telemetry: each round appends one obs.RoundSample, assembled from
+// what the pipeline already produces — the round's phase slots, per-view
+// work and deep-union traffic from MaintStats, cache activity as a
+// lifetime-counter diff across the round, arena occupancy sampled just
+// before the round transaction releases its arenas, and a heap-object delta
+// from runtime/metrics. All of it is gated on obs.Enabled() once at round
+// start, so the disabled path pays one atomic load and allocates nothing.
 
 // heapAllocObjects reads the runtime's cumulative heap-object allocation
 // counter; the delta across a round is the live allocs-per-round signal
@@ -39,53 +39,38 @@ func sumCacheStats(views []*View) xat.CacheStats {
 	return t
 }
 
-// roundProbe carries the start-of-round snapshots a RoundSample is diffed
-// against. The zero value means telemetry was disabled at round start.
-type roundProbe struct {
-	active      bool
-	cacheBefore xat.CacheStats
-	heapBefore  uint64
-}
-
-// beginRoundProbe snapshots the diffable counters when telemetry is on.
-func beginRoundProbe(views []*View) roundProbe {
-	if !obs.Enabled() {
-		return roundProbe{}
+// record appends the round's RoundSample. Every sample carries the phase
+// slots, which sum to TotalNS; an aborted round's sample stops there, a
+// committed round's adds what the round did: batch sizes, per-view work,
+// extent traffic, cache and arena activity, and the version it published.
+func (r *round) record(aborted bool) {
+	if !r.telemetry {
+		return
 	}
-	return roundProbe{
-		active:      true,
-		cacheBefore: sumCacheStats(views),
-		heapBefore:  heapAllocObjects(),
-	}
-}
-
-// sharedRound summarizes a round's shared-frontier phase for telemetry:
-// groups propagated once, member subscriptions fanned out, and the per-view
-// propagations saved (fanout - groups).
-type sharedRound struct {
-	groups, fanout, hits int
-}
-
-// sample assembles the finished round's RoundSample. out is the per-view
-// stats of a committed round; arenaBytes/arenaChunks were sampled before the
-// round transaction released its arenas.
-func (p roundProbe) sample(out []*MaintStats, views []*View, primsIn, primsOut int, arenaBytes int64, arenaChunks int, shr sharedRound) obs.RoundSample {
 	s := obs.RoundSample{
-		PrimsIn:      int32(primsIn),
-		PrimsOut:     int32(primsOut),
-		Views:        int32(len(views)),
-		ArenaBytes:   arenaBytes,
-		ArenaChunks:  int32(arenaChunks),
-		SharedGroups: int32(shr.groups),
-		SharedFanout: int32(shr.fanout),
-		SharedHits:   int32(shr.hits),
+		Aborted:    aborted,
+		EvalNS:     r.eval.Nanoseconds(),
+		CompactNS:  r.compactTime.Nanoseconds(),
+		ValidateNS: r.validateTime.Nanoseconds(),
+		SharedNS:   r.sharedTime.Nanoseconds(),
+		PoolNS:     r.poolTime.Nanoseconds(),
+		SourceNS:   r.sourceTime.Nanoseconds(),
+		SnapshotNS: r.snapshotTime.Nanoseconds(),
+		CommitNS:   r.commitTime.Nanoseconds(),
+		RollbackNS: r.rollbackTime.Nanoseconds(),
+		TotalNS:    r.clock.Sub(r.start).Nanoseconds(),
+		Views:      int32(len(r.views)),
+		PrimsIn:    int32(len(r.orig)),
 	}
-	if len(out) > 0 {
-		s.ValidateNS = out[0].Validate.Nanoseconds()
-		s.SourceNS = out[0].Source.Nanoseconds()
-		s.TotalNS = out[0].Total.Nanoseconds()
+	if aborted {
+		obs.Rounds.Append(s)
+		return
 	}
-	for _, ms := range out {
+	s.PrimsOut = int32(len(r.prims))
+	s.ArenaBytes, s.ArenaChunks = r.arenaBytes, int32(r.arenaChunks)
+	s.SharedGroups, s.SharedFanout = int32(r.sharedGroups), int32(r.sharedFanout)
+	s.SharedHits = s.SharedFanout - s.SharedGroups
+	for _, ms := range r.out {
 		s.PropagateNS += ms.Propagate.Nanoseconds()
 		s.ApplyNS += ms.Apply.Nanoseconds()
 		s.Skipped += int32(ms.Skipped)
@@ -95,11 +80,17 @@ func (p roundProbe) sample(out []*MaintStats, views []*View, primsIn, primsOut i
 		s.Removed += int32(ms.Union.Removed)
 		s.Modified += int32(ms.Union.Modified)
 	}
-	d := sumCacheStats(views).Sub(p.cacheBefore)
+	d := sumCacheStats(r.views).Sub(r.cacheBefore)
 	s.CacheHits = int32(d.Hits)
 	s.CacheMisses = int32(d.Misses)
 	s.CacheFolds = int32(d.Folds)
 	s.CacheEvicts = int32(d.Evictions)
-	s.HeapAllocs = int64(heapAllocObjects() - p.heapBefore)
-	return s
+	s.HeapAllocs = int64(heapAllocObjects() - r.heapBefore)
+	if r.cand != nil {
+		s.SnapEpoch = int64(r.cand.Seq)
+		s.SnapRetired = int32(r.opt.Snapshots.RetiredCount())
+		s.SnapReaders = int32(gSnapReaders.Value())
+		s.SnapDepth = int32(r.cand.Store.Depth())
+	}
+	obs.Rounds.Append(s)
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
+	"xqview/internal/faultinject"
 	"xqview/internal/obs"
 	"xqview/internal/update"
 	"xqview/internal/xat"
+	"xqview/internal/xmldoc"
 )
 
 // TestRoundTelemetrySample checks the success-path recording site: an
@@ -76,7 +79,10 @@ replace $entry/price/text() with "71"
 }
 
 // TestRoundTelemetryAborted checks the failure-path recording site: a round
-// that rolls back still leaves a sample behind, marked aborted.
+// that rolls back still leaves a sample behind, marked aborted, whose phase
+// fields hold the phases that ran — the failing one up to the failure — and
+// the rollback, and sum to TotalNS. It fails a round at every fault site in
+// turn, plus once from an operator with no delta rule.
 func TestRoundTelemetryAborted(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	obs.Rounds.Reset()
@@ -93,6 +99,134 @@ func TestRoundTelemetryAborted(t *testing.T) {
 	}
 	if !sm.Aborted || sm.Views != int32(len(views)) || sm.PrimsIn <= 0 {
 		t.Fatalf("aborted sample = %+v", sm)
+	}
+	checkAbortedPhases(t, sm, phasePool)
+
+	// The phase each fault site fails, on a batch every crash-arm view and
+	// shared prefix reads: the pool's first dispatch is the shared phase's.
+	failsIn := map[string]int{
+		"validate.batch":        phaseValidate,
+		"core.pool.task":        phaseShared,
+		"xat.propagate":         phaseShared,
+		"xat.statecache.commit": phaseShared,
+		"deepunion.apply":       phasePool,
+		"deepunion.apply.prune": phasePool,
+		"core.refresh":          phaseSource,
+		"core.snapshot.build":   phaseSnapshot,
+		"core.snapshot.swap":    phaseSnapshot,
+	}
+	for _, site := range FaultSites() {
+		t.Run(site, func(t *testing.T) {
+			defer faultinject.Reset()
+			phase, ok := failsIn[site]
+			if !ok {
+				t.Fatalf("fault site %s has no expected phase", site)
+			}
+			rng := rand.New(rand.NewSource(0xAB0))
+			a := newCrashArm(t, randomBib(rng, 6), randomPrices(rng, 5))
+			root, _ := a.store.RootElem("bib.xml")
+			batch := []*update.Primitive{{Kind: update.Insert, Doc: "bib.xml", Parent: root,
+				Frag: xmldoc.Elem("book", xmldoc.AttrF("year", "1999"),
+					xmldoc.Elem("title", xmldoc.TextF(titlesPool[0])))}}
+			if err := faultinject.Arm(site, faultinject.ModeError, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := MaintainAll(a.store, a.views, batch, 0, a.opts()); err == nil {
+				t.Fatalf("armed %s did not fail the round", site)
+			}
+			sm, _ := obs.Rounds.Last()
+			if !sm.Aborted {
+				t.Fatalf("sample not aborted: %+v", sm)
+			}
+			checkAbortedPhases(t, sm, phase)
+		})
+	}
+}
+
+// The round's phases in pipeline order, as indexes into phaseFields.
+const (
+	phaseCompact = iota
+	phaseValidate
+	phaseShared
+	phasePool
+	phaseSource
+	phaseSnapshot
+	phaseCommit
+)
+
+// phaseFields lists a sample's phase fields in pipeline order, rollback
+// last; together they partition TotalNS.
+func phaseFields(s obs.RoundSample) []int64 {
+	return []int64{s.CompactNS, s.ValidateNS, s.SharedNS, s.PoolNS, s.SourceNS, s.SnapshotNS, s.CommitNS, s.RollbackNS}
+}
+
+// checkPhaseSum asserts the sample's phase fields add up to TotalNS exactly.
+func checkPhaseSum(t *testing.T, s obs.RoundSample) {
+	t.Helper()
+	var sum int64
+	for _, ns := range phaseFields(s) {
+		sum += ns
+	}
+	if sum != s.TotalNS {
+		t.Fatalf("phases sum to %d ns, total_ns is %d: %+v", sum, s.TotalNS, s)
+	}
+}
+
+// checkAbortedPhases asserts an aborted sample's shape for a round that
+// failed in phase failed: every phase up to it and the rollback non-zero,
+// every later phase zero, and the sum exactly TotalNS.
+func checkAbortedPhases(t *testing.T, s obs.RoundSample, failed int) {
+	t.Helper()
+	checkPhaseSum(t, s)
+	fields := phaseFields(s)
+	for i, ns := range fields[:phaseCommit+1] {
+		if (i <= failed) != (ns > 0) {
+			t.Fatalf("phase %d = %d ns in a round that failed in phase %d: %+v", i, ns, failed, s)
+		}
+	}
+	if s.RollbackNS <= 0 {
+		t.Fatalf("aborted sample has no rollback time: %+v", s)
+	}
+}
+
+// TestRoundPhasesSumToTotal holds every committed round of the randomized
+// oracle's five families to the partition: the phase fields of its sample
+// add up to TotalNS exactly, and TotalNS is the round's MaintStats.Total.
+func TestRoundPhasesSumToTotal(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	for _, fam := range roundFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(fam.seed))
+			store, views := newArm(t, randomBib(rng, 6), randomPrices(rng, 5), fam.queries)
+			reg := NewSnapReg()
+			reg.PublishFull(store, views)
+			opts := Options{SharedDAG: xat.BuildSharedDAG(plansOf(views)), Snapshots: reg}
+			for round := 0; round < 8; round++ {
+				var prims []*update.Primitive
+				if fam.dupReplace {
+					prims = dupReplaceBatch(t, rng, store)
+				} else if prims = randomBatch(t, rng, store, 1+rng.Intn(3)); !conflictFree(prims) {
+					continue
+				}
+				obs.Rounds.Reset()
+				stats, err := MaintainAll(store, views, prims, 0, opts)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				sm, ok := obs.Rounds.Last()
+				if !ok || sm.Aborted {
+					t.Fatalf("round %d: sample %+v", round, sm)
+				}
+				checkPhaseSum(t, sm)
+				if sm.TotalNS != stats[0].Total.Nanoseconds() || sm.ValidateNS != stats[0].Validate.Nanoseconds() ||
+					sm.SourceNS != stats[0].Source.Nanoseconds() {
+					t.Fatalf("round %d: sample %+v disagrees with report %+v", round, sm, *stats[0])
+				}
+				if sm.PoolNS <= 0 || sm.SnapshotNS <= 0 || sm.CommitNS <= 0 || sm.RollbackNS != 0 {
+					t.Fatalf("round %d: phase fields %+v", round, sm)
+				}
+			}
+		})
 	}
 }
 

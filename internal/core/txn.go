@@ -5,7 +5,6 @@ import (
 	"xqview/internal/faultinject"
 	"xqview/internal/obs"
 	"xqview/internal/xat"
-	"xqview/internal/xmldoc"
 )
 
 // fpRefresh guards the source-refresh phase: it fires per primitive, so a
@@ -20,10 +19,17 @@ var (
 	cRollbackRestored = obs.Default.CounterOf("xqview_rollback_restored_total", "store pre-images restored plus candidate extent copies abandoned by round rollbacks")
 )
 
+// The round transaction: every fallible step of a round stages its outcome
+// in the round's slots — per-view extents under a deepunion.Txn, cache
+// commits as PreparedCommit, store mutations under the store's undo log —
+// and install makes everything live together only after the whole round
+// succeeded, while restore puts every structure back byte-identical to the
+// pre-round state.
+
 // viewStage is one view's staged outcome within a round transaction. The
 // worker maintaining view i is the only writer of slot i (the same
-// index-addressed ownership as the out/propStats slots), and the slots are
-// only read after the pool joins.
+// index-addressed ownership as the out slots), and the slots are only read
+// after the pool joins.
 //
 // tx and cache are registered before the apply phase runs. Apply is
 // copy-on-write, so a worker that dies mid-apply leaves the live extent
@@ -51,39 +57,19 @@ type sharedStage struct {
 	prep  *xat.PreparedCommit
 }
 
-// roundTxn makes one MaintainAll round all-or-nothing. Every fallible step
-// stages its outcome here — per-view extents under a deepunion.Txn, cache
-// commits as PreparedCommit, store mutations under the store's undo log —
-// and commit installs everything together only after the whole round
-// succeeded. rollback restores every structure byte-identical to the
-// pre-round state.
-type roundTxn struct {
-	store  *xmldoc.Store
-	views  []*View
-	stages []viewStage
-	// shared holds the round's shared-group cache commits, one slot per
-	// group of the round's SharedDAG (nil when the DAG is empty). Installed
-	// before the per-view stages at commit; order is irrelevant — the
-	// partitions are disjoint.
-	shared []sharedStage
-}
-
-func newRoundTxn(store *xmldoc.Store, views []*View) *roundTxn {
-	return &roundTxn{store: store, views: views, stages: make([]viewStage, len(views))}
-}
-
-// commit installs the round: store mutations are kept, staged extents become
-// the views' extents, and prepared cache commits are swapped in. Nothing
-// here can fail — every fallible step already ran.
-func (t *roundTxn) commit() {
-	t.store.CommitUndo()
-	for i := range t.shared {
-		st := &t.shared[i]
+// install makes the round live: store mutations are kept, staged extents
+// become the views' extents, and prepared cache commits are swapped in
+// (shared partitions first; they are disjoint from the views', so order is
+// irrelevant). Nothing here can fail — every fallible step already ran.
+func (r *round) install() {
+	r.store.CommitUndo()
+	for i := range r.shared {
+		st := &r.shared[i]
 		st.cache.Install(st.prep)
-		t.shared[i] = sharedStage{}
+		r.shared[i] = sharedStage{}
 	}
-	for i, v := range t.views {
-		st := &t.stages[i]
+	for i, v := range r.views {
+		st := &r.stages[i]
 		if st.staged {
 			v.Extent = st.extent
 			st.cache.Install(st.prep)
@@ -98,27 +84,27 @@ func (t *roundTxn) commit() {
 	}
 }
 
-// rollback undoes everything the round touched: source-refresh mutations via
+// restore undoes everything the round touched: source-refresh mutations via
 // the store undo log, candidate extent copies by abandoning each view's
 // deepunion.Txn (the live extent was never written), and cache staging via
 // Rollback (held cache entries stay — they describe the pre-round store,
 // which this restores). Staged extents and prepared commits are simply
 // dropped. Returns store pre-images restored plus copies abandoned.
-func (t *roundTxn) rollback() int {
-	restored := t.store.RollbackUndo()
-	for i := range t.shared {
-		t.shared[i].cache.Rollback()
-		t.shared[i] = sharedStage{}
+func (r *round) restore() int {
+	restored := r.store.RollbackUndo()
+	for i := range r.shared {
+		r.shared[i].cache.Rollback()
+		r.shared[i] = sharedStage{}
 	}
-	for i := range t.stages {
-		st := &t.stages[i]
+	for i := range r.stages {
+		st := &r.stages[i]
 		if st.tx != nil {
 			restored += st.tx.Rollback()
 			st.tx.Release()
 		}
 		st.cache.Rollback()
 		st.alloc.Release()
-		t.stages[i] = viewStage{}
+		r.stages[i] = viewStage{}
 	}
 	if obs.Enabled() {
 		cRollbacks.Inc()

@@ -245,10 +245,7 @@ func explainInView(r *Round, vl *ViewLineage, key string) (string, bool) {
 				if d != pi {
 					continue
 				}
-				fmt.Fprintf(&b, "    compacted: %s", c.Rule)
-				if c.Kept >= 0 {
-					fmt.Fprintf(&b, " into primitive #%d", c.Kept)
-				}
+				fmt.Fprintf(&b, "    compacted: %s into primitive #%d", c.Rule, c.Kept)
 				if c.Detail != "" {
 					fmt.Fprintf(&b, " (%s)", c.Detail)
 				}

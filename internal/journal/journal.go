@@ -83,8 +83,8 @@ type Verdict struct {
 // batch, so explain output numbers primitives identically whether or not
 // compaction ran.
 type CompactionRecord struct {
-	Rule    string `json:"rule"`             // "coalesce", "merge" or "cancel"
-	Kept    int    `json:"kept"`             // absorbing primitive, -1 when none survives
+	Rule    string `json:"rule"`             // "coalesce"
+	Kept    int    `json:"kept"`             // the surviving primitive
 	Dropped []int  `json:"dropped"`          // primitives removed before validation
 	Detail  string `json:"detail,omitempty"` // target description
 }

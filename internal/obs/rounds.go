@@ -30,8 +30,9 @@ type RoundSample struct {
 	// UnixNano is the wall-clock completion time (dashboard freshness; the
 	// provenance journal stays timestamp-free, telemetry need not).
 	UnixNano int64 `json:"unix_nano"`
-	// Aborted marks a round that failed and was rolled back; phase timings
-	// of an aborted round cover the work done before the rollback.
+	// Aborted marks a round that failed and was rolled back. Its phase
+	// fields hold the phases that ran, the failing one up to the failure,
+	// and RollbackNS; the phases after the failure are zero.
 	Aborted bool `json:"aborted,omitempty"`
 
 	// EvalNS is the wall time spent parsing the round's update script and
@@ -39,13 +40,24 @@ type RoundSample struct {
 	// TotalNS. Zero when the primitives did not come from a script.
 	EvalNS int64 `json:"eval_ns"`
 
-	// Wall time per VPA phase, nanoseconds. Validate/Source/Total are
-	// per-batch; Propagate/Apply sum the per-view work of the round.
-	ValidateNS  int64 `json:"validate_ns"`
+	// Wall time per round phase, nanoseconds, in pipeline order. One clock
+	// reading ends a phase and starts the next, so these eight partition the
+	// round: they sum to TotalNS exactly. PoolNS is the wall time of the
+	// per-view Propagate+Apply pool.
+	CompactNS  int64 `json:"compact_ns"`
+	ValidateNS int64 `json:"validate_ns"`
+	SharedNS   int64 `json:"shared_ns"`
+	PoolNS     int64 `json:"pool_ns"`
+	SourceNS   int64 `json:"source_ns"`
+	SnapshotNS int64 `json:"snapshot_ns"`
+	CommitNS   int64 `json:"commit_ns"`
+	RollbackNS int64 `json:"rollback_ns,omitempty"`
+	TotalNS    int64 `json:"total_ns"`
+
+	// PropagateNS/ApplyNS sum the per-view work inside the pool phase; with
+	// parallel workers they can exceed PoolNS.
 	PropagateNS int64 `json:"propagate_ns"`
 	ApplyNS     int64 `json:"apply_ns"`
-	SourceNS    int64 `json:"source_ns"`
-	TotalNS     int64 `json:"total_ns"`
 
 	// PrimsIn/PrimsOut are the batch sizes before and after compaction.
 	PrimsIn  int32 `json:"prims_in"`

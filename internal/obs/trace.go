@@ -117,10 +117,20 @@ func (t *Tracer) StartSpan(name string) Span {
 	if t == nil {
 		return Span{}
 	}
+	return t.StartSpanAt(name, time.Now())
+}
+
+// StartSpanAt is StartSpan for a span that began at a clock reading the
+// caller already took: a caller that times its own phases hands the same
+// reading to the span, so span and measurement agree to the nanosecond.
+func (t *Tracer) StartSpanAt(name string, at time.Time) Span {
+	if t == nil {
+		return Span{}
+	}
 	tid := t.nextTID.Add(1)
 	t.append(Event{Name: "thread_name", Ph: "M", PID: 1, TID: tid,
 		Args: map[string]any{"name": name}})
-	return Span{tr: t, name: name, tid: tid, t0: time.Since(t.start), args: map[string]any{}}
+	return Span{tr: t, name: name, tid: tid, t0: at.Sub(t.start), args: map[string]any{}}
 }
 
 // Child opens a nested span on the same track.
@@ -128,7 +138,15 @@ func (s Span) Child(name string) Span {
 	if s.tr == nil {
 		return Span{}
 	}
-	return Span{tr: s.tr, name: name, tid: s.tid, t0: time.Since(s.tr.start), args: map[string]any{}}
+	return s.ChildAt(name, time.Now())
+}
+
+// ChildAt is Child for a span that began at the caller's clock reading at.
+func (s Span) ChildAt(name string, at time.Time) Span {
+	if s.tr == nil {
+		return Span{}
+	}
+	return Span{tr: s.tr, name: name, tid: s.tid, t0: at.Sub(s.tr.start), args: map[string]any{}}
 }
 
 // Before records a finished span that ran for d and ended where s began, on
@@ -163,7 +181,15 @@ func (s Span) End() {
 	if s.tr == nil {
 		return
 	}
-	end := time.Since(s.tr.start)
+	s.EndAt(time.Now())
+}
+
+// EndAt closes the span at the caller's clock reading at.
+func (s Span) EndAt(at time.Time) {
+	if s.tr == nil {
+		return
+	}
+	end := at.Sub(s.tr.start)
 	args := s.args
 	if len(args) == 0 {
 		args = nil
@@ -185,7 +211,8 @@ func (t *Tracer) Len() int {
 }
 
 // Events returns a copy of the recorded events in stable order: metadata
-// first, then spans by start time (ties broken by track and name).
+// first, then spans by start time, ties broken by track, then longer span
+// first (a parent before a child that starts with it), then name.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -202,6 +229,9 @@ func (t *Tracer) Events() []Event {
 		}
 		if evs[i].TID != evs[j].TID {
 			return evs[i].TID < evs[j].TID
+		}
+		if evs[i].Dur != evs[j].Dur {
+			return evs[i].Dur > evs[j].Dur
 		}
 		return evs[i].Name < evs[j].Name
 	})

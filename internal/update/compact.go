@@ -5,18 +5,15 @@ import (
 
 	"xqview/internal/flexkey"
 	"xqview/internal/obs"
-	"xqview/internal/xmldoc"
 )
 
-// Compaction metric series: batch shrinkage per rule, the compaction tier
-// of the round-telemetry pipeline (the per-round in/out pair lives in
+// Compaction metric series: batch shrinkage, the compaction tier of the
+// round-telemetry pipeline (the per-round in/out pair lives in
 // obs.RoundSample; these cumulative counters serve /metrics).
 var (
 	cCompactBatches = obs.Default.CounterOf("update_compact_batches_total", "update batches shrunk by pre-validation compaction")
 	cCompactDropped = obs.Default.CounterOf("update_compact_prims_dropped_total", "update primitives removed by compaction", "rule", "all")
 	cDropCoalesce   = obs.Default.CounterOf("update_compact_prims_dropped_total", "update primitives removed by compaction", "rule", "coalesce")
-	cDropMerge      = obs.Default.CounterOf("update_compact_prims_dropped_total", "update primitives removed by compaction", "rule", "merge")
-	cDropCancel     = obs.Default.CounterOf("update_compact_prims_dropped_total", "update primitives removed by compaction", "rule", "cancel")
 )
 
 // recordCompaction folds one batch's decisions into the metric series.
@@ -26,14 +23,7 @@ func recordCompaction(decisions []Compaction) {
 	for _, d := range decisions {
 		n := int64(len(d.Dropped))
 		cCompactDropped.Add(n)
-		switch d.Rule {
-		case "coalesce":
-			cDropCoalesce.Add(n)
-		case "merge":
-			cDropMerge.Add(n)
-		case "cancel":
-			cDropCancel.Add(n)
-		}
+		cDropCoalesce.Add(n)
 	}
 }
 
@@ -42,12 +32,10 @@ func recordCompaction(decisions []Compaction) {
 // and explain output keep round-local numbering stable whether or not
 // compaction ran.
 type Compaction struct {
-	// Rule is "coalesce" (repeated Replace of one node collapsed to the
-	// last write), "merge" (an insert into a same-batch inserted fragment
-	// spliced into that fragment), or "cancel" (insert and delete of the
-	// same key annihilated).
+	// Rule is "coalesce": repeated Replace of one node collapsed to the
+	// last write.
 	Rule    string
-	Kept    int    // original index of the absorbing primitive; -1 when nothing survives
+	Kept    int    // original index of the surviving (last) write
 	Dropped []int  // original indexes of the primitives removed from the batch
 	Detail  string // human-readable target description
 }
@@ -57,35 +45,23 @@ type Compaction struct {
 // so every downstream phase (SAPT classification, propagation, journaling,
 // source refresh) does proportionally less work.
 //
-// Three rules fire, in order:
+// One rule fires, coalesce: repeated Replace primitives on one (doc, key)
+// collapse into the last write, unless the batch also deletes the node or
+// one of its ancestors (then order against the delete matters and the run is
+// left alone). Nothing else is rewritten: every statement of a script sees
+// the pre-script store, so no primitive ParseAndEvaluate emits can target a
+// node another primitive of the batch inserts.
 //
-//   - coalesce: repeated Replace primitives on one (doc, key) collapse into
-//     the last write, unless the batch also deletes the node or one of its
-//     ancestors (then order against the delete matters and the run is left
-//     alone). This is the only rule that fires on batches plain validation
-//     accepts.
-//   - merge: a position-less, key-less Insert whose Parent is the assigned
-//     Key of an earlier Insert in the batch is spliced into that insert's
-//     fragment (appended last, exactly where sequential application would
-//     put it). Plain validation rejects such batches — the parent is not in
-//     the base store — so merging widens the accepted update language the
-//     way FLUX-style update composition does.
-//   - cancel: a Delete of a Key some earlier Insert in the batch assigns
-//     annihilates with it; neither reaches validation.
-//
-// Survivors keep their original *Primitive pointers except merge targets,
-// which are replaced by clones (fragment included): CompactBatch never
+// Survivors keep their original *Primitive pointers: CompactBatch never
 // mutates its input, so a failed round can re-run it on the same slice and
 // reach the same decisions. keptIdx maps each returned primitive back to
-// its original position. When no rule fires, prims is returned as-is with a
-// nil decision list.
+// its original position. When nothing coalesces, prims is returned as-is
+// with a nil decision list.
 func CompactBatch(prims []*Primitive) (kept []*Primitive, keptIdx []int, decisions []Compaction) {
 	n := len(prims)
 	dropped := make([]bool, n)
-	cur := make([]*Primitive, n)
-	copy(cur, prims)
 
-	// coalesce — scan in batch order so decisions are deterministic.
+	// Scan in batch order so decisions are deterministic.
 	type dk struct {
 		doc string
 		key flexkey.Key
@@ -117,55 +93,6 @@ func CompactBatch(prims []*Primitive) (kept []*Primitive, keptIdx []int, decisio
 		})
 	}
 
-	// merge — splice follow-up inserts into the fragment they extend.
-	for i, p := range prims {
-		if dropped[i] || p.Kind != Insert || p.Key != "" || p.After != "" || p.Before != "" {
-			continue
-		}
-		for j := i - 1; j >= 0; j-- {
-			q := cur[j]
-			if dropped[j] || q.Kind != Insert || q.Doc != p.Doc || q.Key == "" || q.Key != p.Parent {
-				continue
-			}
-			if cur[j] == prims[j] {
-				cp := *q
-				cp.Frag = q.Frag.Clone()
-				cur[j] = &cp
-			}
-			frag := p.Frag.Clone()
-			if frag.Kind == xmldoc.Attr {
-				cur[j].Frag.Attrs = append(cur[j].Frag.Attrs, frag)
-			} else {
-				cur[j].Frag.Children = append(cur[j].Frag.Children, frag)
-			}
-			dropped[i] = true
-			decisions = append(decisions, Compaction{
-				Rule: "merge", Kept: j, Dropped: []int{i},
-				Detail: fmt.Sprintf("spliced into insert %s", q.Key),
-			})
-			break
-		}
-	}
-
-	// cancel — an insert and the delete of its key annihilate.
-	for i, p := range prims {
-		if dropped[i] || p.Kind != Delete {
-			continue
-		}
-		for j := i - 1; j >= 0; j-- {
-			q := cur[j]
-			if dropped[j] || q.Kind != Insert || q.Doc != p.Doc || q.Key == "" || q.Key != p.Key {
-				continue
-			}
-			dropped[i], dropped[j] = true, true
-			decisions = append(decisions, Compaction{
-				Rule: "cancel", Kept: -1, Dropped: []int{j, i},
-				Detail: fmt.Sprintf("insert+delete of %s", p.Key),
-			})
-			break
-		}
-	}
-
 	if len(decisions) == 0 {
 		return prims, nil, nil
 	}
@@ -174,7 +101,7 @@ func CompactBatch(prims []*Primitive) (kept []*Primitive, keptIdx []int, decisio
 	}
 	kept = make([]*Primitive, 0, n)
 	keptIdx = make([]int, 0, n)
-	for i, p := range cur {
+	for i, p := range prims {
 		if !dropped[i] {
 			kept = append(kept, p)
 			keptIdx = append(keptIdx, i)

@@ -27,59 +27,6 @@ func applySeq(t *testing.T, s *xmldoc.Store, prims []*Primitive) string {
 	return xmldoc.Serialize(c, root)
 }
 
-func TestCompactCancelInsertDelete(t *testing.T) {
-	s := setup(t)
-	root, _ := s.RootElem("bib.xml")
-	books := xmldoc.ChildElems(s, root, "book")
-	k := flexkey.SiblingBetween(root, books[len(books)-1], "")
-	prims := []*Primitive{
-		{Kind: Insert, Doc: "bib.xml", Parent: root, Key: k,
-			Frag: xmldoc.Elem("book", xmldoc.Elem("title", xmldoc.TextF("Ephemeral")))},
-		{Kind: Delete, Doc: "bib.xml", Key: k},
-	}
-	kept, keptIdx, decs := CompactBatch(prims)
-	if len(kept) != 0 || len(keptIdx) != 0 {
-		t.Fatalf("cancel pair survived: %v", kept)
-	}
-	if len(decs) != 1 || decs[0].Rule != "cancel" || decs[0].Kept != -1 ||
-		!reflect.DeepEqual(decs[0].Dropped, []int{0, 1}) {
-		t.Fatalf("decision: %+v", decs)
-	}
-	if applySeq(t, s, prims) != applySeq(t, s, kept) {
-		t.Fatal("cancelled batch diverges from sequential application")
-	}
-}
-
-func TestCompactMergeInsertIntoInserted(t *testing.T) {
-	s := setup(t)
-	root, _ := s.RootElem("bib.xml")
-	books := xmldoc.ChildElems(s, root, "book")
-	k := flexkey.SiblingBetween(root, books[len(books)-1], "")
-	p := &Primitive{Kind: Insert, Doc: "bib.xml", Parent: root, Key: k,
-		Frag: xmldoc.Elem("book", xmldoc.Elem("title", xmldoc.TextF("Grown")))}
-	q := &Primitive{Kind: Insert, Doc: "bib.xml", Parent: k,
-		Frag: xmldoc.Elem("author", xmldoc.Elem("last", xmldoc.TextF("Late")))}
-	kept, keptIdx, decs := CompactBatch([]*Primitive{p, q})
-	if len(kept) != 1 || len(decs) != 1 || decs[0].Rule != "merge" || decs[0].Kept != 0 {
-		t.Fatalf("kept=%v decisions=%+v", kept, decs)
-	}
-	if !reflect.DeepEqual(keptIdx, []int{0}) {
-		t.Fatalf("keptIdx: %v", keptIdx)
-	}
-	if kept[0] == p {
-		t.Fatal("merge target not cloned: original primitive would be mutated")
-	}
-	if len(p.Frag.Children) != 1 {
-		t.Fatalf("original fragment mutated: %d children", len(p.Frag.Children))
-	}
-	if len(kept[0].Frag.Children) != 2 || kept[0].Frag.Children[1].Name != "author" {
-		t.Fatalf("spliced fragment: %+v", kept[0].Frag)
-	}
-	if applySeq(t, s, []*Primitive{p, q}) != applySeq(t, s, kept) {
-		t.Fatal("merged batch diverges from sequential application")
-	}
-}
-
 func TestCompactCoalesceReplaceRuns(t *testing.T) {
 	s := setup(t)
 	root, _ := s.RootElem("bib.xml")

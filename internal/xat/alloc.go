@@ -186,17 +186,6 @@ func (a *Alloc) MakeVNodeRefs(n, c int) []*VNode {
 	return a.vrefs.Make(n, c)
 }
 
-// CopyVNodes returns an arena-backed copy of src; empty input yields nil,
-// matching append([]*VNode(nil), src...).
-func (a *Alloc) CopyVNodes(src []*VNode) []*VNode {
-	if len(src) == 0 {
-		return nil
-	}
-	out := a.MakeVNodeRefs(len(src), len(src))
-	copy(out, src)
-	return out
-}
-
 // makeInt32 returns an int32 slice of length n, capacity c (join-index
 // position and epoch arrays).
 func (a *Alloc) makeInt32(n, c int) []int32 {

@@ -2,7 +2,6 @@ package xat
 
 import (
 	"fmt"
-	"time"
 
 	"xqview/internal/faultinject"
 	"xqview/internal/flexkey"
@@ -33,22 +32,16 @@ type DeltaInput struct {
 	Regions map[string][]*Region
 }
 
-// DeltaResult is the outcome of propagation: delta update trees ready for
-// the apply phase, plus the execution stats.
-type DeltaResult struct {
-	Roots []*VNode
-	Stats *Stats
-}
-
 // PropagateDelta derives and executes the incremental maintenance plan of
 // the view: the same algebra operators process delta tables instead of base
 // tables, consulting base inputs where the propagation equations require
 // them (e.g. ΔT1 ⋈ T2 ∪ T1' ⋈ ΔT2 for joins). The output delta update
-// trees are merged into the materialized view by the deep union (Ch 8).
+// trees, the roots returned, are merged into the materialized view by the
+// deep union (Ch 8).
 // Concurrent calls over distinct plans may share one DeltaInput (see its
 // concurrency contract); each call builds private environments and returns
-// freshly allocated delta trees and stats.
-func PropagateDelta(p *Plan, in *DeltaInput) (*DeltaResult, error) {
+// freshly allocated delta trees.
+func PropagateDelta(p *Plan, in *DeltaInput) ([]*VNode, error) {
 	return PropagateDeltaShared(p, in, obs.Span{}, nil, nil, nil, nil)
 }
 
@@ -76,7 +69,7 @@ func PropagateDelta(p *Plan, in *DeltaInput) (*DeltaResult, error) {
 //     (staging the per-operator deltas on the view's private cache and
 //     replaying the shared lineage records, so cache folds and journal output
 //     are byte-identical to an unseeded run).
-func PropagateDeltaShared(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec, cache *StateCache, alloc *Alloc, seeds []Seed) (*DeltaResult, error) {
+func PropagateDeltaShared(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec, cache *StateCache, alloc *Alloc, seeds []Seed) ([]*VNode, error) {
 	if err := fpPropagate.Fire(); err != nil {
 		return nil, err
 	}
@@ -92,7 +85,6 @@ func PropagateDeltaShared(p *Plan, in *DeltaInput, parent obs.Span, rec *journal
 	if root.Kind == OpExpose {
 		root = root.Inputs[0]
 	}
-	t0 := time.Now()
 	final, err := e.delta(root)
 	if err != nil {
 		return nil, err
@@ -102,13 +94,12 @@ func PropagateDeltaShared(p *Plan, in *DeltaInput, parent obs.Span, rec *journal
 		col = final.Cols[len(final.Cols)-1]
 	}
 	roots := e.materializeDelta(final, col)
-	e.env.Stats.Exec += time.Since(t0)
 	if obs.Enabled() {
 		cDeltaRuns.Inc()
 		cDeltaRows.Add(int64(len(roots)))
 		gSkeletons.Set(int64(len(e.env.Cons)))
 	}
-	return &DeltaResult{Roots: roots, Stats: e.env.Stats}, nil
+	return roots, nil
 }
 
 type deltaEngine struct {
@@ -470,7 +461,6 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 			return nil, err
 		}
 		a := e.env.alloc
-		t0 := time.Now()
 		out := e.env.outTable(o)
 		for _, tp := range din.Tuples {
 			if patternEmpty(o, din, tp) {
@@ -480,7 +470,6 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 			it := constructNode(o, e.envFor(tp), din, tp)
 			out.Append(extend(a, tp, a.cell1(it)))
 		}
-		e.env.Stats.IdentGen += time.Since(t0)
 		return out, nil
 
 	case OpXMLUnion, OpXMLUnique, OpXMLDifference, OpXMLIntersection, OpName:

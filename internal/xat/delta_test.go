@@ -63,14 +63,14 @@ func (f *deltaFixture) propagate(t testing.TB, r *Region, overlay *xmldoc.Store)
 	case RegionModify:
 		ur.Replaced[r.Anchor] = r.NewValue
 	}
-	res, err := PropagateDelta(f.plan, &DeltaInput{
+	roots, err := PropagateDelta(f.plan, &DeltaInput{
 		Base: f.store, New: ur,
 		Regions: map[string][]*Region{"bib.xml": {r}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Roots
+	return roots
 }
 
 func TestDeltaInsertProducesPositiveFragment(t *testing.T) {
@@ -184,14 +184,14 @@ func TestDeltaIrrelevantDocUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = other
-	res, err := PropagateDelta(f.plan, &DeltaInput{
+	roots, err := PropagateDelta(f.plan, &DeltaInput{
 		Base: f.store, New: xmldoc.NewUpdatedReader(f.store, xmldoc.NewStore()),
 		Regions: map[string][]*Region{"other.xml": {{Mode: RegionDelete, Anchor: "zz"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Roots) != 0 {
-		t.Fatalf("unrelated region produced %d deltas", len(res.Roots))
+	if len(roots) != 0 {
+		t.Fatalf("unrelated region produced %d deltas", len(roots))
 	}
 }

@@ -16,27 +16,20 @@ type navBufs struct {
 	out       []Item
 }
 
-// evalPathItems navigates path from the node start, returning result items
-// in document order. Element targets become node items; attribute targets
-// and text() targets become value items that retain their node identity.
-func evalPathItems(r xmldoc.Reader, start flexkey.Key, path *xpath.Path) []Item {
-	return evalPathItemsBuf(r, start, path, nil, nil, "", nil)
-}
-
-// evalPathItemsPruned is evalPathItems with an optional per-step pruning
-// predicate: after every element step, only candidates for which keep
-// returns true survive. When anchor is set, predicate-free child steps from
-// the anchor's ancestor chain jump directly along the chain instead of
-// scanning siblings; the propagate phase thus navigates a batch of k
-// updates in O(k·(depth + fragment)) instead of k full document scans.
-func evalPathItemsPruned(r xmldoc.Reader, start flexkey.Key, path *xpath.Path, keep func(flexkey.Key) bool, anchor flexkey.Key) []Item {
-	return evalPathItemsBuf(r, start, path, nil, keep, anchor, nil)
-}
-
-// evalPathItemsBuf is the buffer-reusing core of path navigation. singles,
-// when non-nil, holds one precomputed single-step path per step of path
-// (built once per plan in Analyze), saving a per-step allocation. nb, when
-// non-nil, supplies scratch buffers; the returned slice may alias nb.out.
+// evalPathItemsBuf navigates path from the node start, returning result
+// items in document order. Element targets become node items; attribute
+// targets and text() targets become value items that retain their node
+// identity.
+//
+// keep, when non-nil, prunes: after every element step, only candidates for
+// which it returns true survive. When anchor is set, predicate-free child
+// steps from the anchor's ancestor chain jump directly along the chain
+// instead of scanning siblings; the propagate phase thus navigates a batch
+// of k updates in O(k·(depth + fragment)) instead of k full document scans.
+// singles, when non-nil, holds one precomputed single-step path per step of
+// path (built once per plan in Analyze), saving a per-step allocation. nb,
+// when non-nil, supplies scratch buffers; the returned slice may alias
+// nb.out.
 func evalPathItemsBuf(r xmldoc.Reader, start flexkey.Key, path *xpath.Path, singles []xpath.Path, keep func(flexkey.Key) bool, anchor flexkey.Key, nb *navBufs) []Item {
 	var curElems []flexkey.Key
 	if nb != nil {

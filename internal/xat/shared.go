@@ -2,7 +2,6 @@ package xat
 
 import (
 	"sort"
-	"time"
 
 	"xqview/internal/journal"
 	"xqview/internal/obs"
@@ -88,8 +87,6 @@ type SharedResult struct {
 	// the In-lists of the subscribers' suffix operators. Nil when not
 	// journaled.
 	OutKeys [][]string
-	// Stats is the shared run's engine stats (charged once, not per view).
-	Stats *Stats
 }
 
 // Seed hands one shared group's round result to a member view's
@@ -121,12 +118,10 @@ func (g *SharedGroup) Propagate(in *DeltaInput, parent obs.Span, record bool) (*
 		rec = journal.NewDetachedViewRec("shared")
 	}
 	e := newDeltaEngine(nil, in, parent, rec, g.Cache, nil)
-	t0 := time.Now()
 	if _, err := e.delta(g.Frontier()); err != nil {
 		return nil, err
 	}
-	e.env.Stats.Exec += time.Since(t0)
-	res := &SharedResult{Stats: e.env.Stats, Deltas: make([]*Table, len(g.Rep))}
+	res := &SharedResult{Deltas: make([]*Table, len(g.Rep))}
 	for i, o := range g.Rep {
 		// delta() staged every subtree operator's table exactly once.
 		res.Deltas[i] = g.Cache.pendingDelta[o.ID]

@@ -60,14 +60,6 @@ func (it Item) Value(r xmldoc.Reader) string {
 // or an outer-join null padding; the two are treated alike (Prop 4.2.1).
 type Cell []Item
 
-// Singleton reports the single item of the cell, if any.
-func (c Cell) Singleton() (Item, bool) {
-	if len(c) == 1 {
-		return c[0], true
-	}
-	return Item{}, false
-}
-
 // TupleKind classifies tuples flowing through the engine.
 type TupleKind int
 
@@ -194,11 +186,6 @@ func NewTuple(cells ...Cell) *Tuple {
 // The arena backing is deliberately not inherited: CloneShape is used to
 // build tables that may cross the round boundary (state-cache folds).
 func (t *Table) CloneShape() *Table { return &Table{Cols: t.Cols, colIdx: t.colIdx} }
-
-// shapeFor returns an empty arena-backed table shaped like t.
-func (a *Alloc) shapeFor(t *Table) *Table {
-	return &Table{Cols: t.Cols, colIdx: t.colIdx, alloc: a}
-}
 
 // extend returns a tuple that shares tp's cells plus one extra cell
 // appended, copying the bookkeeping fields. The new cell slice comes from
