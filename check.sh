@@ -1,13 +1,13 @@
 #!/bin/sh
 # check.sh — the one-command repo gate. In order: gofmt, go vet, the tier-1
 # tests with a coverage floor, the race detector over everything (view
-# maintenance fans Propagate+Apply out over a worker pool, and the
-# Store/UpdatedReader read-only contracts it relies on are only enforced by
-# these tests; arena poison is on under -race), a fuzz smoke of the three
+# maintenance fans Propagate+Apply out over a worker pool, and the read-only
+# contracts of the store and the round's draft it relies on are only enforced
+# by these tests; arena poison is on under -race), a fuzz smoke of the three
 # front ends, the xqtop golden frames, the MVCC concurrency battery under a
 # deadline (the read path's frame-body memo test rides in it: racing first
 # readers, bodies shared across versions), the unused-field lint over the
-# round, shared-DAG, MVCC and script-evaluation structs, and last the
+# round, shared-DAG, MVCC, draft and script-evaluation structs, and last the
 # repository's one benchmark against its own bounds (≈ 3 min).
 #
 # Usage: ./check.sh [extra go test args, e.g. -count=1; -short falls under the
@@ -84,11 +84,11 @@ go test -race -timeout 300s \
 	. ./internal/core/ >&2
 
 # Unused-field lint: a round field nothing references is a phase slot no
-# phase fills or reports; a shared-DAG or MVCC field, a broken fan-out,
-# publish or drain path; a script-evaluation one, a dead memo.
-echo "== structcheck (round, shared DAG, MVCC snapshot and script evaluation structs)" >&2
-sh scripts/structcheck.sh internal/core/round.go internal/xat/shared.go internal/core/txn.go \
-	internal/core/snapshot.go internal/xmldoc/snapshot.go internal/update/script.go >&2
+# phase fills or reports; a shared-DAG, MVCC or draft field, a broken fan-out,
+# publish, drain or install path; a script-evaluation one, a dead memo.
+echo "== structcheck (round, shared DAG, MVCC snapshot, draft and script evaluation structs)" >&2
+sh scripts/structcheck.sh internal/core/round.go internal/xat/shared.go internal/core/txn.go internal/core/snapshot.go \
+	internal/xmldoc/snapshot.go internal/xmldoc/draft.go internal/update/script.go >&2
 
 # The benchmark, twice over this tree: every operation checked against the
 # recompute oracle, every end-to-end metric × workload beside the bound

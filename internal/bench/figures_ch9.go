@@ -324,12 +324,14 @@ func Fig9_6(scale float64) (*Figure, error) {
 		root, _ := store.RootElem("site.xml")
 		people := xmldoc.ChildElems(store, root, "people")[0]
 		person := xmldoc.ChildElems(store, people, "person")[0]
+		grow := xmldoc.NewDraft(store)
 		for i := 0; i < extra; i++ {
-			if _, err := store.InsertFragment(person, "", "",
+			if _, err := grow.InsertFragment(person, "", "",
 				xmldoc.Elem("interest", xmldoc.AttrF("category", fmt.Sprintf("c%d", i)))); err != nil {
 				return nil, err
 			}
 		}
+		store.Install(grow.Delta())
 		query := `<result>{ for $p in doc("site.xml")/site/people/person return $p }</result>`
 		v, err := core.NewView(store, query)
 		if err != nil {

@@ -46,13 +46,15 @@ func TestUnorderedViewMaintenanceCanonical(t *testing.T) {
 	prims = append(prims, &update.Primitive{Kind: update.Delete, Doc: "bib.xml", Key: books[0]})
 
 	// Recompute baseline (canonical) before mutating.
-	clone := s.Clone()
+	d := xmldoc.NewDraft(s)
 	for _, p := range prims {
 		cp := *p
-		if err := update.ApplyToStore(clone, &cp); err != nil {
+		if err := update.ApplyToStore(d, &cp); err != nil {
 			t.Fatal(err)
 		}
 	}
+	clone := s.Clone()
+	clone.Install(d.Delta())
 	rv, err := NewView(clone, unorderedView)
 	if err != nil {
 		t.Fatal(err)

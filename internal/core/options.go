@@ -24,10 +24,10 @@ var fpPoolTask = faultinject.Register("core.pool.task")
 // one path is tested against.
 type Options struct {
 	// Parallelism bounds the number of views maintained concurrently during
-	// the Propagate+Apply phases (and the number of concurrent clones during
-	// full recomputation). Zero or negative means runtime.GOMAXPROCS(0).
-	// The Validate phase and the final source refresh are always
-	// single-threaded: they are the only phases that mutate shared state.
+	// the Propagate+Apply phases (and the number of concurrent evaluations
+	// during full recomputation). Zero or negative means
+	// runtime.GOMAXPROCS(0). Validate, source refresh and commit are always
+	// single-threaded: refresh writes the round's draft, commit the store.
 	Parallelism int
 
 	// Tracer, when non-nil, records a span per VPA phase and per XAT
@@ -43,9 +43,9 @@ type Options struct {
 	SharedDAG *xat.SharedDAG
 
 	// Snapshots, when non-nil, is the MVCC epoch registry the round publishes
-	// into: after the source refresh succeeds (and before the infallible
-	// commit), the round builds a candidate Version — store delta from the
-	// undo log, staged extents, prepared cache views — and publishes it with
+	// into: after propagation succeeds (and before the infallible commit),
+	// the round builds a candidate Version — the draft's store delta, staged
+	// extents, prepared cache views — and publishes it with
 	// a single pointer swap once the commit installed. Readers holding older
 	// versions are undisturbed. Nil (the default for direct MaintainAll
 	// callers) skips the candidate build entirely and costs nothing.

@@ -329,8 +329,11 @@ var roundFamilies = []struct {
 // TestRoundsMatchRecomputeRandomized is the refresh theorem on whole rounds:
 // randomized primitive streams run through MaintainAll over each family,
 // round after round on the same store, and after every round every view's
-// extent must equal full recomputation. The DAG is held across rounds as
-// Database does, so shared cache partitions fold forward like private ones.
+// extent must equal full recomputation, the stored documents must equal
+// the stream applied one primitive at a time (updates no view reads
+// included), and the published store snapshot must read exactly as the
+// live store. The DAG is held across rounds as Database does, so shared
+// cache partitions fold forward like private ones.
 func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 	defer journal.SetEnabled(journal.SetEnabled(true))
 	defer journal.Default.Reset()
@@ -338,7 +341,9 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(fam.seed))
 			store, views := newArm(t, randomBib(rng, 6), randomPrices(rng, 5), fam.queries)
-			opts := Options{SharedDAG: xat.BuildSharedDAG(plansOf(views))}
+			reg := NewSnapReg()
+			reg.PublishFull(store, views)
+			opts := Options{SharedDAG: xat.BuildSharedDAG(plansOf(views)), Snapshots: reg}
 			rounds := 25
 			if testing.Short() {
 				rounds = 8
@@ -355,10 +360,23 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d recompute: %v", round, err)
 				}
+				replay := xmldoc.NewDraft(store)
+				for _, p := range deepClonePrims(prims) {
+					if err := update.ApplyToStore(replay, p); err != nil {
+						t.Fatalf("round %d replay: %v", round, err)
+					}
+				}
+				wantDocs := documentsXML(replay)
 				journal.Default.Reset()
 				stats, err := MaintainAll(store, views, prims, 0, opts)
 				if err != nil {
 					t.Fatalf("round %d maintain: %v", round, err)
+				}
+				// Keys differ where validation rewrote an anchor; the
+				// documents do not.
+				if got := documentsXML(store); got != wantDocs {
+					t.Fatalf("round %d: stored documents diverge from the replayed stream\nprims: %v\nstore:  %s\nreplay: %s",
+						round, prims, got, wantDocs)
 				}
 				for i, v := range views {
 					seeded += stats[i].SharedPrefixes
@@ -371,6 +389,10 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 						t.Fatalf("round %d view %d: ExtentXML differs from Frag().String()\nstream: %s\nfrag:   %s",
 							round, i, got, want)
 					}
+				}
+				if got, want := reg.Current().Store.DebugDump(), store.DumpPrefix(); got != want {
+					t.Fatalf("round %d: published snapshot diverges from the store\nprims: %v\n--- store ---\n%s--- snapshot ---\n%s",
+						round, prims, want, got)
 				}
 				// The journal stays truthful about compaction: it snapshots
 				// the ORIGINAL stream, and no verdict names a primitive that
@@ -410,6 +432,19 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 			}
 		})
 	}
+}
+
+// documentsXML serializes every document of r, in name order.
+func documentsXML(r interface {
+	xmldoc.Reader
+	Docs() []string
+}) string {
+	var b strings.Builder
+	for _, doc := range r.Docs() {
+		d, _ := r.Root(doc)
+		b.WriteString(xmldoc.Serialize(r, d))
+	}
+	return b.String()
 }
 
 // fragXML serializes an extent the way reads did before ExtentXML: one

@@ -16,8 +16,8 @@ import (
 
 // The maintenance round as its phases, in pipeline order:
 //
-//	compact → validate → shared prefixes → per-view propagate+apply (pool)
-//	→ source refresh → snapshot build → commit
+//	compact → validate → source refresh → shared prefixes
+//	→ per-view propagate+apply (pool) → snapshot build → commit
 //
 // and, on any failure, rollback. Each phase is one method of round. A phase
 // starts at the clock reading that ended the previous one and ends with one
@@ -54,6 +54,10 @@ type round struct {
 	prims []*update.Primitive // the batch after compaction
 	batch *validate.Batch
 	skip  []bool // per view: the batch provably cannot touch it
+	// draft is the store's next version: source refresh writes it,
+	// propagation reads it, the snapshot layers its delta and commit
+	// installs it. Rollback drops it.
+	draft *xmldoc.Draft
 	din   *xat.DeltaInput
 	seeds [][]xat.Seed // per view: shared-prefix results to serve; nil without groups
 	out   []*MaintStats
@@ -80,7 +84,7 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 	}
 	// The single place the round aborts: any error return, and any panic in
 	// the single-threaded phases (the pool already recovered task panics),
-	// rolls the store, the extents and the cache staging back.
+	// drops the draft and rolls the extents and the cache staging back.
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("core: maintenance panicked: %v", p)
@@ -95,13 +99,13 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 	if err = r.validate(); err != nil {
 		return nil, err
 	}
+	if err = r.refreshSources(); err != nil {
+		return nil, err
+	}
 	if err = r.propagateShared(); err != nil {
 		return nil, err
 	}
 	if err = r.maintainViews(); err != nil {
-		return nil, err
-	}
-	if err = r.refreshSources(); err != nil {
 		return nil, err
 	}
 	if err = r.buildSnapshot(); err != nil {
@@ -191,9 +195,10 @@ func (r *round) validate() error {
 		r.jrec.SetPrims(journal.EncodePrims(r.orig))
 	}
 	r.skip = make([]bool, len(r.views))
+	prims := batch.Prims()
 	for i, v := range r.views {
 		r.skip[i] = true
-		for _, p := range batch.Prims() {
+		for _, p := range prims {
 			if v.SAPT.Classify(r.store, p) != sapt.Irrelevant {
 				r.skip[i] = false
 				break
@@ -209,7 +214,7 @@ func (r *round) validate() error {
 // relevance filter.
 var cViewsSkipped = obs.Default.CounterOf("xqview_views_skipped_total", "views skipped by the region-relevance filter")
 
-// propagateShared freezes the propagation input and propagates each shared
+// propagateShared assembles the propagation input and propagates each shared
 // sub-plan prefix once, ahead of the per-view pool. The caller's DAG is
 // reused when it was built over exactly these plans (warm shared
 // partitions); otherwise the round groups the plans itself. Without groups
@@ -217,7 +222,7 @@ var cViewsSkipped = obs.Default.CounterOf("xqview_views_skipped_total", "views s
 func (r *round) propagateShared() error {
 	var sp obs.Span
 	defer func() { r.lap(&r.sharedTime, sp) }()
-	r.din = deltaInput(r.store, r.batch)
+	r.din = deltaInput(r.store, r.draft, r.batch)
 	plans := plansOf(r.views)
 	dag := r.opt.SharedDAG
 	if !dag.Matches(plans) {
@@ -294,8 +299,8 @@ func (r *round) propagateGroup(g *xat.SharedGroup, gi int, sp obs.Span) (res *xa
 }
 
 // maintainViews runs Propagate+Apply for every view over the bounded worker
-// pool. Every view reads the same immutable pre-update state (the store is
-// read-only for the whole phase and the delta input is frozen), while each
+// pool. Every view reads the same immutable pre- and post-update states (the
+// store and the draft are read-only for the whole phase), while each
 // worker writes only its own view's stage and stats slot, so results are
 // independent of the pool size. The phase has no span of its own: its
 // wall time is the stretch the view tracks cover.
@@ -382,26 +387,26 @@ func (r *round) maintainView(i int) (err error) {
 	return nil
 }
 
-// refreshSources applies the batch to the source documents once, single-
-// threaded, under the store's undo log so a failure here rolls the
-// documents back too.
+// refreshSources applies every accepted primitive of the batch, relevant or
+// not, to the round's draft, single-threaded: the store's next version,
+// built once. The store itself is not written until commit.
 func (r *round) refreshSources() error {
 	sp := r.span("SourceRefresh")
 	defer r.lap(&r.sourceTime, sp)
-	r.store.BeginUndo()
-	for _, p := range r.batch.Prims() {
+	r.draft = xmldoc.NewDraft(r.store)
+	for _, p := range r.batch.Refresh {
 		if err := fpRefresh.Fire(); err != nil {
 			return fmt.Errorf("source refresh: %w", err)
 		}
-		if err := update.ApplyToStore(r.store, p); err != nil {
+		if err := update.ApplyToStore(r.draft, p); err != nil {
 			return fmt.Errorf("source refresh: %w", err)
 		}
 	}
 	return nil
 }
 
-// buildSnapshot assembles the next MVCC version while the undo log is still
-// live (its touched-key set is the store delta). Both fault points fire
+// buildSnapshot assembles the next MVCC version: the previous version's
+// store snapshot extended with the draft's delta. Both fault points fire
 // before commit, so an abort here leaves the old version published. Without
 // an epoch registry there is no such phase.
 func (r *round) buildSnapshot() (err error) {
@@ -410,7 +415,7 @@ func (r *round) buildSnapshot() (err error) {
 	}
 	sp := r.span("SnapshotBuild")
 	defer r.lap(&r.snapshotTime, sp)
-	if r.cand, err = buildCandidate(r.opt.Snapshots, r.store, r.views, r.stages); err != nil {
+	if r.cand, err = buildCandidate(r.opt.Snapshots, r.store, r.draft.Delta(), r.views, r.stages); err != nil {
 		return err
 	}
 	if err = fpSnapSwap.Fire(); err != nil {
@@ -484,11 +489,11 @@ var (
 	cMaintainRuns = obs.Default.CounterOf("xqview_maintain_runs_total", "maintenance batches completed")
 )
 
-// deltaInput assembles the propagate-phase input from a validated batch.
-// The returned input is frozen: every view propagating it concurrently sees
-// the same immutable post-update reader.
-func deltaInput(store *xmldoc.Store, batch *validate.Batch) *xat.DeltaInput {
-	ur := xmldoc.NewUpdatedReader(store, batch.Overlay)
+// deltaInput assembles the propagate-phase input: the pre-update store, the
+// refreshed draft as the post-update reader, and one region per primitive
+// propagation reads. Both readers are read-only from here on, so every view
+// propagating the input concurrently sees the same immutable states.
+func deltaInput(store *xmldoc.Store, draft *xmldoc.Draft, batch *validate.Batch) *xat.DeltaInput {
 	regions := map[string][]*xat.Region{}
 	for doc, prims := range batch.ByDoc {
 		for _, p := range prims {
@@ -496,17 +501,13 @@ func deltaInput(store *xmldoc.Store, batch *validate.Batch) *xat.DeltaInput {
 			switch p.Kind {
 			case update.Insert:
 				r = &xat.Region{Mode: xat.RegionInsert, Anchor: p.Key, Parent: p.Parent}
-				ur.InsertedUnder[p.Parent] = append(ur.InsertedUnder[p.Parent], p.Key)
 			case update.Delete:
 				r = &xat.Region{Mode: xat.RegionDelete, Anchor: p.Key}
-				ur.Deleted[p.Key] = true
 			case update.Replace:
 				r = &xat.Region{Mode: xat.RegionModify, Anchor: p.Key, NewValue: p.NewValue}
-				ur.Replaced[p.Key] = p.NewValue
 			}
 			regions[doc] = append(regions[doc], r)
 		}
 	}
-	ur.Freeze()
-	return &xat.DeltaInput{Base: store, New: ur, Regions: regions}
+	return &xat.DeltaInput{Base: store, New: draft, Regions: regions}
 }

@@ -12,9 +12,9 @@ import (
 	"xqview/internal/xmldoc"
 )
 
-// Fault points at the MVCC commit path's two new boundaries: building the
-// candidate version (after the source refresh, while the undo log is still
-// live) and the instant before the pointer swap. Both fire BEFORE the
+// Fault points at the MVCC commit path's two boundaries: building the
+// candidate version (after propagation, from the round's draft) and the
+// instant before the pointer swap. Both fire BEFORE the
 // infallible install of the round, so an injected fault aborts the round with the
 // old version still published — in-flight readers never observe a torn
 // state, and rollback restores the writer-side structures byte-identically.
@@ -238,10 +238,11 @@ func (r *SnapReg) Epoch() uint64 {
 }
 
 // PublishFull captures the store and every view's live state as a fresh
-// version and publishes it. This is the out-of-band path for mutations of
-// the store itself — initial load, document loads — where no undo log exists
-// to derive a delta from, so the store snapshot is a full clone. Callers
-// must hold the database's write lock (the store must be quiescent).
+// version and publishes it. This is the out-of-band path for changes of the
+// store outside a round — initial load, document loads — so the store
+// snapshot is a fresh base (SnapOf: map copies, no node copies) rather than
+// an extension of the chain. Callers must hold the database's write lock
+// (the store must be quiescent).
 func (r *SnapReg) PublishFull(store *xmldoc.Store, views []*View) {
 	r.publishLive(xmldoc.SnapOf(store), views)
 }
@@ -280,24 +281,24 @@ func liveFrames(views []*View, prev *Version) []ViewFrame {
 
 // buildCandidate assembles the next version from a round's staged outcome,
 // BEFORE the round commits: the store snapshot extends the previous
-// version's with a delta built from the live undo log (post-images of
-// exactly the touched keys), staged views contribute their candidate
-// extents and prepared cache views, untouched views carry their frames
-// forward, serialized body included. The caller publishes the result only
-// after the round installed.
-func buildCandidate(reg *SnapReg, store *xmldoc.Store, views []*View, stages []viewStage) (*Version, error) {
+// version's with the round's delta (post-images of exactly the keys source
+// refresh touched — the delta commit installs into the store), staged views
+// contribute their candidate extents and prepared cache views, untouched
+// views carry their frames forward, serialized body included. The caller
+// publishes the result only after the round installed.
+func buildCandidate(reg *SnapReg, store *xmldoc.Store, delta *xmldoc.Delta, views []*View, stages []viewStage) (*Version, error) {
 	if err := fpSnapBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("snapshot build: %w", err)
 	}
 	prev := reg.Current()
-	var snap *xmldoc.Snap
+	var base *xmldoc.Snap
 	if prev != nil {
-		snap = prev.Store.Extend(store.BuildDelta())
+		base = prev.Store
 	} else {
 		// First version ever published on this registry: no chain to extend.
-		snap = xmldoc.SnapOf(store)
+		base = xmldoc.SnapOf(store)
 	}
-	v := &Version{Seq: reg.seq.Add(1), Store: snap, Frames: make([]ViewFrame, len(views))}
+	v := &Version{Seq: reg.seq.Add(1), Store: base.Extend(delta), Frames: make([]ViewFrame, len(views))}
 	for i, cv := range views {
 		f := &v.Frames[i]
 		f.View, f.Name, f.Query = cv, cv.displayName(i), cv.Query

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"xqview/internal/deepunion"
-	"xqview/internal/flexkey"
 	"xqview/internal/xmldoc"
 )
 
@@ -83,16 +82,12 @@ func TestSoakKeyDensity(t *testing.T) {
 	a := kids[0]
 	for i := 0; i < 300; i++ {
 		// Always squeeze right after <a>.
-		next := ""
-		cs := s.Children(root)
-		for j, c := range cs {
-			if c == a && j+1 < len(cs) {
-				next = string(cs[j+1])
-			}
-		}
-		if _, err := s.InsertFragment(root, a, flexkey.Key(next), xmldoc.Elem("x")); err != nil {
+		_, next := s.Siblings(a)
+		d := xmldoc.NewDraft(s)
+		if _, err := d.InsertFragment(root, a, next, xmldoc.Elem("x")); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
+		s.Install(d.Delta())
 	}
 	cs := s.Children(root)
 	if len(cs) != 302 {

@@ -147,9 +147,9 @@ func TestRoundTelemetryAborted(t *testing.T) {
 const (
 	phaseCompact = iota
 	phaseValidate
+	phaseSource
 	phaseShared
 	phasePool
-	phaseSource
 	phaseSnapshot
 	phaseCommit
 )
@@ -157,7 +157,7 @@ const (
 // phaseFields lists a sample's phase fields in pipeline order, rollback
 // last; together they partition TotalNS.
 func phaseFields(s obs.RoundSample) []int64 {
-	return []int64{s.CompactNS, s.ValidateNS, s.SharedNS, s.PoolNS, s.SourceNS, s.SnapshotNS, s.CommitNS, s.RollbackNS}
+	return []int64{s.CompactNS, s.ValidateNS, s.SourceNS, s.SharedNS, s.PoolNS, s.SnapshotNS, s.CommitNS, s.RollbackNS}
 }
 
 // checkPhaseSum asserts the sample's phase fields add up to TotalNS exactly.

@@ -8,23 +8,22 @@ import (
 )
 
 // fpRefresh guards the source-refresh phase: it fires per primitive, so a
-// hit count > 1 injects the hardest case — a store already partially
-// refreshed when the round dies.
+// hit count > 1 fails the round with its draft partly written.
 var fpRefresh = faultinject.Register("core.refresh")
 
-// Rollback metric series: how often rounds abort and how much state the
-// transaction had to restore.
+// Rollback metric series: how often rounds abort and how much staged state
+// the transaction discarded.
 var (
 	cRollbacks        = obs.Default.CounterOf("xqview_round_rollbacks_total", "maintenance rounds rolled back")
-	cRollbackRestored = obs.Default.CounterOf("xqview_rollback_restored_total", "store pre-images restored plus candidate extent copies abandoned by round rollbacks")
+	cRollbackRestored = obs.Default.CounterOf("xqview_rollback_restored_total", "draft entries discarded plus candidate extent copies abandoned by round rollbacks")
 )
 
 // The round transaction: every fallible step of a round stages its outcome
-// in the round's slots — per-view extents under a deepunion.Txn, cache
-// commits as PreparedCommit, store mutations under the store's undo log —
-// and install makes everything live together only after the whole round
-// succeeded, while restore puts every structure back byte-identical to the
-// pre-round state.
+// in the round's slots — store changes in the round's draft, per-view
+// extents under a deepunion.Txn, cache commits as PreparedCommit — and
+// install makes everything live together only after the whole round
+// succeeded, while restore drops the staging, leaving every structure
+// byte-identical to the pre-round state.
 
 // viewStage is one view's staged outcome within a round transaction. The
 // worker maintaining view i is the only writer of slot i (the same
@@ -57,12 +56,13 @@ type sharedStage struct {
 	prep  *xat.PreparedCommit
 }
 
-// install makes the round live: store mutations are kept, staged extents
-// become the views' extents, and prepared cache commits are swapped in
-// (shared partitions first; they are disjoint from the views', so order is
-// irrelevant). Nothing here can fail — every fallible step already ran.
+// install makes the round live: the draft's delta is installed into the
+// store, staged extents become the views' extents, and prepared cache
+// commits are swapped in (shared partitions first; they are disjoint from
+// the views', so order is irrelevant). Nothing here can fail — every
+// fallible step already ran.
 func (r *round) install() {
-	r.store.CommitUndo()
+	r.store.Install(r.draft.Delta())
 	for i := range r.shared {
 		st := &r.shared[i]
 		st.cache.Install(st.prep)
@@ -84,14 +84,19 @@ func (r *round) install() {
 	}
 }
 
-// restore undoes everything the round touched: source-refresh mutations via
-// the store undo log, candidate extent copies by abandoning each view's
-// deepunion.Txn (the live extent was never written), and cache staging via
-// Rollback (held cache entries stay — they describe the pre-round store,
-// which this restores). Staged extents and prepared commits are simply
-// dropped. Returns store pre-images restored plus copies abandoned.
+// restore undoes everything the round staged: the draft is dropped (the
+// store was never written), candidate extent copies are abandoned with each
+// view's deepunion.Txn (the live extent was never written either), and
+// cache staging is rolled back (held cache entries stay — they describe the
+// pre-round store, which is still current). Staged extents and prepared
+// commits are simply dropped. Returns draft entries discarded plus copies
+// abandoned.
 func (r *round) restore() int {
-	restored := r.store.RollbackUndo()
+	restored := 0
+	if r.draft != nil {
+		restored = r.draft.Delta().Len()
+		r.draft = nil
+	}
 	for i := range r.shared {
 		r.shared[i].cache.Rollback()
 		r.shared[i] = sharedStage{}

@@ -320,22 +320,23 @@ func TestAbortedRoundJournal(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x70AD))
 	a := newCrashArm(t, randomBib(rng, 4), randomPrices(rng, 3))
 	warm := randomBatch(t, rng, a.store, 1)
-	if _, err := MaintainAll(a.store, a.views, warm, 0, crashOpts); err != nil {
+	if _, err := MaintainAll(a.store, a.views, warm, 0, a.opts()); err != nil {
 		t.Fatal(err)
 	}
 	before := journal.Default.Rounds()
 
-	// Fail mid-refresh so the aborted round carries full lineage records.
+	// Fail after propagation, building the snapshot, so the aborted round
+	// carries full lineage records.
 	bibRoot, _ := a.store.RootElem("bib.xml")
 	frag := xmldoc.Elem("book",
 		xmldoc.AttrF("year", "1999"),
 		xmldoc.Elem("title", xmldoc.TextF("Aborted Insert")))
 	prims := []*update.Primitive{{Kind: update.Insert, Doc: "bib.xml", Parent: bibRoot, Frag: frag}}
-	if err := faultinject.Arm("core.refresh", faultinject.ModeError, 1); err != nil {
+	if err := faultinject.Arm("core.snapshot.build", faultinject.ModeError, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(a.store, a.views, prims, 0, crashOpts); err == nil {
-		t.Fatal("armed refresh did not fail the round")
+	if _, err := MaintainAll(a.store, a.views, prims, 0, a.opts()); err == nil {
+		t.Fatal("armed snapshot build did not fail the round")
 	}
 
 	rounds := journal.Default.Rounds()
@@ -367,7 +368,7 @@ func TestAbortedRoundJournal(t *testing.T) {
 	}
 
 	// After a successful retry the same key has committed lineage again.
-	if _, err := MaintainAll(a.store, a.views, prims, 0, crashOpts); err != nil {
+	if _, err := MaintainAll(a.store, a.views, prims, 0, a.opts()); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
 	text, err = journal.Default.Explain("view-1", insKey)

@@ -168,10 +168,10 @@ func (v *View) ApplyScript(src string, opts ...Options) (*MaintStats, error) {
 }
 
 // ApplyUpdates runs the full VPA pipeline for a batch of primitives:
-// validate (relevancy, sufficiency, rewriting, batching), propagate
-// (incremental maintenance plan execution producing delta update trees),
-// apply (deep union into the extent), and finally refreshing the source
-// documents themselves.
+// validate (relevancy, sufficiency, rewriting, batching), refreshing the
+// source documents into the round's draft, propagate (incremental
+// maintenance plan execution producing delta update trees) and apply (deep
+// union into the extent); the draft becomes the store at commit.
 func (v *View) ApplyUpdates(prims []*update.Primitive, opts ...Options) (*MaintStats, error) {
 	return v.maintain(prims, 0, opts)
 }
@@ -186,11 +186,12 @@ func (v *View) maintain(prims []*update.Primitive, eval time.Duration, opts []Op
 
 // MaintainAll maintains several views over the same store under one batch,
 // as one round of phases (round.go): the batch is compacted and validated
-// once against the union of the views' SAPTs, shared sub-plan prefixes
-// propagate once, each view's incremental maintenance plan propagates the
-// batch and refreshes its extent over a bounded worker pool
-// (Options.Parallelism, default GOMAXPROCS), and the source documents are
-// refreshed once at the end. Results do not depend on the pool size.
+// once against the union of the views' SAPTs, the source documents are
+// refreshed once into the round's draft of the store, shared sub-plan
+// prefixes propagate once, and each view's incremental maintenance plan
+// propagates the batch and refreshes its extent over a bounded worker pool
+// (Options.Parallelism, default GOMAXPROCS). Commit installs the draft.
+// Results do not depend on the pool size.
 //
 // The round is transactional: every staged outcome is installed together
 // only after the whole round succeeded. On any error or panic the round is
@@ -244,28 +245,29 @@ func Recompute(store *xmldoc.Store, query string, prims []*update.Primitive) (st
 }
 
 // RecomputeAll recomputes several views from scratch under one batch, the
-// multi-view counterpart of Recompute: each view clones the store, applies
-// the updates to its clone, and evaluates its query over the result. The
-// per-view clone+evaluate work fans out over the same bounded worker pool
-// as MaintainAll, so the Ch 9 incremental-vs-recompute comparisons stay
+// multi-view counterpart of Recompute: the updates are applied once, to a
+// clone of the store, and each view evaluates its query over the result.
+// The per-view evaluate work fans out over the same bounded worker pool as
+// MaintainAll, so the Ch 9 incremental-vs-recompute comparisons stay
 // apples-to-apples when both sides run in parallel. The source store is
 // never mutated. Results are returned in query order.
 func RecomputeAll(store *xmldoc.Store, queries []string, prims []*update.Primitive, opts ...Options) ([]string, error) {
 	opt := getOpts(opts)
+	// Primitives reference keys of the original store, which the clone
+	// shares. Apply shallow copies: ApplyToStore assigns insert keys on the
+	// primitive, and the shared Frag trees are only ever read.
+	d := xmldoc.NewDraft(store)
+	for _, p := range prims {
+		cp := *p
+		if err := update.ApplyToStore(d, &cp); err != nil {
+			return nil, fmt.Errorf("recompute: %w", err)
+		}
+	}
+	post := store.Clone()
+	post.Install(d.Delta())
 	out := make([]string, len(queries))
 	err := forEachIndex(len(queries), opt, func(i int) error {
-		clone := store.Clone()
-		// Primitives reference keys of the original store; keys are shared
-		// by Clone so they resolve identically. Each worker applies its own
-		// shallow copies: ApplyToStore assigns insert keys on the primitive,
-		// and the shared Frag trees are only ever read.
-		for _, p := range prims {
-			cp := *p
-			if err := update.ApplyToStore(clone, &cp); err != nil {
-				return fmt.Errorf("recompute view-%d: %w", i, err)
-			}
-		}
-		v, err := NewView(clone, queries[i])
+		v, err := NewView(post, queries[i])
 		if err != nil {
 			return fmt.Errorf("recompute view-%d: %w", i, err)
 		}

@@ -8,23 +8,23 @@ import (
 	"xqview/internal/xmldoc"
 )
 
-// applySeq applies deep clones of prims to a clone of s and returns the
+// applySeq applies deep clones of prims to a draft of s and returns the
 // serialized bib.xml — the sequential-application ground truth compaction
 // must preserve.
 func applySeq(t *testing.T, s *xmldoc.Store, prims []*Primitive) string {
 	t.Helper()
-	c := s.Clone()
+	d := xmldoc.NewDraft(s)
 	for _, p := range prims {
 		cp := *p
 		if p.Frag != nil {
 			cp.Frag = p.Frag.Clone()
 		}
-		if err := ApplyToStore(c, &cp); err != nil {
+		if err := ApplyToStore(d, &cp); err != nil {
 			t.Fatalf("apply %v: %v", p, err)
 		}
 	}
-	root, _ := c.RootElem("bib.xml")
-	return xmldoc.Serialize(c, root)
+	root, _ := d.RootElem("bib.xml")
+	return xmldoc.Serialize(d, root)
 }
 
 func TestCompactCoalesceReplaceRuns(t *testing.T) {

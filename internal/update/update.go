@@ -96,24 +96,23 @@ func NormalizePosition(s *xmldoc.Store, p *Primitive) {
 	}
 }
 
-// ApplyToStore applies a primitive to the source store (the final step of
-// the apply phase: refreshing the base documents). Insert primitives must
-// already carry their assigned Key (from validation) so the store and the
-// propagated view agree on identifiers.
-func ApplyToStore(s *xmldoc.Store, p *Primitive) error {
+// ApplyToStore applies a primitive to a draft of the source store (source
+// refresh: the round's next store version). An insert that already carries
+// its assigned Key (from validation) lands there, so the store and the
+// propagated view agree on identifiers; one without gets a key here.
+func ApplyToStore(d *xmldoc.Draft, p *Primitive) error {
 	switch p.Kind {
 	case Insert:
 		if p.Key == "" {
-			NormalizePosition(s, p)
-			k, err := s.InsertFragment(p.Parent, p.After, p.Before, p.Frag)
+			k, err := d.InsertFragment(p.Parent, p.After, p.Before, p.Frag)
 			p.Key = k
 			return err
 		}
-		return s.InsertFragmentWithKey(p.Parent, p.Key, p.Frag)
+		return d.InsertFragmentWithKey(p.Parent, p.Key, p.Frag)
 	case Delete:
-		return s.DeleteSubtree(p.Key)
+		return d.DeleteSubtree(p.Key)
 	case Replace:
-		return s.ReplaceText(p.Key, p.NewValue)
+		return d.ReplaceText(p.Key, p.NewValue)
 	}
 	return fmt.Errorf("update: unknown primitive kind %d", p.Kind)
 }

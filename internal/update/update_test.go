@@ -81,11 +81,13 @@ func TestApplyToStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := xmldoc.NewDraft(s)
 	for _, p := range prims {
-		if err := ApplyToStore(s, p); err != nil {
+		if err := ApplyToStore(d, p); err != nil {
 			t.Fatalf("apply %v: %v", p, err)
 		}
 	}
+	s.Install(d.Delta())
 	root, _ := s.RootElem("bib.xml")
 	books := xmldoc.ChildElems(s, root, "book")
 	if len(books) != 2 {
@@ -116,11 +118,13 @@ insert <book><title>Last</title></book> into $b
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := xmldoc.NewDraft(s)
 	for _, p := range prims {
-		if err := ApplyToStore(s, p); err != nil {
+		if err := ApplyToStore(d, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	s.Install(d.Delta())
 	root, _ := s.RootElem("bib.xml")
 	books := xmldoc.ChildElems(s, root, "book")
 	if len(books) != 4 {

@@ -2,7 +2,7 @@
 // (Ch 5): primitives are checked for relevancy against the view's SAPT,
 // checked for sufficiency, rewritten to delete+insert of their navigation
 // anchor when they change values the plan depends on, assigned stable
-// FlexKeys, staged into an overlay store, and batched per document.
+// FlexKeys, and batched per document.
 package validate
 
 import (
@@ -19,20 +19,21 @@ import (
 )
 
 // fpBatch guards the validate phase boundary — the earliest fault point of a
-// round, before any key assignment or staging.
+// round, before any key assignment.
 var fpBatch = faultinject.Register("validate.batch")
 
-// Batch is the validated set of updates handed to the propagate phase and,
-// afterwards, applied to the source store.
+// Batch is the validated set of updates: what source refresh applies to the
+// store and what the propagate phase propagates.
 type Batch struct {
-	// ByDoc holds the validated primitives per document, in application
-	// order. Insert primitives carry their assigned keys.
+	// Refresh lists every accepted primitive in application order, the
+	// irrelevant ones included: relevance decides what propagates, never
+	// what reaches the store. Insert primitives carry their assigned keys.
+	Refresh []*update.Primitive
+	// ByDoc holds, per document, the primitives propagation reads (the
+	// relevant subset of Refresh), in application order.
 	ByDoc map[string][]*update.Primitive
 	// Trees are the batch update trees (Fig 5.3), one per document.
 	Trees map[string]*update.Tree
-	// Overlay stages all inserted fragments under their assigned keys so
-	// the propagate phase can navigate into them.
-	Overlay *xmldoc.Store
 	// Stats summarizes validation decisions.
 	Stats Stats
 }
@@ -50,7 +51,7 @@ type Stats struct {
 // touching call sites.
 func (s *Stats) Add(s2 Stats) { obs.AddFields(s, s2) }
 
-// Prims returns all validated primitives across documents.
+// Prims returns the primitives propagation reads, across documents.
 func (b *Batch) Prims() []*update.Primitive {
 	var out []*update.Primitive
 	for _, ps := range b.ByDoc {
@@ -79,22 +80,26 @@ func ValidateRec(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive, rec *
 		return nil, err
 	}
 	b := &Batch{
-		ByDoc:   map[string][]*update.Primitive{},
-		Trees:   map[string]*update.Tree{},
-		Overlay: xmldoc.NewStore(),
+		ByDoc: map[string][]*update.Primitive{},
+		Trees: map[string]*update.Tree{},
 	}
 	b.Stats.Total = len(prims)
 
-	// Group rewrite-class primitives (and pass-class primitives living
-	// inside a rewritten anchor) by anchor so each anchor is rewritten once
-	// with all its changes applied.
+	// Group rewrite-class primitives (and any other primitive living inside
+	// a rewritten anchor) by anchor so each anchor is rewritten once with
+	// all its changes applied.
 	type anchorGroup struct {
 		doc   string
 		prims []*update.Primitive
 	}
 	groups := map[flexkey.Key]*anchorGroup{}
 	var order []flexkey.Key
-	var direct []*update.Primitive
+	// The pass- and irrelevant-class primitives, in statement order.
+	type accepted struct {
+		p        *update.Primitive
+		relevant bool
+	}
+	var direct []accepted
 
 	for i, p := range prims {
 		update.NormalizePosition(s, p)
@@ -106,12 +111,13 @@ func ValidateRec(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive, rec *
 		}
 		switch t.Classify(s, p) {
 		case sapt.Irrelevant:
+			direct = append(direct, accepted{p, false})
 			b.Stats.Irrelevant++
 			if rec.Active() {
 				rec.Verdict(i, "prune", verdictPath(s, p), "")
 			}
 		case sapt.Pass:
-			direct = append(direct, p)
+			direct = append(direct, accepted{p, true})
 			b.Stats.Passed++
 			if rec.Active() {
 				rec.Verdict(i, "accept", verdictPath(s, p), "")
@@ -155,24 +161,25 @@ func ValidateRec(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive, rec *
 			}
 		}
 	}
-	// Fold pass-class primitives that live inside a rewritten anchor into
-	// the rewrite (their effect must appear in the replacement fragment).
-	var kept []*update.Primitive
-	for _, p := range direct {
-		ref := p.Key
-		if p.Kind == update.Insert {
-			ref = p.Parent
+	// Fold pass- and irrelevant-class primitives that live inside a
+	// rewritten anchor into the rewrite (their effect must appear in the
+	// replacement fragment, which is what refresh inserts).
+	var kept []accepted
+	for _, a := range direct {
+		ref := a.p.Key
+		if a.p.Kind == update.Insert {
+			ref = a.p.Parent
 		}
 		folded := false
-		for a, g := range groups {
-			if flexkey.IsSelfOrAncestorOf(a, ref) {
-				g.prims = append(g.prims, p)
+		for anchor, g := range groups {
+			if flexkey.IsSelfOrAncestorOf(anchor, ref) {
+				g.prims = append(g.prims, a.p)
 				folded = true
 				break
 			}
 		}
 		if !folded {
-			kept = append(kept, p)
+			kept = append(kept, a)
 		}
 	}
 	// Emit delete+insert pairs for each rewritten anchor.
@@ -182,36 +189,34 @@ func ValidateRec(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive, rec *
 		if err != nil {
 			return nil, err
 		}
-		prev, next := s.Siblings(a)
+		_, next := s.Siblings(a)
 		kept = append(kept,
-			&update.Primitive{Kind: update.Delete, Doc: g.doc, Key: a},
-			&update.Primitive{Kind: update.Insert, Doc: g.doc,
-				Parent: s.Parent(a), After: a, Before: next, Frag: frag})
-		_ = prev
+			accepted{&update.Primitive{Kind: update.Delete, Doc: g.doc, Key: a}, true},
+			accepted{&update.Primitive{Kind: update.Insert, Doc: g.doc,
+				Parent: s.Parent(a), After: a, Before: next, Frag: frag}, true})
 	}
-	// Assign keys to inserts and stage their fragments in the overlay.
-	// Track staged keys per parent so multiple inserts at the same position
+	// Assign keys to every insert, relevant or not, and batch. Track
+	// assigned keys per position so multiple inserts at the same position
 	// keep their statement order.
-	staged := map[flexkey.Key]flexkey.Key{} // original After -> last staged key there
-	for _, p := range kept {
-		if p.Kind != update.Insert {
-			b.ByDoc[p.Doc] = append(b.ByDoc[p.Doc], p)
-			continue
-		}
-		after := p.After
-		if last, ok := staged[p.After]; ok && p.Key == "" {
-			after = last
-		}
-		if p.Key == "" {
-			lo, hi := after, p.Before
+	assigned := map[flexkey.Key]flexkey.Key{} // original After -> last key assigned there
+	b.Refresh = make([]*update.Primitive, 0, len(kept))
+	for _, a := range kept {
+		p := a.p
+		if p.Kind == update.Insert && p.Key == "" {
+			lo, hi := p.After, p.Before
+			if last, ok := assigned[p.After]; ok {
+				lo = last
+			}
 			if hi != "" && lo >= hi {
-				hi = "" // previous staging consumed the gap's bound ordering
+				hi = "" // a previous assignment consumed the gap's bound ordering
 			}
 			p.Key = flexkey.SiblingBetween(p.Parent, lo, hi)
-			staged[p.After] = p.Key
+			assigned[p.After] = p.Key
 		}
-		b.Overlay.StageFragment(p.Key, p.Frag)
-		b.ByDoc[p.Doc] = append(b.ByDoc[p.Doc], p)
+		b.Refresh = append(b.Refresh, p)
+		if a.relevant {
+			b.ByDoc[p.Doc] = append(b.ByDoc[p.Doc], p)
+		}
 	}
 	for doc, ps := range b.ByDoc {
 		b.Trees[doc] = update.BuildTree(s, doc, ps)

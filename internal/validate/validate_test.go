@@ -87,9 +87,48 @@ insert <book><title>N2</title></book> into $b`)
 	if !flexkey.Less(k1, k2) {
 		t.Fatalf("appended inserts out of order: %q !< %q", k1, k2)
 	}
-	// Staged fragments readable from the overlay.
-	if got := xmldoc.StringValue(b.Overlay, k1); got != "N1" {
-		t.Fatalf("overlay content: %q", got)
+	// Refreshing a draft with the batch lands the fragments at those keys.
+	d := xmldoc.NewDraft(s)
+	for _, p := range b.Refresh {
+		if err := update.ApplyToStore(d, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := xmldoc.StringValue(d, k1); got != "N1" {
+		t.Fatalf("refreshed content: %q", got)
+	}
+}
+
+// TestValidateKeepsIrrelevantForRefresh: an update no view reads stays out
+// of propagation but is still batched for source refresh, with its insert
+// key assigned in the same loop as the relevant ones (statement order at a
+// shared position).
+func TestValidateKeepsIrrelevantForRefresh(t *testing.T) {
+	s, tree := setup(t)
+	prims, err := update.ParseAndEvaluate(s, `
+for $b in document("bib.xml")/bib
+update $b
+insert <note>n</note> into $b
+
+for $b in document("bib.xml")/bib
+update $b
+insert <book><title>T9</title></book> into $b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Validate(s, tree, prims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Stats.Irrelevant != 1 || len(b.Prims()) != 1 || len(b.Refresh) != 2 {
+		t.Fatalf("stats %+v, propagated %d, refreshed %d", b.Stats, len(b.Prims()), len(b.Refresh))
+	}
+	note, book := b.Refresh[0], b.Refresh[1]
+	if note.Frag.Name != "note" || note.Key == "" || !flexkey.Less(note.Key, book.Key) {
+		t.Fatalf("refresh order or keys: %v, %v", note, book)
+	}
+	if b.Prims()[0] != book {
+		t.Fatalf("propagated %v, want the book insert", b.Prims()[0])
 	}
 }
 
@@ -140,8 +179,8 @@ replace $b/title/text() with "Renamed"`)
 
 func TestValidateFoldsInnerPrimsIntoRewrite(t *testing.T) {
 	s, tree := setup(t)
-	// Replace the title (rewrite) and delete the author's last (inside the
-	// same book; irrelevant alone, but must not resurrect if folded).
+	// Replace the title (rewrite) and insert into the same book (irrelevant
+	// alone).
 	prims, err := update.ParseAndEvaluate(s, `
 for $b in document("bib.xml")/bib/book[1]
 update $b
@@ -153,16 +192,22 @@ insert <extra>e</extra> into $b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Make the insert pass-classified by exposing the book... with this
-	// query the bare <extra> insert is irrelevant; the test checks it does
-	// not break grouping.
+	// With this query the bare <extra> insert is irrelevant; inside the
+	// rewritten book it folds into the rewrite as a pass-class one would.
 	b, err := Validate(s, tree, prims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := b.ByDoc["bib.xml"]
-	if len(ps) != 2 {
-		t.Fatalf("prims: %v", ps)
+	if len(ps) != 2 || len(b.Refresh) != 2 {
+		t.Fatalf("prims: %v, refresh: %v", ps, b.Refresh)
+	}
+	// The irrelevant insert reaches the store through the rewrite's
+	// replacement fragment.
+	for _, p := range ps {
+		if p.Kind == update.Insert && !strings.Contains(p.Frag.String(), "<extra>e</extra>") {
+			t.Fatalf("rewrite dropped the folded insert: %s", p.Frag)
+		}
 	}
 }
 

@@ -125,20 +125,20 @@ func deltaNavInput(t testing.TB, inserts int) *DeltaInput {
 		t.Fatal(err)
 	}
 	elems := xmldoc.ChildElems(s, root, "book")
-	overlay := xmldoc.NewStore()
-	ur := xmldoc.NewUpdatedReader(s, overlay)
+	d := xmldoc.NewDraft(s)
 	regions := make([]*Region, 0, inserts)
 	anchor := elems[len(elems)-1]
 	for i := 0; i < inserts; i++ {
 		k := flexkey.SiblingBetween(root, anchor, "")
 		anchor = k
-		overlay.StageFragment(k, xmldoc.Elem("book",
-			xmldoc.Elem("title", xmldoc.TextF(fmt.Sprintf("NEW%d", i)))))
-		ur.InsertedUnder[root] = append(ur.InsertedUnder[root], k)
+		if err := d.InsertFragmentWithKey(root, k, xmldoc.Elem("book",
+			xmldoc.Elem("title", xmldoc.TextF(fmt.Sprintf("NEW%d", i))))); err != nil {
+			t.Fatal(err)
+		}
 		regions = append(regions, &Region{Mode: RegionInsert, Anchor: k, Parent: root})
 	}
 	return &DeltaInput{
-		Base: s, New: ur,
+		Base: s, New: d,
 		Regions: map[string][]*Region{"bib.xml": regions},
 	}
 }

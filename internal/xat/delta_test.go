@@ -48,23 +48,25 @@ func newDeltaFixture(t testing.TB, filterYear string) *deltaFixture {
 	return &deltaFixture{store: s, plan: plan, root: root}
 }
 
-// propagate runs one region through the fixture's plan.
-func (f *deltaFixture) propagate(t testing.TB, r *Region, overlay *xmldoc.Store) []*VNode {
+// propagate runs one region through the fixture's plan; an insert region
+// inserts frag at its anchor.
+func (f *deltaFixture) propagate(t testing.TB, r *Region, frag *xmldoc.Frag) []*VNode {
 	t.Helper()
-	if overlay == nil {
-		overlay = xmldoc.NewStore()
-	}
-	ur := xmldoc.NewUpdatedReader(f.store, overlay)
+	d := xmldoc.NewDraft(f.store)
+	var err error
 	switch r.Mode {
 	case RegionInsert:
-		ur.InsertedUnder[r.Parent] = append(ur.InsertedUnder[r.Parent], r.Anchor)
+		err = d.InsertFragmentWithKey(r.Parent, r.Anchor, frag)
 	case RegionDelete:
-		ur.Deleted[r.Anchor] = true
+		err = d.DeleteSubtree(r.Anchor)
 	case RegionModify:
-		ur.Replaced[r.Anchor] = r.NewValue
+		err = d.ReplaceText(r.Anchor, r.NewValue)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	roots, err := PropagateDelta(f.plan, &DeltaInput{
-		Base: f.store, New: ur,
+		Base: f.store, New: d,
 		Regions: map[string][]*Region{"bib.xml": {r}},
 	})
 	if err != nil {
@@ -75,11 +77,10 @@ func (f *deltaFixture) propagate(t testing.TB, r *Region, overlay *xmldoc.Store)
 
 func TestDeltaInsertProducesPositiveFragment(t *testing.T) {
 	f := newDeltaFixture(t, "")
-	overlay := xmldoc.NewStore()
 	books := xmldoc.ChildElems(f.store, f.root, "book")
 	k := flexkey.SiblingBetween(f.root, books[len(books)-1], "")
-	overlay.StageFragment(k, xmldoc.Elem("book", xmldoc.Elem("title", xmldoc.TextF("NEW"))))
-	roots := f.propagate(t, &Region{Mode: RegionInsert, Anchor: k, Parent: f.root}, overlay)
+	roots := f.propagate(t, &Region{Mode: RegionInsert, Anchor: k, Parent: f.root},
+		xmldoc.Elem("book", xmldoc.Elem("title", xmldoc.TextF("NEW"))))
 	if len(roots) != 1 {
 		t.Fatalf("delta roots: %d", len(roots))
 	}
@@ -148,22 +149,17 @@ func TestDeltaSelectFiltersRegions(t *testing.T) {
 	// A filtered view: only 1994 books. Inserting a 2000 book must produce
 	// no visible delta content.
 	f := newDeltaFixture(t, "1994")
-	overlay := xmldoc.NewStore()
 	k := flexkey.SiblingBetween(f.root, "", "")
-	overlay.StageFragment(k, xmldoc.Elem("book",
+	roots := f.propagate(t, &Region{Mode: RegionInsert, Anchor: k, Parent: f.root}, xmldoc.Elem("book",
 		xmldoc.AttrF("year", "2000"), xmldoc.Elem("title", xmldoc.TextF("Nope"))))
-	roots := f.propagate(t, &Region{Mode: RegionInsert, Anchor: k, Parent: f.root}, overlay)
 	for _, r := range roots {
 		if strings.Contains(r.Dump(), "Nope") {
 			t.Fatalf("filtered-out insert leaked: %s", r.Dump())
 		}
 	}
 	// And a matching one must.
-	overlay2 := xmldoc.NewStore()
-	k2 := flexkey.SiblingBetween(f.root, "", "")
-	overlay2.StageFragment(k2, xmldoc.Elem("book",
+	roots = f.propagate(t, &Region{Mode: RegionInsert, Anchor: k, Parent: f.root}, xmldoc.Elem("book",
 		xmldoc.AttrF("year", "1994"), xmldoc.Elem("title", xmldoc.TextF("Yep"))))
-	roots = f.propagate(t, &Region{Mode: RegionInsert, Anchor: k2, Parent: f.root}, overlay2)
 	found := false
 	for _, r := range roots {
 		if strings.Contains(r.Dump(), "Yep") {
@@ -185,7 +181,7 @@ func TestDeltaIrrelevantDocUntouched(t *testing.T) {
 	}
 	_ = other
 	roots, err := PropagateDelta(f.plan, &DeltaInput{
-		Base: f.store, New: xmldoc.NewUpdatedReader(f.store, xmldoc.NewStore()),
+		Base: f.store, New: xmldoc.NewDraft(f.store),
 		Regions: map[string][]*Region{"other.xml": {{Mode: RegionDelete, Anchor: "zz"}}},
 	})
 	if err != nil {

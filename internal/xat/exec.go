@@ -57,7 +57,7 @@ type Env struct {
 	alloc *Alloc                 // round arena; nil means plain heap allocation
 	nav   navBufs                // reusable path-navigation buffers
 
-	// baseVals/dirty let an environment over the round's UpdatedReader
+	// baseVals/dirty let an environment over the round's draft
 	// read through to the persistent base-store memo: a key unrelated to
 	// every update region of the round (not in a touched subtree, not on an
 	// anchor's ancestor chain) reads identically in both stores, so its

@@ -88,14 +88,16 @@ type StateCache struct {
 	pendingPromote bool
 
 	// valsBase/valsNew are the engine's string-value memo maps. valsNew
-	// (over the round's UpdatedReader) is valid only within one round and is
+	// (over the round's draft) is valid only within one round and is
 	// recycled cleared; valsBase (over the committed base store) PERSISTS
 	// across rounds — the base store only changes when a round commits, and
 	// Install then deletes exactly the entries the round's update regions
 	// could have changed (keys inside a touched subtree, and their ancestors
-	// whose concatenated text value shifts). Rollback restores the pre-round
-	// store, which is what the memo describes, so it survives rollbacks
-	// verbatim; Invalidate clears it along with the tables.
+	// whose concatenated text value shifts; an update no view reads has no
+	// region and changes no value any view memoized). A rollback leaves the
+	// pre-round store, which is what the memo describes, so the memo
+	// survives rollbacks verbatim; Invalidate clears it along with the
+	// tables.
 	valsBase, valsNew map[flexkey.Key]string
 
 	stats CacheStats

@@ -163,43 +163,3 @@ func SubtreeSize(r Reader, k flexkey.Key) int {
 	}
 	return n
 }
-
-// Layered is a Reader that resolves keys in the overlay first, then in the
-// base store. It is used during the propagate phase: inserted fragments live
-// in the overlay while base documents still reflect the pre-update state.
-type Layered struct {
-	Base    Reader
-	Overlay Reader
-}
-
-// Node implements Reader.
-func (l Layered) Node(k flexkey.Key) (*Node, bool) {
-	if n, ok := l.Overlay.Node(k); ok {
-		return n, true
-	}
-	return l.Base.Node(k)
-}
-
-// Children implements Reader.
-func (l Layered) Children(k flexkey.Key) []flexkey.Key {
-	if _, ok := l.Overlay.Node(k); ok {
-		return l.Overlay.Children(k)
-	}
-	return l.Base.Children(k)
-}
-
-// Attrs implements Reader.
-func (l Layered) Attrs(k flexkey.Key) []flexkey.Key {
-	if _, ok := l.Overlay.Node(k); ok {
-		return l.Overlay.Attrs(k)
-	}
-	return l.Base.Attrs(k)
-}
-
-// Root implements Reader.
-func (l Layered) Root(doc string) (flexkey.Key, bool) {
-	if k, ok := l.Overlay.Root(doc); ok {
-		return k, true
-	}
-	return l.Base.Root(doc)
-}

@@ -3,84 +3,9 @@ package xmldoc
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"xqview/internal/flexkey"
 )
-
-// Delta is the store-side half of one committed maintenance round, captured
-// as post-images of exactly the keys the round's source refresh touched. A
-// Delta layered over an older snapshot masks those keys with the post-round
-// state; everything else reads through. Entries are private copies taken at
-// build time — the live store keeps mutating its own structures (ReplaceText
-// writes through the shared *Node, append-style mutators write through live
-// backing arrays), so a Delta must never alias them.
-//
-// Deletion markers: a nil *Node means the key was deleted; children/attrs
-// use map presence as the mask (a masked key whose slice is nil reads as
-// childless, which is indistinguishable from deleted for a Reader); parent
-// and roots use "" as the deleted value (no legal key is empty).
-type Delta struct {
-	nodes    map[flexkey.Key]*Node
-	children map[flexkey.Key][]flexkey.Key
-	attrs    map[flexkey.Key][]flexkey.Key
-	parent   map[flexkey.Key]flexkey.Key
-	roots    map[string]flexkey.Key
-	docSeq   int
-}
-
-// Empty reports whether the delta masks no keys at all (a round that
-// refreshed no documents).
-func (d *Delta) Empty() bool {
-	return len(d.nodes) == 0 && len(d.children) == 0 && len(d.attrs) == 0 &&
-		len(d.parent) == 0 && len(d.roots) == 0
-}
-
-// Len returns how many keys the delta masks, for telemetry.
-func (d *Delta) Len() int {
-	return len(d.nodes) + len(d.children) + len(d.attrs) + len(d.parent) + len(d.roots)
-}
-
-// BuildDelta captures the current (post-mutation) state of every key the
-// active undo log touched, as private copies. It must run after the round's
-// mutations and before CommitUndo discards the log; the undo log already
-// holds exactly the first-touch key set, so the delta is proportional to the
-// round's touch set, never to the store. Returns nil when no log is active.
-func (s *Store) BuildDelta() *Delta {
-	u := s.undo
-	if u == nil {
-		return nil
-	}
-	d := &Delta{
-		nodes:    make(map[flexkey.Key]*Node, len(u.nodes)),
-		children: make(map[flexkey.Key][]flexkey.Key, len(u.children)),
-		attrs:    make(map[flexkey.Key][]flexkey.Key, len(u.attrs)),
-		parent:   make(map[flexkey.Key]flexkey.Key, len(u.parent)),
-		roots:    make(map[string]flexkey.Key, len(u.roots)),
-		docSeq:   s.docSeq,
-	}
-	for k := range u.nodes {
-		if n, ok := s.nodes[k]; ok {
-			cp := *n
-			d.nodes[k] = &cp
-		} else {
-			d.nodes[k] = nil
-		}
-	}
-	for k := range u.children {
-		d.children[k] = append([]flexkey.Key(nil), s.children[k]...)
-	}
-	for k := range u.attrs {
-		d.attrs[k] = append([]flexkey.Key(nil), s.attrs[k]...)
-	}
-	for k := range u.parent {
-		d.parent[k] = s.parent[k]
-	}
-	for doc := range u.roots {
-		d.roots[doc] = s.roots[doc]
-	}
-	return d
-}
 
 // maxDeltaChain bounds how many overlay deltas a snapshot stacks before
 // Extend flattens them into one. Every point read scans the chain newest-
@@ -89,22 +14,25 @@ func (s *Store) BuildDelta() *Delta {
 // to the keys the rounds actually touched.
 const maxDeltaChain = 16
 
-// Snap is an immutable point-in-time Reader over the store: a private base
-// clone plus a chain of round deltas layered over it. Snaps are never
-// mutated — Extend returns a NEW Snap sharing the base and the existing
-// deltas — so any number of readers can hold and read one concurrently
-// while maintenance rounds keep committing behind them.
+// Snap is an immutable point-in-time Reader over the store: a base store
+// plus a chain of round deltas layered over it. Snaps are never mutated —
+// Extend returns a NEW Snap sharing the base and the existing deltas — so
+// any number of readers can hold and read one concurrently while
+// maintenance rounds keep committing behind them.
+//
+// The same layered lookup serves a Draft, whose one delta lies over the
+// live store; there a deletion marker reads through to the store (draft).
 type Snap struct {
 	base   *Store
 	deltas []*Delta // oldest first; reads scan newest-first
-	docSeq int
+	draft  bool     // deletion markers read through to base
 }
 
 // SnapOf captures the store's current state as a fresh snapshot. The base
-// is a deep clone, so the cost is O(store) — callers take one at load time
-// and extend it with per-round deltas afterwards.
+// is a Clone (five map copies, no node copies) — callers take one at load
+// time and extend it with per-round deltas afterwards.
 func SnapOf(s *Store) *Snap {
-	return &Snap{base: s.Clone(), docSeq: s.docSeq}
+	return &Snap{base: s.Clone()}
 }
 
 // Extend returns a new snapshot that reads as sn with d layered on top. sn
@@ -116,18 +44,18 @@ func (sn *Snap) Extend(d *Delta) *Snap {
 		return sn
 	}
 	if len(sn.deltas) >= maxDeltaChain {
-		return &Snap{base: sn.base, deltas: []*Delta{flatten(sn.deltas, d)}, docSeq: d.docSeq}
+		return &Snap{base: sn.base, deltas: []*Delta{flatten(sn.deltas, d)}}
 	}
 	ds := make([]*Delta, 0, len(sn.deltas)+1)
 	ds = append(ds, sn.deltas...)
 	ds = append(ds, d)
-	return &Snap{base: sn.base, deltas: ds, docSeq: d.docSeq}
+	return &Snap{base: sn.base, deltas: ds}
 }
 
 // flatten merges a delta chain (oldest first) plus one more into a single
 // delta, newest entry winning per key. The inputs stay untouched — entries
 // are shared by reference into the combined maps, which is safe because
-// deltas are immutable once built.
+// deltas are immutable once their draft is done.
 func flatten(ds []*Delta, last *Delta) *Delta {
 	out := &Delta{
 		nodes:    map[flexkey.Key]*Node{},
@@ -157,60 +85,79 @@ func flatten(ds []*Delta, last *Delta) *Delta {
 	return out
 }
 
-// Node implements Reader.
-func (sn *Snap) Node(k flexkey.Key) (*Node, bool) {
+// The layered lookups, one per index. Each scans the deltas newest first;
+// the first that holds k answers, and a deletion marker answers "absent" —
+// unless through is set, when it falls back to the base: the pre-round
+// state a draft's propagation still reads.
+
+func (sn *Snap) node(k flexkey.Key, through bool) (*Node, bool) {
 	for i := len(sn.deltas) - 1; i >= 0; i-- {
 		if n, ok := sn.deltas[i].nodes[k]; ok {
-			if n == nil {
-				return nil, false
+			if n != nil || !through {
+				return n, n != nil
 			}
-			return n, true
+			break
 		}
 	}
 	return sn.base.Node(k)
 }
 
-// Children implements Reader.
-func (sn *Snap) Children(k flexkey.Key) []flexkey.Key {
+func (sn *Snap) children(k flexkey.Key, through bool) []flexkey.Key {
 	for i := len(sn.deltas) - 1; i >= 0; i-- {
 		if v, ok := sn.deltas[i].children[k]; ok {
-			return v
+			if v != nil || !through {
+				return v
+			}
+			break
 		}
 	}
-	return sn.base.Children(k)
+	return sn.base.children[k]
 }
 
-// Attrs implements Reader.
-func (sn *Snap) Attrs(k flexkey.Key) []flexkey.Key {
+func (sn *Snap) attrs(k flexkey.Key, through bool) []flexkey.Key {
 	for i := len(sn.deltas) - 1; i >= 0; i-- {
 		if v, ok := sn.deltas[i].attrs[k]; ok {
-			return v
+			if v != nil || !through {
+				return v
+			}
+			break
 		}
 	}
-	return sn.base.Attrs(k)
+	return sn.base.attrs[k]
 }
+
+func (sn *Snap) parent(k flexkey.Key, through bool) flexkey.Key {
+	for i := len(sn.deltas) - 1; i >= 0; i-- {
+		if p, ok := sn.deltas[i].parent[k]; ok {
+			if p != "" || !through {
+				return p
+			}
+			break
+		}
+	}
+	return sn.base.parent[k]
+}
+
+// Node implements Reader.
+func (sn *Snap) Node(k flexkey.Key) (*Node, bool) { return sn.node(k, sn.draft) }
+
+// Children implements Reader.
+func (sn *Snap) Children(k flexkey.Key) []flexkey.Key { return sn.children(k, sn.draft) }
+
+// Attrs implements Reader.
+func (sn *Snap) Attrs(k flexkey.Key) []flexkey.Key { return sn.attrs(k, sn.draft) }
+
+// Parent returns the parent key of k ("" for roots), like Store.Parent.
+func (sn *Snap) Parent(k flexkey.Key) flexkey.Key { return sn.parent(k, sn.draft) }
 
 // Root implements Reader.
 func (sn *Snap) Root(doc string) (flexkey.Key, bool) {
 	for i := len(sn.deltas) - 1; i >= 0; i-- {
 		if v, ok := sn.deltas[i].roots[doc]; ok {
-			if v == "" {
-				return "", false
-			}
-			return v, true
+			return v, v != ""
 		}
 	}
 	return sn.base.Root(doc)
-}
-
-// Parent returns the parent key of k ("" for roots), like Store.Parent.
-func (sn *Snap) Parent(k flexkey.Key) flexkey.Key {
-	for i := len(sn.deltas) - 1; i >= 0; i-- {
-		if v, ok := sn.deltas[i].parent[k]; ok {
-			return v
-		}
-	}
-	return sn.base.Parent(k)
 }
 
 // RootElem returns the root element key of a document, like Store.RootElem.
@@ -256,34 +203,9 @@ func (sn *Snap) Depth() int { return len(sn.deltas) }
 // total-node count), so tests can byte-compare a snapshot against a live
 // store frame via DumpPrefix.
 func (sn *Snap) DebugDump() string {
-	var b strings.Builder
-	var walk func(k flexkey.Key, depth int)
-	walk = func(k flexkey.Key, depth int) {
-		n, _ := sn.Node(k)
-		fmt.Fprintf(&b, "%s%s kind=%d name=%q value=%q count=%d parent=%s\n",
-			strings.Repeat(" ", depth), k, int(n.Kind), n.Name, n.Value, n.Count, sn.Parent(k))
-		for _, a := range sn.Attrs(k) {
-			walk(a, depth+1)
-		}
-		for _, c := range sn.Children(k) {
-			walk(c, depth+1)
-		}
+	seq := sn.base.docSeq
+	if n := len(sn.deltas); n > 0 {
+		seq = sn.deltas[n-1].docSeq
 	}
-	for _, doc := range sn.Docs() {
-		r, _ := sn.Root(doc)
-		fmt.Fprintf(&b, "doc %s root=%s\n", doc, r)
-		walk(r, 1)
-	}
-	fmt.Fprintf(&b, "docSeq=%d\n", sn.docSeq)
-	return b.String()
-}
-
-// DumpPrefix renders the live store in DebugDump's document format plus the
-// docSeq line but without the size line, byte-comparable to Snap.DebugDump.
-func (s *Store) DumpPrefix() string {
-	d := s.DebugDump()
-	if i := strings.LastIndex(d, "size="); i >= 0 {
-		d = d[:i] + fmt.Sprintf("docSeq=%d\n", s.docSeq)
-	}
-	return d
+	return dump(sn) + fmt.Sprintf("docSeq=%d\n", seq)
 }

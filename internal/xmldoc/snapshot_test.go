@@ -10,7 +10,7 @@ import (
 // byte-identically, while Extend with the round's delta reads the post-round
 // state byte-identically — both verified against live-store dumps.
 func TestSnapshotImmutableAcrossRounds(t *testing.T) {
-	s := undoTestStore(t)
+	s := draftTestStore(t)
 	pre := s.DumpPrefix()
 	snap0 := SnapOf(s)
 	if got := snap0.DebugDump(); got != pre {
@@ -18,15 +18,15 @@ func TestSnapshotImmutableAcrossRounds(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	s.BeginUndo()
+	d := NewDraft(s)
 	for i := 0; i < 8; i++ {
-		mutate(t, s, rng, i)
+		mutate(t, d, rng, i)
 	}
-	delta := s.BuildDelta()
-	if delta == nil || delta.Empty() {
+	delta := d.Delta()
+	if delta.Empty() {
 		t.Fatal("round touched nothing; test exercises nothing")
 	}
-	s.CommitUndo()
+	s.Install(delta)
 	post := s.DumpPrefix()
 	if post == pre {
 		t.Fatal("mutations were a no-op")
@@ -45,31 +45,32 @@ func TestSnapshotImmutableAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltaCopiesNotAliases verifies a delta holds private copies:
-// later in-place store mutations (ReplaceText writes through the shared
-// *Node) must not bleed into an already-built delta.
+// TestSnapshotDeltaCopiesNotAliases verifies a delta holds its own copies:
+// a later round writing the same node (its draft copies the node the store
+// got from this delta) must not bleed into an already-built snapshot.
 func TestSnapshotDeltaCopiesNotAliases(t *testing.T) {
-	s := undoTestStore(t)
+	s := draftTestStore(t)
 	snap0 := SnapOf(s)
 	root, _ := s.RootElem("a.xml")
 	texts := s.Children(s.Children(root)[0])
 	textKey := s.Children(texts[0])[0]
 
-	s.BeginUndo()
-	if err := s.ReplaceText(textKey, "round1"); err != nil {
-		t.Fatal(err)
+	for _, v := range []string{"round1", "round2"} {
+		d := NewDraft(s)
+		if err := d.ReplaceText(textKey, v); err != nil {
+			t.Fatal(err)
+		}
+		s.Install(d.Delta())
+		if v == "round1" {
+			snap0 = snap0.Extend(d.Delta())
+		}
 	}
-	delta := s.BuildDelta()
-	s.CommitUndo()
-	snap1 := snap0.Extend(delta)
-
-	// Mutate the same node again WITHOUT undo: the live store moves on.
-	if err := s.ReplaceText(textKey, "round2"); err != nil {
-		t.Fatal(err)
-	}
-	n, ok := snap1.Node(textKey)
+	n, ok := snap0.Node(textKey)
 	if !ok || n.Value != "round1" {
 		t.Fatalf("snapshot node aliased live store: got %q want %q", n.Value, "round1")
+	}
+	if n, _ := s.Node(textKey); n.Value != "round2" {
+		t.Fatalf("store reads %q after the second round", n.Value)
 	}
 }
 
@@ -77,18 +78,17 @@ func TestSnapshotDeltaCopiesNotAliases(t *testing.T) {
 // the chain depth stays bounded while the newest snapshot still reads the
 // live state byte-identically and old handles keep their frames.
 func TestSnapshotChainFlattens(t *testing.T) {
-	s := undoTestStore(t)
+	s := draftTestStore(t)
 	snap := SnapOf(s)
 	rng := rand.New(rand.NewSource(11))
 	frames := []string{s.DumpPrefix()}
 	snaps := []*Snap{snap}
 	const rounds = 3*maxDeltaChain + 5
 	for i := 0; i < rounds; i++ {
-		s.BeginUndo()
-		mutate(t, s, rng, i)
-		d := s.BuildDelta()
-		s.CommitUndo()
-		snap = snap.Extend(d)
+		d := NewDraft(s)
+		mutate(t, d, rng, i)
+		s.Install(d.Delta())
+		snap = snap.Extend(d.Delta())
 		if snap.Depth() > maxDeltaChain {
 			t.Fatalf("round %d: chain depth %d exceeds bound %d", i, snap.Depth(), maxDeltaChain)
 		}
@@ -111,14 +111,9 @@ func TestSnapshotChainFlattens(t *testing.T) {
 // TestSnapshotEmptyDeltaSharesHandle pins the no-op optimization: extending
 // with an empty delta returns the same immutable snapshot.
 func TestSnapshotEmptyDeltaSharesHandle(t *testing.T) {
-	s := undoTestStore(t)
+	s := draftTestStore(t)
 	snap := SnapOf(s)
-	s.BeginUndo()
-	d := s.BuildDelta()
-	s.CommitUndo()
-	if d == nil {
-		t.Fatal("BuildDelta under active undo returned nil")
-	}
+	d := NewDraft(s).Delta()
 	if !d.Empty() {
 		t.Fatalf("no mutations but delta masks %d keys", d.Len())
 	}
@@ -128,25 +123,25 @@ func TestSnapshotEmptyDeltaSharesHandle(t *testing.T) {
 	if snap.Extend(nil) != snap {
 		t.Fatal("nil delta produced a new snapshot")
 	}
-	if s.BuildDelta() != nil {
-		t.Fatal("BuildDelta without active undo must return nil")
-	}
 }
 
 // TestSnapshotDocLifecycle covers document-level delta entries: a document
 // loaded mid-stream appears only in snapshots extended past its round, and
 // deleting a subtree masks the keys for newer snapshots only.
 func TestSnapshotDocLifecycle(t *testing.T) {
-	s := undoTestStore(t)
+	s := draftTestStore(t)
 	snap0 := SnapOf(s)
 
-	s.BeginUndo()
-	if _, err := s.Load("new.xml", `<n><m>x</m></n>`); err != nil {
+	f, err := Parse(`<n><m>x</m></n>`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d := s.BuildDelta()
-	s.CommitUndo()
-	snap1 := snap0.Extend(d)
+	d := NewDraft(s)
+	if _, err := d.LoadFragment("new.xml", f); err != nil {
+		t.Fatal(err)
+	}
+	s.Install(d.Delta())
+	snap1 := snap0.Extend(d.Delta())
 
 	if _, ok := snap0.Root("new.xml"); ok {
 		t.Fatal("pre-load snapshot sees the new document")
@@ -159,5 +154,52 @@ func TestSnapshotDocLifecycle(t *testing.T) {
 	}
 	if got := snap1.DebugDump(); got != s.DumpPrefix() {
 		t.Fatalf("post-load snapshot diverges:\n--- want ---\n%s--- got ---\n%s", s.DumpPrefix(), got)
+	}
+}
+
+// TestSnapshotNeverResurrectsDeleted: re-inserting a bare fragment at a key
+// an earlier round deleted brings back none of the old node's attributes or
+// children — not through the snapshot chain, not after the chain flattens,
+// and not in the store.
+func TestSnapshotNeverResurrectsDeleted(t *testing.T) {
+	s := draftTestStore(t)
+	snap := SnapOf(s)
+	root, _ := s.RootElem("a.xml")
+	b := s.Children(root)[0]
+	d := NewDraft(s)
+	if err := d.DeleteSubtree(b); err != nil {
+		t.Fatal(err)
+	}
+	s.Install(d.Delta())
+	snap = snap.Extend(d.Delta())
+
+	d = NewDraft(s)
+	if err := d.InsertFragmentWithKey(root, b, Elem("b")); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Attrs(b)) != 0 || len(d.Children(b)) != 0 {
+		t.Fatal("the draft resurrected the deleted node's content")
+	}
+	s.Install(d.Delta())
+	snap = snap.Extend(d.Delta())
+	for round := 0; ; round++ {
+		for name, r := range map[string]Reader{"store": s, "snapshot": snap} {
+			if len(r.Attrs(b)) != 0 || len(r.Children(b)) != 0 {
+				t.Fatalf("round %d: %s resurrected the deleted node's content", round, name)
+			}
+		}
+		if got, want := snap.DebugDump(), s.DumpPrefix(); got != want {
+			t.Fatalf("round %d: snapshot diverges from store:\n--- store ---\n%s--- snapshot ---\n%s", round, want, got)
+		}
+		if round > maxDeltaChain {
+			return
+		}
+		// Filler rounds until the chain flattens.
+		d = NewDraft(s)
+		if _, err := d.InsertFragment(root, "", "", Elem("f")); err != nil {
+			t.Fatal(err)
+		}
+		s.Install(d.Delta())
+		snap = snap.Extend(d.Delta())
 	}
 }

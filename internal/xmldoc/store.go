@@ -2,24 +2,26 @@ package xmldoc
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"strings"
 
 	"xqview/internal/flexkey"
 )
 
 // Reader is the read-side contract of the storage manager. The query engine
-// and the propagate phase only require Reader; Layered combines a base store
-// with an overlay of pending inserted fragments.
+// and the propagate phase only require Reader; a Store, a Snap and a Draft
+// all implement it.
 //
 // Read-only contract: everything a Reader returns stays owned by the
 // reader. Children and Attrs return the reader's internal slices (a Store
 // hands out its child-index slices directly to keep navigation
 // allocation-free), and Node returns a pointer into the reader's node
 // table — callers must not modify the returned slices or nodes, and must
-// not retain them across a mutation of the underlying store. Implementations
-// are free to return shared state under this contract; callers that need a
-// private copy make one. The readonly test at the repository root verifies
-// the engine's materialize and propagate paths uphold this.
+// not retain them across a mutation of a Draft. Implementations are free to
+// return shared state under this contract; callers that need a private copy
+// make one. The readonly test at the repository root verifies the engine's
+// materialize and propagate paths uphold this.
 type Reader interface {
 	// Node returns the node stored under k. The node is owned by the
 	// reader; callers must not modify it.
@@ -38,12 +40,16 @@ type Reader interface {
 // the algorithms rely on: children/descendant retrieval in document order
 // and FlexKeys that stay stable under updates.
 //
+// Versioning contract: a Store is written only by Install, which lays a
+// Draft's Delta over it with map writes. No stored *Node or key slice is
+// ever written in place — a change installs a fresh one — so a Clone, a
+// Snap base or a Reader alias keeps reading exactly the state it saw.
+//
 // Concurrency contract: the Store is not internally synchronized. The
-// maintenance pipeline relies on a phase discipline instead — during the
-// Propagate phase the store is strictly read-only (Reader methods only),
-// which makes it safe to share across concurrently maintained views; all
-// mutation (LoadFragment, InsertFragment*, DeleteSubtree, ReplaceText) is
-// confined to the single-threaded Validate and Apply/source-refresh phases.
+// maintenance pipeline relies on a phase discipline instead: the store is
+// strictly read-only for the whole round (validate, source refresh into the
+// round's Draft, propagation), which makes it safe to share across
+// concurrently maintained views; the round's commit installs the draft.
 type Store struct {
 	nodes    map[flexkey.Key]*Node
 	children map[flexkey.Key][]flexkey.Key // sorted: lexicographic == doc order
@@ -51,12 +57,6 @@ type Store struct {
 	parent   map[flexkey.Key]flexkey.Key
 	roots    map[string]flexkey.Key
 	docSeq   int
-
-	// undo, when non-nil, records first-touch pre-images of every mutation
-	// so a failed maintenance round can be rolled back exactly (see
-	// BeginUndo in undo.go). Nil outside a transactional refresh: each
-	// mutator then pays one nil check per touched structure.
-	undo *undoLog
 }
 
 // NewStore returns an empty store.
@@ -71,25 +71,67 @@ func NewStore() *Store {
 }
 
 // LoadFragment registers a document whose content is the given root element
-// fragment and returns the root key.
+// fragment and returns the root key. The document is built in a draft and
+// installed.
 func (s *Store) LoadFragment(doc string, root *Frag) (flexkey.Key, error) {
-	if root == nil || root.Kind != Element {
-		return "", fmt.Errorf("xmldoc: document %q root must be an element", doc)
+	d := NewDraft(s)
+	k, err := d.LoadFragment(doc, root)
+	if err != nil {
+		return "", err
 	}
-	if _, ok := s.roots[doc]; ok {
-		return "", fmt.Errorf("xmldoc: document %q already loaded", doc)
+	s.Install(d.Delta())
+	return k, nil
+}
+
+// Load parses src as XML and registers it under doc.
+func (s *Store) Load(doc, src string) (flexkey.Key, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return "", fmt.Errorf("xmldoc: parsing %q: %w", doc, err)
 	}
-	docKey := flexkey.Key(flexkey.Segment(s.docSeq))
-	s.docSeq++
-	s.touchRoot(doc)
-	s.roots[doc] = docKey
-	s.touchNode(docKey)
-	s.nodes[docKey] = &Node{Key: docKey, Kind: Document, Name: doc, Count: 1}
-	rootKey := flexkey.Child(docKey, 0)
-	s.touchChildren(docKey)
-	s.children[docKey] = []flexkey.Key{rootKey}
-	s.insertFragAt(rootKey, docKey, root)
-	return rootKey, nil
+	return s.LoadFragment(doc, f)
+}
+
+// Install makes a draft's delta the store's state: every post-image it
+// holds replaces the store's entry, and every deletion marker deletes it.
+// The delta's nodes and slices become the store's own, shared with the
+// delta (neither is ever written again).
+func (s *Store) Install(d *Delta) {
+	for k, n := range d.nodes {
+		if n == nil {
+			delete(s.nodes, k)
+		} else {
+			s.nodes[k] = n
+		}
+	}
+	installKeys(s.children, d.children)
+	installKeys(s.attrs, d.attrs)
+	for k, p := range d.parent {
+		if p == "" {
+			delete(s.parent, k)
+		} else {
+			s.parent[k] = p
+		}
+	}
+	for doc, r := range d.roots {
+		if r == "" {
+			delete(s.roots, doc)
+		} else {
+			s.roots[doc] = r
+		}
+	}
+	s.docSeq = d.docSeq
+}
+
+// installKeys lays one child or attribute index of a delta over the store's.
+func installKeys(dst, src map[flexkey.Key][]flexkey.Key) {
+	for k, v := range src {
+		if v == nil {
+			delete(dst, k)
+		} else {
+			dst[k] = v
+		}
+	}
 }
 
 // RootElem returns the root element key of a document.
@@ -103,45 +145,6 @@ func (s *Store) RootElem(doc string) (flexkey.Key, bool) {
 		return "", false
 	}
 	return cs[0], true
-}
-
-// Load parses src as XML and registers it under doc.
-func (s *Store) Load(doc, src string) (flexkey.Key, error) {
-	f, err := Parse(src)
-	if err != nil {
-		return "", fmt.Errorf("xmldoc: parsing %q: %w", doc, err)
-	}
-	return s.LoadFragment(doc, f)
-}
-
-// insertFragAt stores fragment f under key k with parent p, recursively
-// assigning gapped child keys.
-func (s *Store) insertFragAt(k, p flexkey.Key, f *Frag) {
-	s.touchNode(k)
-	s.nodes[k] = &Node{Key: k, Kind: f.Kind, Name: f.Name, Value: f.Value, Count: 1}
-	if p != "" {
-		s.touchParent(k)
-		s.parent[k] = p
-	}
-	if len(f.Attrs) > 0 {
-		s.touchAttrs(k)
-	}
-	for i, a := range f.Attrs {
-		ak := flexkey.Append(k, "@"+flexkey.Segment(i))
-		s.touchNode(ak)
-		s.nodes[ak] = &Node{Key: ak, Kind: Attr, Name: a.Name, Value: a.Value, Count: 1}
-		s.touchParent(ak)
-		s.parent[ak] = k
-		s.attrs[k] = append(s.attrs[k], ak)
-	}
-	if len(f.Children) > 0 {
-		s.touchChildren(k)
-	}
-	for i, c := range f.Children {
-		ck := flexkey.Child(k, i)
-		s.children[k] = append(s.children[k], ck)
-		s.insertFragAt(ck, k, c)
-	}
 }
 
 // Node implements Reader.
@@ -185,50 +188,6 @@ func (s *Store) Docs() []string {
 // Parent returns the parent key of k ("" for roots).
 func (s *Store) Parent(k flexkey.Key) flexkey.Key { return s.parent[k] }
 
-// InsertFragment inserts fragment f as a child of parent, positioned
-// strictly between siblings after and before (either may be "" for
-// begin/end; both empty appends after the current last child). It returns
-// the key assigned to the fragment root.
-func (s *Store) InsertFragment(parent flexkey.Key, after, before flexkey.Key, f *Frag) (flexkey.Key, error) {
-	if _, ok := s.nodes[parent]; !ok {
-		return "", fmt.Errorf("xmldoc: insert under missing parent %s", parent)
-	}
-	if after == "" && before == "" {
-		if cs := s.children[parent]; len(cs) > 0 {
-			after = cs[len(cs)-1]
-		}
-	}
-	k := flexkey.SiblingBetween(parent, after, before)
-	if _, exists := s.nodes[k]; exists {
-		return "", fmt.Errorf("xmldoc: generated key %s already in use", k)
-	}
-	s.insertChildKeySorted(parent, k)
-	s.insertFragAt(k, parent, f)
-	return k, nil
-}
-
-// InsertFragmentWithKey inserts a fragment whose root key was already
-// assigned (e.g. during update validation, so that the propagate phase and
-// the final source refresh agree on keys).
-func (s *Store) InsertFragmentWithKey(parent, k flexkey.Key, f *Frag) error {
-	if _, ok := s.nodes[parent]; !ok {
-		return fmt.Errorf("xmldoc: insert under missing parent %s", parent)
-	}
-	if _, exists := s.nodes[k]; exists {
-		return fmt.Errorf("xmldoc: key %s already in use", k)
-	}
-	s.insertChildKeySorted(parent, k)
-	s.insertFragAt(k, parent, f)
-	return nil
-}
-
-// StageFragment stores the subtree rooted at key k without linking it to a
-// parent. It is used to stage pending inserted fragments in an overlay
-// store during the propagate phase.
-func (s *Store) StageFragment(k flexkey.Key, f *Frag) {
-	s.insertFragAt(k, "", f)
-}
-
 // Siblings returns the keys immediately before and after k among its
 // parent's children ("" when k is first/last).
 func (s *Store) Siblings(k flexkey.Key) (prev, next flexkey.Key) {
@@ -251,97 +210,62 @@ func (s *Store) Siblings(k flexkey.Key) (prev, next flexkey.Key) {
 	return "", ""
 }
 
-func (s *Store) insertChildKeySorted(parent, k flexkey.Key) {
-	s.touchChildren(parent)
-	cs := s.children[parent]
-	i := sort.Search(len(cs), func(i int) bool { return cs[i] >= k })
-	cs = append(cs, "")
-	copy(cs[i+1:], cs[i:])
-	cs[i] = k
-	s.children[parent] = cs
-}
-
-// DeleteSubtree removes the node k and its entire subtree.
-func (s *Store) DeleteSubtree(k flexkey.Key) error {
-	if _, ok := s.nodes[k]; !ok {
-		return fmt.Errorf("xmldoc: delete of missing node %s", k)
-	}
-	p := s.parent[k]
-	if p != "" {
-		cs := s.children[p]
-		for i, c := range cs {
-			if c == k {
-				s.touchChildren(p)
-				s.children[p] = append(cs[:i:i], cs[i+1:]...)
-				break
-			}
-		}
-		as := s.attrs[p]
-		for i, c := range as {
-			if c == k {
-				s.touchAttrs(p)
-				s.attrs[p] = append(as[:i:i], as[i+1:]...)
-				break
-			}
-		}
-	}
-	s.deleteRec(k)
-	return nil
-}
-
-func (s *Store) deleteRec(k flexkey.Key) {
-	for _, c := range s.children[k] {
-		s.deleteRec(c)
-	}
-	for _, a := range s.attrs[k] {
-		s.deleteRec(a)
-	}
-	s.touchChildren(k)
-	s.touchAttrs(k)
-	s.touchParent(k)
-	s.touchNode(k)
-	delete(s.children, k)
-	delete(s.attrs, k)
-	delete(s.parent, k)
-	delete(s.nodes, k)
-}
-
-// ReplaceText replaces the value of the text or attribute node k.
-func (s *Store) ReplaceText(k flexkey.Key, v string) error {
-	n, ok := s.nodes[k]
-	if !ok {
-		return fmt.Errorf("xmldoc: replace of missing node %s", k)
-	}
-	if n.Kind == Element {
-		return fmt.Errorf("xmldoc: replace target %s is an element", k)
-	}
-	s.touchNode(k)
-	n.Value = v
-	return nil
-}
-
-// Clone deep-copies the store (used by the recomputation baseline).
+// Clone returns a store with the same state. Stored nodes and key slices are
+// never written in place, so the clone copies the five maps and shares their
+// values; installing a delta on either store leaves the other as it was.
 func (s *Store) Clone() *Store {
-	c := NewStore()
-	c.docSeq = s.docSeq
-	for k, n := range s.nodes {
-		nn := *n
-		c.nodes[k] = &nn
+	return &Store{
+		nodes:    maps.Clone(s.nodes),
+		children: maps.Clone(s.children),
+		attrs:    maps.Clone(s.attrs),
+		parent:   maps.Clone(s.parent),
+		roots:    maps.Clone(s.roots),
+		docSeq:   s.docSeq,
 	}
-	for k, v := range s.children {
-		c.children[k] = append([]flexkey.Key(nil), v...)
-	}
-	for k, v := range s.attrs {
-		c.attrs[k] = append([]flexkey.Key(nil), v...)
-	}
-	for k, v := range s.parent {
-		c.parent[k] = v
-	}
-	for d, r := range s.roots {
-		c.roots[d] = r
-	}
-	return c
 }
 
 // Size returns the number of stored nodes.
 func (s *Store) Size() int { return len(s.nodes) }
+
+// DebugDump renders the complete store state deterministically — every
+// document tree in key order with kinds, names, values, counts and parent
+// links, plus the total node count and document sequence — so tests can
+// assert byte-identity between two store states (e.g. pre-round vs
+// post-rollback). Unreachable nodes show up through the size line.
+func (s *Store) DebugDump() string {
+	return dump(s) + fmt.Sprintf("size=%d docSeq=%d\n", len(s.nodes), s.docSeq)
+}
+
+// DumpPrefix renders the live store in DebugDump's document format plus the
+// docSeq line but without the size line, byte-comparable to Snap.DebugDump.
+func (s *Store) DumpPrefix() string {
+	return dump(s) + fmt.Sprintf("docSeq=%d\n", s.docSeq)
+}
+
+// dump renders the documents of r in key order: the part of a DebugDump a
+// Store and a Snap share.
+func dump(r interface {
+	Reader
+	Docs() []string
+	Parent(flexkey.Key) flexkey.Key
+}) string {
+	var b strings.Builder
+	var walk func(k flexkey.Key, depth int)
+	walk = func(k flexkey.Key, depth int) {
+		n, _ := r.Node(k)
+		fmt.Fprintf(&b, "%s%s kind=%d name=%q value=%q count=%d parent=%s\n",
+			strings.Repeat(" ", depth), k, int(n.Kind), n.Name, n.Value, n.Count, r.Parent(k))
+		for _, a := range r.Attrs(k) {
+			walk(a, depth+1)
+		}
+		for _, c := range r.Children(k) {
+			walk(c, depth+1)
+		}
+	}
+	for _, doc := range r.Docs() {
+		root, _ := r.Root(doc)
+		fmt.Fprintf(&b, "doc %s root=%s\n", doc, root)
+		walk(root, 1)
+	}
+	return b.String()
+}

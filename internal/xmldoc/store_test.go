@@ -86,23 +86,25 @@ func TestSerializeRoundTrip(t *testing.T) {
 
 func TestInsertFragmentOrder(t *testing.T) {
 	s, root := loadBib(t)
+	d := NewDraft(s)
 	books := ChildElems(s, root, "book")
 	frag := Elem("book", AttrF("year", "1994"), Elem("title", TextF("Advanced Programming")))
 	// Insert after book[1] (0-based books[1]) i.e. at the end.
-	k, err := s.InsertFragment(root, books[1], "", frag)
+	k, err := d.InsertFragment(root, books[1], "", frag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb := ChildElems(s, root, "book")
+	nb := ChildElems(d, root, "book")
 	if len(nb) != 3 || nb[2] != k {
 		t.Fatalf("new book misplaced: %v (k=%s)", nb, k)
 	}
 	// Insert between the two original books.
 	frag2 := Elem("book", Elem("title", TextF("Middle")))
-	k2, err := s.InsertFragment(root, books[0], books[1], frag2)
+	k2, err := d.InsertFragment(root, books[0], books[1], frag2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Install(d.Delta())
 	nb = ChildElems(s, root, "book")
 	if len(nb) != 4 || nb[1] != k2 {
 		t.Fatalf("middle book misplaced: %v (k2=%s)", nb, k2)
@@ -120,9 +122,14 @@ func TestDeleteSubtree(t *testing.T) {
 	s, root := loadBib(t)
 	books := ChildElems(s, root, "book")
 	before := s.Size()
-	if err := s.DeleteSubtree(books[0]); err != nil {
+	d := NewDraft(s)
+	if err := d.DeleteSubtree(books[0]); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.DeleteSubtree(books[0]); err == nil {
+		t.Fatal("deleting a deleted node should fail")
+	}
+	s.Install(d.Delta())
 	if got := ChildElems(s, root, "book"); len(got) != 1 {
 		t.Fatalf("still %d books", len(got))
 	}
@@ -142,61 +149,50 @@ func TestReplaceText(t *testing.T) {
 	if len(texts) != 1 {
 		t.Fatalf("want 1 text child, got %d", len(texts))
 	}
-	if err := s.ReplaceText(texts[0], "New Title"); err != nil {
+	d := NewDraft(s)
+	if err := d.ReplaceText(texts[0], "New Title"); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.ReplaceText(titles[0], "x"); err == nil {
+		t.Fatal("replacing an element should fail")
+	}
+	s.Install(d.Delta())
 	if got := StringValue(s, titles[0]); got != "New Title" {
 		t.Fatalf("after replace: %q", got)
 	}
-	if err := s.ReplaceText(titles[0], "x"); err == nil {
-		t.Fatal("replacing an element should fail")
-	}
 }
 
+// TestCloneIsolation: a clone shares the store's nodes and key slices, and
+// installing on the original a draft that uses every primitive kind —
+// document load, insert, delete, replace — leaves the clone as it was.
 func TestCloneIsolation(t *testing.T) {
 	s, root := loadBib(t)
 	c := s.Clone()
+	want := c.DebugDump()
+	if want != s.DebugDump() {
+		t.Fatal("clone differs from its store")
+	}
 	books := ChildElems(s, root, "book")
-	if err := s.DeleteSubtree(books[0]); err != nil {
+	text := TextChildren(s, ChildElems(s, books[1], "title")[0])[0]
+	d := NewDraft(s)
+	if _, err := d.LoadFragment("new.xml", Elem("n", TextF("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ChildElems(c, root, "book")); got != 2 {
-		t.Fatalf("clone affected by delete: %d books", got)
+	if _, err := d.InsertFragment(books[1], "", "", Elem("note", AttrF("k", "v"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DeleteSubtree(books[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReplaceText(text, "Changed"); err != nil {
+		t.Fatal(err)
+	}
+	s.Install(d.Delta())
+	if got := c.DebugDump(); got != want {
+		t.Fatalf("clone affected by install:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 	if got := len(ChildElems(s, root, "book")); got != 1 {
 		t.Fatalf("original should have 1 book, has %d", got)
-	}
-}
-
-func TestLayeredReader(t *testing.T) {
-	s, root := loadBib(t)
-	overlay := NewStore()
-	// Simulate a pending insert: fragment keyed relative to base siblings but
-	// stored only in the overlay.
-	frag := Elem("book", Elem("title", TextF("Pending")))
-	books := ChildElems(s, root, "book")
-	k := flexkey.SiblingBetween(root, books[1], "")
-	// Build the overlay content under a synthetic parent entry for k.
-	overlay.nodes[k] = &Node{Key: k, Kind: Element, Name: "book", Count: 1}
-	ck := flexkey.Child(k, 0)
-	overlay.children[k] = []flexkey.Key{ck}
-	overlay.nodes[ck] = &Node{Key: ck, Kind: Element, Name: "title", Count: 1}
-	tk := flexkey.Child(ck, 0)
-	overlay.children[ck] = []flexkey.Key{tk}
-	overlay.nodes[tk] = &Node{Key: tk, Kind: Text, Value: "Pending", Count: 1}
-	_ = frag
-
-	l := Layered{Base: s, Overlay: overlay}
-	// Base children unaffected (pre-update view of the document).
-	if got := len(ChildElems(l, root, "book")); got != 2 {
-		t.Fatalf("layered base children changed: %d", got)
-	}
-	// But navigation into the overlay fragment works.
-	if got := StringValue(l, k); got != "Pending" {
-		t.Fatalf("overlay navigation: %q", got)
-	}
-	if got := len(ChildElems(l, k, "title")); got != 1 {
-		t.Fatalf("overlay child elems: %d", got)
 	}
 }
 

@@ -125,8 +125,9 @@ func TestReaderContractMaterializeAndPropagate(t *testing.T) {
 	requireUnchanged(t, s, snap, "validate")
 
 	// Assemble the propagate input exactly as the maintenance pipeline does:
-	// the base store plus an updated-reader overlay carrying the batch.
-	din := deltaInputFor(s, batch)
+	// the base store plus the batch refreshed into a draft of it.
+	din := deltaInputFor(t, s, batch)
+	requireUnchanged(t, s, snap, "source refresh")
 	if _, err := xat.PropagateDelta(v.Plan, din); err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +145,16 @@ func TestReaderContractMaterializeAndPropagate(t *testing.T) {
 	requireUnchanged(t, s, snap, "cached propagate")
 }
 
-// deltaInputFor mirrors the pipeline's propagate-input assembly (core.
-// deltaInput) for a validated batch.
-func deltaInputFor(s *xmldoc.Store, batch *validate.Batch) *xat.DeltaInput {
-	ur := xmldoc.NewUpdatedReader(s, batch.Overlay)
+// deltaInputFor mirrors the pipeline's source refresh and propagate-input
+// assembly (core.refreshSources, core.deltaInput) for a validated batch.
+func deltaInputFor(t *testing.T, s *xmldoc.Store, batch *validate.Batch) *xat.DeltaInput {
+	t.Helper()
+	draft := xmldoc.NewDraft(s)
+	for _, p := range batch.Refresh {
+		if err := update.ApplyToStore(draft, p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	regions := map[string][]*xat.Region{}
 	for doc, prims := range batch.ByDoc {
 		for _, p := range prims {
@@ -155,17 +162,13 @@ func deltaInputFor(s *xmldoc.Store, batch *validate.Batch) *xat.DeltaInput {
 			switch p.Kind {
 			case update.Insert:
 				r = &xat.Region{Mode: xat.RegionInsert, Anchor: p.Key, Parent: p.Parent}
-				ur.InsertedUnder[p.Parent] = append(ur.InsertedUnder[p.Parent], p.Key)
 			case update.Delete:
 				r = &xat.Region{Mode: xat.RegionDelete, Anchor: p.Key}
-				ur.Deleted[p.Key] = true
 			case update.Replace:
 				r = &xat.Region{Mode: xat.RegionModify, Anchor: p.Key, NewValue: p.NewValue}
-				ur.Replaced[p.Key] = p.NewValue
 			}
 			regions[doc] = append(regions[doc], r)
 		}
 	}
-	ur.Freeze()
-	return &xat.DeltaInput{Base: s, New: ur, Regions: regions}
+	return &xat.DeltaInput{Base: s, New: draft, Regions: regions}
 }

@@ -184,8 +184,8 @@ func (db *Database) LoadDocument(name, src string) error {
 		v.view.InvalidateCache()
 	}
 	db.rebuildSharedDAG()
-	// No undo log recorded this mutation, so there is no delta to extend the
-	// version chain with: publish a full capture.
+	// The load happened outside a round, whose delta would extend the
+	// version chain: publish a full capture.
 	db.publishFull()
 	return err
 }

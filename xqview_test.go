@@ -377,3 +377,47 @@ func TestScriptEvaluationPrecedesRound(t *testing.T) {
 		t.Fatalf("trace has %v on %d tracks, want ParseEvaluate then MaintainAll on one", names, len(tids))
 	}
 }
+
+// An update no view reads still reaches the store: with only a price view
+// registered, an author replace is irrelevant to every view — it does not
+// propagate — yet the published documents, an ad-hoc query and a view
+// created afterwards all see it.
+func TestIrrelevantUpdateReachesStore(t *testing.T) {
+	db := NewDatabase()
+	if err := db.LoadDocument("bib.xml", `<bib>
+		<book year="1994"><title>TCP/IP Illustrated</title><author><last>Stevens</last></author></book>
+		<book year="2000"><title>Data on the Web</title><author><last>Abiteboul</last></author></book>
+	</bib>`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadDocument("prices.xml", `<prices><entry><price>65.95</price><b-title>TCP/IP Illustrated</b-title></entry></prices>`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateView(`<result>{ for $e in doc("prices.xml")/prices/entry return <p>{$e/price}</p> }</result>`); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := db.ApplyUpdates(`for $b in document("bib.xml")/bib/book where $b/title = "Data on the Web" update $b replace $b/author/last/text() with "Suciu"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := reps[0]; r.UpdatesIrrelevant != 1 || !r.Skipped {
+		t.Fatalf("the author replace should be irrelevant to the price view: %s", r)
+	}
+
+	snap := db.Snapshot()
+	defer snap.Release()
+	if doc, err := snap.DocumentXML("bib.xml"); err != nil || !strings.Contains(doc, "<last>Suciu</last>") {
+		t.Fatalf("DocumentXML misses the replace (err %v): %s", err, doc)
+	}
+	if got, err := snap.Query(`<r>{ for $b in doc("bib.xml")/bib/book return $b/author/last }</r>`); err != nil ||
+		got != `<r><last>Stevens</last><last>Suciu</last></r>` {
+		t.Fatalf("Query misses the replace (err %v): %s", err, got)
+	}
+	v, err := db.CreateView(`<result>{ for $b in doc("bib.xml")/bib/book return $b/author/last }</result>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.XML(); got != `<result><last>Stevens</last><last>Suciu</last></result>` {
+		t.Fatalf("a view created afterwards misses the replace: %s", got)
+	}
+}
