@@ -6,9 +6,10 @@
 # by these tests; arena poison is on under -race), a fuzz smoke of the three
 # front ends, the xqtop golden frames, the MVCC concurrency battery under a
 # deadline (the read path's frame-body memo test rides in it: racing first
-# readers, bodies shared across versions), the unused-field lint over the
-# round, shared-DAG, MVCC, draft and script-evaluation structs, and last the
-# repository's one benchmark against its own bounds (≈ 3 min).
+# readers, bodies shared across versions), and last the repository's one
+# benchmark against its own bounds (≈ 3 min). The unused-field lint over the
+# round, shared-DAG, MVCC, draft and script-evaluation structs is a tier-1
+# test (TestStructFieldsReferenced).
 #
 # Usage: ./check.sh [extra go test args, e.g. -count=1; -short falls under the
 # coverage floor]
@@ -82,13 +83,6 @@ echo "== MVCC concurrency battery (-race, 300s deadline)" >&2
 go test -race -timeout 300s \
 	-run 'TestSnapshotLinearizability|TestSnapshotEpochReclamation|TestSnapRegLifecycle|TestFrameBodySharedAcrossVersions|TestCrashConsistencyEverySite|TestSharedCrashConsistencyEverySite' \
 	. ./internal/core/ >&2
-
-# Unused-field lint: a round field nothing references is a phase slot no
-# phase fills or reports; a shared-DAG, MVCC or draft field, a broken fan-out,
-# publish, drain or install path; a script-evaluation one, a dead memo.
-echo "== structcheck (round, shared DAG, MVCC snapshot, draft and script evaluation structs)" >&2
-sh scripts/structcheck.sh internal/core/round.go internal/xat/shared.go internal/core/txn.go internal/core/snapshot.go \
-	internal/xmldoc/snapshot.go internal/xmldoc/draft.go internal/update/script.go >&2
 
 # The benchmark, twice over this tree: every operation checked against the
 # recompute oracle, every end-to-end metric × workload beside the bound

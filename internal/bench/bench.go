@@ -8,10 +8,12 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"xqview/internal/core"
+	"xqview/internal/obs"
 	"xqview/internal/update"
 	"xqview/internal/xmldoc"
 )
@@ -69,12 +71,33 @@ func pct(part, whole time.Duration) string {
 	return fmt.Sprintf("%.2f%%", 100*float64(part)/float64(whole))
 }
 
-// timeView materializes a view over the store and returns it with its
-// creation wall time.
-func timeView(store *xmldoc.Store, query string) (*core.View, time.Duration, error) {
-	t0 := time.Now()
-	v, err := core.NewView(store, query)
-	return v, time.Since(t0), err
+// selfTimes folds the spans of one trace track into self time — a span's
+// duration less its direct children's — summed per span name up to '#', so
+// the "Kind#id" spans of operators fold by kind.
+func selfTimes(evs []obs.Event) map[string]time.Duration {
+	type open struct {
+		end  int64 // ns since the tracer started
+		kind string
+	}
+	ns := func(us float64) int64 { return int64(math.Round(us * 1e3)) }
+	self := map[string]time.Duration{}
+	var stack []open // the enclosing spans, innermost last
+	for _, ev := range evs {
+		if ev.Ph != "X" {
+			continue
+		}
+		start, dur := ns(ev.TS), ns(ev.Dur)
+		for len(stack) > 0 && start >= stack[len(stack)-1].end {
+			stack = stack[:len(stack)-1]
+		}
+		kind, _, _ := strings.Cut(ev.Name, "#")
+		self[kind] += time.Duration(dur)
+		if len(stack) > 0 {
+			self[stack[len(stack)-1].kind] -= time.Duration(dur)
+		}
+		stack = append(stack, open{start + dur, kind})
+	}
+	return self
 }
 
 // timeRecompute measures the full-recomputation baseline: clone, apply,

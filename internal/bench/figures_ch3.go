@@ -2,8 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
+	"xqview/internal/compile"
+	"xqview/internal/obs"
+	"xqview/internal/xat"
 	"xqview/internal/xmark"
+	"xqview/internal/xmldoc"
 )
 
 // The four order-experiment queries of Fig 3.6, over the XMark-style
@@ -46,16 +51,68 @@ const XMarkQ4 = `<result>
 
 var orderSizes = []int{250, 500, 1000, 2000}
 
+// profile is one view materialized with the one-shot engine's spans on: the
+// compile time, measured around compile.Compile, and the self time of every
+// operator kind (an operator span's name up to '#') and of Materialize.
+type profile struct {
+	compile time.Duration
+	self    map[string]time.Duration
+}
+
+// exec is the plan's execution time: its operators' self times.
+func (p *profile) exec() time.Duration {
+	var d time.Duration
+	for kind, t := range p.self {
+		if kind != "Materialize" {
+			d += t
+		}
+	}
+	return d
+}
+
+// sum adds up the self times of the given kinds.
+func (p *profile) sum(kinds ...string) time.Duration {
+	var d time.Duration
+	for _, k := range kinds {
+		d += p.self[k]
+	}
+	return d
+}
+
+// profileView compiles the query and materializes it over the store under a
+// tracer, folding the spans Execute and MaterializeResult open.
+func profileView(store *xmldoc.Store, query string) (*profile, error) {
+	t0 := time.Now()
+	plan, err := compile.Compile(query)
+	if err != nil {
+		return nil, err
+	}
+	p := &profile{compile: time.Since(t0)}
+	tr := obs.NewTracerLimit(0)
+	env := xat.NewEnv(store)
+	env.Span = tr.StartSpan("view")
+	tbl, err := xat.Execute(plan, env)
+	if err != nil {
+		return nil, err
+	}
+	xat.MaterializeResult(env, tbl, plan.ResultCol(tbl))
+	env.Span.End()
+	p.self = selfTimes(tr.Events())
+	delete(p.self, "view")
+	return p, nil
+}
+
 // orderFigure runs one Fig 3.7–3.10 experiment: the cost of order handling
-// relative to execution across document sizes, plus the breakdown of the
-// order cost at the largest size.
+// relative to execution across document sizes, plus its breakdown.
 func orderFigure(id, title, query string, scale float64) (*Figure, error) {
 	f := &Figure{
 		ID:    id,
 		Title: title,
-		Note:  "order cost = order/context schema + overriding-order keys + final sort",
+		Note: "order cost = compile (order/context schemas) + self time of the overriding-order " +
+			"operators (Combine, GroupBy, XMLUnion); the final sort runs inside materialize " +
+			"(dereference and sort), which is not counted",
 		Columns: []string{"persons", "exec_ms", "order_ms", "order/exec",
-			"schema_ms", "ovrd_keys_ms", "final_sort_ms"},
+			"compile_ms", "ovrd_ops_ms", "materialize_ms"},
 	}
 	for _, n := range orderSizes {
 		n = scaled(n, scale)
@@ -63,16 +120,16 @@ func orderFigure(id, title, query string, scale float64) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, _, err := timeView(store, query)
+		p, err := profileView(store, query)
 		if err != nil {
 			return nil, err
 		}
-		st := v.ExecStats
-		orderCost := st.OrderSchema + st.OverridingOrd + st.FinalSort
+		ovrd := p.sum("Combine", "GroupBy", "XMLUnion")
+		orderCost := p.compile + ovrd
 		f.Rows = append(f.Rows, []string{
 			fmt.Sprintf("%d", n),
-			ms(st.Exec), ms(orderCost), pct(orderCost, st.Exec),
-			ms(st.OrderSchema), ms(st.OverridingOrd), ms(st.FinalSort),
+			ms(p.exec()), ms(orderCost), pct(orderCost, p.exec()),
+			ms(p.compile), ms(ovrd), ms(p.sum("Materialize")),
 		})
 	}
 	return f, nil
@@ -119,13 +176,13 @@ const IdentQ2 = `<result>{
 }</result>`
 
 // identFigure runs one Fig 4.9/4.10 experiment: the overhead of generating
-// semantic identifiers relative to execution.
+// semantic identifiers (the Tagger's self time) relative to execution.
 func identFigure(id, title, query string, scale float64) (*Figure, error) {
 	f := &Figure{
 		ID:      id,
 		Title:   title,
-		Note:    "context schema is computed once per plan during analysis",
-		Columns: []string{"persons", "exec_ms", "idgen_ms", "idgen/exec", "ctx_schema_ms"},
+		Note:    "idgen = Tagger self time; the context schema is computed once per plan, in compile",
+		Columns: []string{"persons", "exec_ms", "idgen_ms", "idgen/exec", "compile_ms"},
 	}
 	for _, n := range orderSizes {
 		n = scaled(n, scale)
@@ -133,14 +190,14 @@ func identFigure(id, title, query string, scale float64) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, _, err := timeView(store, query)
+		p, err := profileView(store, query)
 		if err != nil {
 			return nil, err
 		}
-		st := v.ExecStats
+		idgen := p.sum("Tagger")
 		f.Rows = append(f.Rows, []string{
 			fmt.Sprintf("%d", n),
-			ms(st.Exec), ms(st.IdentGen), pct(st.IdentGen, st.Exec), ms(st.OrderSchema),
+			ms(p.exec()), ms(idgen), pct(idgen, p.exec()), ms(p.compile),
 		})
 	}
 	return f, nil

@@ -128,7 +128,7 @@ func Fig9_1(scale float64) (*Figure, error) {
 			return nil, err
 		}
 		full, err := bestOf(3, func() error {
-			_, _, err := timeView(store, BibQ2)
+			_, err := core.NewView(store, BibQ2)
 			return err
 		})
 		if err != nil {

@@ -123,7 +123,7 @@ func TestCompactionWidensBatchLanguage(t *testing.T) {
 			if _, _, decs := update.CompactBatch(prims); decs != nil {
 				t.Fatalf("compaction rewrote the batch: %+v", decs)
 			}
-			if _, err := validate.Validate(s, v.SAPT, prims); err == nil {
+			if _, err := validate.ValidateRec(s, v.SAPT, prims, nil); err == nil {
 				t.Fatal("validation accepts an in-batch reference to an inserted node")
 			}
 			if _, err := MaintainAll(s, []*View{v}, prims, 0); err == nil || !strings.Contains(err.Error(), "validate") {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xqview/internal/deepunion"
+	"xqview/internal/flexkey"
 	"xqview/internal/journal"
 	"xqview/internal/update"
 	"xqview/internal/xat"
@@ -156,26 +157,24 @@ func randomBatch(t *testing.T, rng *rand.Rand, s *xmldoc.Store, n int) []*update
 }
 
 // conflictFree rejects batches where one primitive's region contains
-// another's (the standard non-conflicting batch assumption, Sec 5.3).
+// another's (the standard non-conflicting batch assumption, Sec 5.3); an
+// insert's region is its parent. A value replace under an insert's parent
+// is not a conflict: the inserted fragment holds no node the replace reads,
+// and a replace that forces a rewrite of a sibling the insert is placed
+// beside must leave that sibling in its place.
 func conflictFree(prims []*update.Primitive) bool {
-	type region struct{ doc, key string }
-	var regions []region
-	for _, p := range prims {
-		k := p.Key
+	region := func(p *update.Primitive) flexkey.Key {
 		if p.Kind == update.Insert {
-			k = p.Parent
+			return p.Parent
 		}
-		regions = append(regions, region{p.Doc, string(k)})
+		return p.Key
 	}
-	for i, a := range regions {
-		for j, b := range regions {
-			if i == j || a.doc != b.doc {
+	for i, a := range prims {
+		for j, b := range prims {
+			if i == j || a.Doc != b.Doc || a.Kind == update.Insert && b.Kind == update.Replace {
 				continue
 			}
-			if a.key == b.key && prims[i].Kind != update.Insert {
-				return false
-			}
-			if strings.HasPrefix(b.key, a.key+".") {
+			if region(a) == region(b) && a.Kind != update.Insert || flexkey.IsAncestorOf(region(a), region(b)) {
 				return false
 			}
 		}

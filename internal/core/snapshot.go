@@ -34,14 +34,14 @@ var (
 
 // ViewFrame is one view's immutable state within a published Version: the
 // extent roots as of that version (never written again — the COW apply
-// copies every node later rounds touch) and a read-only view of the
-// propagation state cache.
+// copies every node later rounds touch) and how many tables its
+// propagation state cache held.
 type ViewFrame struct {
-	View   *View // identity only; read live fields via the frame
-	Name   string
-	Query  string
-	Extent []*xat.VNode
-	Cache  *xat.CacheSnap
+	View         *View // identity only; read live fields via the frame
+	Name         string
+	Query        string
+	Extent       []*xat.VNode
+	CacheEntries int
 
 	// body is Extent serialized. Publishing leaves it empty: the first reader
 	// of the frame fills it and every later reader of the version gets those
@@ -264,16 +264,15 @@ func (r *SnapReg) publishLive(store *xmldoc.Snap, views []*View) {
 	})
 }
 
-// liveFrames captures every view's current extent and cache as frames.
-// Extents are immutable going forward (the COW apply never writes published
-// nodes), so capturing the slice headers is enough.
+// liveFrames captures every view's current extent and cache occupancy as
+// frames. Extents are immutable going forward (the COW apply never writes
+// published nodes), so capturing the slice headers is enough.
 func liveFrames(views []*View, prev *Version) []ViewFrame {
 	frames := make([]ViewFrame, len(views))
 	for i, cv := range views {
 		f := &frames[i]
 		f.View, f.Name, f.Query = cv, cv.displayName(i), cv.Query
-		f.Extent = cv.Extent
-		f.Cache = cv.cache.SnapshotView(nil)
+		f.Extent, f.CacheEntries = cv.Extent, cv.cache.Len()
 		f.inheritBody(prev, i)
 	}
 	return frames
@@ -283,9 +282,10 @@ func liveFrames(views []*View, prev *Version) []ViewFrame {
 // BEFORE the round commits: the store snapshot extends the previous
 // version's with the round's delta (post-images of exactly the keys source
 // refresh touched — the delta commit installs into the store), staged views
-// contribute their candidate extents and prepared cache views, untouched
-// views carry their frames forward, serialized body included. The caller
-// publishes the result only after the round installed.
+// contribute their candidate extents and the cache occupancy their prepared
+// commits install, untouched views carry their frames forward, serialized
+// body included. The caller publishes the result only after the round
+// installed.
 func buildCandidate(reg *SnapReg, store *xmldoc.Store, delta *xmldoc.Delta, views []*View, stages []viewStage) (*Version, error) {
 	if err := fpSnapBuild.Fire(); err != nil {
 		return nil, fmt.Errorf("snapshot build: %w", err)
@@ -303,11 +303,9 @@ func buildCandidate(reg *SnapReg, store *xmldoc.Store, delta *xmldoc.Delta, view
 		f := &v.Frames[i]
 		f.View, f.Name, f.Query = cv, cv.displayName(i), cv.Query
 		if st := &stages[i]; st.staged {
-			f.Extent = st.extent
-			f.Cache = st.cache.SnapshotView(st.prep)
+			f.Extent, f.CacheEntries = st.extent, st.prep.Len()
 		} else {
-			f.Extent = cv.Extent
-			f.Cache = cv.cache.SnapshotView(nil)
+			f.Extent, f.CacheEntries = cv.Extent, cv.cache.Len()
 			f.inheritBody(prev, i)
 		}
 	}
@@ -328,9 +326,5 @@ func QueryReader(r xmldoc.Reader, query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	col := plan.Root.InCol
-	if col == "" && len(tbl.Cols) > 0 {
-		col = tbl.Cols[len(tbl.Cols)-1]
-	}
-	return xat.ExtentXML(xat.MaterializeResult(env, tbl, col)), nil
+	return xat.ExtentXML(xat.MaterializeResult(env, tbl, plan.ResultCol(tbl))), nil
 }

@@ -32,11 +32,6 @@ type View struct {
 	// Optional; when empty, a positional "view-<i>" label is used.
 	Name string
 
-	// ExecStats accumulates the one-shot engine's cost breakdown over the
-	// view's materializations (the Ch 3/4 figures read it). Maintenance
-	// rounds are timed by their phases instead and do not add to it.
-	ExecStats xat.Stats
-
 	// cache is the cross-round propagation state cache. Lazily created;
 	// only the worker maintaining this view touches it during a round.
 	cache *xat.StateCache
@@ -121,13 +116,11 @@ func (s *MaintStats) Add(o MaintStats) { obs.AddFields(s, o) }
 // NewView compiles the query, derives its SAPT, and materializes the
 // initial extent.
 func NewView(store *xmldoc.Store, query string) (*View, error) {
-	t0 := time.Now()
 	plan, err := compile.Compile(query)
 	if err != nil {
 		return nil, err
 	}
 	v := &View{Query: query, Plan: plan, Store: store, SAPT: sapt.Build(plan)}
-	v.ExecStats.OrderSchema += time.Since(t0) // schema/plan annotation cost
 	if err := v.Materialize(); err != nil {
 		return nil, err
 	}
@@ -144,12 +137,7 @@ func (v *View) Materialize() error {
 	if err != nil {
 		return err
 	}
-	col := v.Plan.Root.InCol
-	if col == "" && len(tbl.Cols) > 0 {
-		col = tbl.Cols[len(tbl.Cols)-1]
-	}
-	v.Extent = xat.MaterializeResult(env, tbl, col)
-	v.ExecStats.Add(*env.Stats)
+	v.Extent = xat.MaterializeResult(env, tbl, v.Plan.ResultCol(tbl))
 	return nil
 }
 

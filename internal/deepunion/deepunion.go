@@ -80,12 +80,6 @@ func (ctx *applyCtx) findPos(idx map[string]int, id xat.ID) (int, bool) {
 	return i, ok
 }
 
-// Apply merges the delta trees into the view roots and prunes dead
-// fragments, returning the refreshed roots.
-func Apply(roots []*xat.VNode, deltas []*xat.VNode, st *Stats) ([]*xat.VNode, error) {
-	return ApplyRec(roots, deltas, st, nil)
-}
-
 // fusionOf summarizes one delta tree for the journal: the view node it is
 // fused into, the distinct source FlexKeys it carries, and the counting
 // solution's insert/delete/modify totals across the tree.
@@ -119,32 +113,24 @@ func fusionOf(d *xat.VNode) journal.Fusion {
 	return f
 }
 
-// ApplyRec is Apply with an optional provenance recorder: each delta tree
-// fused into the extent lands in the journal as a Fusion record. A nil
-// recorder records nothing.
-func ApplyRec(roots []*xat.VNode, deltas []*xat.VNode, st *Stats, rec *journal.ViewRec) ([]*xat.VNode, error) {
-	return ApplyTx(roots, deltas, st, rec, nil)
-}
-
-// ApplyTx is ApplyRec under a copy-on-write tracker: the extent handed in
-// is never written — every node the pass would mutate is replaced by a
-// round-private copy (untouched subtrees stay shared by pointer), so the
-// returned roots are a CANDIDATE next version of the extent. The caller
-// commits by swapping its extent pointer to the returned slice, and rolls
-// back by abandoning it; readers holding the pre-round extent are
-// undisturbed either way. The caller must pass a private copy of the root
-// slice (ApplyTx appends to and compacts it). A nil tx uses a pooled
-// tracker for the duration of the pass.
+// ApplyTx merges the delta trees into the view roots and prunes dead
+// fragments, returning the refreshed roots, under the copy-on-write tracker
+// tx: the extent handed in is never written — every node the pass would
+// mutate is replaced by a round-private copy (untouched subtrees stay
+// shared by pointer), so the returned roots are a CANDIDATE next version of
+// the extent. The caller commits by swapping its extent pointer to the
+// returned slice, and rolls back by abandoning it; readers holding the
+// pre-round extent are undisturbed either way. The caller must pass a
+// private copy of the root slice (ApplyTx appends to and compacts it).
+// Each delta tree fused into the extent lands in the journal as a Fusion
+// record when rec is active; st, when non-nil, accumulates what the pass
+// did.
 func ApplyTx(roots []*xat.VNode, deltas []*xat.VNode, st *Stats, rec *journal.ViewRec, tx *Txn) ([]*xat.VNode, error) {
 	if err := fpApply.Fire(); err != nil {
 		return nil, err
 	}
 	if st == nil {
 		st = &Stats{}
-	}
-	if tx == nil {
-		tx = NewTxn()
-		defer tx.Release()
 	}
 	if rec.Active() {
 		for _, d := range deltas {

@@ -23,7 +23,7 @@ func TestApplyMergesCounts(t *testing.T) {
 	view := []*xat.VNode{elem(1, "*", "result", 1, elem(2, "g1", "g", 2))}
 	delta := []*xat.VNode{elem(1, "*", "result", 0, elem(2, "g1", "g", 1))}
 	var st Stats
-	out, err := Apply(view, delta, &st)
+	out, err := ApplyTx(view, delta, &st, nil, NewTxn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestApplyFragmentDisconnect(t *testing.T) {
 	view := []*xat.VNode{elem(1, "*", "result", 1, elem(2, "g1", "g", 2, sub))}
 	delta := []*xat.VNode{elem(1, "*", "result", 0, elem(2, "g1", "g", -2))}
 	var st Stats
-	out, err := Apply(view, delta, &st)
+	out, err := ApplyTx(view, delta, &st, nil, NewTxn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestApplyZeroTransit(t *testing.T) {
 		elem(1, "*", "result", 0, elem(2, "g1", "g", -1)),
 		elem(1, "*", "result", 0, elem(2, "g1", "g", 1)),
 	}
-	out, err := Apply(view, deltas, nil)
+	out, err := ApplyTx(view, deltas, nil, nil, NewTxn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestApplyInsertOrdered(t *testing.T) {
 	}
 	view := []*xat.VNode{elem(1, "*", "result", 1, mkG("a", "1994", 1), mkG("c", "2000", 1))}
 	delta := []*xat.VNode{elem(1, "*", "result", 0, mkG("b", "1996", 1))}
-	out, err := Apply(view, delta, nil)
+	out, err := ApplyTx(view, delta, nil, nil, NewTxn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestApplyModify(t *testing.T) {
 	mod.Mod = true
 	delta := []*xat.VNode{elem(1, "*", "result", 0, mod)}
 	var st Stats
-	out, err := Apply(view, delta, &st)
+	out, err := ApplyTx(view, delta, &st, nil, NewTxn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestApplyModify(t *testing.T) {
 
 func TestApplyAttachesNewRoot(t *testing.T) {
 	var st Stats
-	out, err := Apply(nil, []*xat.VNode{elem(1, "*", "result", 1)}, &st)
+	out, err := ApplyTx(nil, []*xat.VNode{elem(1, "*", "result", 1)}, &st, nil, NewTxn())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,8 @@ type Txn struct {
 	// subtrees cloned into the extent), so one lookup answers both "was
 	// this copied before" and "is this already ours".
 	priv map[*xat.VNode]*xat.VNode
-	// copied counts shared extent nodes copied for writing (Touched).
+	// copied counts shared extent nodes copied for writing (Rollback's
+	// count).
 	copied int
 
 	// Current node slab and pointer arena, carved sequentially.
@@ -97,9 +98,6 @@ func (t *Txn) Release() {
 // index-less; the next successful round rebuilds them lazily, exactly as
 // the in-place design's rollback did.
 func (t *Txn) Writable(n *xat.VNode) *xat.VNode {
-	if t == nil {
-		return n
-	}
 	if cp, ok := t.priv[n]; ok {
 		return cp
 	}
@@ -117,11 +115,7 @@ func (t *Txn) Writable(n *xat.VNode) *xat.VNode {
 
 // adopt marks a node built this round (a cloned delta subtree root) as
 // already private, so later deltas of the same batch mutate it directly.
-func (t *Txn) adopt(n *xat.VNode) {
-	if t != nil {
-		t.priv[n] = n
-	}
-}
+func (t *Txn) adopt(n *xat.VNode) { t.priv[n] = n }
 
 // node carves one VNode out of the current slab.
 func (t *Txn) node() *xat.VNode {
@@ -156,9 +150,6 @@ func (t *Txn) copyRefs(s []*xat.VNode) []*xat.VNode {
 	copy(dst, s)
 	return dst
 }
-
-// Touched returns how many shared extent nodes were copied for writing.
-func (t *Txn) Touched() int { return t.copied }
 
 // Rollback abandons the round's candidate copies and clears the tracker,
 // returning how many were dropped. The extent the pass started from was

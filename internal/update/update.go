@@ -1,13 +1,11 @@
 // Package update models source XML updates (Ch 5): the insert / delete /
-// replace primitives, update trees encoding their hierarchy and order,
-// batches of heterogeneous updates, and a parser/evaluator for the XQuery
-// update language of [TIHW01] used in the dissertation's examples
-// (Fig 1.3).
+// replace primitives, batches of heterogeneous updates, and a
+// parser/evaluator for the XQuery update language of [TIHW01] used in the
+// dissertation's examples (Fig 1.3).
 package update
 
 import (
 	"fmt"
-	"strings"
 
 	"xqview/internal/flexkey"
 	"xqview/internal/xmldoc"
@@ -164,79 +162,4 @@ func TargetPath(s *xmldoc.Store, p *Primitive) []string {
 	default:
 		return PathNames(s, p.Key)
 	}
-}
-
-// Tree is an update tree (Sec 5.1): primitives organized under their shared
-// path prefixes, encoding hierarchy and order. It is the structure handed
-// from validation to propagation (Fig 5.3 shows batch update trees).
-type Tree struct {
-	Doc   string
-	Root  *TreeNode
-	Prims []*Primitive
-}
-
-// TreeNode is one node of an update tree.
-type TreeNode struct {
-	Key      flexkey.Key
-	Name     string
-	Prims    []*Primitive
-	Children []*TreeNode
-	index    map[flexkey.Key]*TreeNode
-}
-
-// BuildTree organizes the primitives of one document into a batch update
-// tree keyed by the (pre-update) ancestor chain of each primitive's anchor.
-func BuildTree(s *xmldoc.Store, doc string, prims []*Primitive) *Tree {
-	rootKey, _ := s.Root(doc)
-	root := &TreeNode{Key: rootKey, Name: doc, index: map[flexkey.Key]*TreeNode{rootKey: nil}}
-	t := &Tree{Doc: doc, Root: root, Prims: prims}
-	nodes := map[flexkey.Key]*TreeNode{rootKey: root}
-	var ensure func(k flexkey.Key) *TreeNode
-	ensure = func(k flexkey.Key) *TreeNode {
-		if n, ok := nodes[k]; ok {
-			return n
-		}
-		pk := s.Parent(k)
-		var parent *TreeNode
-		if pk == "" || pk == k {
-			parent = root
-		} else {
-			parent = ensure(pk)
-		}
-		name := ""
-		if nd, ok := s.Node(k); ok {
-			name = nd.Name
-		}
-		n := &TreeNode{Key: k, Name: name}
-		nodes[k] = n
-		parent.Children = append(parent.Children, n)
-		return n
-	}
-	for _, p := range prims {
-		anchor := p.Key
-		if p.Kind == Insert {
-			anchor = p.Parent
-		}
-		n := ensure(anchor)
-		n.Prims = append(n.Prims, p)
-	}
-	return t
-}
-
-// Dump renders the update tree for diagnostics.
-func (t *Tree) Dump() string {
-	var b strings.Builder
-	var walk func(n *TreeNode, depth int)
-	walk = func(n *TreeNode, depth int) {
-		fmt.Fprintf(&b, "%s%s (%s)", strings.Repeat("  ", depth), n.Name, n.Key)
-		for _, p := range n.Prims {
-			fmt.Fprintf(&b, " [%s]", p.Kind)
-		}
-		b.WriteByte('\n')
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(t.Root, 0)
-	return b.String()
 }

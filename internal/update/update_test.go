@@ -173,31 +173,6 @@ func TestTargetPath(t *testing.T) {
 	}
 }
 
-func TestBuildTree(t *testing.T) {
-	s := setup(t)
-	prims, err := ParseAndEvaluate(s, `
-for $b in document("bib.xml")/bib/book[1]
-update $b
-delete $b/author
-
-for $b in document("bib.xml")/bib/book[1]
-update $b
-replace $b/title/text() with "X"
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := BuildTree(s, "bib.xml", prims)
-	d := tree.Dump()
-	// Both updates share the bib/book[1] prefix; the tree has one book node.
-	if strings.Count(d, "book") != 1 {
-		t.Fatalf("prefix not shared:\n%s", d)
-	}
-	if !strings.Contains(d, "[delete]") || !strings.Contains(d, "[replace]") {
-		t.Fatalf("missing prims in tree:\n%s", d)
-	}
-}
-
 func TestStatementErrors(t *testing.T) {
 	s := setup(t)
 	bad := []string{

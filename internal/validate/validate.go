@@ -30,10 +30,10 @@ type Batch struct {
 	// what reaches the store. Insert primitives carry their assigned keys.
 	Refresh []*update.Primitive
 	// ByDoc holds, per document, the primitives propagation reads (the
-	// relevant subset of Refresh), in application order.
+	// relevant subset of Refresh), in application order. Propagation takes
+	// them one region per primitive; the batch update trees of Fig 5.3 are
+	// not materialized.
 	ByDoc map[string][]*update.Primitive
-	// Trees are the batch update trees (Fig 5.3), one per document.
-	Trees map[string]*update.Tree
 	// Stats summarizes validation decisions.
 	Stats Stats
 }
@@ -60,11 +60,6 @@ func (b *Batch) Prims() []*update.Primitive {
 	return out
 }
 
-// Validate runs the validate phase over the raw primitives.
-func Validate(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive) (*Batch, error) {
-	return ValidateRec(s, t, prims, nil)
-}
-
 // verdictPath renders the primitive's affected name path for the journal.
 // Only called when recording is active, so the disabled path never walks
 // ancestor chains.
@@ -72,17 +67,15 @@ func verdictPath(s *xmldoc.Store, p *update.Primitive) string {
 	return strings.Join(update.TargetPath(s, p), "/")
 }
 
-// ValidateRec is Validate with an optional provenance recorder: each
-// primitive's classification (accept / prune / rewrite / reject) lands in
-// the journal round as a Verdict. A nil recorder records nothing.
+// ValidateRec runs the validate phase over the raw primitives, with an
+// optional provenance recorder: each primitive's classification (accept /
+// prune / rewrite / reject) lands in the journal round as a Verdict. A nil
+// recorder records nothing.
 func ValidateRec(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive, rec *journal.RoundRec) (*Batch, error) {
 	if err := fpBatch.Fire(); err != nil {
 		return nil, err
 	}
-	b := &Batch{
-		ByDoc: map[string][]*update.Primitive{},
-		Trees: map[string]*update.Tree{},
-	}
+	b := &Batch{ByDoc: map[string][]*update.Primitive{}}
 	b.Stats.Total = len(prims)
 
 	// Group rewrite-class primitives (and any other primitive living inside
@@ -182,7 +175,24 @@ func ValidateRec(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive, rec *
 			kept = append(kept, a)
 		}
 	}
-	// Emit delete+insert pairs for each rewritten anchor.
+	// Assign keys to every insert, relevant or not. Inserts at the same
+	// position are keyed one after another, each after the last key
+	// assigned there.
+	assigned := map[flexkey.Key]flexkey.Key{} // original After -> last key assigned there
+	assign := func(p *update.Primitive) {
+		lo, hi := p.After, p.Before
+		if last, ok := assigned[p.After]; ok {
+			lo = last
+		}
+		if hi != "" && lo >= hi {
+			hi = "" // a previous assignment consumed the gap's bound ordering
+		}
+		p.Key = flexkey.SiblingBetween(p.Parent, lo, hi)
+		assigned[p.After] = p.Key
+	}
+	// Emit delete+insert pairs for each rewritten anchor. The re-insert is
+	// keyed first, right after the anchor it replaces, so whatever the
+	// script inserts after the anchor still lands after it.
 	for _, a := range order {
 		g := groups[a]
 		frag, err := rewriteFragment(s, a, g.prims)
@@ -190,36 +200,23 @@ func ValidateRec(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive, rec *
 			return nil, err
 		}
 		_, next := s.Siblings(a)
+		ins := &update.Primitive{Kind: update.Insert, Doc: g.doc, Parent: s.Parent(a), After: a, Before: next, Frag: frag}
+		assign(ins)
 		kept = append(kept,
 			accepted{&update.Primitive{Kind: update.Delete, Doc: g.doc, Key: a}, true},
-			accepted{&update.Primitive{Kind: update.Insert, Doc: g.doc,
-				Parent: s.Parent(a), After: a, Before: next, Frag: frag}, true})
+			accepted{ins, true})
 	}
-	// Assign keys to every insert, relevant or not, and batch. Track
-	// assigned keys per position so multiple inserts at the same position
-	// keep their statement order.
-	assigned := map[flexkey.Key]flexkey.Key{} // original After -> last key assigned there
+	// Key the remaining inserts in statement order, and batch.
 	b.Refresh = make([]*update.Primitive, 0, len(kept))
 	for _, a := range kept {
 		p := a.p
 		if p.Kind == update.Insert && p.Key == "" {
-			lo, hi := p.After, p.Before
-			if last, ok := assigned[p.After]; ok {
-				lo = last
-			}
-			if hi != "" && lo >= hi {
-				hi = "" // a previous assignment consumed the gap's bound ordering
-			}
-			p.Key = flexkey.SiblingBetween(p.Parent, lo, hi)
-			assigned[p.After] = p.Key
+			assign(p)
 		}
 		b.Refresh = append(b.Refresh, p)
 		if a.relevant {
 			b.ByDoc[p.Doc] = append(b.ByDoc[p.Doc], p)
 		}
-	}
-	for doc, ps := range b.ByDoc {
-		b.Trees[doc] = update.BuildTree(s, doc, ps)
 	}
 	return b, nil
 }

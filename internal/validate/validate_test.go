@@ -50,7 +50,7 @@ insert <first>W</first> into $b/author`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Validate(s, tree, prims)
+	b, err := ValidateRec(s, tree, prims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ insert <book><title>N2</title></book> into $b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Validate(s, tree, prims)
+	b, err := ValidateRec(s, tree, prims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ insert <book><title>T9</title></book> into $b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Validate(s, tree, prims)
+	b, err := ValidateRec(s, tree, prims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ replace $b/title/text() with "Renamed"`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Validate(s, tree, prims)
+	b, err := ValidateRec(s, tree, prims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ insert <extra>e</extra> into $b`)
 	}
 	// With this query the bare <extra> insert is irrelevant; inside the
 	// rewritten book it folds into the rewrite as a pass-class one would.
-	b, err := Validate(s, tree, prims)
+	b, err := ValidateRec(s, tree, prims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +222,13 @@ func TestValidateSufficiencyErrors(t *testing.T) {
 		if p.Kind == update.Insert {
 			p.Frag = xmldoc.Elem("x")
 		}
-		if _, err := Validate(s, tree, []*update.Primitive{p}); err == nil {
+		if _, err := ValidateRec(s, tree, []*update.Primitive{p}, nil); err == nil {
 			t.Fatalf("Validate(%v) should fail", p)
 		}
 	}
 }
 
-func TestValidateBuildsTrees(t *testing.T) {
+func TestValidateBatchesPerDocument(t *testing.T) {
 	s, tree := setup(t)
 	prims, err := update.ParseAndEvaluate(s, `
 for $b in document("bib.xml")/bib/book[2]
@@ -237,15 +237,52 @@ delete $b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Validate(s, tree, prims)
+	b, err := ValidateRec(s, tree, prims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := b.Trees["bib.xml"]
-	if tr == nil || len(tr.Prims) != 1 {
-		t.Fatalf("batch tree missing: %+v", b.Trees)
+	if ps := b.ByDoc["bib.xml"]; len(ps) != 1 || ps[0].Kind != update.Delete || len(b.ByDoc) != 1 {
+		t.Fatalf("batch: %v", b.ByDoc)
 	}
-	if !strings.Contains(tr.Dump(), "[delete]") {
-		t.Fatalf("tree dump: %s", tr.Dump())
+}
+
+// TestValidateRewriteKeepsItsPlace: a rewritten anchor's re-insert is keyed
+// before an insert the same script places after that anchor, so the script's
+// node lands after the rewritten one, as applying the statements in turn
+// would place it.
+func TestValidateRewriteKeepsItsPlace(t *testing.T) {
+	s, tree := setup(t)
+	prims, err := update.ParseAndEvaluate(s, `
+for $b in document("bib.xml")/bib/book[1]
+update $b
+replace $b/title/text() with "A2"
+
+for $b in document("bib.xml")/bib/book[1]
+update $b
+insert <book year="1999"><title>X</title></book> after $b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ValidateRec(s, tree, prims, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rewritten, inserted *update.Primitive
+	for _, p := range b.Refresh {
+		if p.Kind != update.Insert {
+			continue
+		}
+		if strings.Contains(p.Frag.String(), "A2") {
+			rewritten = p
+		} else {
+			inserted = p
+		}
+	}
+	if rewritten == nil || inserted == nil {
+		t.Fatalf("refresh: %v", b.Refresh)
+	}
+	books := xmldoc.ChildElems(s, rewritten.Parent, "book")
+	if !flexkey.Less(rewritten.Key, inserted.Key) || !flexkey.Less(inserted.Key, books[1]) {
+		t.Fatalf("keys: rewritten %s, inserted %s, next book %s", rewritten.Key, inserted.Key, books[1])
 	}
 }

@@ -149,6 +149,15 @@ func (a *Alloc) cell1(it Item) Cell {
 	return c
 }
 
+// collection returns an empty cell with room for n items. It is never nil:
+// an empty collection must stay distinguishable from a null padding.
+func (a *Alloc) collection(n int) Cell {
+	if n == 0 {
+		return Cell{}
+	}
+	return a.makeItems(0, n)
+}
+
 // makeRefs returns a tuple-pointer slice of length n, capacity c, used for
 // growing Table.Tuples inside arena-backed tables.
 func (a *Alloc) makeRefs(n, c int) []*Tuple {

@@ -110,7 +110,7 @@ func TestDeltaNavArenaAllocs(t *testing.T) {
 
 // deltaNavInput builds a reusable DeltaInput that inserts the given number
 // of new books under the root of a fixed 8-book bib, one region per insert
-// (PropagateDelta treats its input as read-only, so runs may share one).
+// (PropagateDeltaShared treats its input as read-only, so runs may share one).
 func deltaNavInput(t testing.TB, inserts int) *DeltaInput {
 	t.Helper()
 	var sb strings.Builder

@@ -23,30 +23,25 @@ var fpPropagate = faultinject.Register("xat.propagate")
 // Concurrency contract: a DeltaInput is read-only once built — Base must not
 // be mutated while any propagation is in flight, New must be frozen, and the
 // Region values are never written by the engine. Under that contract one
-// DeltaInput may be shared by concurrent PropagateDelta calls (one per
-// view); all per-run mutable state (environments, stats, skeleton
-// registries, base-table memos) lives in the per-call deltaEngine.
+// DeltaInput may be shared by concurrent PropagateDeltaShared calls (one per
+// view); all per-run mutable state (environments, skeleton registries,
+// base-table memos) lives in the per-call deltaEngine.
 type DeltaInput struct {
 	Base    *xmldoc.Store
 	New     xmldoc.Reader
 	Regions map[string][]*Region
 }
 
-// PropagateDelta derives and executes the incremental maintenance plan of
-// the view: the same algebra operators process delta tables instead of base
-// tables, consulting base inputs where the propagation equations require
-// them (e.g. ΔT1 ⋈ T2 ∪ T1' ⋈ ΔT2 for joins). The output delta update
-// trees, the roots returned, are merged into the materialized view by the
-// deep union (Ch 8).
-// Concurrent calls over distinct plans may share one DeltaInput (see its
-// concurrency contract); each call builds private environments and returns
-// freshly allocated delta trees.
-func PropagateDelta(p *Plan, in *DeltaInput) ([]*VNode, error) {
-	return PropagateDeltaShared(p, in, obs.Span{}, nil, nil, nil, nil)
-}
-
-// PropagateDeltaShared is PropagateDelta with the maintenance round's
-// plumbing, each piece optional:
+// PropagateDeltaShared derives and executes the incremental maintenance plan
+// of the view: the same algebra operators process delta tables instead of
+// base tables, consulting base inputs where the propagation equations
+// require them (e.g. ΔT1 ⋈ T2 ∪ T1' ⋈ ΔT2 for joins). The output delta
+// update trees, the roots returned, are merged into the materialized view by
+// the deep union (Ch 8). Concurrent calls over distinct plans may share one
+// DeltaInput (see its concurrency contract); each call builds private
+// environments and returns freshly allocated delta trees.
+//
+// The maintenance round's plumbing is passed in, each piece optional:
 //
 //   - parent: every operator of the maintenance plan emits a child span
 //     (named "Kind#id", carrying its delta tuple count) nested under it, and
@@ -89,11 +84,7 @@ func PropagateDeltaShared(p *Plan, in *DeltaInput, parent obs.Span, rec *journal
 	if err != nil {
 		return nil, err
 	}
-	col := p.Root.InCol
-	if col == "" && len(final.Cols) > 0 {
-		col = final.Cols[len(final.Cols)-1]
-	}
-	roots := e.materializeDelta(final, col)
+	roots := e.materializeDelta(final, p.ResultCol(final))
 	if obs.Enabled() {
 		cDeltaRuns.Inc()
 		cDeltaRows.Add(int64(len(roots)))
@@ -108,7 +99,7 @@ type deltaEngine struct {
 	env      *Env // over the post-update reader
 	baseEnv  *Env // over the pre-update store
 	baseMemo map[*Op]*Table
-	cache    *StateCache      // cross-round base-table cache (nil on one-shot PropagateDelta calls)
+	cache    *StateCache      // cross-round base-table cache (nil: every base table is derived)
 	span     obs.Span         // parent span for per-operator tracing (zero = off)
 	rec      *journal.ViewRec // provenance recorder (nil = off)
 	recOut   map[int][]string // op ID -> distinct output lineage keys recorded
@@ -166,10 +157,9 @@ func newDeltaEngine(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewR
 	// carry base-constructed items can be dereferenced.
 	e.env.Cons = e.baseEnv.Cons
 	// Per-tuple construction environment over the pre-update store: shares
-	// the skeleton registry and stats with the delta env, and the value memo
-	// with the base env (same reader).
-	e.tupEnvBase = &Env{Store: in.Base, Cons: e.env.Cons, Stats: e.env.Stats,
-		vals: e.baseEnv.vals, alloc: alloc}
+	// the skeleton registry with the delta env, and the value memo with the
+	// base env (same reader).
+	e.tupEnvBase = &Env{Store: in.Base, Cons: e.env.Cons, vals: e.baseEnv.vals, alloc: alloc}
 	// The region-pruning predicate is allocated once per run and rebound per
 	// tuple via keepRegion, so patch navigation closes over nothing.
 	e.keepFn = func(xk flexkey.Key) bool {
@@ -196,11 +186,12 @@ func (e *deltaEngine) base(o *Op) (*Table, error) {
 	if obs.Enabled() {
 		cBaseDerivations.Inc()
 	}
+	// One span for the whole derivation; its operators get none.
 	var sp obs.Span
 	if e.span.Enabled() {
 		sp = e.span.Child("base:" + opSpanName(o))
 	}
-	t, err := evalOp(o, e.baseEnv)
+	t, err := evalOp(o, e.baseEnv, obs.Span{})
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -388,23 +379,18 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 		}
 		return e.deltaNav(o, din, true), nil
 
-	case OpSelect:
+	case OpSelect, OpOrderBy, OpXMLUnion, OpXMLUnique, OpXMLDifference, OpXMLIntersection, OpName, OpExpose:
+		// Tuple-at-a-time operators: the delta is the operator over the
+		// input's delta. Select's predicates are evaluated over the
+		// post-update reader: it resolves inserted keys, keeps deleted
+		// subtrees readable, and value replaces on predicate paths were
+		// rewritten away during validation, so predicate values agree with
+		// the state the tuple belongs to.
 		din, err := e.delta(o.Inputs[0])
 		if err != nil {
 			return nil, err
 		}
-		out := e.env.outTable(o)
-		for _, tp := range din.Tuples {
-			// Predicates are evaluated over the post-update reader: it
-			// resolves inserted keys, keeps deleted subtrees readable, and
-			// value replaces on predicate paths were rewritten away during
-			// validation, so predicate values agree with the state the
-			// tuple belongs to.
-			if condTrue(e.env, din, tp, nil, nil, o.Conds) {
-				out.Append(tp)
-			}
-		}
-		return out, nil
+		return applyOp(o, e.env, []*Table{din})
 
 	case OpJoin, OpLOJ:
 		return e.deltaJoin(o)
@@ -415,15 +401,6 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 	case OpGroupBy:
 		return e.deltaGroupBy(o)
 
-	case OpOrderBy:
-		din, err := e.delta(o.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		out := e.env.outTable(o)
-		out.Tuples = din.Tuples
-		return out, nil
-
 	case OpCombine:
 		din, err := e.delta(o.Inputs[0])
 		if err != nil {
@@ -433,22 +410,8 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 		out := e.env.outTable(o)
 		ci := din.Col(o.InCol)
 		for _, tp := range din.Tuples {
-			src := tp.Cells[ci]
-			coll := Cell{}
-			if len(src) > 0 {
-				coll = a.makeItems(0, len(src))
-			}
-			for _, it := range src {
-				if o.Unordered {
-					it.ID.Ord = NoOrd
-				} else {
-					it.ID.Ord = combineOrd(e.env, din, o.Inputs[0].OrderSchema, tp, o.InCol, it, o.Inputs[0].osValue())
-				}
-				it.Count = tp.Count
-				coll = append(coll, it)
-			}
 			cells := a.makeCells(1, 1)
-			cells[0] = coll
+			cells[0] = appendCombined(a.collection(len(tp.Cells[ci])), o, e.env, din, tp, ci)
 			t := a.tuple()
 			*t = Tuple{Cells: cells, Count: tp.Count, Kind: tp.Kind, Region: tp.Region}
 			out.Append(t)
@@ -471,13 +434,6 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 			out.Append(extend(a, tp, a.cell1(it)))
 		}
 		return out, nil
-
-	case OpXMLUnion, OpXMLUnique, OpXMLDifference, OpXMLIntersection, OpName:
-		din, err := e.delta(o.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return applyOp(o, e.env, []*Table{din})
 
 	case OpMerge:
 		dl, err := e.delta(o.Inputs[0])
@@ -504,9 +460,6 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 			out.Append(t)
 		}
 		return out, nil
-
-	case OpExpose:
-		return e.delta(o.Inputs[0])
 
 	case OpUnit:
 		return NewTable(), nil
@@ -682,8 +635,9 @@ func (e *deltaEngine) deltaJoin(o *Op) (*Table, error) {
 		}
 	}
 	// The base-right side is probed by every part of the propagation
-	// equation (and repeatedly by the LOJ corrections), so its prefix-sum
-	// index is built at most once per join evaluation and shared.
+	// equation (and repeatedly by the LOJ corrections), so its index is
+	// built at most once per join evaluation and shared.
+	jc := &joinCond{env: e.env, out: out, lcols: lcols, hl: hl, conds: o.Conds}
 	var brIdx *joinIndex
 	indexFor := func(rts []*Tuple) *joinIndex {
 		if hl < 0 || len(rts) <= 8 {
@@ -697,36 +651,11 @@ func (e *deltaEngine) deltaJoin(o *Op) (*Table, error) {
 		}
 		return buildJoinIndex(e.env, rts, hr-lcols)
 	}
-	// matchCount sums the counts of rts tuples joining with lt, probing idx
-	// when one is supplied (idx must have been built over rts).
+	// matchCount sums the counts of rts tuples joining with lt (idx, when
+	// supplied, was built over rts).
 	matchCount := func(lt *Tuple, rts []*Tuple, idx *joinIndex) int {
 		m := 0
-		if idx != nil {
-			idx.epoch++
-			for _, it := range lt.Cells[hl] {
-				b, ok := idx.spans[e.env.value(it)]
-				if !ok {
-					continue
-				}
-				for j := idx.head[b]; j >= 0; j = idx.next[j] {
-					ri := idx.pos[j]
-					if idx.seen[ri] == idx.epoch {
-						continue
-					}
-					idx.seen[ri] = idx.epoch
-					rt := rts[ri]
-					if pairCondTrue(e.env, out, lcols, lt, rt, o.Conds) {
-						m += rt.Count
-					}
-				}
-			}
-			return m
-		}
-		for _, rt := range rts {
-			if pairCondTrue(e.env, out, lcols, lt, rt, o.Conds) {
-				m += rt.Count
-			}
-		}
+		idx.forEach(jc, lt, rts, func(rt *Tuple) { m += rt.Count })
 		return m
 	}
 	joinInto := func(lts, rts []*Tuple) {
@@ -735,32 +664,7 @@ func (e *deltaEngine) deltaJoin(o *Op) (*Table, error) {
 		}
 		idx := indexFor(rts)
 		for _, lt := range lts {
-			if idx != nil {
-				idx.epoch++
-				for _, it := range lt.Cells[hl] {
-					b, ok := idx.spans[e.env.value(it)]
-					if !ok {
-						continue
-					}
-					for j := idx.head[b]; j >= 0; j = idx.next[j] {
-						ri := idx.pos[j]
-						if idx.seen[ri] == idx.epoch {
-							continue
-						}
-						idx.seen[ri] = idx.epoch
-						rt := rts[ri]
-						if pairCondTrue(e.env, out, lcols, lt, rt, o.Conds) {
-							out.Append(pairTuple(a, lt, rt))
-						}
-					}
-				}
-				continue
-			}
-			for _, rt := range rts {
-				if pairCondTrue(e.env, out, lcols, lt, rt, o.Conds) {
-					out.Append(pairTuple(a, lt, rt))
-				}
-			}
+			idx.forEach(jc, lt, rts, func(rt *Tuple) { out.Append(pairTuple(a, lt, rt)) })
 		}
 	}
 
@@ -926,21 +830,7 @@ func (e *deltaEngine) deltaGroupBy(o *Op) (*Table, error) {
 		for _, cc := range cidx {
 			cells = append(cells, tp.Cells[cc])
 		}
-		src := tp.Cells[ci]
-		coll := Cell{}
-		if len(src) > 0 {
-			coll = a.makeItems(0, len(src))
-		}
-		for _, it := range src {
-			if o.Unordered {
-				it.ID.Ord = NoOrd
-			} else {
-				it.ID.Ord = combineOrd(e.env, in, o.Inputs[0].OrderSchema, tp, o.InCol, it, o.Inputs[0].osValue())
-			}
-			it.Count = tp.Count
-			coll = append(coll, it)
-		}
-		cells = append(cells, coll)
+		cells = append(cells, appendCombined(a.collection(len(tp.Cells[ci])), o, e.env, in, tp, ci))
 		t := a.tuple()
 		*t = Tuple{Cells: cells, Count: tp.Count, Kind: tp.Kind, Region: tp.Region}
 		out.Append(t)

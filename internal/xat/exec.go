@@ -5,25 +5,11 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"xqview/internal/flexkey"
 	"xqview/internal/obs"
 	"xqview/internal/xmldoc"
 )
-
-// Stats collects the cost breakdown the Ch 3 / Ch 4 experiments report.
-type Stats struct {
-	Exec          time.Duration // total execution time
-	OrderSchema   time.Duration // computing the order/context schemas (plan analysis)
-	OverridingOrd time.Duration // assigning overriding-order keys at runtime
-	IdentGen      time.Duration // generating semantic identifiers
-	FinalSort     time.Duration // sorting collections when dereferencing the result
-}
-
-// Add accumulates s2 into s field by field; counters added to Stats are
-// picked up without touching this method.
-func (s *Stats) Add(s2 Stats) { obs.AddFields(s, s2) }
 
 // SkelAttr is a resolved attribute of a constructed node.
 type SkelAttr struct {
@@ -45,14 +31,17 @@ type Skeleton struct {
 }
 
 // Env is the execution environment: the store to read base data from, the
-// registry of constructed-node skeletons, and the stats sink. An Env is
-// mutable per run (skeleton registry, value memo, stats) and must never be
-// shared across concurrently executing plans — each propagating view builds
-// its own environments over the shared read-only stores.
+// registry of constructed-node skeletons, and the span one-shot execution
+// is traced under. An Env is mutable per run (skeleton registry, value
+// memo) and must never be shared across concurrently executing plans — each
+// propagating view builds its own environments over the shared read-only
+// stores.
 type Env struct {
 	Store xmldoc.Reader
 	Cons  map[string]*Skeleton
-	Stats *Stats
+	// Span is the parent of the spans Execute opens, one per operator, and
+	// of MaterializeResult's. The zero Span records nothing.
+	Span  obs.Span
 	vals  map[flexkey.Key]string // string-value memo (stores are immutable per run)
 	alloc *Alloc                 // round arena; nil means plain heap allocation
 	nav   navBufs                // reusable path-navigation buffers
@@ -70,8 +59,7 @@ type Env struct {
 
 // NewEnv returns an execution environment over the given store.
 func NewEnv(store xmldoc.Reader) *Env {
-	return &Env{Store: store, Cons: make(map[string]*Skeleton), Stats: &Stats{},
-		vals: make(map[flexkey.Key]string)}
+	return &Env{Store: store, Cons: make(map[string]*Skeleton), vals: make(map[flexkey.Key]string)}
 }
 
 // outTable returns an empty output table for operator o, sharing the
@@ -127,26 +115,40 @@ func (env *Env) keyDirty(k flexkey.Key) bool {
 
 // Execute runs the plan bottom-up and returns the output table of the
 // operator feeding Expose (or of the root itself when no Expose is present).
+// With env.Span enabled every operator it evaluates gets a span.
 func Execute(p *Plan, env *Env) (*Table, error) {
-	start := time.Now()
-	defer func() { env.Stats.Exec += time.Since(start) }()
 	root := p.Root
 	if root.Kind == OpExpose {
 		root = root.Inputs[0]
 	}
-	return evalOp(root, env)
+	return evalOp(root, env, env.Span)
 }
 
-func evalOp(o *Op, env *Env) (*Table, error) {
+// evalOp evaluates the sub-plan rooted at o. Under an enabled parent span
+// each operator runs in a child span named as the delta engine names its
+// own (opSpanName), carrying its output tuple count, so the spans nest as
+// the plan does and an operator's self time is its span less its inputs'.
+func evalOp(o *Op, env *Env, parent obs.Span) (*Table, error) {
+	var sp obs.Span
+	if parent.Enabled() {
+		sp = parent.Child(opSpanName(o))
+	}
 	ins := make([]*Table, len(o.Inputs))
 	for i, in := range o.Inputs {
-		t, err := evalOp(in, env)
+		t, err := evalOp(in, env, sp)
 		if err != nil {
+			sp.End()
 			return nil, err
 		}
 		ins[i] = t
 	}
 	out, err := applyOp(o, env, ins)
+	if sp.Enabled() {
+		if err == nil {
+			sp.Arg("tuples_out", len(out.Tuples))
+		}
+		sp.End()
+	}
 	if err == nil && obs.Enabled() {
 		recordExec(o, ins, out)
 	}
@@ -421,51 +423,35 @@ func execJoin(o *Op, env *Env, l, r *Table, outer bool) *Table {
 			break
 		}
 	}
-	lcols := len(l.Cols)
-	pad := env.alloc.makeCells(len(r.Cols), len(r.Cols))
+	jc := &joinCond{env: env, out: out, lcols: len(l.Cols), conds: o.Conds}
+	var idx *joinIndex
 	if hl != "" && len(r.Tuples) > 4 {
-		idx := buildJoinIndex(env, r.Tuples, r.Col(hr))
-		lc := l.Col(hl)
-		for _, lt := range l.Tuples {
-			matched := false
-			idx.epoch++
-			for _, it := range lt.Cells[lc] {
-				b, ok := idx.spans[env.value(it)]
-				if !ok {
-					continue
-				}
-				for j := idx.head[b]; j >= 0; j = idx.next[j] {
-					ri := idx.pos[j]
-					if idx.seen[ri] == idx.epoch {
-						continue
-					}
-					idx.seen[ri] = idx.epoch
-					rt := r.Tuples[ri]
-					if pairCondTrue(env, out, lcols, lt, rt, o.Conds) {
-						out.Append(pairTuple(env.alloc, lt, rt))
-						matched = true
-					}
-				}
-			}
-			if outer && !matched {
-				out.Append(extendCells(env.alloc, lt, pad))
-			}
-		}
-		return out
+		jc.hl = l.Col(hl)
+		idx = buildJoinIndex(env, r.Tuples, r.Col(hr))
 	}
+	pad := env.alloc.makeCells(len(r.Cols), len(r.Cols))
 	for _, lt := range l.Tuples {
 		matched := false
-		for _, rt := range r.Tuples {
-			if pairCondTrue(env, out, lcols, lt, rt, o.Conds) {
-				out.Append(pairTuple(env.alloc, lt, rt))
-				matched = true
-			}
-		}
+		idx.forEach(jc, lt, r.Tuples, func(rt *Tuple) {
+			out.Append(pairTuple(env.alloc, lt, rt))
+			matched = true
+		})
 		if outer && !matched {
 			out.Append(extendCells(env.alloc, lt, pad))
 		}
 	}
 	return out
+}
+
+// joinCond is one join evaluation's condition over (left, right) tuple
+// pairs, tested as pairCondTrue tests it against the join's output columns;
+// hl is the left column a joinIndex over the right side is probed with.
+type joinCond struct {
+	env   *Env
+	out   *Table
+	lcols int
+	hl    int
+	conds []Cmp
 }
 
 // joinIndex is a chained-bucket hash index over one column of a tuple
@@ -518,6 +504,38 @@ func buildJoinIndex(env *Env, rts []*Tuple, rc int) *joinIndex {
 		}
 	}
 	return idx
+}
+
+// forEach visits, in order, every tuple of rts that joins lt under jc. idx
+// must have been built over rts: the bucket of each of lt's values in
+// column jc.hl is walked, and a tuple reached through several values is
+// tested once. A nil index tests every tuple of rts.
+func (idx *joinIndex) forEach(jc *joinCond, lt *Tuple, rts []*Tuple, visit func(rt *Tuple)) {
+	if idx == nil {
+		for _, rt := range rts {
+			if pairCondTrue(jc.env, jc.out, jc.lcols, lt, rt, jc.conds) {
+				visit(rt)
+			}
+		}
+		return
+	}
+	idx.epoch++
+	for _, it := range lt.Cells[jc.hl] {
+		b, ok := idx.spans[jc.env.value(it)]
+		if !ok {
+			continue
+		}
+		for j := idx.head[b]; j >= 0; j = idx.next[j] {
+			ri := idx.pos[j]
+			if idx.seen[ri] == idx.epoch {
+				continue
+			}
+			idx.seen[ri] = idx.epoch
+			if rt := rts[ri]; pairCondTrue(jc.env, jc.out, jc.lcols, lt, rt, jc.conds) {
+				visit(rt)
+			}
+		}
+	}
 }
 
 // pairTuple concatenates lt and rt into a join output tuple.
@@ -644,20 +662,10 @@ func execGroupBy(o *Op, env *Env, in *Table) *Table {
 		if o.Agg == "" {
 			// Combine the grouped column across members (Table 4.2: the
 			// inner Combine assigns overriding order from the input OS).
-			t0 := time.Now()
 			coll := Cell{}
 			for _, m := range g.members {
-				for _, it := range m.Cells[ci] {
-					if o.Unordered {
-						it.ID.Ord = NoOrd
-					} else {
-						it.ID.Ord = combineOrd(env, in, o.Inputs[0].OrderSchema, m, o.InCol, it, o.Inputs[0].osValue())
-					}
-					it.Count = m.Count
-					coll = append(coll, it)
-				}
+				coll = appendCombined(coll, o, env, in, m, ci)
 			}
-			env.Stats.OverridingOrd += time.Since(t0)
 			cells = append(cells, coll)
 		} else {
 			cells = append(cells, Cell{ValueItem(aggregate(env, o.Agg, g.members, ci), 0)})
@@ -750,28 +758,32 @@ func formatNum(f float64) string {
 func execCombine(o *Op, env *Env, in *Table) *Table {
 	out := env.outTable(o)
 	ci := in.Col(o.InCol)
-	t0 := time.Now()
 	coll := Cell{}
 	for _, tp := range in.Tuples {
-		for _, it := range tp.Cells[ci] {
-			if o.Unordered {
-				it.ID.Ord = NoOrd
-			} else {
-				it.ID.Ord = combineOrd(env, in, o.Inputs[0].OrderSchema, tp, o.InCol, it, o.Inputs[0].osValue())
-			}
-			it.Count = tp.Count
-			coll = append(coll, it)
-		}
+		coll = appendCombined(coll, o, env, in, tp, ci)
 	}
-	env.Stats.OverridingOrd += time.Since(t0)
 	out.Append(&Tuple{Cells: []Cell{coll}, Count: 1})
 	return out
 }
 
+// appendCombined appends the items of tp's column ci to coll as the Combine
+// (or GroupBy's inner combine) o collects them: each takes the overriding
+// order o assigns from its input's Order Schema (Table 4.2), none when o is
+// unordered, and carries tp's derivation count.
+func appendCombined(coll Cell, o *Op, env *Env, in *Table, tp *Tuple, ci int) Cell {
+	for _, it := range tp.Cells[ci] {
+		if o.Unordered {
+			it.ID.Ord = NoOrd
+		} else {
+			it.ID.Ord = combineOrd(env, in, o.Inputs[0].OrderSchema, tp, o.InCol, it, o.Inputs[0].osValue())
+		}
+		it.Count = tp.Count
+		coll = append(coll, it)
+	}
+	return coll
+}
+
 func execTagger(o *Op, env *Env, in *Table) *Table {
-	// IdentGen is timed once around the whole construction loop: a per-node
-	// clock read costs as much as building a small identifier.
-	t0 := time.Now()
 	out := env.outTable(o)
 	for _, tp := range in.Tuples {
 		if patternEmpty(o, in, tp) {
@@ -783,7 +795,6 @@ func execTagger(o *Op, env *Env, in *Table) *Table {
 		it := constructNode(o, env, in, tp)
 		out.Append(extend(env.alloc, tp, env.alloc.cell1(it)))
 	}
-	env.Stats.IdentGen += time.Since(t0)
 	return out
 }
 
@@ -986,7 +997,6 @@ func resolveLineage(op *Op, tbl *Table, tp *Tuple, col, tag string) []string {
 func execXMLUnion(o *Op, env *Env, in *Table) *Table {
 	out := env.outTable(o)
 	cs := o.Ctx[o.OutCol]
-	t0 := time.Now()
 	for _, tp := range in.Tuples {
 		var coll Cell
 		for i, uc := range o.UnionCols {
@@ -1003,7 +1013,6 @@ func execXMLUnion(o *Op, env *Env, in *Table) *Table {
 		}
 		out.Append(extend(env.alloc, tp, coll))
 	}
-	env.Stats.OverridingOrd += time.Since(t0)
 	return out
 }
 

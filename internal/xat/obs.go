@@ -15,7 +15,7 @@ var (
 	opDeltaTuples    []*obs.Counter
 	opDeltaEmpty     []*obs.Counter
 	cDeltaRows       = obs.Default.CounterOf("xat_delta_rows_total", "delta update tree roots produced by propagation")
-	cDeltaRuns       = obs.Default.CounterOf("xat_propagate_runs_total", "PropagateDelta invocations")
+	cDeltaRuns       = obs.Default.CounterOf("xat_propagate_runs_total", "per-view delta propagations (PropagateDeltaShared calls)")
 	gSkeletons       = obs.Default.GaugeOf("xat_skeletons", "constructed-node skeleton registry size after the last propagation")
 	cBaseDerivations = obs.Default.CounterOf("xat_base_derivations_total", "base sub-plan tables derived during propagation (join/aggregate equations)")
 )

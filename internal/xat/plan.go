@@ -206,6 +206,16 @@ func (p *Plan) Find(kind OpKind) *Op {
 	return nil
 }
 
+// ResultCol names the column of t, a table the plan's root operator
+// produced, that holds the query result: the column Expose exposes, else
+// t's last.
+func (p *Plan) ResultCol(t *Table) string {
+	if p.Root.InCol == "" && len(t.Cols) > 0 {
+		return t.Cols[len(t.Cols)-1]
+	}
+	return p.Root.InCol
+}
+
 // SourceDocs returns the documents the sub-plan rooted at o reads, sorted.
 // This is the operator's invalidation footprint: a cached base table of o
 // can only change when a round's update regions touch one of these

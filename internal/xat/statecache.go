@@ -58,14 +58,15 @@ type cacheEntry struct {
 }
 
 // StateCache carries a view's base operator state across maintenance rounds
-// (the per-call baseMemo of PropagateDelta promoted to View lifetime). It is
+// (the per-call baseMemo of PropagateDeltaShared promoted to View lifetime). It is
 // keyed by the plan-stable operator ID, so it survives the per-round
 // deltaEngine whose *Op memo keys it replaces.
 //
 // Lifecycle per round: begin() clears the staging maps, the engine stages
 // fresh derivations (noteFresh) and every operator's delta (noteDelta)
-// during propagation, and Commit — called only after the round's apply phase
-// succeeded — reconciles the store mutations into the held tables: entries
+// during propagation, and the commit — Prepare once the round's apply phase
+// succeeded, Install when the whole round commits — reconciles the store
+// mutations into the held tables: entries
 // whose source documents are untouched by the round's regions are kept
 // verbatim (their deltas are provably empty), and touched entries are
 // updated in place by folding the round's own deltas (insert Δ+ tuples,
@@ -153,7 +154,7 @@ func (c *StateCache) lookup(o *Op) (*Table, bool) {
 	return e.tbl, true
 }
 
-// noteFresh stages a freshly derived base table for caching at Commit.
+// noteFresh stages a freshly derived base table for caching at commit.
 // Tables holding constructed nodes are never cached: their skeletons live in
 // the per-round registry and their identities are not stable across rounds.
 func (c *StateCache) noteFresh(o *Op, t *Table) {
@@ -170,7 +171,7 @@ func (c *StateCache) noteFresh(o *Op, t *Table) {
 	c.pendingFresh[o.ID] = &cacheEntry{tbl: t, docs: o.SourceDocs()}
 }
 
-// noteDelta stages operator o's delta table of the current round; Commit
+// noteDelta stages operator o's delta table of the current round; Prepare
 // folds it into o's cached base table (the cached state is pre-update).
 func (c *StateCache) noteDelta(o *Op, t *Table) {
 	if c == nil {
@@ -193,6 +194,9 @@ type PreparedCommit struct {
 	// subtrees or on an anchor's ancestor chain.
 	dirty []flexkey.Key
 }
+
+// Len reports how many tables the cache holds once p is installed.
+func (p *PreparedCommit) Len() int { return len(p.entries) }
 
 // Prepare builds — without mutating the cache — the entries map a
 // successful round would commit: fresh tables staged this round join the
@@ -325,18 +329,6 @@ func (c *StateCache) Rollback() {
 	c.pendingDelta = map[int]*Table{}
 }
 
-// Commit is Prepare+Install in one step, for callers without a round
-// transaction (tests, the readonly harness). On error the cache rolls back.
-func (c *StateCache) Commit(regions map[string][]*Region) error {
-	p, err := c.Prepare(regions)
-	if err != nil {
-		c.Rollback()
-		return err
-	}
-	c.Install(p)
-	return nil
-}
-
 // Fingerprint renders the held entries deterministically — operator IDs in
 // order, each with its source documents and full table contents — so tests
 // can assert byte-identity of cache state across rollback/retry. A nil
@@ -357,77 +349,6 @@ func (c *StateCache) Fingerprint() string {
 		fmt.Fprintf(&b, "op %d docs=%s\n%s", id, strings.Join(e.docs, ","), e.tbl.String())
 	}
 	fmt.Fprintf(&b, "entries=%d\n", len(c.entries))
-	return b.String()
-}
-
-// CacheSnap is an immutable read-only view of a StateCache as of one
-// published version. It captures the entries map by reference, which is
-// safe to read without synchronization forever after: installed entries
-// maps are never written again — Install and Invalidate swap in fresh maps,
-// Prepare builds new cacheEntry values for folded tables, and tables are
-// immutable — so the snapshot keeps describing exactly the round it was
-// taken at while the live cache moves on.
-type CacheSnap struct {
-	entries map[int]*cacheEntry
-	stats   CacheStats
-}
-
-// SnapshotView captures the cache state a successful Install of p would
-// publish (or the current state when p is nil), without touching the live
-// cache. Taking the view from the PreparedCommit is what lets a round build
-// its candidate version BEFORE the infallible install: the snapshot and the
-// install then can't diverge. Works on a nil cache (empty view).
-func (c *StateCache) SnapshotView(p *PreparedCommit) *CacheSnap {
-	s := &CacheSnap{}
-	if c != nil {
-		s.stats = c.stats
-	}
-	switch {
-	case p != nil:
-		s.entries = p.entries
-		s.stats.Folds += p.folds
-		s.stats.Evictions += p.evictions
-	case c != nil:
-		s.entries = c.entries
-	}
-	s.stats.Entries = len(s.entries)
-	return s
-}
-
-// Len returns how many tables the snapshot holds.
-func (s *CacheSnap) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.entries)
-}
-
-// Stats returns the cache counters as of the snapshot's version.
-func (s *CacheSnap) Stats() CacheStats {
-	if s == nil {
-		return CacheStats{}
-	}
-	return s.stats
-}
-
-// Fingerprint renders the snapshot's entries in StateCache.Fingerprint's
-// format, so tests can compare a version's cache view against a live cache
-// byte for byte.
-func (s *CacheSnap) Fingerprint() string {
-	if s == nil {
-		return "entries=0\n"
-	}
-	ids := make([]int, 0, len(s.entries))
-	for id := range s.entries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		e := s.entries[id]
-		fmt.Fprintf(&b, "op %d docs=%s\n%s", id, strings.Join(e.docs, ","), e.tbl.String())
-	}
-	fmt.Fprintf(&b, "entries=%d\n", len(s.entries))
 	return b.String()
 }
 

@@ -146,6 +146,16 @@ func TestFoldTableEmptyDeltaIsIdentity(t *testing.T) {
 	}
 }
 
+// commit runs the cache's two-step commit, Prepare then Install.
+func commit(t *testing.T, c *StateCache, regions map[string][]*Region) {
+	t.Helper()
+	p, err := c.Prepare(regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Install(p)
+}
+
 // TestStateCacheCommitRegions drives a cache holding two entries over
 // different documents through a commit whose regions touch only one of
 // them: the untouched entry is kept verbatim, the touched one folds, and an
@@ -160,7 +170,7 @@ func TestStateCacheCommitRegions(t *testing.T) {
 	priTbl := tableOf(nodeTuple("p", 1))
 	c.noteFresh(bibOp, bibTbl)
 	c.noteFresh(priOp, priTbl)
-	c.Commit(nil) // no regions: both entries admitted untouched
+	commit(t, c, nil) // no regions: both entries admitted untouched
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
@@ -168,7 +178,7 @@ func TestStateCacheCommitRegions(t *testing.T) {
 	// Round 2: a bib-only region with a foldable delta for the bib entry.
 	c.begin(false)
 	c.noteDelta(bibOp, tableOf(deltaTuple("b.d", 1)))
-	c.Commit(map[string][]*Region{
+	commit(t, c, map[string][]*Region{
 		"bib.xml": {{Mode: RegionInsert, Anchor: "b.d"}},
 	})
 	st := c.Stats()
@@ -186,7 +196,7 @@ func TestStateCacheCommitRegions(t *testing.T) {
 	// the prices entry must be evicted, the bib entry untouched.
 	c.begin(false)
 	c.noteDelta(priOp, tableOf(deltaTuple("zz", -1)))
-	c.Commit(map[string][]*Region{
+	commit(t, c, map[string][]*Region{
 		"prices.xml": {{Mode: RegionDelete, Anchor: "p"}},
 	})
 	if _, ok := c.lookup(priOp); ok {
@@ -209,7 +219,7 @@ func TestStateCacheCommitRegions(t *testing.T) {
 	nc.begin(false)
 	nc.noteFresh(bibOp, bibTbl)
 	nc.noteDelta(bibOp, nil)
-	nc.Commit(nil)
+	commit(t, nc, nil)
 	nc.Invalidate()
 	if nc.Len() != 0 || nc.Stats() != (CacheStats{}) {
 		t.Error("nil cache must be a no-op")
@@ -227,7 +237,7 @@ func TestStateCacheRejectsConstructed(t *testing.T) {
 		Count: 1,
 	})
 	c.noteFresh(op, tbl)
-	c.Commit(nil)
+	commit(t, c, nil)
 	if c.Len() != 0 {
 		t.Error("constructed-content table was cached")
 	}

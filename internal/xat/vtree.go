@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"xqview/internal/flexkey"
 	"xqview/internal/xmldoc"
@@ -49,8 +48,11 @@ func (n *VNode) Key() string {
 
 // MaterializeResult dereferences the result column of the final table (the
 // output of the top Combine/Tagger) into view trees, sorting collections by
-// their order keys (Sec 3.3.3: partial sort at result generation only).
+// their order keys (Sec 3.3.3: partial sort at result generation only). It
+// runs in one "Materialize" span under env.Span.
 func MaterializeResult(env *Env, tbl *Table, col string) []*VNode {
+	sp := env.Span.Child("Materialize")
+	defer sp.End()
 	var out []*VNode
 	ci := tbl.Col(col)
 	for _, tp := range tbl.Tuples {
@@ -65,9 +67,7 @@ func MaterializeResult(env *Env, tbl *Table, col string) []*VNode {
 			}
 		}
 	}
-	t0 := time.Now()
 	sortVNodes(out)
-	env.Stats.FinalSort += time.Since(t0)
 	return out
 }
 
@@ -98,10 +98,8 @@ func Deref(env *Env, it Item, count int) *VNode {
 				Kind: xmldoc.Attr, Name: a.Name, Value: a.Value, Count: count,
 			})
 		}
-		t0 := time.Now()
 		content := append(Cell(nil), skel.Content...)
 		sortCellByOrder(content)
-		env.Stats.FinalSort += time.Since(t0)
 		for _, c := range content {
 			cc := c.Count
 			if cc == 0 {

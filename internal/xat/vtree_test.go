@@ -106,13 +106,3 @@ func TestPinnedRootSurvivesEmptyContent(t *testing.T) {
 	}
 	_ = env
 }
-
-func TestStatsAccumulate(t *testing.T) {
-	var a, b Stats
-	a.Exec, a.IdentGen = 10, 3
-	b.Exec, b.FinalSort = 5, 2
-	a.Add(b)
-	if a.Exec != 15 || a.IdentGen != 3 || a.FinalSort != 2 {
-		t.Fatalf("Add: %+v", a)
-	}
-}

@@ -120,13 +120,14 @@ func (d *Draft) insertFragAt(k, p flexkey.Key, f *Frag) {
 }
 
 // InsertFragment inserts fragment f as a child of parent, positioned
-// strictly between siblings after and before (either may be "" for
-// begin/end; both empty appends after the current last child). It returns
-// the key assigned to the fragment root.
+// between siblings after and before (either may be "" for begin/end) and
+// after every child already there, so inserts at one position keep the
+// order they were made in and both bounds empty appends. It returns the key
+// assigned to the fragment root.
 func (d *Draft) InsertFragment(parent flexkey.Key, after, before flexkey.Key, f *Frag) (flexkey.Key, error) {
-	if after == "" && before == "" {
-		if cs := d.children(parent, false); len(cs) > 0 {
-			after = cs[len(cs)-1]
+	for _, c := range d.children(parent, false) {
+		if c > after && (before == "" || c < before) {
+			after = c
 		}
 	}
 	k := flexkey.SiblingBetween(parent, after, before)

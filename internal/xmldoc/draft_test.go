@@ -240,6 +240,24 @@ func TestDraftCombined(t *testing.T) {
 	}
 }
 
+// TestDraftInsertsAtOnePositionKeepOrder: two inserts between the same pair
+// of siblings get distinct keys, the second after the first.
+func TestDraftInsertsAtOnePositionKeepOrder(t *testing.T) {
+	s, d, root := draftSetup(t)
+	books := ChildElems(s, root, "book")
+	k1, err := d.InsertFragment(root, books[0], books[1], Elem("book"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := d.InsertFragment(root, books[0], books[1], Elem("book"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ChildElems(d, root, "book"); len(got) != 4 || got[1] != k1 || got[2] != k2 || got[3] != books[1] {
+		t.Fatalf("children %v, inserted %s then %s", got, k1, k2)
+	}
+}
+
 // TestDraftZeroAllocReads: reads through a written draft — a replaced node,
 // a child list with inserts and deletes, a deleted subtree — allocate
 // nothing, so propagation over many views stays allocation-free.

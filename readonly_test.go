@@ -118,7 +118,7 @@ func TestReaderContractMaterializeAndPropagate(t *testing.T) {
 		{Kind: update.Delete, Doc: "bib.xml", Key: books[0]},
 		{Kind: update.Replace, Doc: "prices.xml", Key: texts[0], NewValue: "29.95"},
 	}
-	batch, err := validate.Validate(s, v.SAPT, prims)
+	batch, err := validate.ValidateRec(s, v.SAPT, prims, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +128,21 @@ func TestReaderContractMaterializeAndPropagate(t *testing.T) {
 	// the base store plus the batch refreshed into a draft of it.
 	din := deltaInputFor(t, s, batch)
 	requireUnchanged(t, s, snap, "source refresh")
-	if _, err := xat.PropagateDelta(v.Plan, din); err != nil {
+	if _, err := xat.PropagateDeltaShared(v.Plan, din, obs.Span{}, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	requireUnchanged(t, s, snap, "propagate")
 
-	// The cached engine shares the same contract, including its Commit.
+	// The cached engine shares the same contract, including its commit.
 	cache := xat.NewStateCache()
 	if _, err := xat.PropagateDeltaShared(v.Plan, din, obs.Span{}, nil, cache, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	cache.Commit(din.Regions)
+	prep, err := cache.Prepare(din.Regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Install(prep)
 	if _, err := xat.PropagateDeltaShared(v.Plan, din, obs.Span{}, nil, cache, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // Snapshot is a reader's handle on one immutable published version of the
-// database: the source documents, every view's extent, and a read-only view
-// of the propagation caches, all as of a single maintenance-round commit.
+// database: the source documents, every view's extent, and each view's
+// propagation-cache occupancy, all as of a single maintenance-round commit.
 // Acquiring and reading a snapshot never takes the maintenance lock —
 // rounds keep committing concurrently, and the snapshot keeps serving
 // exactly its version's bytes until released.
@@ -82,11 +82,11 @@ func (s *Snapshot) ViewQuery(name string) (string, error) {
 	return f.Query, nil
 }
 
-// CacheEntries reports how many propagation-cache tables the named view's
-// read-only cache snapshot holds (0 for unknown views or cold caches).
+// CacheEntries reports how many propagation-cache tables the named view held
+// as of the snapshot (0 for unknown views or cold caches).
 func (s *Snapshot) CacheEntries(name string) int {
 	if f := s.v.Frame(name); f != nil {
-		return f.Cache.Len()
+		return f.CacheEntries
 	}
 	return 0
 }

@@ -55,7 +55,7 @@ type Database struct {
 
 	// snaps is the MVCC epoch registry: every committed maintenance round
 	// publishes the next immutable version into it (store snapshot, view
-	// extents, read-only cache views); document loads publish a full capture
+	// extents, cache occupancy); document loads publish a full capture
 	// of the store, view creation, renaming and recomputation publish new
 	// frames over the same store snapshot. Readers acquire version handles
 	// lock-free through it.

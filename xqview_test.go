@@ -421,3 +421,52 @@ func TestIrrelevantUpdateReachesStore(t *testing.T) {
 		t.Fatalf("a view created afterwards misses the replace: %s", got)
 	}
 }
+
+// TestRewriteKeepsItsPlace: one script rewrites a book a join view reads
+// (a title replace becomes a delete and re-insert of the book) and inserts
+// a book after it. The rewritten book keeps its place and the new one
+// follows it, in the stored document and in a view listing the titles,
+// exactly as applying the two statements in turn would order them.
+func TestRewriteKeepsItsPlace(t *testing.T) {
+	db := NewDatabase()
+	if err := db.LoadDocument("bib.xml", `<bib><book year="1994"><title>A</title></book><book year="2000"><title>B</title></book></bib>`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadDocument("prices.xml", `<prices><entry><price>10</price><b-title>A</b-title></entry></prices>`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateView(`<result>{
+		for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+		where $b/title = $e/b-title
+		return <pair>{$b/title} {$e/price}</pair> }</result>`); err != nil {
+		t.Fatal(err)
+	}
+	titles, err := db.CreateView(`<result>{ for $b in doc("bib.xml")/bib/book return $b/title }</result>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := db.ApplyUpdates(`
+for $b in document("bib.xml")/bib/book[1]
+update $b
+replace $b/title/text() with "A2"
+
+for $b in document("bib.xml")/bib/book[1]
+update $b
+insert <book year="1999"><title>X</title></book> after $b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps[0].UpdatesRewritten != 1 {
+		t.Fatalf("the title replace should be rewritten: %s", reps[0])
+	}
+	doc, err := db.DocumentXML("bib.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `<bib><book year="1994"><title>A2</title></book><book year="1999"><title>X</title></book><book year="2000"><title>B</title></book></bib>`; doc != want {
+		t.Fatalf("document:\n got %s\nwant %s", doc, want)
+	}
+	if got, want := titles.XML(), `<result><title>A2</title><title>X</title><title>B</title></result>`; got != want {
+		t.Fatalf("titles view:\n got %s\nwant %s", got, want)
+	}
+}
