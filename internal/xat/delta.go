@@ -699,13 +699,7 @@ func (e *deltaEngine) deltaJoin(o *Op) (*Table, error) {
 		// the first time an identity is inserted.
 		var idBuf []byte
 		lidBytes := func(lt *Tuple) []byte {
-			idBuf = idBuf[:0]
-			for i, c := range lt.Cells {
-				if i > 0 {
-					idBuf = append(idBuf, "\x1f\x1f"...)
-				}
-				idBuf = appendCellIdentity(idBuf, c)
-			}
+			idBuf = appendTupleIdentity(idBuf[:0], lt)
 			return idBuf
 		}
 		ldelta := map[string]int{}

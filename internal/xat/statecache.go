@@ -22,9 +22,35 @@ var (
 	cCacheHits      = obs.Default.CounterOf("xat_state_cache_hits_total", "base tables served from the cross-round state cache")
 	cCacheMisses    = obs.Default.CounterOf("xat_state_cache_misses_total", "base-table derivations that missed the state cache")
 	cCacheFolds     = obs.Default.CounterOf("xat_state_cache_folds_total", "cached base tables updated in place by folding a round's deltas")
-	cCacheEvictions = obs.Default.CounterOf("xat_state_cache_evictions_total", "cached base tables dropped by region-driven invalidation")
 	gCacheEntries   = obs.Default.GaugeOf("xat_state_cache_entries", "base tables held by state caches")
+	cCacheEvictions = func() (cs [numEvictCauses]*obs.Counter) {
+		for c := range cs {
+			cs[c] = obs.Default.CounterOf("xat_state_cache_evictions_total",
+				"cached base tables dropped, by cause", "cause", evictCauseNames[c])
+		}
+		return cs
+	}()
 )
+
+// evictCause says why a cached table was dropped; it labels the eviction
+// counter.
+type evictCause int
+
+const (
+	evictPatch       evictCause = iota // an insert- or delete-mode patch tuple (a spine anchor)
+	evictUnheld                        // a modify patch whose identity the entry does not hold
+	evictValue                         // a delta tuple carries a value item the round modified
+	evictConstructed                   // constructed content in the delta
+	evictMiss                          // a retraction of an identity the entry does not hold
+	evictNegative                      // a count the delta would drive below zero
+	evictTouched                       // PrepareEvictTouched: no deltas to fold
+	evictInvalidate                    // Invalidate: every entry dropped
+	numEvictCauses
+)
+
+var evictCauseNames = [numEvictCauses]string{
+	"patch", "unheld", "value", "constructed", "miss", "negative", "touched", "invalidate",
+}
 
 // CacheStats summarizes one StateCache's lifetime activity.
 type CacheStats struct {
@@ -51,9 +77,14 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 }
 
 // cacheEntry is one cached base table together with the source documents its
-// sub-plan reads — the unit of region-driven invalidation.
+// sub-plan reads — the unit of region-driven invalidation — and the
+// counting-solution identity of every tuple, ids[i] ==
+// tupleIdentity(tbl.Tuples[i]). The identities are computed once, when
+// Prepare admits a fresh derivation, and carried forward by every fold, so a
+// fold builds identity strings for its delta only.
 type cacheEntry struct {
 	tbl  *Table
+	ids  []string
 	docs []string
 }
 
@@ -70,8 +101,9 @@ type cacheEntry struct {
 // whose source documents are untouched by the round's regions are kept
 // verbatim (their deltas are provably empty), and touched entries are
 // updated in place by folding the round's own deltas (insert Δ+ tuples,
-// retract Δ− via the counting solution) or evicted when the delta is not a
-// pure counting delta (patch tuples, constructed content). Invalidate drops
+// retract Δ− via the counting solution, absorb value-modify patches of held
+// tuples) or evicted when the fold cannot absorb the delta (see
+// cacheEntry.fold). Invalidate drops
 // everything, for rounds that fail mid-way or out-of-band store mutations.
 //
 // Concurrency: a StateCache belongs to one view and is only touched by the
@@ -182,13 +214,13 @@ func (c *StateCache) noteDelta(o *Op, t *Table) {
 
 // PreparedCommit is the staged outcome of a round's cache commit: a fully
 // built replacement entries map plus the counter deltas installing it will
-// apply. It shares *Table pointers with the live cache (tables are
-// immutable) but never aliases a live cacheEntry, so discarding it touches
+// apply. It shares entries and tables with the live cache (both are
+// immutable once built; a fold makes new ones), so discarding it touches
 // nothing.
 type PreparedCommit struct {
-	entries   map[int]*cacheEntry
-	folds     int
-	evictions int
+	entries map[int]*cacheEntry
+	folds   int
+	evicts  [numEvictCauses]int
 	// dirty is the round's region anchors; Install prunes the persistent
 	// base value memo of every entry whose key is inside one of these
 	// subtrees or on an anchor's ancestor chain.
@@ -218,36 +250,42 @@ func (c *StateCache) Prepare(regions map[string][]*Region) (*PreparedCommit, err
 	}
 	rs := xmldoc.RegionSet{}
 	p := &PreparedCommit{entries: make(map[int]*cacheEntry, len(c.entries)+len(c.pendingFresh))}
+	var modified map[flexkey.Key]bool
 	for doc, rgs := range regions {
 		for _, r := range rgs {
 			rs.Add(doc, r.Anchor)
 			p.dirty = append(p.dirty, r.Anchor)
+			if r.Mode == RegionModify {
+				if modified == nil {
+					modified = map[flexkey.Key]bool{}
+				}
+				modified[r.Anchor] = true
+			}
 		}
 	}
 	for id, e := range c.entries {
 		p.entries[id] = e
 	}
 	for id, e := range c.pendingFresh {
+		tbl := e.tbl
 		if c.pendingPromote {
 			// Fresh derivations ran on the round arena; copy them out so
 			// the cached table survives the arena's wholesale release.
-			e = &cacheEntry{tbl: promoteTable(e.tbl), docs: e.docs}
+			tbl = promoteTable(tbl)
 		}
-		p.entries[id] = e
+		p.entries[id] = &cacheEntry{tbl: tbl, ids: tableIdentities(tbl), docs: e.docs}
 	}
 	for id, e := range p.entries {
 		if !rs.TouchesAny(e.docs) {
 			continue
 		}
-		nt, ok := foldTablePromote(e.tbl, c.pendingDelta[id], c.pendingPromote)
-		if !ok {
+		ne, cause := e.fold(c.pendingDelta[id], modified, c.pendingPromote)
+		if ne == nil {
 			delete(p.entries, id)
-			p.evictions++
+			p.evicts[cause]++
 			continue
 		}
-		// New cacheEntry value: the live entry (possibly shared with the
-		// committed cache) must not see the folded table until Install.
-		p.entries[id] = &cacheEntry{tbl: nt, docs: e.docs}
+		p.entries[id] = ne
 		p.folds++
 	}
 	return p, nil
@@ -277,7 +315,7 @@ func (c *StateCache) PrepareEvictTouched(regions map[string][]*Region) (*Prepare
 	}
 	for id, e := range c.entries {
 		if rs.TouchesAny(e.docs) {
-			p.evictions++
+			p.evicts[evictTouched]++
 			continue
 		}
 		p.entries[id] = e
@@ -308,11 +346,21 @@ func (c *StateCache) Install(p *PreparedCommit) {
 	c.pendingFresh = map[int]*cacheEntry{}
 	c.pendingDelta = map[int]*Table{}
 	c.stats.Folds += p.folds
-	c.stats.Evictions += p.evictions
+	for _, n := range p.evicts {
+		c.stats.Evictions += n
+	}
 	c.stats.Entries = len(c.entries)
 	if obs.Enabled() {
-		cCacheFolds.Add(int64(p.folds))
-		cCacheEvictions.Add(int64(p.evictions))
+		// Views commit concurrently and share these series: skip the
+		// atomic writes that would add nothing.
+		if p.folds > 0 {
+			cCacheFolds.Add(int64(p.folds))
+		}
+		for cause, n := range p.evicts {
+			if n > 0 {
+				cCacheEvictions[cause].Add(int64(n))
+			}
+		}
 		gCacheEntries.Set(int64(len(c.entries)))
 	}
 }
@@ -365,7 +413,7 @@ func (c *StateCache) Invalidate() {
 	c.stats.Evictions += n
 	c.stats.Entries = 0
 	if obs.Enabled() {
-		cCacheEvictions.Add(int64(n))
+		cCacheEvictions[evictInvalidate].Add(int64(n))
 		gCacheEntries.Set(0)
 	}
 }
@@ -391,11 +439,30 @@ func (c *StateCache) Stats() CacheStats {
 // tupleIdentity is the counting-solution identity a fold matches tuples on:
 // the per-cell identities of Def 4.2.4, joined like joinKey.
 func tupleIdentity(tp *Tuple) string {
-	parts := make([]string, len(tp.Cells))
+	return string(appendTupleIdentity(nil, tp))
+}
+
+// appendTupleIdentity appends tupleIdentity(tp) to buf, so callers that
+// probe maps keyed by string(buf) build no intermediate strings.
+func appendTupleIdentity(buf []byte, tp *Tuple) []byte {
 	for i, c := range tp.Cells {
-		parts[i] = cellIdentity(c)
+		if i > 0 {
+			buf = append(buf, "\x1f\x1f"...)
+		}
+		buf = appendCellIdentity(buf, c)
 	}
-	return joinKey(parts)
+	return buf
+}
+
+// tableIdentities returns tupleIdentity of every tuple of t, in order.
+func tableIdentities(t *Table) []string {
+	ids := make([]string, len(t.Tuples))
+	var buf []byte
+	for i, tp := range t.Tuples {
+		buf = appendTupleIdentity(buf[:0], tp)
+		ids[i] = string(buf)
+	}
+	return ids
 }
 
 // tableHasConstructed reports whether any item of the table is a constructed
@@ -416,92 +483,116 @@ func tableHasConstructed(t *Table) bool {
 	return false
 }
 
-// foldTable applies a round's delta to a cached base table, producing the
-// table the next round's base derivation would compute: positive delta
-// counts append derivations, negative ones retract them by identity (the
-// counting solution). It reports !ok — the caller must evict — when the
-// delta is not a pure counting delta: patch tuples (spine anchors, value
-// modifies), constructed content, a retraction that misses, or a count that
-// would go negative.
-//
-// The input table is never mutated and its tuples are never written through:
-// delta tables share *Tuple pointers across operators (Select and OrderBy
-// pass input tuples along), so the fold rebuilds the tuple slice, copying
-// any tuple whose count changes.
-func foldTable(base *Table, delta *Table) (*Table, bool) {
-	return foldTablePromote(base, delta, false)
+// foldOp is the net effect of a round's delta on one tuple identity.
+type foldOp struct {
+	id    string
+	tp    *Tuple // first delta tuple with this identity
+	count int    // summed Delta counts
+	patch bool   // a modify patch names the identity: the entry must hold it
+	held  bool   // a held tuple carried the identity
 }
 
-// foldTablePromote is foldTable with arena promotion: when promote is set,
-// cells taken from the (arena-backed) delta table are deep-copied so the
-// folded table never aliases round-arena memory. Base tuples need no copy —
-// the base table is either a committed entry (promoted in a prior round) or
-// a fresh derivation promoted before the fold.
-func foldTablePromote(base *Table, delta *Table, promote bool) (*Table, bool) {
+// fold applies a round's delta to the entry, producing the entry the next
+// round's base derivation would compute (the counting solution): positive
+// delta counts append derivations, negative ones retract them by identity,
+// and a value-modify patch of a held tuple is absorbed unchanged. The SAPT
+// rewrites every value replace that feeds a predicate, order, group,
+// distinct or aggregate into a delete and an insert, so a modify patch that
+// reaches the fold changes neither the node identities nor the count of the
+// tuple it names; node items read their values through the value memo,
+// which Install prunes on the round's anchors. A value item, however,
+// carries its value, and propagation reads a modify patch from the
+// pre-update store: a delta tuple holding a value item on a node in
+// modified would fold a stale value, so the entry is evicted instead.
+//
+// fold reports nil and the cause when the entry must be evicted: an insert-
+// or delete-mode patch (a spine anchor), a modify patch whose identity the
+// entry does not hold, a modified value item, constructed content, a
+// retraction that misses, or a count that would go negative.
+//
+// Only delta tuples build an identity; held tuples keep theirs. The entry
+// and its tuples are never written: delta tables share *Tuple pointers
+// across operators, so the fold builds a new tuple slice and copies any
+// tuple whose count changes. When promote is set, cells taken from the
+// (arena-backed) delta are deep-copied so the folded table never aliases
+// round-arena memory; held tuples are heap memory already.
+func (e *cacheEntry) fold(delta *Table, modified map[flexkey.Key]bool, promote bool) (*cacheEntry, evictCause) {
 	if delta == nil || len(delta.Tuples) == 0 {
-		return base, true
+		return e, 0
 	}
-	pend := map[string]int{}
-	repr := map[string]*Tuple{}
-	var order []string
+	var ops []foldOp
+	idx := make(map[string]int, len(delta.Tuples))
+	var buf []byte
 	for _, tp := range delta.Tuples {
-		if tp.Kind != Delta {
-			return nil, false
+		patch := tp.Kind == Patch
+		if patch && (tp.Region == nil || tp.Region.Mode != RegionModify) || !patch && tp.Kind != Delta {
+			return nil, evictPatch
 		}
 		for _, c := range tp.Cells {
 			for _, it := range c {
 				if it.ID.Constructed || it.Skel != nil {
-					return nil, false
+					return nil, evictConstructed
+				}
+				if it.IsVal && modified[flexkey.Key(it.ID.Body)] {
+					return nil, evictValue
 				}
 			}
 		}
-		id := tupleIdentity(tp)
-		if _, ok := pend[id]; !ok {
-			order = append(order, id)
-			repr[id] = tp
-		}
-		pend[id] += tp.Count
-	}
-	out := base.CloneShape()
-	out.Tuples = make([]*Tuple, 0, len(base.Tuples)+len(order))
-	for _, tp := range base.Tuples {
-		id := tupleIdentity(tp)
-		d, ok := pend[id]
+		buf = appendTupleIdentity(buf[:0], tp)
+		j, ok := idx[string(buf)]
 		if !ok {
-			out.Tuples = append(out.Tuples, tp)
-			continue
+			j = len(ops)
+			ops = append(ops, foldOp{id: string(buf), tp: tp})
+			idx[ops[j].id] = j
 		}
-		delete(pend, id)
-		nc := tp.Count + d
-		if nc < 0 {
-			return nil, false
+		if patch {
+			ops[j].patch = true
+		} else {
+			ops[j].count += tp.Count
 		}
-		if nc == 0 {
-			continue
-		}
-		cp := *tp
-		cp.Count = nc
-		out.Tuples = append(out.Tuples, &cp)
 	}
-	for _, id := range order {
-		d, ok := pend[id]
-		if !ok {
-			continue // absorbed by an existing tuple
+	out := e.tbl.CloneShape()
+	out.Tuples = make([]*Tuple, 0, len(e.tbl.Tuples)+len(ops))
+	ids := make([]string, 0, cap(out.Tuples))
+	for i, tp := range e.tbl.Tuples {
+		id := e.ids[i]
+		if j, ok := idx[id]; ok && !ops[j].held {
+			ops[j].held = true // the first held tuple with the identity takes the delta
+			if d := ops[j].count; d != 0 {
+				nc := tp.Count + d
+				if nc < 0 {
+					return nil, evictNegative
+				}
+				if nc == 0 {
+					continue
+				}
+				cp := *tp
+				cp.Count = nc
+				tp = &cp
+			}
 		}
-		if d < 0 {
-			return nil, false // retraction of a tuple the base never held
-		}
-		if d == 0 {
+		out.Tuples = append(out.Tuples, tp)
+		ids = append(ids, id)
+	}
+	for _, op := range ops {
+		switch {
+		case op.held:
+			continue
+		case op.patch:
+			return nil, evictUnheld
+		case op.count < 0:
+			return nil, evictMiss
+		case op.count == 0:
 			continue
 		}
-		tp := repr[id]
-		cells := tp.Cells
+		cells := op.tp.Cells
 		if promote {
 			cells = promoteCells(cells)
 		}
-		out.Tuples = append(out.Tuples, &Tuple{Cells: cells, Count: d})
+		out.Tuples = append(out.Tuples, &Tuple{Cells: cells, Count: op.count})
+		ids = append(ids, op.id)
 	}
-	return out, true
+	return &cacheEntry{tbl: out, ids: ids, docs: e.docs}, 0
 }
 
 // promoteTable deep-copies a (possibly arena-backed) table into heap memory

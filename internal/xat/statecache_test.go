@@ -1,14 +1,17 @@
 package xat
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
 	"testing"
 
 	"xqview/internal/flexkey"
 )
 
-// Fold-layer unit tests: foldTable implements the counting solution over
-// cached base tables, and Commit decides keep / fold / evict per entry from
-// the round's update regions. These tests pin the exact semantics the
+// Fold-layer unit tests: cacheEntry.fold implements the counting solution
+// over cached base tables, and Prepare decides keep / fold / evict per entry
+// from the round's update regions. These tests pin the exact semantics the
 // end-to-end differential tests in internal/core rely on.
 
 func nodeTuple(k string, count int) *Tuple {
@@ -22,10 +25,33 @@ func deltaTuple(k string, count int) *Tuple {
 	return tp
 }
 
+// patchTuple is a copy of tp marked as a patch of a region in mode.
+func patchTuple(tp *Tuple, mode RegionMode, anchor string) *Tuple {
+	cp := *tp
+	cp.Kind = Patch
+	cp.Region = &Region{Mode: mode, Anchor: flexkey.Key(anchor)}
+	return &cp
+}
+
 func tableOf(tuples ...*Tuple) *Table {
 	t := NewTable("c")
 	t.Tuples = tuples
 	return t
+}
+
+// entryOf wraps a table as a cache entry with its identities computed.
+func entryOf(t *Table) *cacheEntry {
+	return &cacheEntry{tbl: t, ids: tableIdentities(t)}
+}
+
+// foldTable folds delta into a fresh entry over base, with no modified
+// value nodes and no arena promotion; ok is false when the fold evicts.
+func foldTable(base, delta *Table) (*Table, bool) {
+	ne, _ := entryOf(base).fold(delta, nil, false)
+	if ne == nil {
+		return nil, false
+	}
+	return ne.tbl, true
 }
 
 // counts flattens a table to identity→count for assertions.
@@ -91,13 +117,136 @@ func TestFoldTableNegativeCountFails(t *testing.T) {
 	}
 }
 
-func TestFoldTablePatchTupleFails(t *testing.T) {
+// textTuple is a tuple holding one text() value item, as navigation over
+// price/text() produces it.
+func textTuple(k, val string) *Tuple {
+	return &Tuple{Cells: []Cell{{NodeItem("b", 0)}, {{ID: BaseID(flexkey.Key(k)), Val: val, IsVal: true}}}, Count: 1}
+}
+
+func TestFoldTableModifyPatchOfHeldTupleFolds(t *testing.T) {
+	base := tableOf(nodeTuple("b", 1), nodeTuple("b.d", 2))
+	ne, _ := entryOf(base).fold(tableOf(patchTuple(nodeTuple("b.d", 0), RegionModify, "b.d.f")), nil, false)
+	if ne == nil {
+		t.Fatal("a modify patch of a held tuple must fold")
+	}
+	if len(ne.tbl.Tuples) != 2 || ne.tbl.Tuples[0] != base.Tuples[0] || ne.tbl.Tuples[1] != base.Tuples[1] {
+		t.Errorf("modify patch changed the table: %v", counts(ne.tbl))
+	}
+}
+
+func TestFoldTableInsertDeletePatchEvicts(t *testing.T) {
+	for _, mode := range []RegionMode{RegionInsert, RegionDelete} {
+		base := tableOf(nodeTuple("b", 1))
+		ne, cause := entryOf(base).fold(tableOf(patchTuple(nodeTuple("b", 0), mode, "b.d")), nil, false)
+		if ne != nil || cause != evictPatch {
+			t.Errorf("mode %d patch: entry kept=%v cause=%s, want evicted as patch", mode, ne != nil, evictCauseNames[cause])
+		}
+	}
+}
+
+func TestFoldTableModifyPatchUnheldEvicts(t *testing.T) {
 	base := tableOf(nodeTuple("b", 1))
-	patch := nodeTuple("b", 0)
-	patch.Kind = Patch
-	patch.Region = &Region{Mode: RegionModify, Anchor: "b"}
-	if _, ok := foldTable(base, tableOf(patch)); ok {
-		t.Error("patch tuples are not counting deltas; the fold must refuse them")
+	ne, cause := entryOf(base).fold(tableOf(patchTuple(nodeTuple("zz", 0), RegionModify, "zz.d")), nil, false)
+	if ne != nil || cause != evictUnheld {
+		t.Errorf("unheld modify patch: entry kept=%v cause=%s, want evicted as unheld", ne != nil, evictCauseNames[cause])
+	}
+}
+
+// A modify patch whose text() value item carries the new value names an
+// identity the entry does not hold (the held tuple has the old value).
+func TestFoldTableModifyPatchNewValueEvicts(t *testing.T) {
+	base := tableOf(textTuple("b.p.t", "10"))
+	patch := patchTuple(textTuple("b.p.t", "12"), RegionModify, "b.p.t")
+	ne, cause := entryOf(base).fold(tableOf(patch), nil, false)
+	if ne != nil || cause != evictUnheld {
+		t.Errorf("new-value modify patch: entry kept=%v cause=%s, want evicted as unheld", ne != nil, evictCauseNames[cause])
+	}
+}
+
+// Propagation reads a modify patch from the pre-update store, so its value
+// item may carry the old value and match the held tuple; the round's
+// modified set still evicts it, since folding would keep the stale value.
+func TestFoldTableModifiedValueItemEvicts(t *testing.T) {
+	base := tableOf(textTuple("b.p.t", "10"))
+	patch := patchTuple(textTuple("b.p.t", "10"), RegionModify, "b.p.t")
+	modified := map[flexkey.Key]bool{"b.p.t": true}
+	ne, cause := entryOf(base).fold(tableOf(patch), modified, false)
+	if ne != nil || cause != evictValue {
+		t.Errorf("modified value item: entry kept=%v cause=%s, want evicted as value", ne != nil, evictCauseNames[cause])
+	}
+	if ne, _ := entryOf(base).fold(tableOf(patch), nil, false); ne == nil {
+		t.Error("an unmodified value item must not evict")
+	}
+}
+
+// TestFoldIdentitiesStayAligned folds a random sequence of deltas and checks
+// after each that every stored identity still names its tuple.
+func TestFoldIdentitiesStayAligned(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	e := entryOf(tableOf(nodeTuple("a", 1), nodeTuple("b", 2)))
+	live := map[string]int{"a": 1, "b": 2}
+	for round := 0; round < 200; round++ {
+		var tuples []*Tuple
+		held := maps.Clone(live) // a modify patch names a tuple held before the round
+		for n := rng.Intn(4); n >= 0; n-- {
+			k := keys[rng.Intn(len(keys))]
+			switch rng.Intn(3) {
+			case 0:
+				tuples = append(tuples, deltaTuple(k, 1+rng.Intn(2)))
+				live[k] += tuples[len(tuples)-1].Count
+			case 1:
+				if live[k] > 0 {
+					tuples = append(tuples, deltaTuple(k, -1))
+					live[k]--
+				}
+			case 2:
+				if held[k] > 0 {
+					tuples = append(tuples, patchTuple(nodeTuple(k, 0), RegionModify, k+".t"))
+				}
+			}
+		}
+		ne, cause := e.fold(tableOf(tuples...), nil, false)
+		if ne == nil {
+			t.Fatalf("round %d: fold evicted (%s)", round, evictCauseNames[cause])
+		}
+		e = ne
+		if len(e.ids) != len(e.tbl.Tuples) {
+			t.Fatalf("round %d: %d ids for %d tuples", round, len(e.ids), len(e.tbl.Tuples))
+		}
+		for i, tp := range e.tbl.Tuples {
+			if e.ids[i] != tupleIdentity(tp) {
+				t.Fatalf("round %d: ids[%d]=%q, tuple identity %q", round, i, e.ids[i], tupleIdentity(tp))
+			}
+		}
+		for _, k := range keys {
+			if got := counts(e.tbl)[tupleIdentity(nodeTuple(k, 1))]; got != live[k] {
+				t.Fatalf("round %d: %s count %d, want %d", round, k, got, live[k])
+			}
+		}
+	}
+}
+
+// TestFoldAllocsIndependentOfTableSize pins the fold's cost to its delta:
+// folding a 1-tuple delta allocates as many objects into a 10k-tuple entry
+// as into a 1k-tuple one.
+func TestFoldAllocsIndependentOfTableSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		tuples := make([]*Tuple, n)
+		for i := range tuples {
+			tuples[i] = nodeTuple(fmt.Sprintf("b.%05d", i), 1)
+		}
+		e := entryOf(tableOf(tuples...))
+		delta := tableOf(deltaTuple("b.00003", 1))
+		return testing.AllocsPerRun(20, func() {
+			if ne, _ := e.fold(delta, nil, false); ne == nil {
+				t.Fatal("fold evicted")
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	if small != large {
+		t.Errorf("fold allocs grow with the table: %v at 1k tuples, %v at 10k", small, large)
 	}
 }
 
