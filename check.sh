@@ -33,9 +33,10 @@ trap 'rm -f "$coverprofile"' EXIT
 go test -coverprofile="$coverprofile" "$@" ./...
 
 # Coverage floor: total statement coverage was 73.1% when the gate was
-# introduced; fail if a change sheds more than 2 points. Raise the floor
-# when coverage durably improves, never lower it to admit a regression.
-cover_floor=71.0
+# introduced and 77.2% when the floor was last raised; fail if a change sheds
+# more than 2 points. Raise the floor when coverage durably improves, never
+# lower it to admit a regression.
+cover_floor=75.0
 echo "== coverage floor ($cover_floor%)" >&2
 go tool cover -func="$coverprofile" | awk -v floor="$cover_floor" '
 	/^total:/ {

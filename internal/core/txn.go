@@ -15,7 +15,7 @@ var fpRefresh = faultinject.Register("core.refresh")
 // the transaction discarded.
 var (
 	cRollbacks        = obs.Default.CounterOf("xqview_round_rollbacks_total", "maintenance rounds rolled back")
-	cRollbackRestored = obs.Default.CounterOf("xqview_rollback_restored_total", "draft entries discarded plus candidate extent copies abandoned by round rollbacks")
+	cRollbackRestored = obs.Default.CounterOf("xqview_rollback_restored_total", "draft node and root records discarded plus candidate extent copies abandoned by round rollbacks")
 )
 
 // The round transaction: every fallible step of a round stages its outcome
@@ -89,7 +89,7 @@ func (r *round) install() {
 // view's deepunion.Txn (the live extent was never written either), and
 // cache staging is rolled back (held cache entries stay — they describe the
 // pre-round store, which is still current). Staged extents and prepared
-// commits are simply dropped. Returns draft entries discarded plus copies
+// commits are simply dropped. Returns draft records discarded plus copies
 // abandoned.
 func (r *round) restore() int {
 	restored := 0

@@ -7,11 +7,9 @@
 // document order, and a key is always a strict prefix of the keys of its
 // descendants. Because segments are variable-length strings rather than
 // numbers, a new key can always be generated strictly between two existing
-// sibling keys, so updates never force relabeling.
-//
-// Keys may also be composed from several other keys (delimiter ".."), which
-// is used to encode query-imposed order (overriding order) for sequences
-// whose order differs from document order.
+// sibling keys, so updates never force relabeling. Since every key extends
+// its parent's key by one segment, a node's parent is found from its key
+// alone (Parent).
 package flexkey
 
 import (
@@ -21,18 +19,12 @@ import (
 )
 
 // Key-generation metric series: every freshly allocated key (document load,
-// insert-key assignment, composed overriding-order keys) counts here when
-// metrics are enabled. One atomic-bool load when disabled.
-var (
-	cKeysGenerated = obs.Default.CounterOf("flexkey_keys_generated_total", "FlexKeys allocated (Append: load + insert assignment)")
-	cKeysComposed  = obs.Default.CounterOf("flexkey_keys_composed_total", "composed FlexKeys built (overriding order encoding)")
-)
+// insert-key assignment) counts here when metrics are enabled. One
+// atomic-bool load when disabled.
+var cKeysGenerated = obs.Default.CounterOf("flexkey_keys_generated_total", "FlexKeys allocated (Append: load + insert assignment)")
 
 // Sep joins the per-level segments of a key.
 const Sep = "."
-
-// ComposeSep joins whole keys into a composed key.
-const ComposeSep = ".."
 
 // Key is a FlexKey. The zero value "" is the empty key, which is a prefix of
 // (and orders before) every other key.
@@ -86,41 +78,16 @@ func Append(k Key, seg string) Key {
 // sepByte is Sep as a byte, for scan loops that avoid substring searches.
 var sepByte = Sep[0]
 
-// IsComposed reports whether k is a composed key (contains ComposeSep).
-// Zero allocations; a single scan.
-func IsComposed(k Key) bool {
-	for i := 1; i < len(k); i++ {
-		if k[i] == sepByte && k[i-1] == sepByte {
-			return true
-		}
-	}
-	return false
-}
-
 // Parent returns the key with its last level removed, and false if k has no
-// parent (single-segment or empty key). Parent of a composed key is not
-// defined and returns false.
-//
-// Hot path: one backward scan detects both the last separator and the
-// composed-key delimiter, instead of a strings.Contains pass followed by a
-// strings.LastIndex pass.
+// parent (single-segment or empty key). It is how the store finds every
+// node's parent: one backward scan for the last separator.
 func Parent(k Key) (Key, bool) {
-	last := -1
 	for i := len(k) - 1; i >= 0; i-- {
-		if k[i] != sepByte {
-			continue
-		}
-		if i > 0 && k[i-1] == sepByte {
-			return "", false // composed key: Parent is undefined
-		}
-		if last < 0 {
-			last = i
+		if k[i] == sepByte {
+			return k[:i], true
 		}
 	}
-	if last < 0 {
-		return "", false
-	}
-	return k[:last], true
+	return "", false
 }
 
 // LastSegment returns the final level segment of k.
@@ -130,35 +97,6 @@ func LastSegment(k Key) string {
 		return string(k)
 	}
 	return string(k[i+1:])
-}
-
-// Compose returns the composition of keys (k1..k2..k3...).
-//
-// Hot path: composed keys are built for every overriding-order assignment,
-// so the join builder is grown to the exact result size up front — one
-// allocation, no intermediate []string.
-func Compose(keys ...Key) Key {
-	if obs.Enabled() {
-		cKeysComposed.Inc()
-	}
-	switch len(keys) {
-	case 0:
-		return ""
-	case 1:
-		return keys[0]
-	}
-	n := (len(keys) - 1) * len(ComposeSep)
-	for _, k := range keys {
-		n += len(k)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(string(keys[0]))
-	for _, k := range keys[1:] {
-		b.WriteString(ComposeSep)
-		b.WriteString(string(k))
-	}
-	return Key(b.String())
 }
 
 // Compare compares two keys lexicographically, reporting -1, 0 or +1.

@@ -2,22 +2,12 @@ package flexkey
 
 import "testing"
 
-// The Compose/Parent/IsComposed trio sits on the overriding-order hot path
-// (every combined collection member composes keys; every spine walk takes
-// parents), so their allocation behavior is pinned by tests, not just
+// Parent sits on every store read that needs a node's parent and on every
+// spine walk, so its allocation behavior is pinned by a test, not just
 // benchmarked.
-
-var benchKeys = []Key{"b.d.f", "b.d.h.j", "b.x"}
 
 var sinkKey Key
 var sinkBool bool
-
-func BenchmarkCompose(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkKey = Compose(benchKeys...)
-	}
-}
 
 func BenchmarkParent(b *testing.B) {
 	b.ReportAllocs()
@@ -27,64 +17,9 @@ func BenchmarkParent(b *testing.B) {
 	}
 }
 
-func BenchmarkIsComposed(b *testing.B) {
-	b.ReportAllocs()
-	k := Compose(benchKeys...)
-	for i := 0; i < b.N; i++ {
-		sinkBool = IsComposed(k)
-	}
-}
-
-func TestComposeAllocs(t *testing.T) {
-	ks := benchKeys
-	if a := testing.AllocsPerRun(200, func() { sinkKey = Compose(ks...) }); a > 1 {
-		t.Errorf("Compose allocates %.1f times per call, want <= 1", a)
-	}
-}
-
 func TestParentAllocs(t *testing.T) {
 	k := Key("b.d.f.h.j.l")
 	if a := testing.AllocsPerRun(200, func() { sinkKey, sinkBool = Parent(k) }); a > 0 {
 		t.Errorf("Parent allocates %.1f times per call, want 0", a)
-	}
-	c := Compose(benchKeys...)
-	if a := testing.AllocsPerRun(200, func() { sinkKey, sinkBool = Parent(c) }); a > 0 {
-		t.Errorf("Parent(composed) allocates %.1f times per call, want 0", a)
-	}
-}
-
-func TestIsComposed(t *testing.T) {
-	cases := []struct {
-		k    Key
-		want bool
-	}{
-		{"", false},
-		{"b", false},
-		{"b.d.f", false},
-		{Compose("b.d", "b.f"), true},
-		{"b..d.f", true},
-		{"b.d..f", true},
-	}
-	for _, c := range cases {
-		if got := IsComposed(c.k); got != c.want {
-			t.Errorf("IsComposed(%q) = %v, want %v", c.k, got, c.want)
-		}
-	}
-}
-
-func TestParentComposed(t *testing.T) {
-	for _, k := range []Key{Compose("b.d", "b.f"), "b..d", "b.d..f.h"} {
-		if p, ok := Parent(k); ok {
-			t.Errorf("Parent(%q) = %q, true; want undefined (false)", k, p)
-		}
-	}
-	if p, ok := Parent("b.d.f"); !ok || p != "b.d" {
-		t.Errorf("Parent(b.d.f) = %q, %v; want b.d, true", p, ok)
-	}
-	if _, ok := Parent("b"); ok {
-		t.Error("Parent(single-segment) should be false")
-	}
-	if _, ok := Parent(""); ok {
-		t.Error("Parent(empty) should be false")
 	}
 }

@@ -39,6 +39,13 @@ func TestChildAndParent(t *testing.T) {
 	if _, ok := Parent(root); ok {
 		t.Fatal("root should have no parent")
 	}
+	if _, ok := Parent(""); ok {
+		t.Fatal("the empty key should have no parent")
+	}
+	// An attribute key is its element's key plus one segment.
+	if p, ok := Parent("b.d.f.@b"); !ok || p != "b.d.f" {
+		t.Fatalf("Parent(b.d.f.@b) = %q, %v; want b.d.f, true", p, ok)
+	}
 }
 
 func TestAncestorOrdersBeforeDescendant(t *testing.T) {
@@ -136,21 +143,6 @@ func TestBetweenRandomized(t *testing.T) {
 			t.Fatalf("duplicate key %q generated", k)
 		}
 		seen[k] = true
-	}
-}
-
-func TestCompose(t *testing.T) {
-	c := Compose("b.b", "e.f")
-	if c != "b.b..e.f" {
-		t.Fatalf("Compose = %q", c)
-	}
-	// Composed keys compare componentwise-compatibly for same-shape keys.
-	d := Compose("b.f", "e.b")
-	if !Less(c, d) {
-		t.Fatalf("%q should sort before %q", c, d)
-	}
-	if _, ok := Parent(c); ok {
-		t.Fatal("composed key must not report a parent")
 	}
 }
 

@@ -345,25 +345,6 @@ func (rr *RoundRec) Verdict(i int, action, path, detail string) {
 	rr.mu.Unlock()
 }
 
-// AmendVerdict appends detail to the most recent verdict of primitive i
-// (used when the rewrite anchor is only known after classification).
-func (rr *RoundRec) AmendVerdict(i int, detail string) {
-	if rr == nil {
-		return
-	}
-	rr.mu.Lock()
-	if rr.vmap != nil && i < len(rr.vmap) {
-		i = rr.vmap[i]
-	}
-	for k := len(rr.r.Verdicts) - 1; k >= 0; k-- {
-		if rr.r.Verdicts[k].Prim == i {
-			rr.r.Verdicts[k].Detail = detail
-			break
-		}
-	}
-	rr.mu.Unlock()
-}
-
 // View returns the per-view recorder for view i. Each ViewRec must only be
 // used by the worker maintaining that view (no internal locking).
 func (rr *RoundRec) View(i int) *ViewRec {

@@ -19,7 +19,6 @@ func TestNilRecordersNoOp(t *testing.T) {
 		t.Fatal("nil RoundRec should be inactive")
 	}
 	rr.Verdict(0, "accept", "bib/book", "")
-	rr.AmendVerdict(0, "x")
 	rr.SetPrims(nil)
 	rr.Commit(nil)
 	v := rr.View(3)

@@ -79,9 +79,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count reports how many observations were recorded.
 func (h *Histogram) Count() int64 { return h.n.Load() }
 
-// Sum reports the total observed time.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // Quantile estimates the p-quantile (p in [0,1]) of the recorded
 // observations by linear interpolation between the bounds of the bucket the
 // rank falls into. The estimate is therefore off by at most one bucket

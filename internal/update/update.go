@@ -106,7 +106,7 @@ func ApplyToStore(d *xmldoc.Draft, p *Primitive) error {
 			p.Key = k
 			return err
 		}
-		return d.InsertFragmentWithKey(p.Parent, p.Key, p.Frag)
+		return d.InsertFragmentWithKey(p.Key, p.Frag)
 	case Delete:
 		return d.DeleteSubtree(p.Key)
 	case Replace:

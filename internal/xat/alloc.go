@@ -253,11 +253,3 @@ func (a *Alloc) makeStrings(n, c int) []string {
 	}
 	return a.strs.Make(n, c)
 }
-
-// newTuple builds a tuple around the given cells with count 1, kind Normal.
-func (a *Alloc) newTuple(cells []Cell) *Tuple {
-	t := a.tuple()
-	t.Cells = cells
-	t.Count = 1
-	return t
-}

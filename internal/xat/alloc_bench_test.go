@@ -21,11 +21,12 @@ import (
 var tupleSink *Tuple
 
 // tupleRound is one steady-state constructor round: borrow the recycled
-// arena, build a chain of tuples through the hot constructors (newTuple,
+// arena, build a chain of tuples through the hot constructors (tuple,
 // extend, extendCells, cell1, vnode, makeInt32, spanMap), release.
 func tupleRound() {
 	a := NewAlloc()
-	tp := a.newTuple(a.makeCells(1, 1))
+	tp := a.tuple()
+	tp.Cells, tp.Count = a.makeCells(1, 1), 1
 	for i := 0; i < 64; i++ {
 		tp = extend(a, tp, a.cell1(ValueItem("v", 1)))
 	}
@@ -131,7 +132,7 @@ func deltaNavInput(t testing.TB, inserts int) *DeltaInput {
 	for i := 0; i < inserts; i++ {
 		k := flexkey.SiblingBetween(root, anchor, "")
 		anchor = k
-		if err := d.InsertFragmentWithKey(root, k, xmldoc.Elem("book",
+		if err := d.InsertFragmentWithKey(k, xmldoc.Elem("book",
 			xmldoc.Elem("title", xmldoc.TextF(fmt.Sprintf("NEW%d", i))))); err != nil {
 			t.Fatal(err)
 		}

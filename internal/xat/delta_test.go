@@ -57,7 +57,7 @@ func (f *deltaFixture) propagate(t testing.TB, r *Region, frag *xmldoc.Frag) []*
 	var err error
 	switch r.Mode {
 	case RegionInsert:
-		err = d.InsertFragmentWithKey(r.Parent, r.Anchor, frag)
+		err = d.InsertFragmentWithKey(r.Anchor, frag)
 	case RegionDelete:
 		err = d.DeleteSubtree(r.Anchor)
 	case RegionModify:

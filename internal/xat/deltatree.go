@@ -180,7 +180,7 @@ func (e *deltaEngine) spine(it Item, k flexkey.Key, tp *Tuple) *VNode {
 		n.ID = BaseID(k)
 	}
 	// Attribute regions: the anchor may be an attribute of k.
-	for _, ak := range e.in.Base.Attrs(k) {
+	for _, ak := range nd.Attrs {
 		if flexkey.IsSelfOrAncestorOf(ak, r.Anchor) {
 			sub := e.buildPatch(Item{ID: BaseID(ak)}, tp)
 			if sub != nil {
@@ -199,7 +199,7 @@ func (e *deltaEngine) spine(it Item, k flexkey.Key, tp *Tuple) *VNode {
 		}
 		return n
 	}
-	for _, ck := range e.in.Base.Children(k) {
+	for _, ck := range nd.Children {
 		if flexkey.IsSelfOrAncestorOf(ck, r.Anchor) {
 			if sub := e.buildPatch(Item{ID: BaseID(ck)}, tp); sub != nil {
 				n.Children = append(n.Children, sub)

@@ -8,7 +8,6 @@ import (
 	"xqview/internal/faultinject"
 	"xqview/internal/flexkey"
 	"xqview/internal/obs"
-	"xqview/internal/xmldoc"
 )
 
 // fpCommit guards the fallible half of the cache commit protocol (Prepare).
@@ -248,12 +247,10 @@ func (c *StateCache) Prepare(regions map[string][]*Region) (*PreparedCommit, err
 	if err := fpCommit.Fire(); err != nil {
 		return nil, err
 	}
-	rs := xmldoc.RegionSet{}
 	p := &PreparedCommit{entries: make(map[int]*cacheEntry, len(c.entries)+len(c.pendingFresh))}
 	var modified map[flexkey.Key]bool
-	for doc, rgs := range regions {
+	for _, rgs := range regions {
 		for _, r := range rgs {
-			rs.Add(doc, r.Anchor)
 			p.dirty = append(p.dirty, r.Anchor)
 			if r.Mode == RegionModify {
 				if modified == nil {
@@ -276,7 +273,7 @@ func (c *StateCache) Prepare(regions map[string][]*Region) (*PreparedCommit, err
 		p.entries[id] = &cacheEntry{tbl: tbl, ids: tableIdentities(tbl), docs: e.docs}
 	}
 	for id, e := range p.entries {
-		if !rs.TouchesAny(e.docs) {
+		if !RegionsTouch(regions, e.docs) {
 			continue
 		}
 		ne, cause := e.fold(c.pendingDelta[id], modified, c.pendingPromote)
@@ -305,16 +302,14 @@ func (c *StateCache) PrepareEvictTouched(regions map[string][]*Region) (*Prepare
 	if err := fpCommit.Fire(); err != nil {
 		return nil, err
 	}
-	rs := xmldoc.RegionSet{}
 	p := &PreparedCommit{entries: make(map[int]*cacheEntry, len(c.entries))}
-	for doc, rgs := range regions {
+	for _, rgs := range regions {
 		for _, r := range rgs {
-			rs.Add(doc, r.Anchor)
 			p.dirty = append(p.dirty, r.Anchor)
 		}
 	}
 	for id, e := range c.entries {
-		if rs.TouchesAny(e.docs) {
+		if RegionsTouch(regions, e.docs) {
 			p.evicts[evictTouched]++
 			continue
 		}

@@ -96,7 +96,7 @@ func oracleRegion(t *testing.T, rng *rand.Rand, s *xmldoc.Store, d *xmldoc.Draft
 	}
 	insert := func(parent flexkey.Key, f *xmldoc.Frag) *Region {
 		k := flexkey.SiblingBetween(parent, lastChild(parent), "")
-		if err := d.InsertFragmentWithKey(parent, k, f); err != nil {
+		if err := d.InsertFragmentWithKey(k, f); err != nil {
 			t.Fatal(err)
 		}
 		return &Region{Mode: RegionInsert, Anchor: k, Parent: parent}

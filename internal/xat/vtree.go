@@ -145,17 +145,17 @@ func copyBase(r xmldoc.Reader, nd *xmldoc.Node, count int) *VNode {
 // the heap. Materialization passes nil and gets plain heap nodes.
 func copyBaseAlloc(a *Alloc, r xmldoc.Reader, nd *xmldoc.Node, count int) *VNode {
 	n := a.vnode(VNode{ID: BaseID(nd.Key), Kind: nd.Kind, Name: nd.Name, Value: nd.Value, Count: count})
-	if aks := r.Attrs(nd.Key); len(aks) > 0 {
-		n.Attrs = a.MakeVNodeRefs(0, len(aks))
-		for _, ak := range aks {
+	if len(nd.Attrs) > 0 {
+		n.Attrs = a.MakeVNodeRefs(0, len(nd.Attrs))
+		for _, ak := range nd.Attrs {
 			if an, ok := r.Node(ak); ok {
 				n.Attrs = append(n.Attrs, copyBaseAlloc(a, r, an, count))
 			}
 		}
 	}
-	if cks := r.Children(nd.Key); len(cks) > 0 {
-		n.Children = a.MakeVNodeRefs(0, len(cks))
-		for _, ck := range cks {
+	if len(nd.Children) > 0 {
+		n.Children = a.MakeVNodeRefs(0, len(nd.Children))
+		for _, ck := range nd.Children {
 			if cn, ok := r.Node(ck); ok {
 				n.Children = append(n.Children, copyBaseAlloc(a, r, cn, count))
 			}

@@ -3,6 +3,7 @@ package xmldoc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestUpdatedReaderInserts(t *testing.T) {
 	s, d, root := draftSetup(t)
 	books := ChildElems(s, root, "book")
 	k := flexkey.SiblingBetween(root, books[1], "")
-	if err := d.InsertFragmentWithKey(root, k, Elem("book", Elem("title", TextF("Staged")))); err != nil {
+	if err := d.InsertFragmentWithKey(k, Elem("book", Elem("title", TextF("Staged")))); err != nil {
 		t.Fatal(err)
 	}
 	got := ChildElems(d, root, "book")
@@ -95,7 +96,7 @@ func TestUpdatedReaderInserts(t *testing.T) {
 	if v := StringValue(d, k); v != "Staged" {
 		t.Fatalf("inserted content: %q", v)
 	}
-	if err := d.InsertFragmentWithKey(root, k, Elem("book")); err == nil {
+	if err := d.InsertFragmentWithKey(k, Elem("book")); err == nil {
 		t.Fatal("inserting at a used key should fail")
 	}
 	if _, err := d.InsertFragment("zz", "", "", Elem("book")); err == nil {
@@ -111,7 +112,7 @@ func TestLayeredReader(t *testing.T) {
 	s, d, root := draftSetup(t)
 	books := ChildElems(s, root, "book")
 	k := flexkey.SiblingBetween(root, books[1], "")
-	if err := d.InsertFragmentWithKey(root, k, Elem("book", Elem("title", TextF("Pending")))); err != nil {
+	if err := d.InsertFragmentWithKey(k, Elem("book", Elem("title", TextF("Pending")))); err != nil {
 		t.Fatal(err)
 	}
 	titles := ChildElems(d, k, "title")
@@ -299,11 +300,69 @@ func TestDraftRoot(t *testing.T) {
 	}
 }
 
+// storedKeys returns the keys sn stores: every key of its base and its
+// deltas that a live read (deletion markers hide) finds. For a draft's Snap
+// that is the next version; for &Snap{base: s} it is the store.
+func storedKeys(sn *Snap) []flexkey.Key {
+	seen := map[flexkey.Key]bool{}
+	for k := range sn.base.nodes {
+		seen[k] = true
+	}
+	for _, d := range sn.deltas {
+		for k := range d.nodes {
+			seen[k] = true
+		}
+	}
+	var out []flexkey.Key
+	for k := range seen {
+		if _, ok := sn.node(k, false); ok {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// checkShape checks the one-record shape of a version read through r, over
+// the keys it stores: every key a record lists in Children or Attrs is
+// stored and its FlexKey parent is that record's key, Children is strictly
+// sorted (key order is document order), and every stored node but a
+// document node is listed by its parent.
+func checkShape(t *testing.T, what string, r Reader, keys []flexkey.Key) {
+	t.Helper()
+	for _, k := range keys {
+		n, ok := r.Node(k)
+		if !ok || n.Key != k {
+			t.Fatalf("%s: %s is not stored under its key", what, k)
+		}
+		for i := 1; i < len(n.Children); i++ {
+			if n.Children[i-1] >= n.Children[i] {
+				t.Fatalf("%s: children of %s unsorted: %v", what, k, n.Children)
+			}
+		}
+		for _, c := range append(slices.Clip(n.Children), n.Attrs...) {
+			if _, ok := r.Node(c); !ok {
+				t.Fatalf("%s: %s lists %s, which is not stored", what, k, c)
+			}
+			if p, _ := flexkey.Parent(c); p != k {
+				t.Fatalf("%s: %s lists %s, whose parent key is %s", what, k, c, p)
+			}
+		}
+		if n.Kind == Document {
+			continue
+		}
+		p, _ := flexkey.Parent(k)
+		if pn, ok := r.Node(p); !ok || !slices.Contains(pn.Children, k) && !slices.Contains(pn.Attrs, k) {
+			t.Fatalf("%s: %s is not listed by its parent %s", what, k, p)
+		}
+	}
+}
+
 // TestDraftInstallMatchesSequential: installing one draft holding a whole
 // batch leaves the store byte-identical (size line included) to applying
 // the batch one primitive at a time, each in its own installed draft — and
 // the snapshot extended with each batch's delta reads as the store. The
-// first batch inserts under a node it then deletes.
+// draft before install, the installed store and the snapshot each keep the
+// one-record shape. The first batch inserts under a node it then deletes.
 func TestDraftInstallMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s, seq := draftTestStore(t), draftTestStore(t)
@@ -331,8 +390,11 @@ func TestDraftInstallMatchesSequential(t *testing.T) {
 				ops = append(ops, o)
 			}
 		}
+		checkShape(t, fmt.Sprintf("round %d draft", round), d, storedKeys(&d.Snap))
 		s.Install(d.Delta())
 		snap = snap.Extend(d.Delta())
+		checkShape(t, fmt.Sprintf("round %d store", round), s, storedKeys(&Snap{base: s}))
+		checkShape(t, fmt.Sprintf("round %d snapshot", round), snap, storedKeys(snap))
 		for _, o := range ops {
 			one := NewDraft(seq)
 			if err := o(one); err != nil {

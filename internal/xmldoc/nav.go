@@ -26,18 +26,18 @@ func ChildElems(r Reader, k flexkey.Key, name string) []flexkey.Key {
 // when name == "*"), in document order.
 func DescendantElems(r Reader, k flexkey.Key, name string) []flexkey.Key {
 	var out []flexkey.Key
-	var walk func(flexkey.Key)
-	walk = func(p flexkey.Key) {
-		for _, c := range r.Children(p) {
+	var walk func([]flexkey.Key)
+	walk = func(cs []flexkey.Key) {
+		for _, c := range cs {
 			if n, ok := r.Node(c); ok && n.Kind == Element {
 				if name == "*" || n.Name == name {
 					out = append(out, c)
 				}
-				walk(c)
+				walk(n.Children)
 			}
 		}
 	}
-	walk(k)
+	walk(r.Children(k))
 	return out
 }
 
@@ -78,19 +78,19 @@ func StringValue(r Reader, k flexkey.Key) string {
 	// a single text node — return it directly, no builder.
 	var text string
 	count := 0
-	subtreeSingleText(r, k, &text, &count)
+	subtreeSingleText(r, n, &text, &count)
 	if count <= 1 {
 		return text
 	}
 	var b strings.Builder
-	subtreeTextInto(&b, r, k)
+	subtreeTextInto(&b, r, n)
 	return b.String()
 }
 
 // subtreeSingleText scans p's subtree for text nodes, recording the first
 // and stopping as soon as a second one is seen.
-func subtreeSingleText(r Reader, p flexkey.Key, text *string, count *int) {
-	for _, c := range r.Children(p) {
+func subtreeSingleText(r Reader, p *Node, text *string, count *int) {
+	for _, c := range p.Children {
 		if *count > 1 {
 			return
 		}
@@ -106,13 +106,13 @@ func subtreeSingleText(r Reader, p flexkey.Key, text *string, count *int) {
 				return
 			}
 		} else if cn.Kind == Element {
-			subtreeSingleText(r, c, text, count)
+			subtreeSingleText(r, cn, text, count)
 		}
 	}
 }
 
-func subtreeTextInto(b *strings.Builder, r Reader, p flexkey.Key) {
-	for _, c := range r.Children(p) {
+func subtreeTextInto(b *strings.Builder, r Reader, p *Node) {
+	for _, c := range p.Children {
 		cn, ok := r.Node(c)
 		if !ok {
 			continue
@@ -120,7 +120,7 @@ func subtreeTextInto(b *strings.Builder, r Reader, p flexkey.Key) {
 		if cn.Kind == Text {
 			b.WriteString(cn.Value)
 		} else if cn.Kind == Element {
-			subtreeTextInto(b, r, c)
+			subtreeTextInto(b, r, cn)
 		}
 	}
 }
@@ -132,12 +132,12 @@ func SubtreeFrag(r Reader, k flexkey.Key) *Frag {
 		return nil
 	}
 	f := &Frag{Kind: n.Kind, Name: n.Name, Value: n.Value}
-	for _, a := range r.Attrs(k) {
+	for _, a := range n.Attrs {
 		if an, ok := r.Node(a); ok {
 			f.Attrs = append(f.Attrs, &Frag{Kind: Attr, Name: an.Name, Value: an.Value})
 		}
 	}
-	for _, c := range r.Children(k) {
+	for _, c := range n.Children {
 		if cf := SubtreeFrag(r, c); cf != nil {
 			f.Children = append(f.Children, cf)
 		}

@@ -42,15 +42,18 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Node is a stored XML node. Name is set for elements and attributes; Value
-// for attributes and text nodes. Count is the count annotation of Ch 6: the
-// number of derivations of the node (1 for freshly loaded source nodes).
+// Node is the one stored record of an XML node. Name is set for elements and
+// attributes; Value for attributes and text nodes. Children lists the
+// element and text children in key order, which is document order; Attrs
+// lists the attribute nodes in stored order. The parent is not stored: it
+// is the key's prefix, flexkey.Parent(Key).
 type Node struct {
-	Key   flexkey.Key
-	Kind  Kind
-	Name  string
-	Value string
-	Count int
+	Key      flexkey.Key
+	Kind     Kind
+	Name     string
+	Value    string
+	Children []flexkey.Key
+	Attrs    []flexkey.Key
 }
 
 // Frag is a detached XML fragment, used to describe content before it is

@@ -2,6 +2,7 @@ package xmldoc
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"xqview/internal/flexkey"
@@ -29,7 +30,7 @@ type Snap struct {
 }
 
 // SnapOf captures the store's current state as a fresh snapshot. The base
-// is a Clone (five map copies, no node copies) — callers take one at load
+// is a Clone (two map copies, no node copies) — callers take one at load
 // time and extend it with per-round deltas afterwards.
 func SnapOf(s *Store) *Snap {
 	return &Snap{base: s.Clone()}
@@ -53,43 +54,23 @@ func (sn *Snap) Extend(d *Delta) *Snap {
 }
 
 // flatten merges a delta chain (oldest first) plus one more into a single
-// delta, newest entry winning per key. The inputs stay untouched — entries
+// delta, newest record winning per key. The inputs stay untouched — records
 // are shared by reference into the combined maps, which is safe because
 // deltas are immutable once their draft is done.
 func flatten(ds []*Delta, last *Delta) *Delta {
-	out := &Delta{
-		nodes:    map[flexkey.Key]*Node{},
-		children: map[flexkey.Key][]flexkey.Key{},
-		attrs:    map[flexkey.Key][]flexkey.Key{},
-		parent:   map[flexkey.Key]flexkey.Key{},
-		roots:    map[string]flexkey.Key{},
-		docSeq:   last.docSeq,
-	}
+	out := &Delta{nodes: map[flexkey.Key]*Node{}, roots: map[string]flexkey.Key{}, docSeq: last.docSeq}
 	for _, d := range append(append([]*Delta(nil), ds...), last) {
-		for k, v := range d.nodes {
-			out.nodes[k] = v
-		}
-		for k, v := range d.children {
-			out.children[k] = v
-		}
-		for k, v := range d.attrs {
-			out.attrs[k] = v
-		}
-		for k, v := range d.parent {
-			out.parent[k] = v
-		}
-		for doc, v := range d.roots {
-			out.roots[doc] = v
-		}
+		maps.Copy(out.nodes, d.nodes)
+		maps.Copy(out.roots, d.roots)
 	}
 	return out
 }
 
-// The layered lookups, one per index. Each scans the deltas newest first;
-// the first that holds k answers, and a deletion marker answers "absent" —
+// node is the one layered lookup. It scans the deltas newest first; the
+// first that holds k answers, and a deletion marker answers "absent" —
 // unless through is set, when it falls back to the base: the pre-round
-// state a draft's propagation still reads.
-
+// state a draft's propagation still reads. Children, Attrs and Parent read
+// the record it returns.
 func (sn *Snap) node(k flexkey.Key, through bool) (*Node, bool) {
 	for i := len(sn.deltas) - 1; i >= 0; i-- {
 		if n, ok := sn.deltas[i].nodes[k]; ok {
@@ -102,53 +83,17 @@ func (sn *Snap) node(k flexkey.Key, through bool) (*Node, bool) {
 	return sn.base.Node(k)
 }
 
-func (sn *Snap) children(k flexkey.Key, through bool) []flexkey.Key {
-	for i := len(sn.deltas) - 1; i >= 0; i-- {
-		if v, ok := sn.deltas[i].children[k]; ok {
-			if v != nil || !through {
-				return v
-			}
-			break
-		}
-	}
-	return sn.base.children[k]
-}
-
-func (sn *Snap) attrs(k flexkey.Key, through bool) []flexkey.Key {
-	for i := len(sn.deltas) - 1; i >= 0; i-- {
-		if v, ok := sn.deltas[i].attrs[k]; ok {
-			if v != nil || !through {
-				return v
-			}
-			break
-		}
-	}
-	return sn.base.attrs[k]
-}
-
-func (sn *Snap) parent(k flexkey.Key, through bool) flexkey.Key {
-	for i := len(sn.deltas) - 1; i >= 0; i-- {
-		if p, ok := sn.deltas[i].parent[k]; ok {
-			if p != "" || !through {
-				return p
-			}
-			break
-		}
-	}
-	return sn.base.parent[k]
-}
-
 // Node implements Reader.
 func (sn *Snap) Node(k flexkey.Key) (*Node, bool) { return sn.node(k, sn.draft) }
 
 // Children implements Reader.
-func (sn *Snap) Children(k flexkey.Key) []flexkey.Key { return sn.children(k, sn.draft) }
+func (sn *Snap) Children(k flexkey.Key) []flexkey.Key { return childKeys(sn.Node(k)) }
 
 // Attrs implements Reader.
-func (sn *Snap) Attrs(k flexkey.Key) []flexkey.Key { return sn.attrs(k, sn.draft) }
+func (sn *Snap) Attrs(k flexkey.Key) []flexkey.Key { return attrKeys(sn.Node(k)) }
 
-// Parent returns the parent key of k ("" for roots), like Store.Parent.
-func (sn *Snap) Parent(k flexkey.Key) flexkey.Key { return sn.parent(k, sn.draft) }
+// Parent returns the parent key of k, like Store.Parent.
+func (sn *Snap) Parent(k flexkey.Key) flexkey.Key { return parentKey(sn.Node(k)) }
 
 // Root implements Reader.
 func (sn *Snap) Root(doc string) (flexkey.Key, bool) {

@@ -3,6 +3,8 @@ package xmldoc
 import (
 	"math/rand"
 	"testing"
+
+	"xqview/internal/flexkey"
 )
 
 // TestSnapshotImmutableAcrossRounds pins the MVCC store contract: a snapshot
@@ -158,9 +160,10 @@ func TestSnapshotDocLifecycle(t *testing.T) {
 }
 
 // TestSnapshotNeverResurrectsDeleted: re-inserting a bare fragment at a key
-// an earlier round deleted brings back none of the old node's attributes or
-// children — not through the snapshot chain, not after the chain flattens,
-// and not in the store.
+// an earlier round deleted, or one the same draft deleted, brings back none
+// of the old node's attributes or children — not through the draft, not
+// through the snapshot chain, not after the chain flattens, and not in the
+// store, which keep the one-record shape throughout.
 func TestSnapshotNeverResurrectsDeleted(t *testing.T) {
 	s := draftTestStore(t)
 	snap := SnapOf(s)
@@ -174,20 +177,34 @@ func TestSnapshotNeverResurrectsDeleted(t *testing.T) {
 	snap = snap.Extend(d.Delta())
 
 	d = NewDraft(s)
-	if err := d.InsertFragmentWithKey(root, b, Elem("b")); err != nil {
+	if err := d.InsertFragmentWithKey(b, Elem("b")); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Attrs(b)) != 0 || len(d.Children(b)) != 0 {
-		t.Fatal("the draft resurrected the deleted node's content")
+	c := s.Children(root)[0]
+	if err := d.DeleteSubtree(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.InsertFragmentWithKey(c, Elem("b")); err != nil {
+		t.Fatal(err)
+	}
+	reborn := []flexkey.Key{b, c}
+	for _, k := range reborn {
+		if len(d.Attrs(k)) != 0 || len(d.Children(k)) != 0 {
+			t.Fatalf("the draft resurrected %s's content", k)
+		}
 	}
 	s.Install(d.Delta())
 	snap = snap.Extend(d.Delta())
 	for round := 0; ; round++ {
 		for name, r := range map[string]Reader{"store": s, "snapshot": snap} {
-			if len(r.Attrs(b)) != 0 || len(r.Children(b)) != 0 {
-				t.Fatalf("round %d: %s resurrected the deleted node's content", round, name)
+			for _, k := range reborn {
+				if len(r.Attrs(k)) != 0 || len(r.Children(k)) != 0 {
+					t.Fatalf("round %d: %s resurrected %s's content", round, name, k)
+				}
 			}
 		}
+		checkShape(t, "store", s, storedKeys(&Snap{base: s}))
+		checkShape(t, "snapshot", snap, storedKeys(snap))
 		if got, want := snap.DebugDump(), s.DumpPrefix(); got != want {
 			t.Fatalf("round %d: snapshot diverges from store:\n--- store ---\n%s--- snapshot ---\n%s", round, want, got)
 		}

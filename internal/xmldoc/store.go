@@ -14,23 +14,22 @@ import (
 // all implement it.
 //
 // Read-only contract: everything a Reader returns stays owned by the
-// reader. Children and Attrs return the reader's internal slices (a Store
-// hands out its child-index slices directly to keep navigation
-// allocation-free), and Node returns a pointer into the reader's node
-// table — callers must not modify the returned slices or nodes, and must
-// not retain them across a mutation of a Draft. Implementations are free to
-// return shared state under this contract; callers that need a private copy
-// make one. The readonly test at the repository root verifies the engine's
+// reader. Node returns the reader's one record of a node, and Children and
+// Attrs return that record's key slices (handed out directly to keep
+// navigation allocation-free) — callers must not modify the returned slices
+// or nodes, and must not retain them across a mutation of a Draft.
+// Implementations are free to return shared state under this contract;
+// callers that need a private copy make one. The readonly test at the repository root verifies the engine's
 // materialize and propagate paths uphold this.
 type Reader interface {
 	// Node returns the node stored under k. The node is owned by the
 	// reader; callers must not modify it.
 	Node(k flexkey.Key) (*Node, bool)
-	// Children returns the element/text children of k in document order.
-	// The slice is owned by the reader; callers must not modify it.
+	// Children returns the element/text children of k in document order:
+	// the Children of k's record, nil when k is absent.
 	Children(k flexkey.Key) []flexkey.Key
-	// Attrs returns the attribute nodes of k in stored order. The slice is
-	// owned by the reader; callers must not modify it.
+	// Attrs returns the attribute nodes of k in stored order: the Attrs of
+	// k's record, nil when k is absent.
 	Attrs(k flexkey.Key) []flexkey.Key
 	// Root returns the root element key of a registered document.
 	Root(doc string) (flexkey.Key, bool)
@@ -38,11 +37,13 @@ type Reader interface {
 
 // Store is the in-memory storage manager. It guarantees the MASS contract
 // the algorithms rely on: children/descendant retrieval in document order
-// and FlexKeys that stay stable under updates.
+// and FlexKeys that stay stable under updates. It keeps one record per node
+// (the node with its child and attribute keys) and the document roots;
+// a node's parent is its key's prefix, so no other index exists.
 //
 // Versioning contract: a Store is written only by Install, which lays a
 // Draft's Delta over it with map writes. No stored *Node or key slice is
-// ever written in place — a change installs a fresh one — so a Clone, a
+// ever written in place — a change installs a fresh record — so a Clone, a
 // Snap base or a Reader alias keeps reading exactly the state it saw.
 //
 // Concurrency contract: the Store is not internally synchronized. The
@@ -51,23 +52,14 @@ type Reader interface {
 // round's Draft, propagation), which makes it safe to share across
 // concurrently maintained views; the round's commit installs the draft.
 type Store struct {
-	nodes    map[flexkey.Key]*Node
-	children map[flexkey.Key][]flexkey.Key // sorted: lexicographic == doc order
-	attrs    map[flexkey.Key][]flexkey.Key
-	parent   map[flexkey.Key]flexkey.Key
-	roots    map[string]flexkey.Key
-	docSeq   int
+	nodes  map[flexkey.Key]*Node
+	roots  map[string]flexkey.Key
+	docSeq int
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		nodes:    make(map[flexkey.Key]*Node),
-		children: make(map[flexkey.Key][]flexkey.Key),
-		attrs:    make(map[flexkey.Key][]flexkey.Key),
-		parent:   make(map[flexkey.Key]flexkey.Key),
-		roots:    make(map[string]flexkey.Key),
-	}
+	return &Store{nodes: map[flexkey.Key]*Node{}, roots: map[string]flexkey.Key{}}
 }
 
 // LoadFragment registers a document whose content is the given root element
@@ -93,24 +85,15 @@ func (s *Store) Load(doc, src string) (flexkey.Key, error) {
 }
 
 // Install makes a draft's delta the store's state: every post-image it
-// holds replaces the store's entry, and every deletion marker deletes it.
-// The delta's nodes and slices become the store's own, shared with the
-// delta (neither is ever written again).
+// holds replaces the store's record, and every deletion marker deletes it.
+// The delta's records become the store's own, shared with the delta (neither
+// is ever written again).
 func (s *Store) Install(d *Delta) {
 	for k, n := range d.nodes {
 		if n == nil {
 			delete(s.nodes, k)
 		} else {
 			s.nodes[k] = n
-		}
-	}
-	installKeys(s.children, d.children)
-	installKeys(s.attrs, d.attrs)
-	for k, p := range d.parent {
-		if p == "" {
-			delete(s.parent, k)
-		} else {
-			s.parent[k] = p
 		}
 	}
 	for doc, r := range d.roots {
@@ -123,24 +106,13 @@ func (s *Store) Install(d *Delta) {
 	s.docSeq = d.docSeq
 }
 
-// installKeys lays one child or attribute index of a delta over the store's.
-func installKeys(dst, src map[flexkey.Key][]flexkey.Key) {
-	for k, v := range src {
-		if v == nil {
-			delete(dst, k)
-		} else {
-			dst[k] = v
-		}
-	}
-}
-
 // RootElem returns the root element key of a document.
 func (s *Store) RootElem(doc string) (flexkey.Key, bool) {
 	d, ok := s.roots[doc]
 	if !ok {
 		return "", false
 	}
-	cs := s.children[d]
+	cs := s.Children(d)
 	if len(cs) == 0 {
 		return "", false
 	}
@@ -153,21 +125,35 @@ func (s *Store) Node(k flexkey.Key) (*Node, bool) {
 	return n, ok
 }
 
-// MustNode returns the node under k and panics if absent; for internal use
-// where the key is known to exist.
-func (s *Store) MustNode(k flexkey.Key) *Node {
-	n, ok := s.nodes[k]
-	if !ok {
-		panic("xmldoc: missing node " + string(k))
-	}
-	return n
-}
-
 // Children implements Reader.
-func (s *Store) Children(k flexkey.Key) []flexkey.Key { return s.children[k] }
+func (s *Store) Children(k flexkey.Key) []flexkey.Key { return childKeys(s.Node(k)) }
 
 // Attrs implements Reader.
-func (s *Store) Attrs(k flexkey.Key) []flexkey.Key { return s.attrs[k] }
+func (s *Store) Attrs(k flexkey.Key) []flexkey.Key { return attrKeys(s.Node(k)) }
+
+// childKeys, attrKeys and parentKey read one record, as the Children, Attrs
+// and Parent of Store and Snap do: an absent node has none of them.
+func childKeys(n *Node, ok bool) []flexkey.Key {
+	if !ok {
+		return nil
+	}
+	return n.Children
+}
+
+func attrKeys(n *Node, ok bool) []flexkey.Key {
+	if !ok {
+		return nil
+	}
+	return n.Attrs
+}
+
+func parentKey(n *Node, ok bool) flexkey.Key {
+	if !ok {
+		return ""
+	}
+	p, _ := flexkey.Parent(n.Key)
+	return p
+}
 
 // Root implements Reader.
 func (s *Store) Root(doc string) (flexkey.Key, bool) {
@@ -185,17 +171,18 @@ func (s *Store) Docs() []string {
 	return out
 }
 
-// Parent returns the parent key of k ("" for roots).
-func (s *Store) Parent(k flexkey.Key) flexkey.Key { return s.parent[k] }
+// Parent returns the parent key of k ("" for document nodes and absent
+// keys): a stored key's prefix.
+func (s *Store) Parent(k flexkey.Key) flexkey.Key { return parentKey(s.Node(k)) }
 
 // Siblings returns the keys immediately before and after k among its
 // parent's children ("" when k is first/last).
 func (s *Store) Siblings(k flexkey.Key) (prev, next flexkey.Key) {
-	p := s.parent[k]
+	p := s.Parent(k)
 	if p == "" {
 		return "", ""
 	}
-	cs := s.children[p]
+	cs := s.Children(p)
 	for i, c := range cs {
 		if c == k {
 			if i > 0 {
@@ -210,26 +197,18 @@ func (s *Store) Siblings(k flexkey.Key) (prev, next flexkey.Key) {
 	return "", ""
 }
 
-// Clone returns a store with the same state. Stored nodes and key slices are
-// never written in place, so the clone copies the five maps and shares their
+// Clone returns a store with the same state. Stored records are never
+// written in place, so the clone copies the two maps and shares their
 // values; installing a delta on either store leaves the other as it was.
 func (s *Store) Clone() *Store {
-	return &Store{
-		nodes:    maps.Clone(s.nodes),
-		children: maps.Clone(s.children),
-		attrs:    maps.Clone(s.attrs),
-		parent:   maps.Clone(s.parent),
-		roots:    maps.Clone(s.roots),
-		docSeq:   s.docSeq,
-	}
+	return &Store{nodes: maps.Clone(s.nodes), roots: maps.Clone(s.roots), docSeq: s.docSeq}
 }
 
 // Size returns the number of stored nodes.
 func (s *Store) Size() int { return len(s.nodes) }
 
 // DebugDump renders the complete store state deterministically — every
-// document tree in key order with kinds, names, values, counts and parent
-// links, plus the total node count and document sequence — so tests can
+// document tree in key order with kinds, names, values and parent links, plus the total node count and document sequence — so tests can
 // assert byte-identity between two store states (e.g. pre-round vs
 // post-rollback). Unreachable nodes show up through the size line.
 func (s *Store) DebugDump() string {
@@ -253,12 +232,12 @@ func dump(r interface {
 	var walk func(k flexkey.Key, depth int)
 	walk = func(k flexkey.Key, depth int) {
 		n, _ := r.Node(k)
-		fmt.Fprintf(&b, "%s%s kind=%d name=%q value=%q count=%d parent=%s\n",
-			strings.Repeat(" ", depth), k, int(n.Kind), n.Name, n.Value, n.Count, r.Parent(k))
-		for _, a := range r.Attrs(k) {
+		fmt.Fprintf(&b, "%s%s kind=%d name=%q value=%q parent=%s\n",
+			strings.Repeat(" ", depth), k, int(n.Kind), n.Name, n.Value, r.Parent(k))
+		for _, a := range n.Attrs {
 			walk(a, depth+1)
 		}
-		for _, c := range r.Children(k) {
+		for _, c := range n.Children {
 			walk(c, depth+1)
 		}
 	}

@@ -33,8 +33,8 @@ func loadBib(t *testing.T) (*Store, flexkey.Key) {
 
 func TestLoadAndNavigate(t *testing.T) {
 	s, root := loadBib(t)
-	n := s.MustNode(root)
-	if n.Name != "bib" || n.Kind != Element {
+	n, ok := s.Node(root)
+	if !ok || n.Name != "bib" || n.Kind != Element {
 		t.Fatalf("root = %+v", n)
 	}
 	books := ChildElems(s, root, "book")

@@ -361,9 +361,9 @@ func stepFrom(r xmldoc.Reader, c flexkey.Key, st *Step) []flexkey.Key {
 
 func descendantTexts(r xmldoc.Reader, k flexkey.Key) []flexkey.Key {
 	var out []flexkey.Key
-	var walk func(flexkey.Key)
-	walk = func(p flexkey.Key) {
-		for _, c := range r.Children(p) {
+	var walk func([]flexkey.Key)
+	walk = func(cs []flexkey.Key) {
+		for _, c := range cs {
 			n, ok := r.Node(c)
 			if !ok {
 				continue
@@ -372,11 +372,11 @@ func descendantTexts(r xmldoc.Reader, k flexkey.Key) []flexkey.Key {
 			case xmldoc.Text:
 				out = append(out, c)
 			case xmldoc.Element:
-				walk(c)
+				walk(n.Children)
 			}
 		}
 	}
-	walk(k)
+	walk(r.Children(k))
 	return out
 }
 

@@ -248,58 +248,3 @@ func (f *FuncCall) String() string {
 var AggregateFuncs = map[string]bool{
 	"count": true, "sum": true, "avg": true, "min": true, "max": true,
 }
-
-// FreeVars returns the set of variables referenced by e that are not bound
-// within e itself.
-func FreeVars(e Expr) map[string]bool {
-	out := make(map[string]bool)
-	freeVars(e, map[string]bool{}, out)
-	return out
-}
-
-func freeVars(e Expr, bound map[string]bool, out map[string]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *PathExpr:
-		if x.Var != "" && !bound[x.Var] {
-			out[x.Var] = true
-		}
-	case *Literal:
-	case *Seq:
-		for _, it := range x.Items {
-			freeVars(it, bound, out)
-		}
-	case *FuncCall:
-		for _, a := range x.Args {
-			freeVars(a, bound, out)
-		}
-	case *ElemCons:
-		for _, a := range x.Attrs {
-			for _, p := range a.Parts {
-				freeVars(p, bound, out)
-			}
-		}
-		for _, c := range x.Content {
-			freeVars(c, bound, out)
-		}
-	case *FLWOR:
-		inner := make(map[string]bool, len(bound))
-		for k := range bound {
-			inner[k] = true
-		}
-		for _, b := range x.Bindings {
-			freeVars(b.Src, inner, out)
-			inner[b.Var] = true
-		}
-		if x.Where != nil {
-			for _, cmp := range x.Where.Leaves(nil) {
-				freeVars(cmp.L, inner, out)
-				freeVars(cmp.R, inner, out)
-			}
-		}
-		for _, o := range x.OrderBy {
-			freeVars(o.Expr, inner, out)
-		}
-		freeVars(x.Return, inner, out)
-	}
-}

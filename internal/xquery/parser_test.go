@@ -220,14 +220,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestFreeVars(t *testing.T) {
-	e := MustParse(`for $b in doc("d")/a where $y = $b/u return <r>{$b/t} {$z}</r>`)
-	fv := FreeVars(e)
-	if !fv["y"] || !fv["z"] || fv["b"] {
-		t.Fatalf("free vars: %v", fv)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	e := MustParse(RunningExample)
 	s := e.String()
