@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"xqview/internal/obs"
 )
@@ -15,14 +14,11 @@ import (
 // xqview does.
 func telemetryServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	r := obs.NewRegistry()
-	r.HistogramOf("xqview_phase_seconds", "VPA phase latency per maintenance run", "phase", "propagate").
-		Observe(2 * time.Millisecond)
-	rs := obs.NewRoundSeries(8)
-	rs.Append(obs.RoundSample{TotalNS: 1_500_000, PrimsIn: 3, PrimsOut: 2, Views: 4})
+	rs := obs.NewRoundSeries(8, obs.NewRegistry())
+	rs.Append(obs.RoundSample{TotalNS: 1_500_000, PropagateNS: 1_000_000, PrimsIn: 3, PrimsOut: 2, Views: 4})
 	rs.Append(obs.RoundSample{TotalNS: 2_500_000, Aborted: true, PrimsIn: 1, Views: 4})
 	mux := http.NewServeMux()
-	mux.Handle("/stats/rounds", obs.RoundsHandler(r, rs, func() map[string]any {
+	mux.Handle("/stats/rounds", obs.RoundsHandler(rs, func() map[string]any {
 		return map[string]any{"journal_rounds": 2, "journal_cap": 256, "journal_dropped": 0}
 	}))
 	srv := httptest.NewServer(mux)

@@ -21,7 +21,7 @@ insert <book year="2001"><title>B</title></book> into $bib`)
 
 func TestRunFaultInjection(t *testing.T) {
 	doc, query, upd := faultCLIFixture(t)
-	for _, spec := range []string{"deepunion.apply", "deepunion.apply:error", "core.pool.task:panic:1"} {
+	for _, spec := range []string{"deepunion.apply", "deepunion.apply:error", "deepunion.apply:panic:1"} {
 		var out, errw strings.Builder
 		err := run([]string{"-doc", "bib.xml=" + doc, "-query", query,
 			"-updates", upd, "-fault", spec}, &out, &errw)

@@ -378,7 +378,7 @@ func topLoop(w io.Writer) {
 	tick := time.NewTicker(500 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		frame := top.Render(obs.BuildRoundsPayload(obs.Default, obs.Rounds, journalExtras), width, height)
+		frame := top.Render(obs.BuildRoundsPayload(obs.Rounds, journalExtras), width, height)
 		if isTerm {
 			fmt.Fprint(w, "\x1b[H", frame)
 		} else {

@@ -42,7 +42,7 @@ func newServer(db *xqview.Database) *http.Server {
 	return &http.Server{
 		Handler: obs.Handler(obs.Default,
 			obs.Route{Pattern: "/journal", Handler: journal.Default.HTTPHandler()},
-			obs.Route{Pattern: "/stats/rounds", Handler: obs.RoundsHandler(obs.Default, obs.Rounds, journalExtras)},
+			obs.Route{Pattern: "/stats/rounds", Handler: obs.RoundsHandler(obs.Rounds, journalExtras)},
 			obs.Route{Pattern: "/snapshot", Handler: snapshotHandler(db)},
 			obs.Route{Pattern: "/view", Handler: viewHandler(db)},
 			obs.Route{Pattern: "/query", Handler: queryHandler(db)}),

@@ -181,7 +181,7 @@ func TestMaintainAllParallelConsistency(t *testing.T) {
 		if !conflictFree(prims) {
 			continue
 		}
-		wants, err := RecomputeAll(s, queries, prims, Options{Parallelism: 8})
+		wants, err := RecomputeAll(s, queries, prims)
 		if err != nil {
 			t.Fatalf("round %d recompute: %v", round, err)
 		}
@@ -197,7 +197,7 @@ func TestMaintainAllParallelConsistency(t *testing.T) {
 	}
 }
 
-// TestRecomputeAllMatchesRecompute checks the parallel baseline against the
+// TestRecomputeAllMatchesRecompute checks the multi-view baseline against the
 // single-view one, and that the source store is left untouched.
 func TestRecomputeAllMatchesRecompute(t *testing.T) {
 	s := bibStore(t)
@@ -218,7 +218,7 @@ func TestRecomputeAllMatchesRecompute(t *testing.T) {
 		}
 		wants = append(wants, w)
 	}
-	got, err := RecomputeAll(s, queries, prims, Options{Parallelism: 4})
+	got, err := RecomputeAll(s, queries, prims)
 	if err != nil {
 		t.Fatal(err)
 	}

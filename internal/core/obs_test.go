@@ -215,27 +215,3 @@ func TestTraceGoldenShape(t *testing.T) {
 			gotJSON, want)
 	}
 }
-
-// TestMaintStatsAdd checks the generic field-wise aggregation: every
-// numeric field, including those of the nested validation and deep-union
-// stats, must fold.
-func TestMaintStatsAdd(t *testing.T) {
-	a := MaintStats{Validate: 5, Propagate: 7, DeltaRoots: 2}
-	a.Validation.Total = 3
-	a.Union.Merged = 4
-	b := MaintStats{Validate: 10, Apply: 2, DeltaRoots: 1}
-	b.Validation.Total = 2
-	b.Validation.Rewritten = 1
-	b.Union.Merged = 1
-	b.Union.Removed = 6
-	a.Add(b)
-	if a.Validate != 15 || a.Propagate != 7 || a.Apply != 2 || a.DeltaRoots != 3 {
-		t.Fatalf("top-level fields: %+v", a)
-	}
-	if a.Validation.Total != 5 || a.Validation.Rewritten != 1 {
-		t.Fatalf("validation fold: %+v", a.Validation)
-	}
-	if a.Union.Merged != 5 || a.Union.Removed != 6 {
-		t.Fatalf("union fold: %+v", a.Union)
-	}
-}

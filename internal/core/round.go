@@ -22,8 +22,8 @@ import (
 // and, on any failure, rollback. Each phase is one method of round. A phase
 // starts at the clock reading that ended the previous one and ends with one
 // reading of its own (lap); that duration is the phase's span, its
-// RoundSample field and, where it has them, its MaintStats field and
-// histogram observation, so the phase times partition the round exactly.
+// RoundSample field and, where it has one, its MaintStats field, so the
+// phase times partition the round exactly.
 
 // round is one MaintainAll round: its inputs, what each phase hands the
 // next, the round transaction's slots, and one wall-time slot per phase.
@@ -33,8 +33,9 @@ type round struct {
 	opt   Options
 	jrec  *journal.RoundRec
 	eval  time.Duration // script parse+evaluate ahead of the round
-	// telemetry is obs.Enabled() at round start; the sample diffs the
-	// cache and heap counters against their values then.
+	// telemetry is obs.Enabled() at round start; the sample diffs the heap
+	// counter against its value then, and the cache counters against theirs
+	// once the round's shared DAG is known.
 	telemetry   bool
 	cacheBefore xat.CacheStats
 	heapBefore  uint64
@@ -59,7 +60,8 @@ type round struct {
 	// installs it. Rollback drops it.
 	draft *xmldoc.Draft
 	din   *xat.DeltaInput
-	seeds [][]xat.Seed // per view: shared-prefix results to serve; nil without groups
+	dag   *xat.SharedDAG // the shared sub-plan DAG the round propagates
+	seeds [][]xat.Seed   // per view: shared-prefix results to serve; nil without groups
 	out   []*MaintStats
 	cand  *Version // the next MVCC version; nil without a registry
 	// Shared prefixes propagated once, and the member subscriptions their
@@ -74,6 +76,8 @@ type round struct {
 	// Arena occupancy, priced just before commit releases the arenas.
 	arenaBytes  int64
 	arenaChunks int
+	// restored is what rollback discarded (restore's count).
+	restored int
 }
 
 // maintainAll runs one round: its phases in pipeline order.
@@ -127,7 +131,7 @@ func newRound(store *xmldoc.Store, views []*View, prims []*update.Primitive, eva
 	r := &round{store: store, views: views, opt: opt, jrec: jrec, eval: eval,
 		stages: make([]viewStage, len(views)), orig: prims, prims: prims, telemetry: obs.Enabled()}
 	if r.telemetry {
-		r.cacheBefore, r.heapBefore = sumCacheStats(views), heapAllocObjects()
+		r.heapBefore = heapAllocObjects()
 	}
 	r.start = time.Now()
 	r.clock = r.start
@@ -210,10 +214,6 @@ func (r *round) validate() error {
 	return nil
 }
 
-// cViewsSkipped counts views whose Propagate+Apply was pruned by the
-// relevance filter.
-var cViewsSkipped = obs.Default.CounterOf("xqview_views_skipped_total", "views skipped by the region-relevance filter")
-
 // propagateShared assembles the propagation input and propagates each shared
 // sub-plan prefix once, ahead of the per-view pool. The caller's DAG is
 // reused when it was built over exactly these plans (warm shared
@@ -227,6 +227,12 @@ func (r *round) propagateShared() error {
 	dag := r.opt.SharedDAG
 	if !dag.Matches(plans) {
 		dag = xat.BuildSharedDAG(plans)
+	}
+	// Nothing has touched a cache yet: the baseline covers every cache the
+	// round can touch, the views' and the DAG's partitions.
+	r.dag = dag
+	if r.telemetry {
+		r.cacheBefore = sumCacheStats(r.views, dag)
 	}
 	if len(dag.Groups) == 0 {
 		return nil
@@ -256,7 +262,6 @@ func (r *round) propagateShared() error {
 			}
 		}
 	}
-	xat.RecordSharedRound(r.sharedGroups, r.sharedFanout, r.sharedFanout-r.sharedGroups)
 	sp.Arg("groups", r.sharedGroups).Arg("fanout", r.sharedFanout)
 	return nil
 }
@@ -332,9 +337,6 @@ func (r *round) maintainView(i int) (err error) {
 		ms.Skipped = 1
 		vtrack.Arg("skipped", "no region overlap")
 		vrec.Skip("no region overlap")
-		if obs.Enabled() {
-			cViewsSkipped.Inc()
-		}
 		return nil
 	}
 	cache := v.stateCache()
@@ -450,44 +452,23 @@ func (r *round) commit() {
 // and the rollback itself.
 func (r *round) rollback() {
 	sp := r.span("Rollback")
-	sp.Arg("restored", r.restore())
+	r.restored = r.restore()
+	sp.Arg("restored", r.restored)
 	r.lap(&r.rollbackTime, sp)
 	r.record(true)
 }
 
 // report completes a committed round's per-view stats from the phase slots
-// and records the round's telemetry.
+// and records the round's sample.
 func (r *round) report() []*MaintStats {
 	total := r.clock.Sub(r.start)
 	for _, ms := range r.out {
 		ms.Validate, ms.Source, ms.Total = r.validateTime, r.sourceTime, total
 		ms.Validation = r.batch.Stats
 	}
-	if r.telemetry {
-		cMaintainRuns.Inc()
-		hValidate.Observe(r.validateTime)
-		hSource.Observe(r.sourceTime)
-		hTotal.Observe(total)
-		for _, ms := range r.out {
-			hPropagate.Observe(ms.Propagate)
-			hApply.Observe(ms.Apply)
-		}
-		r.record(false)
-	}
+	r.record(false)
 	return r.out
 }
-
-// Phase latency metric series (the Ch 9 VPA breakdown as histograms) plus
-// the per-run counters the serving endpoint exposes. Propagate and apply
-// are observed per view; validate, source and total per round.
-var (
-	hValidate     = obs.Default.HistogramOf("xqview_phase_seconds", "VPA phase latency per maintenance run", "phase", "validate")
-	hPropagate    = obs.Default.HistogramOf("xqview_phase_seconds", "VPA phase latency per maintenance run", "phase", "propagate")
-	hApply        = obs.Default.HistogramOf("xqview_phase_seconds", "VPA phase latency per maintenance run", "phase", "apply")
-	hSource       = obs.Default.HistogramOf("xqview_phase_seconds", "VPA phase latency per maintenance run", "phase", "source")
-	hTotal        = obs.Default.HistogramOf("xqview_maintain_seconds", "end-to-end maintenance batch latency")
-	cMaintainRuns = obs.Default.CounterOf("xqview_maintain_runs_total", "maintenance batches completed")
-)
 
 // deltaInput assembles the propagate-phase input: the pre-update store, the
 // refreshed draft as the post-update reader, and one region per primitive

@@ -327,9 +327,13 @@ func TestSharedCrashConsistencyEverySite(t *testing.T) {
 // view skipped by the relevance filter counts as skipped (MaintStats and
 // the xqview_views_skipped_total counter) even when a shared prefix it
 // subscribes to ran for other, live views — and the skipped view receives
-// no seeds.
+// no seeds. Over several rounds, one of them aborted by a fault, the round
+// samples are the only record: every registry series folded from them moves
+// by exactly the sum of its sample field, and each sample's cache fields
+// count the shared prefix's partition next to the views' caches.
 func TestSharedSkipAccounting(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
+	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(0x5C1B))
 	s := xmldoc.NewStore()
 	if _, err := s.Load("bib.xml", randomBib(rng, 4)); err != nil {
@@ -338,27 +342,98 @@ func TestSharedSkipAccounting(t *testing.T) {
 	if _, err := s.Load("prices.xml", randomPrices(rng, 3)); err != nil {
 		t.Fatal(err)
 	}
-	// Both views share the bib book prefix; only the join view also reads
-	// prices.xml.
+	// All views share the bib book prefix; the two join views also read
+	// prices.xml and share the whole join, whose base tables the shared
+	// partition caches.
 	bibOnly, err := NewView(s, `<result>{ for $b in doc("bib.xml")/bib/book return <t>{$b/title}</t> }</result>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := NewView(s, `<result>{
-		for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
-		where $b/title = $e/b-title
-		return <pair>{$b/title} {$e/price}</pair> }</result>`)
+	const join = `for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+		where $b/title = $e/b-title`
+	joined, err := NewView(s, `<result>{ `+join+` return <pair>{$b/title} {$e/price}</pair> }</result>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := []*View{bibOnly, joined}
+	priced, err := NewView(s, `<result>{ `+join+` return <priced>{$e/price}</priced> }</result>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := []*View{bibOnly, joined, priced}
 	dag := xat.BuildSharedDAG(plansOf(views))
 	if len(dag.Groups) == 0 {
 		t.Fatal("views share no prefix; test is vacuous")
 	}
 	opts := Options{Parallelism: 1, SharedDAG: dag}
-	skippedCounter := obs.Default.CounterOf("xqview_views_skipped_total", "views skipped by the region-relevance filter")
-	before := skippedCounter.Value()
+
+	// folded lists every counter the round series folds, with the sample
+	// field it folds from.
+	folded := []struct {
+		name, rule string
+		field      func(obs.RoundSample) int64
+	}{
+		{"xqview_maintain_runs_total", "", func(s obs.RoundSample) int64 { return b2i(!s.Aborted) }},
+		{"xqview_round_rollbacks_total", "", func(s obs.RoundSample) int64 { return b2i(s.Aborted) }},
+		{"xqview_rollback_restored_total", "", func(s obs.RoundSample) int64 { return int64(s.RollbackRestored) }},
+		{"xqview_views_skipped_total", "", func(s obs.RoundSample) int64 { return int64(s.Skipped) }},
+		{"deepunion_nodes_merged_total", "", func(s obs.RoundSample) int64 { return int64(s.Merged) }},
+		{"deepunion_subtrees_inserted_total", "", func(s obs.RoundSample) int64 { return int64(s.Inserted) }},
+		{"deepunion_fragments_removed_total", "", func(s obs.RoundSample) int64 { return int64(s.Removed) }},
+		{"deepunion_values_modified_total", "", func(s obs.RoundSample) int64 { return int64(s.Modified) }},
+		{"xat_state_cache_hits_total", "", func(s obs.RoundSample) int64 { return int64(s.CacheHits) }},
+		{"xat_state_cache_misses_total", "", func(s obs.RoundSample) int64 { return int64(s.CacheMisses) }},
+		{"xat_state_cache_folds_total", "", func(s obs.RoundSample) int64 { return int64(s.CacheFolds) }},
+		{"xat_shared_prefix_groups_total", "", func(s obs.RoundSample) int64 { return int64(s.SharedGroups) }},
+		{"xat_shared_prefix_fanout_total", "", func(s obs.RoundSample) int64 { return int64(s.SharedFanout) }},
+		{"xat_shared_prefix_hits_total", "", func(s obs.RoundSample) int64 { return int64(s.SharedHits) }},
+		{"xat_delta_rows_total", "", func(s obs.RoundSample) int64 { return int64(s.DeltaRoots) }},
+		{"update_compact_batches_total", "", func(s obs.RoundSample) int64 { return b2i(s.PrimsOut < s.PrimsIn) }},
+		{"update_compact_prims_dropped_total", "all", func(s obs.RoundSample) int64 { return int64(s.PrimsIn - s.PrimsOut) }},
+		{"update_compact_prims_dropped_total", "coalesce", func(s obs.RoundSample) int64 { return int64(s.PrimsIn - s.PrimsOut) }},
+	}
+	counter := func(name, rule string) *obs.Counter {
+		if rule == "" {
+			return obs.Default.CounterOf(name, "")
+		}
+		return obs.Default.CounterOf(name, "", "rule", rule)
+	}
+	before := make([]int64, len(folded))
+	for i, f := range folded {
+		before[i] = counter(f.name, f.rule).Value()
+	}
+	seq := obs.Rounds.Total()
+
+	// cacheWork sums hits+misses over the views' caches and over the shared
+	// partitions.
+	cacheWork := func() (viewWork, sharedWork int) {
+		for _, v := range views {
+			cs := v.CacheStats()
+			viewWork += cs.Hits + cs.Misses
+		}
+		for _, g := range dag.Groups {
+			cs := g.Cache.Stats()
+			sharedWork += cs.Hits + cs.Misses
+		}
+		return viewWork, sharedWork
+	}
+	// maintain runs one round; a committed round's sample must count the
+	// cache work of the views and of the shared partitions, and the shared
+	// partitions must have done some.
+	maintain := func(prims []*update.Primitive) ([]*MaintStats, error) {
+		t.Helper()
+		v0, s0 := cacheWork()
+		stats, err := MaintainAll(s, views, prims, 0, opts)
+		if err != nil {
+			return nil, err
+		}
+		v1, s1 := cacheWork()
+		sm, _ := obs.Rounds.Last()
+		if got := int(sm.CacheHits + sm.CacheMisses); got <= 0 || got != (v1-v0)+(s1-s0) || s1 == s0 {
+			t.Errorf("sample counts %d cache lookups; views did %d, shared partitions %d",
+				got, v1-v0, s1-s0)
+		}
+		return stats, nil
+	}
 
 	// The batch touches prices.xml only: the bib-only view must skip even
 	// though its shared bib prefix runs on behalf of the join view.
@@ -374,7 +449,7 @@ func TestSharedSkipAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := MaintainAll(s, views, prims, 0, opts)
+	stats, err := maintain(prims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,10 +459,10 @@ func TestSharedSkipAccounting(t *testing.T) {
 	if stats[0].SharedPrefixes != 0 {
 		t.Errorf("skipped view received %d shared seeds, want 0", stats[0].SharedPrefixes)
 	}
-	if stats[1].Skipped != 0 {
+	if stats[1].Skipped != 0 || stats[2].Skipped != 0 {
 		t.Error("join view wrongly skipped")
 	}
-	if got := skippedCounter.Value() - before; got != 1 {
+	if got := counter("xqview_views_skipped_total", "").Value() - before[3]; got != 1 {
 		t.Errorf("xqview_views_skipped_total moved by %d, want 1", got)
 	}
 	if got := bibOnly.XML(); got != bibBefore {
@@ -396,6 +471,58 @@ func TestSharedSkipAccounting(t *testing.T) {
 	if got := joined.XML(); got != want {
 		t.Errorf("join view diverged from recompute:\ngot:  %s\nwant: %s", got, want)
 	}
+
+	// A round aborted in the apply phase, after the shared prefix ran, then
+	// rounds that insert into both documents and coalesce duplicate replaces.
+	bibRoot, _ := s.RootElem("bib.xml")
+	insertBook := func() []*update.Primitive {
+		return []*update.Primitive{{Kind: update.Insert, Doc: "bib.xml", Parent: bibRoot,
+			Frag: xmldoc.Elem("book", xmldoc.AttrF("year", "1999"),
+				xmldoc.Elem("title", xmldoc.TextF(titlesPool[0])))}}
+	}
+	if err := faultinject.Arm("deepunion.apply", faultinject.ModeError, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MaintainAll(s, views, insertBook(), 0, opts); err == nil {
+		t.Fatal("armed deepunion.apply did not fail the round")
+	}
+	faultinject.Reset()
+	for i := 0; i < 3; i++ {
+		batch := insertBook()
+		if i > 0 {
+			batch = dupReplaceBatch(t, rng, s)
+		}
+		if _, err := maintain(batch); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+
+	var window []obs.RoundSample
+	for _, sm := range obs.Rounds.Snapshot() {
+		if sm.Seq > seq {
+			window = append(window, sm)
+		}
+	}
+	if len(window) != 5 {
+		t.Fatalf("ring holds %d new samples, want 5", len(window))
+	}
+	for i, f := range folded {
+		var sum int64
+		for _, sm := range window {
+			sum += f.field(sm)
+		}
+		if got := counter(f.name, f.rule).Value() - before[i]; got != sum {
+			t.Errorf("%s{rule=%q} moved by %d, its sample field sums to %d", f.name, f.rule, got, sum)
+		}
+	}
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestSharedDisjointFastPath pins the PR 4 disjoint fast path under

@@ -23,14 +23,9 @@ var (
 	fpSnapSwap  = faultinject.Register("core.snapshot.swap")
 )
 
-// Snapshot telemetry: the live epoch, how many retired versions still have
-// readers draining, and how many reader handles are out right now.
-var (
-	gSnapEpoch   = obs.Default.GaugeOf("xqview_snapshot_epoch", "sequence number of the published version")
-	gSnapRetired = obs.Default.GaugeOf("xqview_snapshot_retired", "retired versions not yet drained by readers")
-	gSnapReaders = obs.Default.GaugeOf("xqview_snapshot_readers", "snapshot handles currently held by readers")
-	cSnapAcquire = obs.Default.CounterOf("xqview_snapshot_acquires_total", "snapshot handles acquired")
-)
+// cSnapAcquire counts reader handles. The epoch, retired and reader gauges
+// are folded from each round's sample (see occupancy).
+var cSnapAcquire = obs.Default.CounterOf("xqview_snapshot_acquires_total", "snapshot handles acquired")
 
 // ViewFrame is one view's immutable state within a published Version: the
 // extent roots as of that version (never written again — the COW apply
@@ -124,9 +119,6 @@ func (v *Version) Release() {
 	if v == nil {
 		return
 	}
-	if obs.Enabled() {
-		gSnapReaders.Add(-1)
-	}
 	if v.refs.Add(-1) == 0 {
 		v.reg.sweep()
 	}
@@ -167,7 +159,6 @@ func (r *SnapReg) Acquire() *Version {
 		if r.cur.Load() == v {
 			if obs.Enabled() {
 				cSnapAcquire.Inc()
-				gSnapReaders.Add(1)
 			}
 			return v
 		}
@@ -196,10 +187,6 @@ func (r *SnapReg) Publish(v *Version) {
 			r.sweep()
 		}
 	}
-	if obs.Enabled() {
-		gSnapEpoch.Set(int64(v.Seq))
-		gSnapRetired.Set(int64(r.RetiredCount()))
-	}
 }
 
 // sweep drops drained versions (refs == 0) from the retired list.
@@ -215,18 +202,24 @@ func (r *SnapReg) sweep() {
 		r.retired[i] = nil
 	}
 	r.retired = live
-	n := len(live)
 	r.mu.Unlock()
-	if obs.Enabled() {
-		gSnapRetired.Set(int64(n))
-	}
 }
 
-// RetiredCount returns how many retired versions still await draining.
-func (r *SnapReg) RetiredCount() int {
+// occupancy reports the retired versions still awaiting readers and the
+// reader handles out, derived under the registry lock from the references
+// themselves: every reference to the current version but the registry's
+// own, plus every reference to a retired one. (A reader losing Acquire's
+// race holds a reference for an instant; the count is telemetry.)
+func (r *SnapReg) occupancy() (retired, readers int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.retired)
+	if v := r.cur.Load(); v != nil {
+		readers = int(v.refs.Load()) - 1
+	}
+	for _, v := range r.retired {
+		readers += int(v.refs.Load())
+	}
+	return len(r.retired), readers
 }
 
 // Epoch returns the sequence number of the published version (0 when none).

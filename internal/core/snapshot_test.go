@@ -37,16 +37,16 @@ func TestSnapRegLifecycle(t *testing.T) {
 	if reg.Epoch() != 2 {
 		t.Fatalf("epoch after second publish = %d", reg.Epoch())
 	}
-	if got := reg.RetiredCount(); got != 1 {
-		t.Fatalf("retired with v1 held = %d, want 1", got)
+	if got, readers := reg.occupancy(); got != 1 || readers != 1 {
+		t.Fatalf("retired/readers with v1 held = %d/%d, want 1/1", got, readers)
 	}
 	// The held handle still serves version-1 bytes after the swap.
 	if _, ok := v1.Store.Root("a.xml"); !ok {
 		t.Fatal("held version lost its store")
 	}
 	v1.Release()
-	if got := reg.RetiredCount(); got != 0 {
-		t.Fatalf("retired after drain = %d, want 0", got)
+	if got, readers := reg.occupancy(); got != 0 || readers != 0 {
+		t.Fatalf("retired/readers after drain = %d/%d, want 0/0", got, readers)
 	}
 	// Releasing the only handle must not unpublish the current version.
 	v2 := reg.Acquire()
@@ -146,7 +146,7 @@ replace $i/qty/text() with "%d"`, i%97))
 			wg.Wait()
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if n := reg.RetiredCount(); n > maxRetired {
+		if n, _ := reg.occupancy(); n > maxRetired {
 			maxRetired = n
 		}
 		trackBody()
@@ -158,7 +158,7 @@ replace $i/qty/text() with "%d"`, i%97))
 	if maxRetired > retiredBound {
 		t.Fatalf("retired list peaked at %d with %d readers, want <= %d", maxRetired, readers, retiredBound)
 	}
-	if got := reg.RetiredCount(); got != 0 {
+	if got, _ := reg.occupancy(); got != 0 {
 		t.Fatalf("retired after all readers drained = %d, want 0", got)
 	}
 	if reg.Epoch() != rounds+1 {

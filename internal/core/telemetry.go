@@ -10,10 +10,13 @@ import (
 // Round telemetry: each round appends one obs.RoundSample, assembled from
 // what the pipeline already produces — the round's phase slots, per-view
 // work and deep-union traffic from MaintStats, cache activity as a
-// lifetime-counter diff across the round, arena occupancy sampled just
-// before the round transaction releases its arenas, and a heap-object delta
-// from runtime/metrics. All of it is gated on obs.Enabled() once at round
-// start, so the disabled path pays one atomic load and allocates nothing.
+// lifetime-counter diff across the round over every cache it touched, arena
+// occupancy sampled just before the round transaction releases its arenas,
+// the registry's version and reader counts, and a heap-object delta from
+// runtime/metrics. The sample is the round's only record: appending it also
+// folds it into the registry's per-round series (obs.RoundSeries.Append).
+// All of it is gated on obs.Enabled() once at round start, so the disabled
+// path pays one atomic load and allocates nothing.
 
 // heapAllocObjects reads the runtime's cumulative heap-object allocation
 // counter; the delta across a round is the live allocs-per-round signal
@@ -27,22 +30,33 @@ func heapAllocObjects() uint64 {
 	return 0
 }
 
-// sumCacheStats folds every view's lifetime cache counters into one total;
-// diffed across the round via CacheStats.Sub it yields the round's cache
-// activity. Entries sums to the current level, not a delta.
-func sumCacheStats(views []*View) xat.CacheStats {
+// sumCacheStats totals the lifetime counters of every cache a round over
+// views and dag touches: each view's cache and each shared group's
+// partition. Diffed across the round via CacheStats.Sub it yields the
+// round's cache activity; Entries sums to the current level, not a delta.
+func sumCacheStats(views []*View, dag *xat.SharedDAG) xat.CacheStats {
 	var t xat.CacheStats
+	add := func(s xat.CacheStats) {
+		t.Hits += s.Hits
+		t.Misses += s.Misses
+		t.Folds += s.Folds
+		t.Evictions += s.Evictions
+		t.Entries += s.Entries
+	}
 	for _, v := range views {
-		s := v.CacheStats()
-		obs.AddFields(&t, s)
+		add(v.CacheStats())
+	}
+	for _, g := range dag.Groups {
+		add(g.Cache.Stats())
 	}
 	return t
 }
 
 // record appends the round's RoundSample. Every sample carries the phase
-// slots, which sum to TotalNS; an aborted round's sample stops there, a
-// committed round's adds what the round did: batch sizes, per-view work,
-// extent traffic, cache and arena activity, and the version it published.
+// slots, which sum to TotalNS, and the batch sizes; an aborted round's
+// sample adds what its rollback restored and stops there, a committed
+// round's adds what the round did: per-view work, extent traffic, cache and
+// arena activity, and the version it published.
 func (r *round) record(aborted bool) {
 	if !r.telemetry {
 		return
@@ -61,12 +75,13 @@ func (r *round) record(aborted bool) {
 		TotalNS:    r.clock.Sub(r.start).Nanoseconds(),
 		Views:      int32(len(r.views)),
 		PrimsIn:    int32(len(r.orig)),
+		PrimsOut:   int32(len(r.prims)),
 	}
 	if aborted {
+		s.RollbackRestored = int32(r.restored)
 		obs.Rounds.Append(s)
 		return
 	}
-	s.PrimsOut = int32(len(r.prims))
 	s.ArenaBytes, s.ArenaChunks = r.arenaBytes, int32(r.arenaChunks)
 	s.SharedGroups, s.SharedFanout = int32(r.sharedGroups), int32(r.sharedFanout)
 	s.SharedHits = s.SharedFanout - s.SharedGroups
@@ -80,16 +95,17 @@ func (r *round) record(aborted bool) {
 		s.Removed += int32(ms.Union.Removed)
 		s.Modified += int32(ms.Union.Modified)
 	}
-	d := sumCacheStats(r.views).Sub(r.cacheBefore)
+	d := sumCacheStats(r.views, r.dag).Sub(r.cacheBefore)
 	s.CacheHits = int32(d.Hits)
 	s.CacheMisses = int32(d.Misses)
 	s.CacheFolds = int32(d.Folds)
 	s.CacheEvicts = int32(d.Evictions)
+	s.CacheEntries = int32(d.Entries)
 	s.HeapAllocs = int64(heapAllocObjects() - r.heapBefore)
 	if r.cand != nil {
+		retired, readers := r.opt.Snapshots.occupancy()
 		s.SnapEpoch = int64(r.cand.Seq)
-		s.SnapRetired = int32(r.opt.Snapshots.RetiredCount())
-		s.SnapReaders = int32(gSnapReaders.Value())
+		s.SnapRetired, s.SnapReaders = int32(retired), int32(readers)
 		s.SnapDepth = int32(r.cand.Store.Depth())
 	}
 	obs.Rounds.Append(s)

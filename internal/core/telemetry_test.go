@@ -106,7 +106,6 @@ func TestRoundTelemetryAborted(t *testing.T) {
 	// shared prefix reads: the pool's first dispatch is the shared phase's.
 	failsIn := map[string]int{
 		"validate.batch":        phaseValidate,
-		"core.pool.task":        phaseShared,
 		"xat.propagate":         phaseShared,
 		"xat.statecache.commit": phaseShared,
 		"deepunion.apply":       phasePool,
@@ -294,6 +293,9 @@ func TestRoundTelemetryDisabled(t *testing.T) {
 // sample: a round committed through an epoch registry records the epoch it
 // published, the store snapshot's overlay depth, and — with a reader handle
 // held across the swap — the outstanding reader and retired-version counts.
+// The reader count is derived from the handles themselves, so a handle
+// acquired while telemetry was off and released after it was switched on
+// leaves no reader behind.
 func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	obs.Rounds.Reset()
@@ -301,7 +303,6 @@ func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	reg := NewSnapReg()
 	reg.PublishFull(s, views)
 	h := reg.Acquire() // pins the pre-round version across the swap
-	defer h.Release()
 	if _, err := MaintainAll(s, views, prims, 0, Options{Snapshots: reg}); err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +316,32 @@ func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	if sm.SnapDepth < 1 {
 		t.Fatalf("snap_depth = %d, want >= 1", sm.SnapDepth)
 	}
-	if sm.SnapReaders < 1 {
+	if sm.SnapReaders != 1 {
 		t.Fatalf("snap_readers = %d, want the held handle counted", sm.SnapReaders)
 	}
 	if sm.SnapRetired != 1 {
 		t.Fatalf("snap_retired = %d, want the pinned pre-round version", sm.SnapRetired)
+	}
+
+	obs.SetEnabled(false)
+	h2 := reg.Acquire()
+	obs.SetEnabled(true)
+	h2.Release()
+	h.Release()
+	prims2, err := update.ParseAndEvaluate(s, `
+for $entry in document("prices.xml")/prices/entry
+where $entry/b-title = "TCP/IP Illustrated"
+update $entry
+replace $entry/price/text() with "71"
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MaintainAll(s, views, prims2, 0, Options{Snapshots: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if sm, _ = obs.Rounds.Last(); sm.SnapReaders != 0 || sm.SnapRetired != 0 {
+		t.Fatalf("snap_readers = %d, snap_retired = %d after every handle was released, want 0 and 0",
+			sm.SnapReaders, sm.SnapRetired)
 	}
 }

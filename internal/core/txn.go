@@ -3,20 +3,12 @@ package core
 import (
 	"xqview/internal/deepunion"
 	"xqview/internal/faultinject"
-	"xqview/internal/obs"
 	"xqview/internal/xat"
 )
 
 // fpRefresh guards the source-refresh phase: it fires per primitive, so a
 // hit count > 1 fails the round with its draft partly written.
 var fpRefresh = faultinject.Register("core.refresh")
-
-// Rollback metric series: how often rounds abort and how much staged state
-// the transaction discarded.
-var (
-	cRollbacks        = obs.Default.CounterOf("xqview_round_rollbacks_total", "maintenance rounds rolled back")
-	cRollbackRestored = obs.Default.CounterOf("xqview_rollback_restored_total", "draft node and root records discarded plus candidate extent copies abandoned by round rollbacks")
-)
 
 // The round transaction: every fallible step of a round stages its outcome
 // in the round's slots — store changes in the round's draft, per-view
@@ -110,10 +102,6 @@ func (r *round) restore() int {
 		st.cache.Rollback()
 		st.alloc.Release()
 		r.stages[i] = viewStage{}
-	}
-	if obs.Enabled() {
-		cRollbacks.Inc()
-		cRollbackRestored.Add(int64(restored))
 	}
 	return restored
 }

@@ -202,7 +202,7 @@ func TestCrashConsistencyEverySite(t *testing.T) {
 					t.Fatalf("reader's frame changed after a later commit at %s (%s)", site, mode)
 				}
 				h.Release()
-				if n := a.reg.RetiredCount(); n != 0 {
+				if n, _ := a.reg.occupancy(); n != 0 {
 					t.Fatalf("released reader left %d retired versions undrained", n)
 				}
 			})
@@ -288,21 +288,6 @@ func TestPoolPanicRecovery(t *testing.T) {
 	}
 	if _, err := MaintainAll(a.store, a.views, prims, 0, Options{Parallelism: len(a.views)}); err != nil {
 		t.Fatalf("retry after panic: %v", err)
-	}
-}
-
-// TestPoolTaskPanicNamesTask checks the pool-level containment (below the
-// per-view recovery): a panic escaping a task is recovered by the pool
-// dispatcher itself and named by task index.
-func TestPoolTaskPanicNamesTask(t *testing.T) {
-	err := forEachIndex(4, Options{Parallelism: 2}, func(i int) error {
-		if i == 2 {
-			panic("boom")
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "pool task 2 panicked: boom") {
-		t.Fatalf("pool did not contain the panic: %v", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"xqview/internal/compile"
 	"xqview/internal/deepunion"
 	"xqview/internal/journal"
-	"xqview/internal/obs"
 	"xqview/internal/sapt"
 	"xqview/internal/update"
 	"xqview/internal/validate"
@@ -106,12 +105,6 @@ type MaintStats struct {
 	// itself.
 	SharedPrefixes int
 }
-
-// Add accumulates o into s: durations and counters sum field by field, and
-// the nested Validation/Union stats fold recursively through the same
-// generic helper every Stats type in the engine uses, so new counters are
-// never silently dropped from aggregation.
-func (s *MaintStats) Add(o MaintStats) { obs.AddFields(s, o) }
 
 // NewView compiles the query, derives its SAPT, and materializes the
 // initial extent.
@@ -233,14 +226,11 @@ func Recompute(store *xmldoc.Store, query string, prims []*update.Primitive) (st
 }
 
 // RecomputeAll recomputes several views from scratch under one batch, the
-// multi-view counterpart of Recompute: the updates are applied once, to a
-// clone of the store, and each view evaluates its query over the result.
-// The per-view evaluate work fans out over the same bounded worker pool as
-// MaintainAll, so the Ch 9 incremental-vs-recompute comparisons stay
-// apples-to-apples when both sides run in parallel. The source store is
-// never mutated. Results are returned in query order.
-func RecomputeAll(store *xmldoc.Store, queries []string, prims []*update.Primitive, opts ...Options) ([]string, error) {
-	opt := getOpts(opts)
+// multi-view counterpart of Recompute and the oracle the maintenance tests
+// compare against: the updates are applied once, to a clone of the store,
+// and each view evaluates its query over the result, in query order. The
+// source store is never mutated.
+func RecomputeAll(store *xmldoc.Store, queries []string, prims []*update.Primitive) ([]string, error) {
 	// Primitives reference keys of the original store, which the clone
 	// shares. Apply shallow copies: ApplyToStore assigns insert keys on the
 	// primitive, and the shared Frag trees are only ever read.
@@ -254,16 +244,12 @@ func RecomputeAll(store *xmldoc.Store, queries []string, prims []*update.Primiti
 	post := store.Clone()
 	post.Install(d.Delta())
 	out := make([]string, len(queries))
-	err := forEachIndex(len(queries), opt, func(i int) error {
-		v, err := NewView(post, queries[i])
+	for i, q := range queries {
+		v, err := NewView(post, q)
 		if err != nil {
-			return fmt.Errorf("recompute view-%d: %w", i, err)
+			return nil, fmt.Errorf("recompute view-%d: %w", i, err)
 		}
 		out[i] = v.XML()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -17,7 +17,6 @@ import (
 
 	"xqview/internal/faultinject"
 	"xqview/internal/journal"
-	"xqview/internal/obs"
 	"xqview/internal/xat"
 )
 
@@ -38,20 +37,6 @@ type Stats struct {
 	Removed  int // fragments disconnected (root disconnections, not nodes)
 	Modified int // value replacements
 }
-
-// Add accumulates s2 into s field by field (via obs.AddFields, like every
-// Stats type in the engine), so counters added here aggregate without
-// touching call sites.
-func (s *Stats) Add(s2 Stats) { obs.AddFields(s, s2) }
-
-// Store-op metric series: the apply phase's node-level traffic, the
-// "store ops" tier of the span taxonomy (phase → operator → store ops).
-var (
-	cMerged   = obs.Default.CounterOf("deepunion_nodes_merged_total", "view nodes whose counts were merged")
-	cInserted = obs.Default.CounterOf("deepunion_subtrees_inserted_total", "delta subtrees attached to the extent")
-	cRemoved  = obs.Default.CounterOf("deepunion_fragments_removed_total", "fragments disconnected at their root")
-	cModified = obs.Default.CounterOf("deepunion_values_modified_total", "in-place value replacements")
-)
 
 // applyCtx threads the stats sink, the set of nodes whose children may
 // need pruning after all deltas merged, and the copy-on-write tracker that
@@ -136,15 +121,6 @@ func ApplyTx(roots []*xat.VNode, deltas []*xat.VNode, st *Stats, rec *journal.Vi
 		for _, d := range deltas {
 			rec.Fusion(fusionOf(d))
 		}
-	}
-	if obs.Enabled() {
-		before := *st
-		defer func() {
-			cMerged.Add(int64(st.Merged - before.Merged))
-			cInserted.Add(int64(st.Inserted - before.Inserted))
-			cRemoved.Add(int64(st.Removed - before.Removed))
-			cModified.Add(int64(st.Modified - before.Modified))
-		}()
 	}
 	ctx := &applyCtx{st: st, dirty: map[*xat.VNode]bool{}, tx: tx}
 	idx := map[string]int{}

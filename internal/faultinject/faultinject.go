@@ -1,8 +1,8 @@
 // Package faultinject provides deterministic, registry-addressable fault
 // points for crash-consistency testing of the maintenance pipeline. Every
 // phase boundary of a maintenance round (validate, delta propagation, deep
-// union apply, state-cache commit, worker-pool task dispatch, source
-// refresh) registers a named point at package init; tests arm a point to
+// union apply, state-cache commit, source refresh, snapshot build and swap)
+// registers a named point at package init; tests arm a point to
 // fire — as an error or a panic — on its n-th hit, run a round, and assert
 // the transaction left every structure byte-identical to the pre-round
 // state.

@@ -252,32 +252,6 @@ func TestLoggerTextAndJSON(t *testing.T) {
 	nilLogger.Info("safe") // must not panic
 }
 
-func TestAddFields(t *testing.T) {
-	type inner struct {
-		Merged  int
-		Removed int
-	}
-	type stats struct {
-		Exec  time.Duration
-		Rows  int
-		Ratio float64
-		Inner inner
-		Name  string
-	}
-	a := stats{Exec: time.Second, Rows: 2, Ratio: 0.5, Inner: inner{Merged: 1}, Name: "a"}
-	b := stats{Exec: time.Millisecond, Rows: 3, Ratio: 0.25, Inner: inner{Merged: 4, Removed: 2}, Name: "b"}
-	AddFields(&a, b)
-	if a.Exec != time.Second+time.Millisecond || a.Rows != 5 || a.Ratio != 0.75 {
-		t.Fatalf("scalar fields: %+v", a)
-	}
-	if a.Inner.Merged != 5 || a.Inner.Removed != 2 {
-		t.Fatalf("nested fields: %+v", a.Inner)
-	}
-	if a.Name != "a" {
-		t.Fatalf("non-numeric field clobbered: %q", a.Name)
-	}
-}
-
 func TestEnabledToggle(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)

@@ -8,11 +8,13 @@ import (
 )
 
 // Round telemetry: one fixed-size RoundSample per MaintainAll round,
-// appended into a lock-free ring (RoundSeries). The ring is the windowed
-// data source of the /stats/rounds endpoint and the xqtop dashboard — where
-// the registry's histograms answer "what is the cumulative latency
-// distribution", the ring answers "what did the last N rounds actually do",
-// per phase, per subsystem, one row per round.
+// appended into a lock-free ring (RoundSeries). The sample is the round's
+// only record: Append keeps it in the ring (the windowed data source of the
+// /stats/rounds endpoint and the xqtop dashboard: "what did the last N rounds
+// actually do", per phase, per subsystem, one row per round) and folds it
+// into the per-round series of the registry the ring was built over (the
+// cumulative view /metrics scrapes). No other code records a per-round fact,
+// so the two views cannot disagree.
 //
 // Appending is gated by Enabled() at the recording site (core.MaintainAll),
 // so the disabled path costs one atomic load and zero allocations (asserted
@@ -54,12 +56,17 @@ type RoundSample struct {
 	RollbackNS int64 `json:"rollback_ns,omitempty"`
 	TotalNS    int64 `json:"total_ns"`
 
+	// RollbackRestored counts what an aborted round's rollback discarded:
+	// draft node and root records plus candidate extent copies.
+	RollbackRestored int32 `json:"rollback_restored,omitempty"`
+
 	// PropagateNS/ApplyNS sum the per-view work inside the pool phase; with
 	// parallel workers they can exceed PoolNS.
 	PropagateNS int64 `json:"propagate_ns"`
 	ApplyNS     int64 `json:"apply_ns"`
 
-	// PrimsIn/PrimsOut are the batch sizes before and after compaction.
+	// PrimsIn/PrimsOut are the batch sizes before and after compaction;
+	// aborted rounds carry them too.
 	PrimsIn  int32 `json:"prims_in"`
 	PrimsOut int32 `json:"prims_out"`
 
@@ -69,11 +76,14 @@ type RoundSample struct {
 	Skipped    int32 `json:"skipped"`
 	DeltaRoots int32 `json:"delta_roots"`
 
-	// State-cache activity of this round (deltas, not lifetime totals).
-	CacheHits   int32 `json:"cache_hits"`
-	CacheMisses int32 `json:"cache_misses"`
-	CacheFolds  int32 `json:"cache_folds"`
-	CacheEvicts int32 `json:"cache_evicts"`
+	// State-cache activity of this round (deltas, not lifetime totals) over
+	// every cache it touched: the views' and the shared prefixes'
+	// partitions. CacheEntries is the tables all of them hold at commit.
+	CacheHits    int32 `json:"cache_hits"`
+	CacheMisses  int32 `json:"cache_misses"`
+	CacheFolds   int32 `json:"cache_folds"`
+	CacheEvicts  int32 `json:"cache_evicts"`
+	CacheEntries int32 `json:"cache_entries"`
 
 	// Shared sub-plan activity of this round: prefix groups propagated once,
 	// member subscriptions the results fanned out to, and the per-view
@@ -120,18 +130,112 @@ const DefaultRoundWindow = 256
 type RoundSeries struct {
 	slots []atomic.Pointer[RoundSample]
 	total atomic.Uint64
+	fold  roundFold
 }
 
-// Rounds is the process-wide round series core.MaintainAll records into.
-var Rounds = NewRoundSeries(DefaultRoundWindow)
+// Rounds is the process-wide round series core.MaintainAll records into; it
+// folds every sample into the Default registry.
+var Rounds = NewRoundSeries(DefaultRoundWindow, Default)
 
 // NewRoundSeries creates a ring retaining the most recent capacity samples
-// (capacity < 1 falls back to DefaultRoundWindow).
-func NewRoundSeries(capacity int) *RoundSeries {
+// (capacity < 1 falls back to DefaultRoundWindow) that folds every appended
+// sample into reg's round series.
+func NewRoundSeries(capacity int, reg *Registry) *RoundSeries {
 	if capacity < 1 {
 		capacity = DefaultRoundWindow
 	}
-	return &RoundSeries{slots: make([]atomic.Pointer[RoundSample], capacity)}
+	return &RoundSeries{slots: make([]atomic.Pointer[RoundSample], capacity), fold: newRoundFold(reg)}
+}
+
+// roundFold holds the registry series derived from round samples, resolved
+// once when the series is built.
+type roundFold struct {
+	validate, propagate, apply, source, total, read            *Histogram
+	runs, rollbacks, restored, skipped                         *Counter
+	merged, inserted, removed, modified                        *Counter
+	cacheHits, cacheMisses, cacheFolds                         *Counter
+	sharedGroups, sharedFanout, sharedHits                     *Counter
+	deltaRows, compactBatches, compactDropped, compactCoalesce *Counter
+	snapEpoch, snapRetired, snapReaders, cacheEntries          *Gauge
+}
+
+func newRoundFold(r *Registry) roundFold {
+	const phase = "VPA phase latency per maintenance run"
+	const dropped = "update primitives removed by compaction"
+	return roundFold{
+		validate:        r.HistogramOf("xqview_phase_seconds", phase, "phase", "validate"),
+		propagate:       r.HistogramOf("xqview_phase_seconds", phase, "phase", "propagate"),
+		apply:           r.HistogramOf("xqview_phase_seconds", phase, "phase", "apply"),
+		source:          r.HistogramOf("xqview_phase_seconds", phase, "phase", "source"),
+		total:           r.HistogramOf("xqview_maintain_seconds", "end-to-end maintenance batch latency"),
+		read:            ReadSeconds(r),
+		runs:            r.CounterOf("xqview_maintain_runs_total", "maintenance batches completed"),
+		rollbacks:       r.CounterOf("xqview_round_rollbacks_total", "maintenance rounds rolled back"),
+		restored:        r.CounterOf("xqview_rollback_restored_total", "draft node and root records discarded plus candidate extent copies abandoned by round rollbacks"),
+		skipped:         r.CounterOf("xqview_views_skipped_total", "views skipped by the region-relevance filter"),
+		merged:          r.CounterOf("deepunion_nodes_merged_total", "view nodes whose counts were merged"),
+		inserted:        r.CounterOf("deepunion_subtrees_inserted_total", "delta subtrees attached to the extent"),
+		removed:         r.CounterOf("deepunion_fragments_removed_total", "fragments disconnected at their root"),
+		modified:        r.CounterOf("deepunion_values_modified_total", "in-place value replacements"),
+		cacheHits:       r.CounterOf("xat_state_cache_hits_total", "base tables served from the cross-round state cache"),
+		cacheMisses:     r.CounterOf("xat_state_cache_misses_total", "base-table derivations that missed the state cache"),
+		cacheFolds:      r.CounterOf("xat_state_cache_folds_total", "cached base tables updated in place by folding a round's deltas"),
+		sharedGroups:    r.CounterOf("xat_shared_prefix_groups_total", "shared sub-plan prefixes propagated (once each) per round"),
+		sharedFanout:    r.CounterOf("xat_shared_prefix_fanout_total", "member subscriptions served from shared prefix propagations"),
+		sharedHits:      r.CounterOf("xat_shared_prefix_hits_total", "per-view subtree propagations saved by sharing (fanout - groups)"),
+		deltaRows:       r.CounterOf("xat_delta_rows_total", "delta update tree roots produced by propagation"),
+		compactBatches:  r.CounterOf("update_compact_batches_total", "update batches shrunk by pre-validation compaction"),
+		compactDropped:  r.CounterOf("update_compact_prims_dropped_total", dropped, "rule", "all"),
+		compactCoalesce: r.CounterOf("update_compact_prims_dropped_total", dropped, "rule", "coalesce"),
+		snapEpoch:       r.GaugeOf("xqview_snapshot_epoch", "sequence number of the version the last round published"),
+		snapRetired:     r.GaugeOf("xqview_snapshot_retired", "retired versions not yet drained by readers, at the last round's publish"),
+		snapReaders:     r.GaugeOf("xqview_snapshot_readers", "snapshot handles held by readers, at the last round's publish"),
+		cacheEntries:    r.GaugeOf("xat_state_cache_entries", "base tables held by the state caches of the last committed round"),
+	}
+}
+
+// add folds one sample into the registry. Phase latencies, the run counter
+// and the gauges come from committed rounds only; the propagate and apply
+// histograms observe the round's summed per-view work (PropagateNS,
+// ApplyNS), one observation per round. An aborted round counts a rollback
+// and what it restored; its count fields hold what ran before the failure
+// (compaction) and are zero otherwise. Every compaction drop is a coalesce,
+// the only rule CompactBatch has.
+func (f *roundFold) add(s *RoundSample) {
+	if s.Aborted {
+		f.rollbacks.Inc()
+		f.restored.Add(int64(s.RollbackRestored))
+	} else {
+		f.runs.Inc()
+		f.validate.Observe(time.Duration(s.ValidateNS))
+		f.propagate.Observe(time.Duration(s.PropagateNS))
+		f.apply.Observe(time.Duration(s.ApplyNS))
+		f.source.Observe(time.Duration(s.SourceNS))
+		f.total.Observe(time.Duration(s.TotalNS))
+		f.cacheEntries.Set(int64(s.CacheEntries))
+		if s.SnapEpoch != 0 {
+			f.snapEpoch.Set(s.SnapEpoch)
+			f.snapRetired.Set(int64(s.SnapRetired))
+			f.snapReaders.Set(int64(s.SnapReaders))
+		}
+	}
+	f.skipped.Add(int64(s.Skipped))
+	f.merged.Add(int64(s.Merged))
+	f.inserted.Add(int64(s.Inserted))
+	f.removed.Add(int64(s.Removed))
+	f.modified.Add(int64(s.Modified))
+	f.cacheHits.Add(int64(s.CacheHits))
+	f.cacheMisses.Add(int64(s.CacheMisses))
+	f.cacheFolds.Add(int64(s.CacheFolds))
+	f.sharedGroups.Add(int64(s.SharedGroups))
+	f.sharedFanout.Add(int64(s.SharedFanout))
+	f.sharedHits.Add(int64(s.SharedHits))
+	f.deltaRows.Add(int64(s.DeltaRoots))
+	if d := int64(s.PrimsIn - s.PrimsOut); d > 0 {
+		f.compactBatches.Inc()
+		f.compactDropped.Add(d)
+		f.compactCoalesce.Add(d)
+	}
 }
 
 // Cap reports the ring capacity.
@@ -141,8 +245,10 @@ func (rs *RoundSeries) Cap() int { return len(rs.slots) }
 func (rs *RoundSeries) Total() uint64 { return rs.total.Load() }
 
 // Append records one round sample, stamping its sequence number and
-// completion time. Callers gate on Enabled().
+// completion time, and folds it into the series' registry. Callers gate on
+// Enabled().
 func (rs *RoundSeries) Append(s RoundSample) {
+	rs.fold.add(&s)
 	seq := rs.total.Add(1)
 	s.Seq = seq
 	if s.UnixNano == 0 {
@@ -225,13 +331,6 @@ type RoundsPayload struct {
 	Extras map[string]any `json:"extras,omitempty"`
 }
 
-// quantileOf reads one phase histogram's quantile triple from the registry.
-// HistogramOf get-or-creates, so a registry where maintenance never ran
-// reports zeros rather than erroring.
-func quantileOf(r *Registry, name, help string, labels ...string) PhaseQuantiles {
-	return histQuantiles(r.HistogramOf(name, help, labels...))
-}
-
 // histQuantiles reads one histogram's quantile triple.
 func histQuantiles(h *Histogram) PhaseQuantiles {
 	return PhaseQuantiles{
@@ -242,10 +341,6 @@ func histQuantiles(h *Histogram) PhaseQuantiles {
 	}
 }
 
-// phaseHelp matches the registration at the core recording site, so the
-// payload builder resolves the same series instead of forking the family.
-const phaseHelp = "VPA phase latency per maintenance run"
-
 // ReadSeconds resolves the snapshot read-latency histogram in r. The
 // recording sites (the serving command's HTTP read endpoints and reader
 // pool) and the payload builder share this one registration, so the "read"
@@ -254,10 +349,10 @@ func ReadSeconds(r *Registry) *Histogram {
 	return r.HistogramOf("xqview_read_seconds", "snapshot read latency (acquire + serve + release)")
 }
 
-// BuildRoundsPayload assembles the /stats/rounds payload from a registry
-// and a round series. extras, when non-nil, is invoked per build so the
-// payload reflects live occupancy.
-func BuildRoundsPayload(r *Registry, rs *RoundSeries, extras func() map[string]any) RoundsPayload {
+// BuildRoundsPayload assembles the /stats/rounds payload from a round series
+// and the histograms it folds into. extras, when non-nil, is invoked per
+// build so the payload reflects live occupancy.
+func BuildRoundsPayload(rs *RoundSeries, extras func() map[string]any) RoundsPayload {
 	window := rs.Snapshot()
 	if window == nil {
 		window = []RoundSample{}
@@ -268,12 +363,12 @@ func BuildRoundsPayload(r *Registry, rs *RoundSeries, extras func() map[string]a
 		WindowCap:   rs.Cap(),
 		Window:      window,
 		Quantiles: map[string]PhaseQuantiles{
-			"validate":  quantileOf(r, "xqview_phase_seconds", phaseHelp, "phase", "validate"),
-			"propagate": quantileOf(r, "xqview_phase_seconds", phaseHelp, "phase", "propagate"),
-			"apply":     quantileOf(r, "xqview_phase_seconds", phaseHelp, "phase", "apply"),
-			"source":    quantileOf(r, "xqview_phase_seconds", phaseHelp, "phase", "source"),
-			"total":     quantileOf(r, "xqview_maintain_seconds", "end-to-end maintenance batch latency"),
-			"read":      histQuantiles(ReadSeconds(r)),
+			"validate":  histQuantiles(rs.fold.validate),
+			"propagate": histQuantiles(rs.fold.propagate),
+			"apply":     histQuantiles(rs.fold.apply),
+			"source":    histQuantiles(rs.fold.source),
+			"total":     histQuantiles(rs.fold.total),
+			"read":      histQuantiles(rs.fold.read),
 		},
 		TraceDroppedEvents: cTraceDropped.Value(),
 	}
@@ -286,11 +381,11 @@ func BuildRoundsPayload(r *Registry, rs *RoundSeries, extras func() map[string]a
 // RoundsHandler serves the round-telemetry JSON (the /stats/rounds endpoint
 // of the serving-mode observability handler). extras, when non-nil, injects
 // higher-layer context into every response.
-func RoundsHandler(r *Registry, rs *RoundSeries, extras func() map[string]any) http.Handler {
+func RoundsHandler(rs *RoundSeries, extras func() map[string]any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
-		enc.Encode(BuildRoundsPayload(r, rs, extras))
+		enc.Encode(BuildRoundsPayload(rs, extras))
 	})
 }

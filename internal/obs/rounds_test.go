@@ -11,7 +11,7 @@ import (
 )
 
 func TestRoundSeriesWindowSemantics(t *testing.T) {
-	rs := NewRoundSeries(4)
+	rs := NewRoundSeries(4, NewRegistry())
 	if got := rs.Snapshot(); got != nil {
 		t.Fatalf("empty series snapshot = %v, want nil", got)
 	}
@@ -57,7 +57,7 @@ func TestRoundSeriesWindowSemantics(t *testing.T) {
 // and windows must be strictly ordered. Run under -race this also proves
 // the ring is publication-safe.
 func TestRoundSeriesConcurrent(t *testing.T) {
-	rs := NewRoundSeries(8)
+	rs := NewRoundSeries(8, NewRegistry())
 	var writers, reader sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -100,7 +100,7 @@ func TestRoundSeriesConcurrent(t *testing.T) {
 // must pay one atomic load and nothing else for round telemetry.
 func TestRoundSeriesDisabledZeroAllocs(t *testing.T) {
 	defer SetEnabled(SetEnabled(false))
-	rs := NewRoundSeries(8)
+	rs := NewRoundSeries(8, NewRegistry())
 	allocs := testing.AllocsPerRun(1000, func() {
 		if Enabled() {
 			rs.Append(RoundSample{TotalNS: 1})
@@ -113,12 +113,9 @@ func TestRoundSeriesDisabledZeroAllocs(t *testing.T) {
 
 func TestBuildRoundsPayload(t *testing.T) {
 	defer SetEnabled(SetEnabled(true))
-	r := NewRegistry()
-	r.HistogramOf("xqview_phase_seconds", phaseHelp, "phase", "validate").Observe(3 * time.Millisecond)
-	r.HistogramOf("xqview_maintain_seconds", "end-to-end maintenance batch latency").Observe(5 * time.Millisecond)
-	rs := NewRoundSeries(4)
-	rs.Append(RoundSample{TotalNS: int64(5 * time.Millisecond), PrimsIn: 3, PrimsOut: 2})
-	p := BuildRoundsPayload(r, rs, func() map[string]any {
+	rs := NewRoundSeries(4, NewRegistry())
+	rs.Append(RoundSample{TotalNS: int64(5 * time.Millisecond), ValidateNS: int64(3 * time.Millisecond), PrimsIn: 3, PrimsOut: 2})
+	p := BuildRoundsPayload(rs, func() map[string]any {
 		return map[string]any{"journal_rounds": 7}
 	})
 	if !p.Enabled || p.RoundsTotal != 1 || len(p.Window) != 1 {
@@ -138,11 +135,69 @@ func TestBuildRoundsPayload(t *testing.T) {
 	}
 }
 
-func TestRoundsHandlerJSON(t *testing.T) {
+// TestRoundSeriesFoldsIntoRegistry pins the fold: appending a sample moves
+// the registry's round series by exactly the sample's fields. Phase
+// latencies, runs and gauges come from committed rounds; an aborted round
+// counts a rollback and what it restored.
+func TestRoundSeriesFoldsIntoRegistry(t *testing.T) {
 	r := NewRegistry()
-	rs := NewRoundSeries(4)
+	rs := NewRoundSeries(4, r)
+	rs.Append(RoundSample{TotalNS: 9, PropagateNS: 4, ApplyNS: 2, PrimsIn: 5, PrimsOut: 3,
+		Skipped: 2, DeltaRoots: 3, CacheHits: 4, CacheMisses: 1, CacheFolds: 2, CacheEntries: 7,
+		SharedGroups: 1, SharedFanout: 3, SharedHits: 2, Merged: 1, Inserted: 2, Removed: 3, Modified: 4,
+		SnapEpoch: 6, SnapRetired: 1, SnapReaders: 2})
+	rs.Append(RoundSample{Aborted: true, TotalNS: 3, PrimsIn: 2, PrimsOut: 2, RollbackRestored: 5})
+	counter := func(name string, labels ...string) int64 { return r.CounterOf(name, "", labels...).Value() }
+	gauge := func(name string) int64 { return r.GaugeOf(name, "").Value() }
+	for name, want := range map[string]int64{
+		"xqview_maintain_runs_total":        1,
+		"xqview_round_rollbacks_total":      1,
+		"xqview_rollback_restored_total":    5,
+		"xqview_views_skipped_total":        2,
+		"xat_delta_rows_total":              3,
+		"xat_state_cache_hits_total":        4,
+		"xat_state_cache_misses_total":      1,
+		"xat_state_cache_folds_total":       2,
+		"xat_shared_prefix_groups_total":    1,
+		"xat_shared_prefix_fanout_total":    3,
+		"xat_shared_prefix_hits_total":      2,
+		"deepunion_nodes_merged_total":      1,
+		"deepunion_subtrees_inserted_total": 2,
+		"deepunion_fragments_removed_total": 3,
+		"deepunion_values_modified_total":   4,
+		"update_compact_batches_total":      1,
+	} {
+		if got := counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for _, rule := range []string{"all", "coalesce"} {
+		if got := counter("update_compact_prims_dropped_total", "rule", rule); got != 2 {
+			t.Errorf("update_compact_prims_dropped_total{rule=%q} = %d, want 2", rule, got)
+		}
+	}
+	for name, want := range map[string]int64{
+		"xat_state_cache_entries": 7, "xqview_snapshot_epoch": 6,
+		"xqview_snapshot_retired": 1, "xqview_snapshot_readers": 2,
+	} {
+		if got := gauge(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for _, phase := range []string{"validate", "propagate", "apply", "source"} {
+		if n := r.HistogramOf("xqview_phase_seconds", "", "phase", phase).Count(); n != 1 {
+			t.Errorf("phase %s observed %d times, want once (committed rounds only)", phase, n)
+		}
+	}
+	if n := r.HistogramOf("xqview_maintain_seconds", "").Count(); n != 1 {
+		t.Errorf("xqview_maintain_seconds observed %d times, want 1", n)
+	}
+}
+
+func TestRoundsHandlerJSON(t *testing.T) {
+	rs := NewRoundSeries(4, NewRegistry())
 	rs.Append(RoundSample{TotalNS: 42, Aborted: true})
-	srv := httptest.NewServer(RoundsHandler(r, rs, nil))
+	srv := httptest.NewServer(RoundsHandler(rs, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/")
 	if err != nil {

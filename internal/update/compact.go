@@ -4,28 +4,7 @@ import (
 	"fmt"
 
 	"xqview/internal/flexkey"
-	"xqview/internal/obs"
 )
-
-// Compaction metric series: batch shrinkage, the compaction tier of the
-// round-telemetry pipeline (the per-round in/out pair lives in
-// obs.RoundSample; these cumulative counters serve /metrics).
-var (
-	cCompactBatches = obs.Default.CounterOf("update_compact_batches_total", "update batches shrunk by pre-validation compaction")
-	cCompactDropped = obs.Default.CounterOf("update_compact_prims_dropped_total", "update primitives removed by compaction", "rule", "all")
-	cDropCoalesce   = obs.Default.CounterOf("update_compact_prims_dropped_total", "update primitives removed by compaction", "rule", "coalesce")
-)
-
-// recordCompaction folds one batch's decisions into the metric series.
-// Called only when decisions fired and obs is enabled.
-func recordCompaction(decisions []Compaction) {
-	cCompactBatches.Inc()
-	for _, d := range decisions {
-		n := int64(len(d.Dropped))
-		cCompactDropped.Add(n)
-		cDropCoalesce.Add(n)
-	}
-}
 
 // Compaction is one batch-normalization decision made by CompactBatch. It
 // references primitives by their position in the ORIGINAL batch, so journal
@@ -95,9 +74,6 @@ func CompactBatch(prims []*Primitive) (kept []*Primitive, keptIdx []int, decisio
 
 	if len(decisions) == 0 {
 		return prims, nil, nil
-	}
-	if obs.Enabled() {
-		recordCompaction(decisions)
 	}
 	kept = make([]*Primitive, 0, n)
 	keptIdx = make([]int, 0, n)

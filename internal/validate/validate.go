@@ -12,7 +12,6 @@ import (
 	"xqview/internal/faultinject"
 	"xqview/internal/flexkey"
 	"xqview/internal/journal"
-	"xqview/internal/obs"
 	"xqview/internal/sapt"
 	"xqview/internal/update"
 	"xqview/internal/xmldoc"
@@ -45,11 +44,6 @@ type Stats struct {
 	Passed     int
 	Rewritten  int
 }
-
-// Add accumulates s2 into s field by field (via obs.AddFields, like every
-// Stats type in the engine), so counters added here aggregate without
-// touching call sites.
-func (s *Stats) Add(s2 Stats) { obs.AddFields(s, s2) }
 
 // Prims returns the primitives propagation reads, across documents.
 func (b *Batch) Prims() []*update.Primitive {

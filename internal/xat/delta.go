@@ -84,13 +84,7 @@ func PropagateDeltaShared(p *Plan, in *DeltaInput, parent obs.Span, rec *journal
 	if err != nil {
 		return nil, err
 	}
-	roots := e.materializeDelta(final, p.ResultCol(final))
-	if obs.Enabled() {
-		cDeltaRuns.Inc()
-		cDeltaRows.Add(int64(len(roots)))
-		gSkeletons.Set(int64(len(e.env.Cons)))
-	}
-	return roots, nil
+	return e.materializeDelta(final, p.ResultCol(final)), nil
 }
 
 type deltaEngine struct {
@@ -182,9 +176,6 @@ func (e *deltaEngine) base(o *Op) (*Table, error) {
 	if t, ok := e.cache.lookup(o); ok {
 		e.baseMemo[o] = t
 		return t, nil
-	}
-	if obs.Enabled() {
-		cBaseDerivations.Inc()
 	}
 	// One span for the whole derivation; its operators get none.
 	var sp obs.Span

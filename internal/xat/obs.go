@@ -10,14 +10,10 @@ import (
 // Enabled() load plus an atomic add — no registry lookups while executing.
 // Indexed by OpKind (contiguous from 0).
 var (
-	opTuplesIn       []*obs.Counter
-	opTuplesOut      []*obs.Counter
-	opDeltaTuples    []*obs.Counter
-	opDeltaEmpty     []*obs.Counter
-	cDeltaRows       = obs.Default.CounterOf("xat_delta_rows_total", "delta update tree roots produced by propagation")
-	cDeltaRuns       = obs.Default.CounterOf("xat_propagate_runs_total", "per-view delta propagations (PropagateDeltaShared calls)")
-	gSkeletons       = obs.Default.GaugeOf("xat_skeletons", "constructed-node skeleton registry size after the last propagation")
-	cBaseDerivations = obs.Default.CounterOf("xat_base_derivations_total", "base sub-plan tables derived during propagation (join/aggregate equations)")
+	opTuplesIn    []*obs.Counter
+	opTuplesOut   []*obs.Counter
+	opDeltaTuples []*obs.Counter
+	opDeltaEmpty  []*obs.Counter
 )
 
 func init() {

@@ -18,25 +18,6 @@ import (
 // Round cost then scales with the number of DISTINCT sub-plans, not the
 // number of views.
 
-// Shared-prefix metric series.
-var (
-	cSharedGroups = obs.Default.CounterOf("xat_shared_prefix_groups_total", "shared sub-plan prefixes propagated (once each) per round")
-	cSharedFanout = obs.Default.CounterOf("xat_shared_prefix_fanout_total", "member subscriptions served from shared prefix propagations")
-	cSharedHits   = obs.Default.CounterOf("xat_shared_prefix_hits_total", "per-view subtree propagations saved by sharing (fanout - groups)")
-)
-
-// RecordSharedRound folds one round's shared-frontier activity into the
-// metric series. Callers may invoke it unconditionally; it gates on
-// obs.Enabled itself.
-func RecordSharedRound(groups, fanout, hits int) {
-	if !obs.Enabled() {
-		return
-	}
-	cSharedGroups.Add(int64(groups))
-	cSharedFanout.Add(int64(fanout))
-	cSharedHits.Add(int64(hits))
-}
-
 // GroupMember is one subscription of a view's plan to a shared group: the
 // member's own operator subtree, structurally equal to the group's
 // representative.

@@ -15,21 +15,16 @@ import (
 // commit never leaks into the shared entries map.
 var fpCommit = faultinject.Register("xat.statecache.commit")
 
-// State-cache metric series (shared across views; per-view numbers live in
-// CacheStats).
-var (
-	cCacheHits      = obs.Default.CounterOf("xat_state_cache_hits_total", "base tables served from the cross-round state cache")
-	cCacheMisses    = obs.Default.CounterOf("xat_state_cache_misses_total", "base-table derivations that missed the state cache")
-	cCacheFolds     = obs.Default.CounterOf("xat_state_cache_folds_total", "cached base tables updated in place by folding a round's deltas")
-	gCacheEntries   = obs.Default.GaugeOf("xat_state_cache_entries", "base tables held by state caches")
-	cCacheEvictions = func() (cs [numEvictCauses]*obs.Counter) {
-		for c := range cs {
-			cs[c] = obs.Default.CounterOf("xat_state_cache_evictions_total",
-				"cached base tables dropped, by cause", "cause", evictCauseNames[c])
-		}
-		return cs
-	}()
-)
+// cCacheEvictions counts dropped tables by cause, shared across caches. The
+// per-cache totals live in CacheStats, which each round's sample diffs; the
+// hit, miss, fold and entry series are folded from the sample.
+var cCacheEvictions = func() (cs [numEvictCauses]*obs.Counter) {
+	for c := range cs {
+		cs[c] = obs.Default.CounterOf("xat_state_cache_evictions_total",
+			"cached base tables dropped, by cause", "cause", evictCauseNames[c])
+	}
+	return cs
+}()
 
 // evictCause says why a cached table was dropped; it labels the eviction
 // counter.
@@ -63,8 +58,8 @@ type CacheStats struct {
 // Sub returns the counter movement from prev to s — one round's cache
 // activity when prev was snapshotted at round start (Entries, a level not a
 // counter, is carried over from s as-is). This is the round-telemetry
-// choke point: core diffs each view's lifetime stats across the round and
-// folds the deltas into the round's obs.RoundSample.
+// choke point: core diffs the summed lifetime stats of every cache the
+// round touched and records the delta in the round's obs.RoundSample.
 func (s CacheStats) Sub(prev CacheStats) CacheStats {
 	return CacheStats{
 		Hits:      s.Hits - prev.Hits,
@@ -179,9 +174,6 @@ func (c *StateCache) lookup(o *Op) (*Table, bool) {
 		return nil, false
 	}
 	c.stats.Hits++
-	if obs.Enabled() {
-		cCacheHits.Inc()
-	}
 	return e.tbl, true
 }
 
@@ -193,9 +185,6 @@ func (c *StateCache) noteFresh(o *Op, t *Table) {
 		return
 	}
 	c.stats.Misses++
-	if obs.Enabled() {
-		cCacheMisses.Inc()
-	}
 	if tableHasConstructed(t) {
 		return
 	}
@@ -348,15 +337,11 @@ func (c *StateCache) Install(p *PreparedCommit) {
 	if obs.Enabled() {
 		// Views commit concurrently and share these series: skip the
 		// atomic writes that would add nothing.
-		if p.folds > 0 {
-			cCacheFolds.Add(int64(p.folds))
-		}
 		for cause, n := range p.evicts {
 			if n > 0 {
 				cCacheEvictions[cause].Add(int64(n))
 			}
 		}
-		gCacheEntries.Set(int64(len(c.entries)))
 	}
 }
 
@@ -409,7 +394,6 @@ func (c *StateCache) Invalidate() {
 	c.stats.Entries = 0
 	if obs.Enabled() {
 		cCacheEvictions[evictInvalidate].Add(int64(n))
-		gCacheEntries.Set(0)
 	}
 }
 
