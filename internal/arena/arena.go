@@ -4,7 +4,7 @@
 // round performs no heap allocation for tuple construction at all.
 //
 // The safety contract is lifetime-based, not reference-counted: everything
-// allocated from a pool dies together when the owning round transaction
+// allocated from a pool dies together when the round that allocated it
 // commits or rolls back. Data that must outlive the round (state-cache
 // entries, materialized extents) is deep-copied out at the transaction
 // boundary by its owner — the pool has no way to exempt individual values.
@@ -25,7 +25,8 @@ const DefaultChunk = 1024
 
 // Pool is a typed bump allocator. The zero value is ready to use.
 // A Pool is not safe for concurrent use; the engine keeps one bundle of
-// pools per maintenance round per view worker.
+// pools per view, for the view's lifetime, and only the worker maintaining
+// the view touches it during a round.
 type Pool[T any] struct {
 	// ChunkSize overrides DefaultChunk when > 0. Requests larger than the
 	// chunk size are served from dedicated "big" allocations that are

@@ -68,12 +68,13 @@ type round struct {
 	// results served; fanout - groups is the per-view work sharing saved.
 	sharedGroups, sharedFanout int
 
-	// The round transaction (txn.go): one slot per view, and one per shared
-	// group of the round's DAG (nil without groups).
-	stages []viewStage
-	shared []sharedStage
+	// The round transaction (txn.go): one slot per view, and one prepared
+	// cache commit per shared group of the round's DAG (nil without groups;
+	// nil for a group whose partition the round left alone).
+	stages      []viewStage
+	sharedPreps []*xat.PreparedCommit
 
-	// Arena occupancy, priced just before commit releases the arenas.
+	// Arena occupancy, priced just before commit releases the views' arenas.
 	arenaBytes  int64
 	arenaChunks int
 	// restored is what rollback discarded (restore's count).
@@ -239,7 +240,7 @@ func (r *round) propagateShared() error {
 	}
 	sp = r.span("SharedPrefixes")
 	results := make([]*xat.SharedResult, len(dag.Groups))
-	r.shared = make([]sharedStage, len(dag.Groups))
+	r.sharedPreps = make([]*xat.PreparedCommit, len(dag.Groups))
 	err := forEachIndex(len(dag.Groups), r.opt, func(gi int) (err error) {
 		results[gi], err = r.propagateGroup(dag.Groups[gi], gi, sp)
 		return err
@@ -276,10 +277,6 @@ func (r *round) propagateGroup(g *xat.SharedGroup, gi int, sp obs.Span) (res *xa
 			res, err = nil, fmt.Errorf("shared prefix %d: panic: %v", gi, p)
 		}
 	}()
-	// Register the cache partition before anything fallible runs so
-	// rollback clears its staging even if this task dies mid-way.
-	st := &r.shared[gi]
-	st.cache = g.Cache
 	live := false
 	for _, m := range g.Members {
 		live = live || !r.skip[m.View]
@@ -288,7 +285,7 @@ func (r *round) propagateGroup(g *xat.SharedGroup, gi int, sp obs.Span) (res *xa
 		// The prefix must not run, but its cached tables still go stale if
 		// the round touches its documents: stage an eviction-only commit.
 		if xat.RegionsTouch(r.din.Regions, g.Docs) {
-			if st.prep, err = g.Cache.PrepareEvictTouched(r.din.Regions); err != nil {
+			if r.sharedPreps[gi], err = g.Cache.PrepareEvictTouched(r.din.Regions); err != nil {
 				return nil, fmt.Errorf("shared prefix %d: %w", gi, err)
 			}
 		}
@@ -297,7 +294,7 @@ func (r *round) propagateGroup(g *xat.SharedGroup, gi int, sp obs.Span) (res *xa
 	if res, err = g.Propagate(r.din, sp, r.jrec.Active()); err != nil {
 		return nil, fmt.Errorf("shared prefix %d: %w", gi, err)
 	}
-	if st.prep, err = g.Cache.Prepare(r.din.Regions); err != nil {
+	if r.sharedPreps[gi], err = g.Cache.Prepare(r.din.Regions); err != nil {
 		return nil, fmt.Errorf("shared prefix %d: %w", gi, err)
 	}
 	return res, nil
@@ -339,12 +336,6 @@ func (r *round) maintainView(i int) (err error) {
 		vrec.Skip("no region overlap")
 		return nil
 	}
-	cache := v.stateCache()
-	// The round arena is registered in the stage slot before the first
-	// tuple is allocated, so commit and rollback both release it even if
-	// this task dies mid-propagate.
-	st := &r.stages[i]
-	st.alloc = xat.NewAlloc()
 	// Seeds stand in for the subtrees a shared prefix already propagated;
 	// their lineage replays under this view's operator ids.
 	var seeds []xat.Seed
@@ -355,7 +346,7 @@ func (r *round) maintainView(i int) (err error) {
 
 	t0 := time.Now()
 	pspan := vtrack.ChildAt("Propagate", t0)
-	roots, err := xat.PropagateDeltaShared(v.Plan, r.din, pspan, vrec, cache, st.alloc, seeds)
+	roots, err := xat.PropagateDeltaShared(v.Plan, r.din, pspan, vrec, v.cache, v.alloc, seeds)
 	t1 := time.Now()
 	if err != nil {
 		pspan.EndAt(t1)
@@ -365,12 +356,11 @@ func (r *round) maintainView(i int) (err error) {
 	ms.DeltaRoots = len(roots)
 	pspan.Arg("delta_roots", len(roots)).EndAt(t1)
 
-	// Apply is copy-on-write: the live extent is never written, and tx and
-	// cache are registered before the first node is touched, so a mid-apply
-	// death leaves the extent intact and rollback abandons the copies.
+	// Apply is copy-on-write: the live extent is never written, so a
+	// mid-apply death leaves the extent intact and rollback abandons the
+	// view tracker's copies.
 	aspan := vtrack.ChildAt("Apply", t1)
-	st.tx, st.cache = deepunion.NewTxn(), cache
-	staged, err := deepunion.ApplyTx(append([]*xat.VNode(nil), v.Extent...), roots, &ms.Union, vrec, st.tx)
+	staged, err := deepunion.ApplyTx(append([]*xat.VNode(nil), v.Extent...), roots, &ms.Union, vrec, v.tx)
 	t2 := time.Now()
 	if err != nil {
 		aspan.EndAt(t2)
@@ -381,11 +371,11 @@ func (r *round) maintainView(i int) (err error) {
 		Arg("removed", ms.Union.Removed).EndAt(t2)
 	// Prepare (don't install) the cache fold: it becomes visible only when
 	// the whole round commits.
-	prep, err := cache.Prepare(r.din.Regions)
+	prep, err := v.cache.Prepare(r.din.Regions)
 	if err != nil {
 		return fmt.Errorf("cache commit view %q: %w", v.displayName(i), err)
 	}
-	st.extent, st.prep, st.staged = staged, prep, true
+	r.stages[i] = viewStage{staged: true, extent: staged, prep: prep}
 	return nil
 }
 
@@ -434,9 +424,9 @@ func (r *round) commit() {
 	defer r.lap(&r.commitTime, obs.Span{})
 	if r.telemetry {
 		// Priced before commit releases (and in poison builds scrubs) the
-		// round arenas.
-		for i := range r.stages {
-			b, c := r.stages[i].alloc.Footprint()
+		// views' arenas.
+		for _, v := range r.views {
+			b, c := v.alloc.Footprint()
 			r.arenaBytes += b
 			r.arenaChunks += c
 		}

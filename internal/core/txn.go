@@ -1,7 +1,6 @@
 package core
 
 import (
-	"xqview/internal/deepunion"
 	"xqview/internal/faultinject"
 	"xqview/internal/xat"
 )
@@ -12,40 +11,23 @@ var fpRefresh = faultinject.Register("core.refresh")
 
 // The round transaction: every fallible step of a round stages its outcome
 // in the round's slots — store changes in the round's draft, per-view
-// extents under a deepunion.Txn, cache commits as PreparedCommit — and
-// install makes everything live together only after the whole round
-// succeeded, while restore drops the staging, leaving every structure
-// byte-identical to the pre-round state.
+// extents as copy-on-write candidates under the view's deepunion.Txn, cache
+// commits as PreparedCommit — and install makes everything live together
+// only after the whole round succeeded, while restore drops the staging,
+// leaving every structure byte-identical to the pre-round state. The round
+// memory itself is the views': each view owns its state cache, round arena
+// and tracker, so install and restore walk the views and the shared groups
+// directly, and resetting a view that did not run is a no-op.
 
 // viewStage is one view's staged outcome within a round transaction. The
 // worker maintaining view i is the only writer of slot i (the same
 // index-addressed ownership as the out slots), and the slots are only read
-// after the pool joins.
-//
-// tx and cache are registered before the apply phase runs. Apply is
-// copy-on-write, so a worker that dies mid-apply leaves the live extent
-// untouched and rollback just abandons the candidate copies; extent/prep
-// land only after every fallible per-view step succeeded.
+// after the pool joins. A slot is filled only after every fallible per-view
+// step succeeded.
 type viewStage struct {
 	staged bool
 	extent []*xat.VNode
-	tx     *deepunion.Txn
 	prep   *xat.PreparedCommit
-	cache  *xat.StateCache
-	// alloc is the view's round arena, registered before propagation starts
-	// so commit and rollback both release it wholesale. Everything that
-	// outlives the round (extents, promoted cache tables, journal records)
-	// was copied out of it by then.
-	alloc *xat.Alloc
-}
-
-// sharedStage is one shared group's staged outcome within a round
-// transaction: its cache partition (registered before the group propagates,
-// so a mid-phase death still clears the staging) and the prepared commit to
-// install. The worker handling group gi is the only writer of slot gi.
-type sharedStage struct {
-	cache *xat.StateCache
-	prep  *xat.PreparedCommit
 }
 
 // install makes the round live: the draft's delta is installed into the
@@ -55,24 +37,19 @@ type sharedStage struct {
 // fallible step already ran.
 func (r *round) install() {
 	r.store.Install(r.draft.Delta())
-	for i := range r.shared {
-		st := &r.shared[i]
-		st.cache.Install(st.prep)
-		r.shared[i] = sharedStage{}
+	for gi, g := range r.dag.Groups {
+		g.Cache.Install(r.sharedPreps[gi])
 	}
 	for i, v := range r.views {
-		st := &r.stages[i]
-		if st.staged {
+		if st := &r.stages[i]; st.staged {
 			v.Extent = st.extent
-			st.cache.Install(st.prep)
+			v.cache.Install(st.prep)
 		}
-		st.tx.Release()
-		st.tx = nil
+		v.tx.Release()
 		// Release the round arena only after the staged state is installed:
 		// in poison builds the release scrubs the memory, so any surviving
 		// alias would be caught by the differential tests.
-		st.alloc.Release()
-		st.alloc = nil
+		v.alloc.Release()
 	}
 }
 
@@ -89,19 +66,15 @@ func (r *round) restore() int {
 		restored = r.draft.Delta().Len()
 		r.draft = nil
 	}
-	for i := range r.shared {
-		r.shared[i].cache.Rollback()
-		r.shared[i] = sharedStage{}
-	}
-	for i := range r.stages {
-		st := &r.stages[i]
-		if st.tx != nil {
-			restored += st.tx.Rollback()
-			st.tx.Release()
+	if r.dag != nil {
+		for _, g := range r.dag.Groups {
+			g.Cache.Rollback()
 		}
-		st.cache.Rollback()
-		st.alloc.Release()
-		r.stages[i] = viewStage{}
+	}
+	for _, v := range r.views {
+		restored += v.tx.Rollback()
+		v.cache.Rollback()
+		v.alloc.Release()
 	}
 	return restored
 }

@@ -364,3 +364,31 @@ func TestAbortedRoundJournal(t *testing.T) {
 		t.Fatalf("retried round's lineage missing:\n%s", text)
 	}
 }
+
+// TestRetriedRoundCacheStats: a round aborted in apply and retried leaves
+// every view's lifetime cache counters where a fault-free twin's are. The
+// aborted round's lookups ran, but its hits and misses are staged with the
+// rest of its cache work and dropped by the rollback.
+func TestRetriedRoundCacheStats(t *testing.T) {
+	defer faultinject.Reset()
+	s, views, prims := obsFixture(t)
+	ts, twins, tprims := obsFixture(t)
+	if err := faultinject.Arm("deepunion.apply", faultinject.ModeError, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MaintainAll(s, views, prims, 0); err == nil {
+		t.Fatal("round with an armed apply fault committed")
+	}
+	faultinject.Reset()
+	if _, err := MaintainAll(s, views, prims, 0); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if _, err := MaintainAll(ts, twins, tprims, 0); err != nil {
+		t.Fatalf("twin: %v", err)
+	}
+	for i := range views {
+		if got, want := views[i].CacheStats(), twins[i].CacheStats(); got != want {
+			t.Errorf("view %d: retried cache stats %+v, fault-free twin %+v", i, got, want)
+		}
+	}
+}

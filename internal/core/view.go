@@ -31,31 +31,24 @@ type View struct {
 	// Optional; when empty, a positional "view-<i>" label is used.
 	Name string
 
-	// cache is the cross-round propagation state cache. Lazily created;
-	// only the worker maintaining this view touches it during a round.
+	// The view's round state, owned for its whole lifetime: the cross-round
+	// propagation state cache, the round arena propagation allocates from,
+	// and the copy-on-write tracker of the apply phase. Only the worker
+	// maintaining this view touches them during a round; the round's commit
+	// or rollback resets the arena and the tracker in place.
 	cache *xat.StateCache
-}
-
-// stateCache returns the view's propagation state cache, creating it on
-// first use.
-func (v *View) stateCache() *xat.StateCache {
-	if v.cache == nil {
-		v.cache = xat.NewStateCache()
-	}
-	return v.cache
+	alloc *xat.Alloc
+	tx    *deepunion.Txn
 }
 
 // InvalidateCache drops every base table the view's propagation state cache
 // holds. Call it after any out-of-band mutation of the source store (the
 // cache only tracks mutations flowing through MaintainAll).
 func (v *View) InvalidateCache() {
-	if v.cache != nil {
-		v.cache.Invalidate()
-	}
+	v.cache.Invalidate()
 }
 
-// CacheStats reports the propagation state cache's counters (zero when the
-// cache was never used).
+// CacheStats reports the propagation state cache's lifetime counters.
 func (v *View) CacheStats() xat.CacheStats {
 	return v.cache.Stats()
 }
@@ -113,7 +106,8 @@ func NewView(store *xmldoc.Store, query string) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &View{Query: query, Plan: plan, Store: store, SAPT: sapt.Build(plan)}
+	v := &View{Query: query, Plan: plan, Store: store, SAPT: sapt.Build(plan),
+		cache: xat.NewStateCache(), alloc: xat.NewAlloc(), tx: deepunion.NewTxn()}
 	if err := v.Materialize(); err != nil {
 		return nil, err
 	}

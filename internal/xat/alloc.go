@@ -1,7 +1,6 @@
 package xat
 
 import (
-	"sync"
 	"unsafe"
 
 	"xqview/internal/arena"
@@ -13,11 +12,11 @@ import (
 // means "allocate from the heap": the path taken by one-shot full view
 // computation (Execute, Materialize).
 //
-// The lifetime contract is the round transaction's: core.roundTxn owns one
-// Alloc per view worker and calls Release at commit/rollback. Nothing
-// allocated from an Alloc may survive Release — the state cache deep-copies
-// entries out at its Prepare boundary, and materialized extents are built
-// from fresh VNodes, never from arena memory.
+// The lifetime contract is the round's: each core.View owns one Alloc for
+// its whole lifetime, and the round's commit or rollback calls Release.
+// Nothing allocated from an Alloc may survive Release — the state cache
+// deep-copies entries out at its Prepare boundary, and materialized extents
+// are built from fresh VNodes, never from arena memory.
 type Alloc struct {
 	tuples arena.Pool[Tuple]
 	cells  arena.Pool[Cell]
@@ -36,27 +35,22 @@ type Alloc struct {
 	spanUsed int
 }
 
-// allocPool recycles Alloc bundles (and their retained chunks) across
-// rounds, so steady-state maintenance performs no allocation even for the
-// arenas themselves.
-var allocPool = sync.Pool{New: func() any {
+// NewAlloc returns an empty round arena. Its chunks are allocated on first
+// use and kept across Release, so an owner that keeps one Alloc performs no
+// allocation for the arenas themselves in steady-state rounds.
+func NewAlloc() *Alloc {
 	return &Alloc{
 		items: arena.Pool[Item]{ChunkSize: 4096},
 		refs:  arena.Pool[*Tuple]{ChunkSize: 4096},
 		vrefs: arena.Pool[*VNode]{ChunkSize: 4096},
 		ints:  arena.Pool[int32]{ChunkSize: 8192},
 	}
-}}
-
-// NewAlloc returns a round arena from the recycler.
-func NewAlloc() *Alloc {
-	return allocPool.Get().(*Alloc)
 }
 
-// Release rewinds the arena and returns it to the recycler. With poisoning
-// active (default under -race, see internal/arena), the retained chunks are
-// zeroed and dropped instead, so round-escaping pointers read as zero
-// values rather than silently aliasing the next round's data.
+// Release rewinds the arena in place for its owner's next round. With
+// poisoning active (default under -race, see internal/arena), the retained
+// chunks are zeroed and dropped instead, so round-escaping pointers read as
+// zero values rather than silently aliasing the next round's data.
 func (a *Alloc) Release() {
 	if a == nil {
 		return
@@ -76,7 +70,6 @@ func (a *Alloc) Release() {
 		clear(m)
 	}
 	a.spanUsed = 0
-	allocPool.Put(a)
 }
 
 // poolBytes prices one pool's occupancy in bytes.
@@ -88,8 +81,8 @@ func poolBytes[T any](p *arena.Pool[T]) (bytes int64, chunks int) {
 
 // Footprint reports the bump-allocated bytes and backing chunk count across
 // every pool of the bundle — the round-telemetry arena occupancy, sampled by
-// core just before the round transaction releases its arenas. Nil-safe: the
-// heap-fallback path reports zeros.
+// core just before the round's commit releases the views' arenas. Nil-safe:
+// the heap-fallback path reports zeros.
 func (a *Alloc) Footprint() (bytes int64, chunks int) {
 	if a == nil {
 		return 0, 0

@@ -2,8 +2,10 @@ package xat
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"xqview/internal/arena"
 	"xqview/internal/flexkey"
@@ -20,11 +22,10 @@ import (
 // tupleSink keeps the measured rounds from being optimized away.
 var tupleSink *Tuple
 
-// tupleRound is one steady-state constructor round: borrow the recycled
-// arena, build a chain of tuples through the hot constructors (tuple,
-// extend, extendCells, cell1, vnode, makeInt32, spanMap), release.
-func tupleRound() {
-	a := NewAlloc()
+// tupleRound is one steady-state constructor round on the caller's arena:
+// build a chain of tuples through the hot constructors (tuple, extend,
+// extendCells, cell1, vnode, makeInt32, spanMap), release.
+func tupleRound(a *Alloc) {
 	tp := a.tuple()
 	tp.Cells, tp.Count = a.makeCells(1, 1), 1
 	for i := 0; i < 64; i++ {
@@ -43,16 +44,35 @@ func tupleRound() {
 
 // TestArenaSteadyStateZeroAllocs asserts the zero-alloc contract for the
 // per-tuple constructors: after a warm-up that grows the chunks, a full
-// allocate-then-release round performs no heap allocation at all.
+// allocate-then-release round on the same arena performs no heap allocation
+// at all, even with collections forced between rounds — the arena's owner,
+// not the collector, decides how long its chunks live.
 func TestArenaSteadyStateZeroAllocs(t *testing.T) {
 	if arena.Poisoning() {
 		t.Skip("poison mode drops chunks at Release, so rounds re-allocate by design")
 	}
+	a := NewAlloc()
 	for i := 0; i < 4; i++ {
-		tupleRound() // grow chunks, spanMaps, and the sync.Pool shard
+		tupleRound(a) // grow chunks and spanMaps
 	}
-	if avg := testing.AllocsPerRun(200, tupleRound); avg != 0 {
+	if avg := testing.AllocsPerRun(200, func() { tupleRound(a) }); avg != 0 {
 		t.Fatalf("steady-state constructor round allocates: %.2f allocs/run, want 0", avg)
+	}
+	// Each round is measured on its own, after two collections: the first
+	// would move a sync.Pool's contents to its victim cache, the second drop
+	// them. The pause lets the runtime's own post-collection cleanups, which
+	// allocate, finish outside the measured window.
+	var before, after runtime.MemStats
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		runtime.ReadMemStats(&before)
+		tupleRound(a)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("constructor round after two collections allocates: %d allocs, want 0", n)
+		}
 	}
 }
 
@@ -70,11 +90,11 @@ func TestDeltaNavArenaAllocs(t *testing.T) {
 	const small, big = 2, 32
 	run := func(inserts int, withArena bool) func() {
 		in := deltaNavInput(t, inserts)
+		var a *Alloc
+		if withArena {
+			a = NewAlloc()
+		}
 		return func() {
-			var a *Alloc
-			if withArena {
-				a = NewAlloc()
-			}
 			if _, err := PropagateDeltaShared(plan, in, obs.Span{}, nil, nil, a, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -147,11 +167,12 @@ func deltaNavInput(t testing.TB, inserts int) *DeltaInput {
 // BenchmarkTupleConstructors measures the raw constructor round (64 extends
 // plus vnode/int32/spanMap traffic) with allocs/op reported.
 func BenchmarkTupleConstructors(b *testing.B) {
-	tupleRound()
+	a := NewAlloc()
+	tupleRound(a)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tupleRound()
+		tupleRound(a)
 	}
 }
 
@@ -165,12 +186,12 @@ func BenchmarkDeltaNav(b *testing.B) {
 		arena bool
 	}{{"alloc=arena", true}, {"alloc=heap", false}} {
 		b.Run(arm.name, func(b *testing.B) {
+			var a *Alloc
+			if arm.arena {
+				a = NewAlloc()
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var a *Alloc
-				if arm.arena {
-					a = NewAlloc()
-				}
 				if _, err := PropagateDeltaShared(plan, in, obs.Span{}, nil, nil, a, nil); err != nil {
 					b.Fatal(err)
 				}

@@ -127,7 +127,10 @@ type StateCache struct {
 	// tables.
 	valsBase, valsNew map[flexkey.Key]string
 
-	stats CacheStats
+	// stats are the lifetime counters; round stages the hits and misses of
+	// the round in flight, which Install adds and Rollback drops, like the
+	// folds and evictions a PreparedCommit carries.
+	stats, round CacheStats
 }
 
 // scratchVals returns the round's value-memo maps: the persistent base-store
@@ -162,6 +165,7 @@ func (c *StateCache) begin(promote bool) {
 	c.pendingFresh = map[int]*cacheEntry{}
 	c.pendingDelta = map[int]*Table{}
 	c.pendingPromote = promote
+	c.round = CacheStats{}
 }
 
 // lookup serves operator o's base table from a prior round, if held.
@@ -173,7 +177,7 @@ func (c *StateCache) lookup(o *Op) (*Table, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.stats.Hits++
+	c.round.Hits++
 	return e.tbl, true
 }
 
@@ -184,7 +188,7 @@ func (c *StateCache) noteFresh(o *Op, t *Table) {
 	if c == nil {
 		return
 	}
-	c.stats.Misses++
+	c.round.Misses++
 	if tableHasConstructed(t) {
 		return
 	}
@@ -329,14 +333,17 @@ func (c *StateCache) Install(p *PreparedCommit) {
 	}
 	c.pendingFresh = map[int]*cacheEntry{}
 	c.pendingDelta = map[int]*Table{}
+	c.stats.Hits += c.round.Hits
+	c.stats.Misses += c.round.Misses
+	c.round = CacheStats{}
 	c.stats.Folds += p.folds
 	for _, n := range p.evicts {
 		c.stats.Evictions += n
 	}
 	c.stats.Entries = len(c.entries)
 	if obs.Enabled() {
-		// Views commit concurrently and share these series: skip the
-		// atomic writes that would add nothing.
+		// Every cache of the round commits into these shared series: skip
+		// the atomic writes that would add nothing.
 		for cause, n := range p.evicts {
 			if n > 0 {
 				cCacheEvictions[cause].Add(int64(n))
@@ -347,14 +354,16 @@ func (c *StateCache) Install(p *PreparedCommit) {
 
 // Rollback abandons the round: staging is dropped, held tables stay exactly
 // as the round found them (they describe the pre-round store, which a
-// rolled-back round restores). Counters other than Entries are untouched so
-// a retried round reports the same totals as a fault-free run.
+// rolled-back round restores). The round's staged hits and misses are
+// dropped with the rest, so a retried round reports the same totals as a
+// fault-free run.
 func (c *StateCache) Rollback() {
 	if c == nil {
 		return
 	}
 	c.pendingFresh = map[int]*cacheEntry{}
 	c.pendingDelta = map[int]*Table{}
+	c.round = CacheStats{}
 }
 
 // Fingerprint renders the held entries deterministically — operator IDs in
@@ -389,6 +398,7 @@ func (c *StateCache) Invalidate() {
 	c.entries = map[int]*cacheEntry{}
 	c.pendingFresh = map[int]*cacheEntry{}
 	c.pendingDelta = map[int]*Table{}
+	c.round = CacheStats{}
 	clear(c.valsBase)
 	c.stats.Evictions += n
 	c.stats.Entries = 0

@@ -78,11 +78,11 @@ func draftSetup(t *testing.T) (*Store, *Draft, flexkey.Key) {
 	return s, NewDraft(s), root
 }
 
-// TestUpdatedReaderInserts: the draft is the round's updated reader; an
+// TestDraftReadsInserts: the draft is the round's updated reader; an
 // inserted fragment is listed under its parent in key order and reads its
 // content through the draft, and inserting at a used key or under a missing
 // parent fails.
-func TestUpdatedReaderInserts(t *testing.T) {
+func TestDraftReadsInserts(t *testing.T) {
 	s, d, root := draftSetup(t)
 	books := ChildElems(s, root, "book")
 	k := flexkey.SiblingBetween(root, books[1], "")
@@ -104,11 +104,11 @@ func TestUpdatedReaderInserts(t *testing.T) {
 	}
 }
 
-// TestLayeredReader: the draft layers the round's writes over the store.
+// TestDraftInsertLeavesStoreUntouched: the draft layers the round's writes over the store.
 // Navigation descends into an inserted fragment through the draft, while the
 // store keeps the pre-update document: its child list is unchanged and it
 // holds none of the fragment's nodes.
-func TestLayeredReader(t *testing.T) {
+func TestDraftInsertLeavesStoreUntouched(t *testing.T) {
 	s, d, root := draftSetup(t)
 	books := ChildElems(s, root, "book")
 	k := flexkey.SiblingBetween(root, books[1], "")
@@ -168,9 +168,9 @@ func TestDraftDeletes(t *testing.T) {
 	}
 }
 
-// TestUpdatedReaderReplaces: replaced text and attribute values read through
+// TestDraftReadsReplaces: replaced text and attribute values read through
 // the draft, and the store keeps the old ones.
-func TestUpdatedReaderReplaces(t *testing.T) {
+func TestDraftReadsReplaces(t *testing.T) {
 	s, d, root := draftSetup(t)
 	books := ChildElems(s, root, "book")
 	titles := ChildElems(s, books[0], "title")
@@ -193,10 +193,10 @@ func TestUpdatedReaderReplaces(t *testing.T) {
 	}
 }
 
-// TestUpdatedReaderFreezeMemoizesReplacedNodes: every read of a replaced key
+// TestDraftReplaceReadsOnePostImage: every read of a replaced key
 // through the draft returns the one post-image the replace wrote, distinct
 // from the store's node, and untouched keys read the store's own node.
-func TestUpdatedReaderFreezeMemoizesReplacedNodes(t *testing.T) {
+func TestDraftReplaceReadsOnePostImage(t *testing.T) {
 	s, d, root := draftSetup(t)
 	books := ChildElems(s, root, "book")
 	texts := TextChildren(s, ChildElems(s, books[0], "title")[0])
@@ -411,11 +411,11 @@ func TestDraftInstallMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestUndoRollbackRestoresExactly: rolling a round back is dropping its
+// TestDroppedDraftLeavesStoreUntouched: rolling a round back is dropping its
 // draft. Random mutation batches on a draft never write the store, so the
 // store's DebugDump after the drop is byte-identical to before, while the
 // same class of mutations installed does change it.
-func TestUndoRollbackRestoresExactly(t *testing.T) {
+func TestDroppedDraftLeavesStoreUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := draftTestStore(t)
 	for round := 0; round < 20; round++ {
@@ -435,10 +435,10 @@ func TestUndoRollbackRestoresExactly(t *testing.T) {
 	}
 }
 
-// TestUndoInPlaceNodeRestore: a node handed out before the round keeps its
+// TestHandedOutNodeSurvivesDraftAndInstall: a node handed out before the round keeps its
 // pre-round contents through the draft, after a rollback, and after a
 // commit too — the store installs a new node rather than writing the old.
-func TestUndoInPlaceNodeRestore(t *testing.T) {
+func TestHandedOutNodeSurvivesDraftAndInstall(t *testing.T) {
 	s := draftTestStore(t)
 	root, _ := s.RootElem("c.xml")
 	text := s.Children(s.Children(root)[0])[0]
@@ -456,9 +456,9 @@ func TestUndoInPlaceNodeRestore(t *testing.T) {
 	}
 }
 
-// TestUndoLoadFragmentRollback: a document loaded in a draft is visible
+// TestDroppedDraftLoadLeavesStoreUntouched: a document loaded in a draft is visible
 // through it only; dropping the draft leaves the store without it.
-func TestUndoLoadFragmentRollback(t *testing.T) {
+func TestDroppedDraftLoadLeavesStoreUntouched(t *testing.T) {
 	s := draftTestStore(t)
 	before := s.DebugDump()
 	d := NewDraft(s)
@@ -483,9 +483,9 @@ func TestUndoLoadFragmentRollback(t *testing.T) {
 	}
 }
 
-// TestUndoNoLogIsNoop: a draft nothing was written to holds an empty delta,
+// TestEmptyDraftInstallIsNoop: a draft nothing was written to holds an empty delta,
 // and installing it leaves the store byte-identical.
-func TestUndoNoLogIsNoop(t *testing.T) {
+func TestEmptyDraftInstallIsNoop(t *testing.T) {
 	s := draftTestStore(t)
 	before := s.DebugDump()
 	d := NewDraft(s)
