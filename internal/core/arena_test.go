@@ -40,7 +40,7 @@ func TestCrashConsistencyArenaSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, merr := MaintainAll(a.store, a.views, primsA, 0, crashOpts)
+		_, merr := MaintainAll(a.set, primsA, 0, crashOpts)
 		fired := faultinject.Fired(site)
 		faultinject.Reset()
 		if fired {
@@ -50,13 +50,13 @@ func TestCrashConsistencyArenaSweep(t *testing.T) {
 			if d := pre.diff(a.snapshot()); d != "" {
 				t.Fatalf("seed %d (%s %s hit=%d): arena rollback not byte-identical: %s", seed, site, mode, hit, d)
 			}
-			if _, err := MaintainAll(a.store, a.views, primsA, 0, crashOpts); err != nil {
+			if _, err := MaintainAll(a.set, primsA, 0, crashOpts); err != nil {
 				t.Fatalf("seed %d retry: %v", seed, err)
 			}
 		} else if merr != nil {
 			t.Fatalf("seed %d: site %s never fired but round failed: %v", seed, site, merr)
 		}
-		if _, err := MaintainAll(b.store, b.views, primsB, 0, crashOpts); err != nil {
+		if _, err := MaintainAll(b.set, primsB, 0, crashOpts); err != nil {
 			t.Fatalf("seed %d twin: %v", seed, err)
 		}
 		if d := a.snapshot().diff(b.snapshot()); d != "" {
@@ -91,6 +91,7 @@ func TestRoundBytesIndependentOfCollector(t *testing.T) {
 		}
 		views = append(views, v)
 	}
+	set := mustSet(t, s, views)
 	priRoot, _ := s.RootElem("prices.xml")
 	price := xmldoc.TextChildren(s, xmldoc.ChildElems(s, xmldoc.ChildElems(s, priRoot, "entry")[0], "price")[0])[0]
 	n := 0
@@ -109,7 +110,7 @@ func TestRoundBytesIndependentOfCollector(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		before := heapAllocBytes()
-		if _, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 1}); err != nil {
+		if _, err := MaintainAll(set, prims, 0, Options{Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return heapAllocBytes() - before

@@ -34,6 +34,7 @@ func TestCacheInvalidationPerPrimitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Parallelism: 1}
+	set := mustSet(t, s, []*View{v})
 	bibRoot, _ := s.RootElem("bib.xml")
 	priRoot, _ := s.RootElem("prices.xml")
 
@@ -43,7 +44,7 @@ func TestCacheInvalidationPerPrimitive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recompute: %v", name, err)
 		}
-		if _, err := MaintainAll(s, []*View{v}, prims, 0, opts); err != nil {
+		if _, err := MaintainAll(set, prims, 0, opts); err != nil {
 			t.Fatalf("%s: maintain: %v", name, err)
 		}
 		if got := v.XML(); got != want {
@@ -116,6 +117,7 @@ func TestCacheMultiDocPartialTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Parallelism: 1}
+	set := mustSet(t, s, []*View{v})
 	bibRoot, _ := s.RootElem("bib.xml")
 	mkInsert := func(i int) []*update.Primitive {
 		return []*update.Primitive{{
@@ -125,7 +127,7 @@ func TestCacheMultiDocPartialTouch(t *testing.T) {
 		}}
 	}
 	// Round 1 warms the cache (both join sides derive fresh).
-	if _, err := MaintainAll(s, []*View{v}, mkInsert(1), 0, opts); err != nil {
+	if _, err := MaintainAll(set, mkInsert(1), 0, opts); err != nil {
 		t.Fatal(err)
 	}
 	warm := v.CacheStats()
@@ -137,7 +139,7 @@ func TestCacheMultiDocPartialTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s, []*View{v}, mkInsert(2), 0, opts); err != nil {
+	if _, err := MaintainAll(set, mkInsert(2), 0, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.XML(); got != want {
@@ -191,7 +193,7 @@ func TestDisjointViewSkipped(t *testing.T) {
 			xmldoc.Elem("price", xmldoc.TextF("1.00")),
 			xmldoc.Elem("b-title", xmldoc.TextF("Skip"))),
 	}}
-	stats, err := MaintainAll(s, []*View{bibView, priView}, prims, 0,
+	stats, err := MaintainAll(mustSet(t, s, []*View{bibView, priView}), prims, 0,
 		Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +256,7 @@ func TestCacheSurvivesSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Parallelism: 1}
+	set := mustSet(t, s, []*View{v})
 	bibRoot, _ := s.RootElem("bib.xml")
 	otherRoot, _ := s.RootElem("other.xml")
 	for i := 0; i < 6; i++ {
@@ -275,7 +278,7 @@ func TestCacheSurvivesSkips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		stats, err := MaintainAll(s, []*View{v}, prims, 0, opts)
+		stats, err := MaintainAll(set, prims, 0, opts)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}

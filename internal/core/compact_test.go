@@ -105,7 +105,7 @@ func TestCompactionWidensBatchLanguage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := MaintainAll(s, []*View{v}, warm, 0); err != nil {
+			if _, err := MaintainAll(mustSet(t, s, []*View{v}), warm, 0, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			state := func() string {
@@ -126,7 +126,7 @@ func TestCompactionWidensBatchLanguage(t *testing.T) {
 			if _, err := validate.ValidateRec(s, v.SAPT, prims, nil); err == nil {
 				t.Fatal("validation accepts an in-batch reference to an inserted node")
 			}
-			if _, err := MaintainAll(s, []*View{v}, prims, 0); err == nil || !strings.Contains(err.Error(), "validate") {
+			if _, err := MaintainAll(mustSet(t, s, []*View{v}), prims, 0, Options{}); err == nil || !strings.Contains(err.Error(), "validate") {
 				t.Fatalf("round over the %s-shaped batch: err = %v, want a validation error", name, err)
 			}
 			if got := state(); got != pre {

@@ -38,7 +38,7 @@ func TestMaintainAllJournalsRound(t *testing.T) {
 	prices, _ := s.RootElem("prices.xml")
 	noise := &update.Primitive{Kind: update.Insert, Doc: "prices.xml", Parent: prices,
 		Frag: xmldoc.Elem("entry", xmldoc.Elem("price", xmldoc.TextF("1.00")))}
-	if _, err := MaintainAll(s, []*View{v}, []*update.Primitive{ins, noise}, 0); err != nil {
+	if _, err := MaintainAll(mustSet(t, s, []*View{v}), []*update.Primitive{ins, noise}, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +107,7 @@ func TestMaintainAllJournalDisabledRecordsNothing(t *testing.T) {
 	ins := &update.Primitive{Kind: update.Insert, Doc: "bib.xml", Parent: bib,
 		Frag: xmldoc.Elem("book", xmldoc.AttrF("year", "1994"),
 			xmldoc.Elem("title", xmldoc.TextF("Silent")))}
-	if _, err := MaintainAll(s, []*View{v}, []*update.Primitive{ins}, 0); err != nil {
+	if _, err := MaintainAll(mustSet(t, s, []*View{v}), []*update.Primitive{ins}, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := journal.Default.Len(); n != 0 {
@@ -129,7 +129,7 @@ func TestMaintainAllJournalsFailedRound(t *testing.T) {
 	// A delete of an unknown node fails sufficiency checking; the round must
 	// still be committed, carrying the reject verdict and the error.
 	bad := &update.Primitive{Kind: update.Delete, Doc: "bib.xml", Key: "zz.zz"}
-	if _, err := MaintainAll(s, []*View{v}, []*update.Primitive{bad}, 0); err == nil {
+	if _, err := MaintainAll(mustSet(t, s, []*View{v}), []*update.Primitive{bad}, 0, Options{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	rounds := journal.Default.Rounds()

@@ -39,6 +39,7 @@ func TestMaintainAllConsistency(t *testing.T) {
 		}
 		views = append(views, v)
 	}
+	set := mustSet(t, s, views)
 	rounds := 15
 	if testing.Short() {
 		rounds = 5
@@ -57,7 +58,7 @@ func TestMaintainAllConsistency(t *testing.T) {
 			}
 			wants[i] = w
 		}
-		stats, err := MaintainAll(s, views, prims, 0)
+		stats, err := MaintainAll(set, prims, 0, Options{})
 		if err != nil {
 			t.Fatalf("round %d maintain: %v", round, err)
 		}
@@ -115,6 +116,7 @@ func TestMaintainAllParallelDeterminism(t *testing.T) {
 	}
 	seqStore, seqViews := mkArm()
 	parStore, parViews := mkArm()
+	seqSet, parSet := mustSet(t, seqStore, seqViews), mustSet(t, parStore, parViews)
 	if len(seqViews) < 8 {
 		t.Fatalf("need at least 8 views, have %d", len(seqViews))
 	}
@@ -127,11 +129,11 @@ func TestMaintainAllParallelDeterminism(t *testing.T) {
 		if !conflictFree(prims) {
 			continue
 		}
-		seqStats, err := MaintainAll(seqStore, seqViews, deepClonePrims(prims), 0, Options{Parallelism: 1})
+		seqStats, err := MaintainAll(seqSet, deepClonePrims(prims), 0, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("round %d sequential: %v", round, err)
 		}
-		parStats, err := MaintainAll(parStore, parViews, deepClonePrims(prims), 0, Options{Parallelism: 8})
+		parStats, err := MaintainAll(parSet, deepClonePrims(prims), 0, Options{Parallelism: 8})
 		if err != nil {
 			t.Fatalf("round %d parallel: %v", round, err)
 		}
@@ -172,6 +174,7 @@ func TestMaintainAllParallelConsistency(t *testing.T) {
 		}
 		views[i] = v
 	}
+	set := mustSet(t, s, views)
 	rounds := 8
 	if testing.Short() {
 		rounds = 3
@@ -185,7 +188,7 @@ func TestMaintainAllParallelConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d recompute: %v", round, err)
 		}
-		if _, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 8}); err != nil {
+		if _, err := MaintainAll(set, prims, 0, Options{Parallelism: 8}); err != nil {
 			t.Fatalf("round %d maintain: %v", round, err)
 		}
 		for i, v := range views {
@@ -298,21 +301,32 @@ func TestMaintainAllParallelError(t *testing.T) {
 	prims := []*update.Primitive{{Kind: update.Insert, Doc: "bib.xml", Parent: bib,
 		Frag: xmldoc.Elem("book", xmldoc.AttrF("year", "1994"),
 			xmldoc.Elem("title", xmldoc.TextF(fmt.Sprintf("x-%d", 1))))}}
-	if _, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 4}); err == nil {
+	if _, err := MaintainAll(mustSet(t, s, views), prims, 0, Options{Parallelism: 4}); err == nil {
 		t.Fatal("expected an error from the sabotaged view")
 	}
 }
 
-// TestMaintainAllRejectsForeignView guards against mixing stores.
+// TestMaintainAllRejectsForeignView guards against mixing stores: a round
+// maintains a view set, and NewViewSet refuses a view compiled over another
+// store, naming it.
 func TestMaintainAllRejectsForeignView(t *testing.T) {
 	s1 := bibStore(t)
 	s2 := bibStore(t)
-	v, err := NewView(s2, RunningExample)
+	own, err := NewView(s1, RunningExample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s1, []*View{v}, nil, 0); err == nil {
+	foreign, err := NewView(s2, RunningExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.Name = "elsewhere"
+	set, err := NewViewSet(s1, []*View{own, foreign})
+	if set != nil || err == nil {
 		t.Fatal("foreign view accepted")
+	}
+	if want := `core: view "elsewhere" is defined over a different store`; err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
 	}
 }
 
@@ -324,7 +338,7 @@ func TestMaintainAllEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := v.XML()
-	if _, err := MaintainAll(s, []*View{v}, nil, 0); err != nil {
+	if _, err := MaintainAll(mustSet(t, s, []*View{v}), nil, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if v.XML() != before {

@@ -73,7 +73,7 @@ func TestMaintainAllObservabilityTransparent(t *testing.T) {
 			defer obs.SetEnabled(prev)
 			opt.Tracer = obs.NewTracer()
 		}
-		stats, err := MaintainAll(s, views, prims, 0, opt)
+		stats, err := MaintainAll(mustSet(t, s, views), prims, 0, opt)
 		if err != nil {
 			t.Fatalf("maintain (traced=%v): %v", traced, err)
 		}
@@ -113,7 +113,7 @@ func TestMaintainAllErrorAttribution(t *testing.T) {
 	for _, op := range bad.Plan.Ops() {
 		op.Kind = xat.OpKind(99)
 	}
-	_, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 1})
+	_, err := MaintainAll(mustSet(t, s, views), prims, 0, Options{Parallelism: 1})
 	if err == nil {
 		t.Fatal("expected propagate failure")
 	}
@@ -140,7 +140,7 @@ type goldenEvent struct {
 func TestTraceGoldenShape(t *testing.T) {
 	s, views, prims := obsFixture(t)
 	tr := obs.NewTracer()
-	if _, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 1, Tracer: tr}); err != nil {
+	if _, err := MaintainAll(mustSet(t, s, views), prims, 0, Options{Parallelism: 1, Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"xqview/internal/obs"
-	"xqview/internal/xat"
 )
 
 // Options configures a maintenance run. It carries a resource bound and
@@ -26,13 +25,6 @@ type Options struct {
 	// (xqview -trace). A nil Tracer costs nothing.
 	Tracer *obs.Tracer
 
-	// SharedDAG, when non-nil and built over exactly the round's view plans,
-	// is reused instead of rebuilding the shared sub-plan DAG per round —
-	// this is what keeps the shared cache partitions warm across rounds
-	// (Database maintains one per view set). A nil or stale DAG (plans
-	// changed) is detected via Matches and built fresh for the round.
-	SharedDAG *xat.SharedDAG
-
 	// Snapshots, when non-nil, is the MVCC epoch registry the round publishes
 	// into: after propagation succeeds (and before the infallible commit),
 	// the round builds a candidate Version — the draft's store delta, staged
@@ -41,15 +33,6 @@ type Options struct {
 	// versions are undisturbed. Nil (the default for direct MaintainAll
 	// callers) skips the candidate build entirely and costs nothing.
 	Snapshots *SnapReg
-}
-
-// getOpts resolves the variadic options accepted by the maintenance entry
-// points (so pre-existing call sites need no changes).
-func getOpts(opts []Options) Options {
-	if len(opts) == 0 {
-		return Options{}
-	}
-	return opts[0]
 }
 
 // workers resolves the effective pool size for n work items.

@@ -342,7 +342,8 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 			store, views := newArm(t, randomBib(rng, 6), randomPrices(rng, 5), fam.queries)
 			reg := NewSnapReg()
 			reg.PublishFull(store, views)
-			opts := Options{SharedDAG: xat.BuildSharedDAG(plansOf(views)), Snapshots: reg}
+			set := mustSet(t, store, views)
+			opts := Options{Snapshots: reg}
 			rounds := 25
 			if testing.Short() {
 				rounds = 8
@@ -367,7 +368,7 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 				}
 				wantDocs := documentsXML(replay)
 				journal.Default.Reset()
-				stats, err := MaintainAll(store, views, prims, 0, opts)
+				stats, err := MaintainAll(set, prims, 0, opts)
 				if err != nil {
 					t.Fatalf("round %d maintain: %v", round, err)
 				}

@@ -28,14 +28,12 @@ import (
 // round is one MaintainAll round: its inputs, what each phase hands the
 // next, the round transaction's slots, and one wall-time slot per phase.
 type round struct {
-	store *xmldoc.Store
-	views []*View
-	opt   Options
-	jrec  *journal.RoundRec
-	eval  time.Duration // script parse+evaluate ahead of the round
+	set  *ViewSet
+	opt  Options
+	jrec *journal.RoundRec
+	eval time.Duration // script parse+evaluate ahead of the round
 	// telemetry is obs.Enabled() at round start; the sample diffs the heap
-	// counter against its value then, and the cache counters against theirs
-	// once the round's shared DAG is known.
+	// and cache counters against their values then.
 	telemetry   bool
 	cacheBefore xat.CacheStats
 	heapBefore  uint64
@@ -60,8 +58,7 @@ type round struct {
 	// installs it. Rollback drops it.
 	draft *xmldoc.Draft
 	din   *xat.DeltaInput
-	dag   *xat.SharedDAG // the shared sub-plan DAG the round propagates
-	seeds [][]xat.Seed   // per view: shared-prefix results to serve; nil without groups
+	seeds [][]xat.Seed // per view: shared-prefix results to serve; nil without groups
 	out   []*MaintStats
 	cand  *Version // the next MVCC version; nil without a registry
 	// Shared prefixes propagated once, and the member subscriptions their
@@ -69,7 +66,7 @@ type round struct {
 	sharedGroups, sharedFanout int
 
 	// The round transaction (txn.go): one slot per view, and one prepared
-	// cache commit per shared group of the round's DAG (nil without groups;
+	// cache commit per shared group of the set's DAG (nil without groups;
 	// nil for a group whose partition the round left alone).
 	stages      []viewStage
 	sharedPreps []*xat.PreparedCommit
@@ -82,11 +79,8 @@ type round struct {
 }
 
 // maintainAll runs one round: its phases in pipeline order.
-func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, eval time.Duration, opt Options, jrec *journal.RoundRec) (out []*MaintStats, err error) {
-	r, err := newRound(store, views, prims, eval, opt, jrec)
-	if err != nil {
-		return nil, err
-	}
+func maintainAll(set *ViewSet, prims []*update.Primitive, eval time.Duration, opt Options, jrec *journal.RoundRec) (out []*MaintStats, err error) {
+	r := newRound(set, prims, eval, opt, jrec)
 	// The single place the round aborts: any error return, and any panic in
 	// the single-threaded phases (the pool already recovered task panics),
 	// drops the draft and rolls the extents and the cache staging back.
@@ -120,27 +114,23 @@ func maintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 	return r.report(), nil
 }
 
-// newRound checks that every view reads this store, then opens the round:
-// telemetry baseline, round transaction, and the first clock reading, which
-// starts both the MaintainAll span and the compact phase.
-func newRound(store *xmldoc.Store, views []*View, prims []*update.Primitive, eval time.Duration, opt Options, jrec *journal.RoundRec) (*round, error) {
-	for i, v := range views {
-		if v.Store != store {
-			return nil, fmt.Errorf("core: view %q is defined over a different store", v.displayName(i))
-		}
-	}
-	r := &round{store: store, views: views, opt: opt, jrec: jrec, eval: eval,
-		stages: make([]viewStage, len(views)), orig: prims, prims: prims, telemetry: obs.Enabled()}
+// newRound opens the round: telemetry baselines, round transaction, and
+// the first clock reading, which starts both the MaintainAll span and the
+// compact phase.
+func newRound(set *ViewSet, prims []*update.Primitive, eval time.Duration, opt Options, jrec *journal.RoundRec) *round {
+	r := &round{set: set, opt: opt, jrec: jrec, eval: eval,
+		stages: make([]viewStage, len(set.Views)), orig: prims, prims: prims, telemetry: obs.Enabled()}
 	if r.telemetry {
 		r.heapBefore = heapAllocObjects()
+		r.cacheBefore = set.cacheStats()
 	}
 	r.start = time.Now()
 	r.clock = r.start
-	r.root = opt.Tracer.StartSpanAt("MaintainAll", r.start).Arg("views", len(views)).Arg("prims", len(prims))
+	r.root = opt.Tracer.StartSpanAt("MaintainAll", r.start).Arg("views", len(set.Views)).Arg("prims", len(prims))
 	if eval > 0 {
 		r.root.Before("ParseEvaluate", eval)
 	}
-	return r, nil
+	return r
 }
 
 // span opens the span of the phase starting at the current boundary.
@@ -174,20 +164,16 @@ func (r *round) compact() {
 	sp.Arg("in", len(r.orig)).Arg("out", len(r.prims))
 }
 
-// validate classifies the batch once against the union of the views' SAPTs,
-// so rewrite decisions are the same for every view, and assigns insert
-// keys. It then settles relevance per view, once for the round: a view
-// every primitive is irrelevant to (its own SAPT proves the update regions
-// cannot reach its extent: query-update independence) skips
-// Propagate+Apply, and shared prefixes only run for subscribers that do not.
+// validate classifies the batch once against the set's merged SAPT, so
+// rewrite decisions are the same for every view, and assigns insert keys.
+// It then settles relevance per view, once for the round: a view every
+// primitive is irrelevant to (its own SAPT proves the update regions cannot
+// reach its extent: query-update independence) skips Propagate+Apply, and
+// shared prefixes only run for subscribers that do not.
 func (r *round) validate() error {
 	sp := r.span("Validate")
 	defer r.lap(&r.validateTime, sp)
-	trees := make([]*sapt.Tree, len(r.views))
-	for i, v := range r.views {
-		trees[i] = v.SAPT
-	}
-	batch, err := validate.ValidateRec(r.store, sapt.Merge(trees...), r.prims, r.jrec)
+	batch, err := validate.ValidateRec(r.set.Store, r.set.merged, r.prims, r.jrec)
 	if err != nil {
 		return fmt.Errorf("validate: %w", err)
 	}
@@ -199,12 +185,12 @@ func (r *round) validate() error {
 		// stream reflects their keys too.
 		r.jrec.SetPrims(journal.EncodePrims(r.orig))
 	}
-	r.skip = make([]bool, len(r.views))
+	r.skip = make([]bool, len(r.set.Views))
 	prims := batch.Prims()
-	for i, v := range r.views {
+	for i, v := range r.set.Views {
 		r.skip[i] = true
 		for _, p := range prims {
-			if v.SAPT.Classify(r.store, p) != sapt.Irrelevant {
+			if v.SAPT.Classify(r.set.Store, p) != sapt.Irrelevant {
 				r.skip[i] = false
 				break
 			}
@@ -215,26 +201,14 @@ func (r *round) validate() error {
 	return nil
 }
 
-// propagateShared assembles the propagation input and propagates each shared
-// sub-plan prefix once, ahead of the per-view pool. The caller's DAG is
-// reused when it was built over exactly these plans (warm shared
-// partitions); otherwise the round groups the plans itself. Without groups
-// (no two views overlap) the phase has no span.
+// propagateShared assembles the propagation input and propagates each of
+// the set's shared sub-plan prefixes once, ahead of the per-view pool.
+// Without groups (no two views overlap) the phase has no span.
 func (r *round) propagateShared() error {
 	var sp obs.Span
 	defer func() { r.lap(&r.sharedTime, sp) }()
-	r.din = deltaInput(r.store, r.draft, r.batch)
-	plans := plansOf(r.views)
-	dag := r.opt.SharedDAG
-	if !dag.Matches(plans) {
-		dag = xat.BuildSharedDAG(plans)
-	}
-	// Nothing has touched a cache yet: the baseline covers every cache the
-	// round can touch, the views' and the DAG's partitions.
-	r.dag = dag
-	if r.telemetry {
-		r.cacheBefore = sumCacheStats(r.views, dag)
-	}
+	r.din = deltaInput(r.set.Store, r.draft, r.batch)
+	dag := r.set.dag
 	if len(dag.Groups) == 0 {
 		return nil
 	}
@@ -250,7 +224,7 @@ func (r *round) propagateShared() error {
 	}
 	// seeds[i] carries the shared results into view i's propagation. A view
 	// skipped for relevance gets none, even when its prefix ran for others.
-	r.seeds = make([][]xat.Seed, len(r.views))
+	r.seeds = make([][]xat.Seed, len(r.set.Views))
 	for gi, g := range dag.Groups {
 		if results[gi] == nil {
 			continue
@@ -308,14 +282,14 @@ func (r *round) propagateGroup(g *xat.SharedGroup, gi int, sp obs.Span) (res *xa
 // wall time is the stretch the view tracks cover.
 func (r *round) maintainViews() error {
 	defer r.lap(&r.poolTime, obs.Span{})
-	r.out = make([]*MaintStats, len(r.views))
-	return forEachIndex(len(r.views), r.opt, r.maintainView)
+	r.out = make([]*MaintStats, len(r.set.Views))
+	return forEachIndex(len(r.set.Views), r.opt, r.maintainView)
 }
 
 // maintainView is one task of the pool: view i's propagation and apply on
 // its own trace track, staged in its slot of the round transaction.
 func (r *round) maintainView(i int) (err error) {
-	v := r.views[i]
+	v := r.set.Views[i]
 	// A panic while maintaining this view must not poison the others:
 	// recover it into an error naming the view (the pool's own recovery
 	// would only know the task index), which aborts the round.
@@ -385,7 +359,7 @@ func (r *round) maintainView(i int) (err error) {
 func (r *round) refreshSources() error {
 	sp := r.span("SourceRefresh")
 	defer r.lap(&r.sourceTime, sp)
-	r.draft = xmldoc.NewDraft(r.store)
+	r.draft = xmldoc.NewDraft(r.set.Store)
 	for _, p := range r.batch.Refresh {
 		if err := fpRefresh.Fire(); err != nil {
 			return fmt.Errorf("source refresh: %w", err)
@@ -407,7 +381,7 @@ func (r *round) buildSnapshot() (err error) {
 	}
 	sp := r.span("SnapshotBuild")
 	defer r.lap(&r.snapshotTime, sp)
-	if r.cand, err = buildCandidate(r.opt.Snapshots, r.store, r.draft.Delta(), r.views, r.stages); err != nil {
+	if r.cand, err = buildCandidate(r.opt.Snapshots, r.set.Store, r.draft.Delta(), r.set.Views, r.stages); err != nil {
 		return err
 	}
 	if err = fpSnapSwap.Fire(); err != nil {
@@ -425,7 +399,7 @@ func (r *round) commit() {
 	if r.telemetry {
 		// Priced before commit releases (and in poison builds scrubs) the
 		// views' arenas.
-		for _, v := range r.views {
+		for _, v := range r.set.Views {
 			b, c := v.alloc.Footprint()
 			r.arenaBytes += b
 			r.arenaChunks += c

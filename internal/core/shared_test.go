@@ -51,8 +51,8 @@ var sharedFamilies = []string{
 // two distinct subscribing views, and a single view shares nothing.
 func TestSharedDAGGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x0DA6))
-	_, views := newArm(t, randomBib(rng, 3), randomPrices(rng, 3), sharedFamilies)
-	dag := xat.BuildSharedDAG(plansOf(views))
+	store, views := newArm(t, randomBib(rng, 3), randomPrices(rng, 3), sharedFamilies)
+	dag := mustSet(t, store, views).dag
 	if len(dag.Groups) < 3 {
 		t.Fatalf("expected >=3 shared groups across the families, got %d", len(dag.Groups))
 	}
@@ -84,14 +84,8 @@ func TestSharedDAGGrouping(t *testing.T) {
 			t.Errorf("view %d subscribes to no group", vi)
 		}
 	}
-	if d := xat.BuildSharedDAG(plansOf(views[:1])); len(d.Groups) != 0 {
+	if d := mustSet(t, store, views[:1]).dag; len(d.Groups) != 0 {
 		t.Errorf("single view formed %d shared groups, want 0", len(d.Groups))
-	}
-	if !dag.Matches(plansOf(views)) {
-		t.Error("DAG does not match the plans it was built over")
-	}
-	if dag.Matches(plansOf(views[:3])) {
-		t.Error("DAG matches a different plan list")
 	}
 }
 
@@ -155,10 +149,11 @@ type viewRecord struct {
 // canonical extent, its marshalled journal lineage and its Explain output at
 // every primitive's anchor key, plus the round's verdicts and how many shared
 // prefixes were seeded into the views.
-func recordRound(t *testing.T, store *xmldoc.Store, views []*View, prims []*update.Primitive, opts Options) (recs []viewRecord, verdicts string, seeded int) {
+func recordRound(t *testing.T, set *ViewSet, prims []*update.Primitive) (recs []viewRecord, verdicts string, seeded int) {
 	t.Helper()
 	journal.Default.Reset()
-	stats, err := MaintainAll(store, views, prims, 0, opts)
+	views := set.Views
+	stats, err := MaintainAll(set, prims, 0, Options{})
 	if err != nil {
 		t.Fatalf("maintain: %v", err)
 	}
@@ -190,19 +185,15 @@ func TestSharedTogetherMatchesAlone(t *testing.T) {
 			rng := rand.New(rand.NewSource(0x54A12E))
 			bibXML, pricesXML := randomBib(rng, 6), randomPrices(rng, 5)
 			store, views := newArm(t, bibXML, pricesXML, queries)
-			dag := xat.BuildSharedDAG(plansOf(views))
-			if len(dag.Groups) == 0 {
+			set := mustSet(t, store, views)
+			if len(set.dag.Groups) == 0 {
 				t.Fatal("family forms no shared group; the comparison is vacuous")
 			}
-			type arm struct {
-				store *xmldoc.Store
-				views []*View
-			}
-			alone := make([]arm, len(views))
+			alone := make([]*ViewSet, len(views))
 			for i, v := range views {
 				s, vs := newArm(t, bibXML, pricesXML, queries[i:i+1])
 				vs[0].Name = v.Name
-				alone[i] = arm{s, vs}
+				alone[i] = mustSet(t, s, vs)
 			}
 			rounds := 25
 			if testing.Short() {
@@ -216,10 +207,10 @@ func TestSharedTogetherMatchesAlone(t *testing.T) {
 				}
 				// Validation assigns insert keys on the primitives it is
 				// handed, so every arm gets its own copy of the batch.
-				together, verdicts, n := recordRound(t, store, views, deepClonePrims(prims), Options{SharedDAG: dag})
+				together, verdicts, n := recordRound(t, set, deepClonePrims(prims))
 				seeded += n
 				for i, a := range alone {
-					solo, soloVerdicts, _ := recordRound(t, a.store, a.views, deepClonePrims(prims), Options{})
+					solo, soloVerdicts, _ := recordRound(t, a, deepClonePrims(prims))
 					if soloVerdicts != verdicts {
 						t.Fatalf("round %d view %d: verdicts differ alone vs together; family premise broken\nalone:    %s\ntogether: %s",
 							round, i, soloVerdicts, verdicts)
@@ -269,21 +260,17 @@ func TestSharedCrashConsistencyEverySite(t *testing.T) {
 				bib, prices := randomBib(rng, 6), randomPrices(rng, 5)
 				a := newCrashArm(t, bib, prices)
 				b := newCrashArm(t, bib, prices)
-				dagA := xat.BuildSharedDAG(plansOf(a.views))
-				dagB := xat.BuildSharedDAG(plansOf(b.views))
+				dagA, dagB := a.set.dag, b.set.dag
 				if len(dagA.Groups) == 0 {
 					t.Fatal("crash queries share no prefixes; sweep is vacuous")
 				}
-				optsA := a.opts()
-				optsA.SharedDAG = dagA
-				optsB := b.opts()
-				optsB.SharedDAG = dagB
+				optsA, optsB := a.opts(), b.opts()
 
 				warm := randomBatch(t, rng, a.store, 2)
-				if _, err := MaintainAll(a.store, a.views, deepClonePrims(warm), 0, optsA); err != nil {
+				if _, err := MaintainAll(a.set, deepClonePrims(warm), 0, optsA); err != nil {
 					t.Fatalf("warmup: %v", err)
 				}
-				if _, err := MaintainAll(b.store, b.views, deepClonePrims(warm), 0, optsB); err != nil {
+				if _, err := MaintainAll(b.set, deepClonePrims(warm), 0, optsB); err != nil {
 					t.Fatalf("twin warmup: %v", err)
 				}
 				pre := sharedCrashSnapshot(a, dagA)
@@ -293,7 +280,7 @@ func TestSharedCrashConsistencyEverySite(t *testing.T) {
 				if err := faultinject.Arm(site, mode, 1); err != nil {
 					t.Fatal(err)
 				}
-				_, err := MaintainAll(a.store, a.views, primsA, 0, optsA)
+				_, err := MaintainAll(a.set, primsA, 0, optsA)
 				if err == nil {
 					t.Fatalf("armed %s did not fail the round", site)
 				}
@@ -309,10 +296,10 @@ func TestSharedCrashConsistencyEverySite(t *testing.T) {
 						site, mode, pre, post)
 				}
 
-				if _, err := MaintainAll(a.store, a.views, primsA, 0, optsA); err != nil {
+				if _, err := MaintainAll(a.set, primsA, 0, optsA); err != nil {
 					t.Fatalf("retry after %s: %v", site, err)
 				}
-				if _, err := MaintainAll(b.store, b.views, primsB, 0, optsB); err != nil {
+				if _, err := MaintainAll(b.set, primsB, 0, optsB); err != nil {
 					t.Fatalf("twin round: %v", err)
 				}
 				if got, want := sharedCrashSnapshot(a, dagA), sharedCrashSnapshot(b, dagB); got != want {
@@ -360,11 +347,12 @@ func TestSharedSkipAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	views := []*View{bibOnly, joined, priced}
-	dag := xat.BuildSharedDAG(plansOf(views))
+	set := mustSet(t, s, views)
+	dag := set.dag
 	if len(dag.Groups) == 0 {
 		t.Fatal("views share no prefix; test is vacuous")
 	}
-	opts := Options{Parallelism: 1, SharedDAG: dag}
+	opts := Options{Parallelism: 1}
 
 	// folded lists every counter the round series folds, with the sample
 	// field it folds from.
@@ -422,7 +410,7 @@ func TestSharedSkipAccounting(t *testing.T) {
 	maintain := func(prims []*update.Primitive) ([]*MaintStats, error) {
 		t.Helper()
 		v0, s0 := cacheWork()
-		stats, err := MaintainAll(s, views, prims, 0, opts)
+		stats, err := MaintainAll(set, prims, 0, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -483,7 +471,7 @@ func TestSharedSkipAccounting(t *testing.T) {
 	if err := faultinject.Arm("deepunion.apply", faultinject.ModeError, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s, views, insertBook(), 0, opts); err == nil {
+	if _, err := MaintainAll(set, insertBook(), 0, opts); err == nil {
 		t.Fatal("armed deepunion.apply did not fail the round")
 	}
 	faultinject.Reset()
@@ -549,11 +537,10 @@ func TestSharedDisjointFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	views := []*View{v1, v2}
-	if dag := xat.BuildSharedDAG(plansOf(views)); len(dag.Groups) == 0 {
+	set := mustSet(t, s, views)
+	if len(set.dag.Groups) == 0 {
 		t.Fatal("views share no prefix; test is vacuous")
 	}
-	// No SharedDAG supplied: the round groups the plans itself, as it does
-	// for any direct MaintainAll caller.
 	opts := Options{Parallelism: 1}
 
 	// The batch touches other.xml only: both subscribers skip, so the
@@ -563,7 +550,7 @@ func TestSharedDisjointFastPath(t *testing.T) {
 		Kind: update.Insert, Doc: "other.xml", Parent: otherRoot,
 		Frag: xmldoc.Elem("item", xmldoc.Elem("name", xmldoc.TextF("y"))),
 	}}
-	stats, err := MaintainAll(s, views, prims, 0, opts)
+	stats, err := MaintainAll(set, prims, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +585,7 @@ func TestSharedDisjointFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err = MaintainAll(s, views, prims, 0, opts)
+	stats, err = MaintainAll(set, prims, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,11 +638,12 @@ func TestSharedStaleEviction(t *testing.T) {
 		}
 		views[i] = v
 	}
-	dag := xat.BuildSharedDAG(plansOf(views))
+	set := mustSet(t, s, views)
+	dag := set.dag
 	if len(dag.Groups) == 0 {
 		t.Fatal("join views share no group; test is vacuous")
 	}
-	opts := Options{Parallelism: 1, SharedDAG: dag}
+	opts := Options{Parallelism: 1}
 	bibRoot, _ := s.RootElem("bib.xml")
 
 	step := func(name string, prims []*update.Primitive) []*MaintStats {
@@ -664,7 +652,7 @@ func TestSharedStaleEviction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s recompute: %v", name, err)
 		}
-		stats, err := MaintainAll(s, views, prims, 0, opts)
+		stats, err := MaintainAll(set, prims, 0, opts)
 		if err != nil {
 			t.Fatalf("%s maintain: %v", name, err)
 		}
@@ -705,4 +693,76 @@ func TestSharedStaleEviction(t *testing.T) {
 				xmldoc.Elem("title", xmldoc.TextF(titlesPool[(r+2)%len(titlesPool)]))),
 		}})
 	}
+}
+
+// TestViewSetInvalidateAfterOutOfBandWrite pins what ViewSet.Invalidate owes
+// the shared groups: a round warms the join family's shared partition with
+// the prices side, a price entry is then written into the store outside any
+// round, and after Invalidate a round inserting the book that entry prices
+// must join it. A partition that survived the write would serve the prices
+// side as it was before the entry.
+func TestViewSetInvalidateAfterOutOfBandWrite(t *testing.T) {
+	s := xmldoc.NewStore()
+	if _, err := s.Load("bib.xml", `<bib><book year="1994"><title>A</title></book></bib>`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Load("prices.xml", `<prices><entry><price>1</price><b-title>A</b-title></entry></prices>`); err != nil {
+		t.Fatal(err)
+	}
+	const join = `for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+		where $b/title = $e/b-title`
+	queries := []string{
+		`<result>{ ` + join + ` return <pair>{$b/title} {$e/price}</pair> }</result>`,
+		`<result>{ ` + join + ` return <deal>{$e/price}</deal> }</result>`,
+	}
+	views := make([]*View, len(queries))
+	for i, q := range queries {
+		v, err := NewView(s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[i] = v
+	}
+	set := mustSet(t, s, views)
+	if len(set.dag.Groups) == 0 {
+		t.Fatal("join views share no group; test is vacuous")
+	}
+	bibRoot, _ := s.RootElem("bib.xml")
+	priRoot, _ := s.RootElem("prices.xml")
+	insertBook := func(title string) []*update.Primitive {
+		return []*update.Primitive{{Kind: update.Insert, Doc: "bib.xml", Parent: bibRoot,
+			Frag: xmldoc.Elem("book", xmldoc.AttrF("year", "1995"), xmldoc.Elem("title", xmldoc.TextF(title)))}}
+	}
+	step := func(name string, prims []*update.Primitive) {
+		t.Helper()
+		wants, err := RecomputeAll(s, queries, deepClonePrims(prims))
+		if err != nil {
+			t.Fatalf("%s recompute: %v", name, err)
+		}
+		stats, err := MaintainAll(set, prims, 0, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s maintain: %v", name, err)
+		}
+		for i, v := range views {
+			if stats[i].SharedPrefixes == 0 {
+				t.Fatalf("%s view %d was not seeded by the shared join", name, i)
+			}
+			if got := v.XML(); got != wants[i] {
+				t.Fatalf("%s view %d diverged:\ngot:  %s\nwant: %s", name, i, got, wants[i])
+			}
+		}
+	}
+
+	// B has no price: the round derives and caches the prices side.
+	step("warm", insertBook("B"))
+	// Out of band: price C, a book no view holds yet, so every extent is
+	// still current.
+	d := xmldoc.NewDraft(s)
+	if err := update.ApplyToStore(d, &update.Primitive{Kind: update.Insert, Doc: "prices.xml", Parent: priRoot,
+		Frag: xmldoc.Elem("entry", xmldoc.Elem("price", xmldoc.TextF("3")), xmldoc.Elem("b-title", xmldoc.TextF("C")))}); err != nil {
+		t.Fatal(err)
+	}
+	s.Install(d.Delta())
+	set.Invalidate()
+	step("after-write", insertBook("C"))
 }

@@ -89,6 +89,7 @@ func TestSnapshotEpochReclamation(t *testing.T) {
 	reg := NewSnapReg()
 	reg.PublishFull(s, views)
 	opt := Options{Snapshots: reg}
+	set := mustSet(t, s, views)
 
 	var (
 		done  atomic.Bool
@@ -141,7 +142,7 @@ replace $i/qty/text() with "%d"`, i%97))
 			wg.Wait()
 			t.Fatal(err)
 		}
-		if _, err := MaintainAll(s, views, prims, 0, opt); err != nil {
+		if _, err := MaintainAll(set, prims, 0, opt); err != nil {
 			done.Store(true)
 			wg.Wait()
 			t.Fatalf("round %d: %v", i, err)

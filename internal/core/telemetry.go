@@ -4,7 +4,6 @@ import (
 	"runtime/metrics"
 
 	"xqview/internal/obs"
-	"xqview/internal/xat"
 )
 
 // Round telemetry: each round appends one obs.RoundSample, assembled from
@@ -30,28 +29,6 @@ func heapAllocObjects() uint64 {
 	return 0
 }
 
-// sumCacheStats totals the lifetime counters of every cache a round over
-// views and dag touches: each view's cache and each shared group's
-// partition. Diffed across the round via CacheStats.Sub it yields the
-// round's cache activity; Entries sums to the current level, not a delta.
-func sumCacheStats(views []*View, dag *xat.SharedDAG) xat.CacheStats {
-	var t xat.CacheStats
-	add := func(s xat.CacheStats) {
-		t.Hits += s.Hits
-		t.Misses += s.Misses
-		t.Folds += s.Folds
-		t.Evictions += s.Evictions
-		t.Entries += s.Entries
-	}
-	for _, v := range views {
-		add(v.CacheStats())
-	}
-	for _, g := range dag.Groups {
-		add(g.Cache.Stats())
-	}
-	return t
-}
-
 // record appends the round's RoundSample. Every sample carries the phase
 // slots, which sum to TotalNS, and the batch sizes; an aborted round's
 // sample adds what its rollback restored and stops there, a committed
@@ -73,7 +50,7 @@ func (r *round) record(aborted bool) {
 		CommitNS:   r.commitTime.Nanoseconds(),
 		RollbackNS: r.rollbackTime.Nanoseconds(),
 		TotalNS:    r.clock.Sub(r.start).Nanoseconds(),
-		Views:      int32(len(r.views)),
+		Views:      int32(len(r.set.Views)),
 		PrimsIn:    int32(len(r.orig)),
 		PrimsOut:   int32(len(r.prims)),
 	}
@@ -95,7 +72,7 @@ func (r *round) record(aborted bool) {
 		s.Removed += int32(ms.Union.Removed)
 		s.Modified += int32(ms.Union.Modified)
 	}
-	d := sumCacheStats(r.views, r.dag).Sub(r.cacheBefore)
+	d := r.set.cacheStats().Sub(r.cacheBefore)
 	s.CacheHits = int32(d.Hits)
 	s.CacheMisses = int32(d.Misses)
 	s.CacheFolds = int32(d.Folds)

@@ -20,8 +20,9 @@ func TestRoundTelemetrySample(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	obs.Rounds.Reset()
 	s, views, prims := obsFixture(t)
+	set := mustSet(t, s, views)
 	opt := Options{Parallelism: 2}
-	if _, err := MaintainAll(s, views, prims, 0, opt); err != nil {
+	if _, err := MaintainAll(set, prims, 0, opt); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Rounds.Total(); got != 1 {
@@ -63,7 +64,7 @@ replace $entry/price/text() with "71"
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s, views, prims2, 0, opt); err != nil {
+	if _, err := MaintainAll(set, prims2, 0, opt); err != nil {
 		t.Fatal(err)
 	}
 	sm2, _ := obs.Rounds.Last()
@@ -90,7 +91,7 @@ func TestRoundTelemetryAborted(t *testing.T) {
 	for _, op := range views[2].Plan.Ops() {
 		op.Kind = xat.OpKind(99)
 	}
-	if _, err := MaintainAll(s, views, prims, 0, Options{Parallelism: 1}); err == nil {
+	if _, err := MaintainAll(mustSet(t, s, views), prims, 0, Options{Parallelism: 1}); err == nil {
 		t.Fatal("expected propagate failure")
 	}
 	sm, ok := obs.Rounds.Last()
@@ -130,7 +131,7 @@ func TestRoundTelemetryAborted(t *testing.T) {
 			if err := faultinject.Arm(site, faultinject.ModeError, 1); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := MaintainAll(a.store, a.views, batch, 0, a.opts()); err == nil {
+			if _, err := MaintainAll(a.set, batch, 0, a.opts()); err == nil {
 				t.Fatalf("armed %s did not fail the round", site)
 			}
 			sm, _ := obs.Rounds.Last()
@@ -199,7 +200,8 @@ func TestRoundPhasesSumToTotal(t *testing.T) {
 			store, views := newArm(t, randomBib(rng, 6), randomPrices(rng, 5), fam.queries)
 			reg := NewSnapReg()
 			reg.PublishFull(store, views)
-			opts := Options{SharedDAG: xat.BuildSharedDAG(plansOf(views)), Snapshots: reg}
+			set := mustSet(t, store, views)
+			opts := Options{Snapshots: reg}
 			for round := 0; round < 8; round++ {
 				var prims []*update.Primitive
 				if fam.dupReplace {
@@ -208,7 +210,7 @@ func TestRoundPhasesSumToTotal(t *testing.T) {
 					continue
 				}
 				obs.Rounds.Reset()
-				stats, err := MaintainAll(store, views, prims, 0, opts)
+				stats, err := MaintainAll(set, prims, 0, opts)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
@@ -241,7 +243,7 @@ func TestRoundTelemetryEval(t *testing.T) {
 	tr := obs.NewTracer()
 	time.Sleep(2 * time.Millisecond) // the span must fit between the tracer's start and the round's
 	const eval = time.Millisecond
-	stats, err := MaintainAll(s, views, prims, eval, Options{Parallelism: 1, Tracer: tr})
+	stats, err := MaintainAll(mustSet(t, s, views), prims, eval, Options{Parallelism: 1, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestRoundTelemetryEval(t *testing.T) {
 	for _, op := range views[2].Plan.Ops() {
 		op.Kind = xat.OpKind(99)
 	}
-	if _, err := MaintainAll(s, views, prims, eval, Options{Parallelism: 1}); err == nil {
+	if _, err := MaintainAll(mustSet(t, s, views), prims, eval, Options{Parallelism: 1}); err == nil {
 		t.Fatal("expected propagate failure")
 	}
 	if sm, _ := obs.Rounds.Last(); !sm.Aborted || sm.EvalNS != eval.Nanoseconds() {
@@ -281,7 +283,7 @@ func TestRoundTelemetryDisabled(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(false))
 	obs.Rounds.Reset()
 	s, views, prims := obsFixture(t)
-	if _, err := MaintainAll(s, views, prims, 0); err != nil {
+	if _, err := MaintainAll(mustSet(t, s, views), prims, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Rounds.Total(); got != 0 {
@@ -303,7 +305,7 @@ func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	reg := NewSnapReg()
 	reg.PublishFull(s, views)
 	h := reg.Acquire() // pins the pre-round version across the swap
-	if _, err := MaintainAll(s, views, prims, 0, Options{Snapshots: reg}); err != nil {
+	if _, err := MaintainAll(mustSet(t, s, views), prims, 0, Options{Snapshots: reg}); err != nil {
 		t.Fatal(err)
 	}
 	sm, ok := obs.Rounds.Last()
@@ -337,7 +339,7 @@ replace $entry/price/text() with "71"
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s, views, prims2, 0, Options{Snapshots: reg}); err != nil {
+	if _, err := MaintainAll(mustSet(t, s, views), prims2, 0, Options{Snapshots: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if sm, _ = obs.Rounds.Last(); sm.SnapReaders != 0 || sm.SnapRetired != 0 {

@@ -36,11 +36,11 @@ type viewStage struct {
 // the views', so order is irrelevant). Nothing here can fail — every
 // fallible step already ran.
 func (r *round) install() {
-	r.store.Install(r.draft.Delta())
-	for gi, g := range r.dag.Groups {
+	r.set.Store.Install(r.draft.Delta())
+	for gi, g := range r.set.dag.Groups {
 		g.Cache.Install(r.sharedPreps[gi])
 	}
-	for i, v := range r.views {
+	for i, v := range r.set.Views {
 		if st := &r.stages[i]; st.staged {
 			v.Extent = st.extent
 			v.cache.Install(st.prep)
@@ -66,12 +66,10 @@ func (r *round) restore() int {
 		restored = r.draft.Delta().Len()
 		r.draft = nil
 	}
-	if r.dag != nil {
-		for _, g := range r.dag.Groups {
-			g.Cache.Rollback()
-		}
+	for _, g := range r.set.dag.Groups {
+		g.Cache.Rollback()
 	}
-	for _, v := range r.views {
+	for _, v := range r.set.Views {
 		restored += v.tx.Rollback()
 		v.cache.Rollback()
 		v.alloc.Release()

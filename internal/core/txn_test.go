@@ -26,6 +26,7 @@ import (
 type crashArm struct {
 	store *xmldoc.Store
 	views []*View
+	set   *ViewSet
 	reg   *SnapReg
 }
 
@@ -63,6 +64,7 @@ func newCrashArm(t *testing.T, bibXML, pricesXML string) *crashArm {
 		}
 		a.views = append(a.views, v)
 	}
+	a.set = mustSet(t, s, a.views)
 	a.reg.PublishFull(a.store, a.views)
 	return a
 }
@@ -134,10 +136,10 @@ func TestCrashConsistencyEverySite(t *testing.T) {
 				a := newCrashArm(t, bib, prices) // faulted arm
 				b := newCrashArm(t, bib, prices) // fault-free twin
 				warm := randomBatch(t, rng, a.store, 2)
-				if _, err := MaintainAll(a.store, a.views, deepClonePrims(warm), 0, a.opts()); err != nil {
+				if _, err := MaintainAll(a.set, deepClonePrims(warm), 0, a.opts()); err != nil {
 					t.Fatalf("warmup: %v", err)
 				}
-				if _, err := MaintainAll(b.store, b.views, deepClonePrims(warm), 0, b.opts()); err != nil {
+				if _, err := MaintainAll(b.set, deepClonePrims(warm), 0, b.opts()); err != nil {
 					t.Fatalf("twin warmup: %v", err)
 				}
 				pre := a.snapshot()
@@ -157,7 +159,7 @@ func TestCrashConsistencyEverySite(t *testing.T) {
 				if err := faultinject.Arm(site, mode, 1); err != nil {
 					t.Fatal(err)
 				}
-				stats, err := MaintainAll(a.store, a.views, primsA, 0, a.opts())
+				stats, err := MaintainAll(a.set, primsA, 0, a.opts())
 				if err == nil {
 					t.Fatalf("armed %s did not fail the round", site)
 				}
@@ -183,10 +185,10 @@ func TestCrashConsistencyEverySite(t *testing.T) {
 
 				// The one-shot point has disarmed itself: the retry must
 				// succeed and land byte-identical to the fault-free twin.
-				if _, err := MaintainAll(a.store, a.views, primsA, 0, a.opts()); err != nil {
+				if _, err := MaintainAll(a.set, primsA, 0, a.opts()); err != nil {
 					t.Fatalf("retry after %s: %v", site, err)
 				}
-				if _, err := MaintainAll(b.store, b.views, primsB, 0, b.opts()); err != nil {
+				if _, err := MaintainAll(b.set, primsB, 0, b.opts()); err != nil {
 					t.Fatalf("twin round: %v", err)
 				}
 				if d := a.snapshot().diff(b.snapshot()); d != "" {
@@ -234,7 +236,7 @@ func TestCrashConsistencySeededSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, merr := MaintainAll(a.store, a.views, primsA, 0, a.opts())
+		_, merr := MaintainAll(a.set, primsA, 0, a.opts())
 		fired := faultinject.Fired(site)
 		faultinject.Reset()
 		if fired {
@@ -244,7 +246,7 @@ func TestCrashConsistencySeededSweep(t *testing.T) {
 			if d := pre.diff(a.snapshot()); d != "" {
 				t.Fatalf("seed %d (%s %s hit=%d): rollback not byte-identical: %s", seed, site, mode, hit, d)
 			}
-			if _, err := MaintainAll(a.store, a.views, primsA, 0, a.opts()); err != nil {
+			if _, err := MaintainAll(a.set, primsA, 0, a.opts()); err != nil {
 				t.Fatalf("seed %d retry: %v", seed, err)
 			}
 		} else {
@@ -255,7 +257,7 @@ func TestCrashConsistencySeededSweep(t *testing.T) {
 				t.Fatalf("seed %d: site %s never fired but round failed: %v", seed, site, merr)
 			}
 		}
-		if _, err := MaintainAll(b.store, b.views, primsB, 0, b.opts()); err != nil {
+		if _, err := MaintainAll(b.set, primsB, 0, b.opts()); err != nil {
 			t.Fatalf("seed %d twin: %v", seed, err)
 		}
 		if d := a.snapshot().diff(b.snapshot()); d != "" {
@@ -276,7 +278,7 @@ func TestPoolPanicRecovery(t *testing.T) {
 	if err := faultinject.Arm("deepunion.apply", faultinject.ModePanic, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err := MaintainAll(a.store, a.views, prims, 0, Options{Parallelism: len(a.views)})
+	_, err := MaintainAll(a.set, prims, 0, Options{Parallelism: len(a.views)})
 	if err == nil {
 		t.Fatal("panicking apply did not fail the round")
 	}
@@ -286,7 +288,7 @@ func TestPoolPanicRecovery(t *testing.T) {
 	if d := pre.diff(a.snapshot()); d != "" {
 		t.Fatalf("sibling state damaged by panicking worker: %s", d)
 	}
-	if _, err := MaintainAll(a.store, a.views, prims, 0, Options{Parallelism: len(a.views)}); err != nil {
+	if _, err := MaintainAll(a.set, prims, 0, Options{Parallelism: len(a.views)}); err != nil {
 		t.Fatalf("retry after panic: %v", err)
 	}
 }
@@ -305,7 +307,7 @@ func TestAbortedRoundJournal(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x70AD))
 	a := newCrashArm(t, randomBib(rng, 4), randomPrices(rng, 3))
 	warm := randomBatch(t, rng, a.store, 1)
-	if _, err := MaintainAll(a.store, a.views, warm, 0, a.opts()); err != nil {
+	if _, err := MaintainAll(a.set, warm, 0, a.opts()); err != nil {
 		t.Fatal(err)
 	}
 	before := journal.Default.Rounds()
@@ -320,7 +322,7 @@ func TestAbortedRoundJournal(t *testing.T) {
 	if err := faultinject.Arm("core.snapshot.build", faultinject.ModeError, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(a.store, a.views, prims, 0, a.opts()); err == nil {
+	if _, err := MaintainAll(a.set, prims, 0, a.opts()); err == nil {
 		t.Fatal("armed snapshot build did not fail the round")
 	}
 
@@ -353,7 +355,7 @@ func TestAbortedRoundJournal(t *testing.T) {
 	}
 
 	// After a successful retry the same key has committed lineage again.
-	if _, err := MaintainAll(a.store, a.views, prims, 0, a.opts()); err != nil {
+	if _, err := MaintainAll(a.set, prims, 0, a.opts()); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
 	text, err = journal.Default.Explain("view-1", insKey)
@@ -376,14 +378,15 @@ func TestRetriedRoundCacheStats(t *testing.T) {
 	if err := faultinject.Arm("deepunion.apply", faultinject.ModeError, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaintainAll(s, views, prims, 0); err == nil {
+	set := mustSet(t, s, views)
+	if _, err := MaintainAll(set, prims, 0, Options{}); err == nil {
 		t.Fatal("round with an armed apply fault committed")
 	}
 	faultinject.Reset()
-	if _, err := MaintainAll(s, views, prims, 0); err != nil {
+	if _, err := MaintainAll(set, prims, 0, Options{}); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	if _, err := MaintainAll(ts, twins, tprims, 0); err != nil {
+	if _, err := MaintainAll(mustSet(t, ts, twins), tprims, 0, Options{}); err != nil {
 		t.Fatalf("twin: %v", err)
 	}
 	for i := range views {

@@ -42,8 +42,9 @@ type View struct {
 }
 
 // InvalidateCache drops every base table the view's propagation state cache
-// holds. Call it after any out-of-band mutation of the source store (the
-// cache only tracks mutations flowing through MaintainAll).
+// holds. After an out-of-band mutation of the source store (the cache only
+// tracks mutations flowing through MaintainAll), call ViewSet.Invalidate,
+// which also empties the shared partitions.
 func (v *View) InvalidateCache() {
 	v.cache.Invalidate()
 }
@@ -51,16 +52,6 @@ func (v *View) InvalidateCache() {
 // CacheStats reports the propagation state cache's lifetime counters.
 func (v *View) CacheStats() xat.CacheStats {
 	return v.cache.Stats()
-}
-
-// plansOf lists the views' plans in view order, the shape BuildSharedDAG and
-// SharedDAG.Matches take.
-func plansOf(views []*View) []*xat.Plan {
-	plans := make([]*xat.Plan, len(views))
-	for i, v := range views {
-		plans[i] = v.Plan
-	}
-	return plans
 }
 
 // displayName labels the view for traces and errors: its Name if set, else
@@ -131,42 +122,94 @@ func (v *View) Materialize() error {
 // XML serializes the current extent.
 func (v *View) XML() string { return xat.ExtentXML(v.Extent) }
 
-// ApplyScript parses XQuery update statements, evaluates them against the
-// store and maintains the view incrementally.
-func (v *View) ApplyScript(src string, opts ...Options) (*MaintStats, error) {
-	t0 := time.Now()
-	prims, err := update.ParseAndEvaluate(v.Store, src)
-	if err != nil {
-		return nil, err
-	}
-	return v.maintain(prims, time.Since(t0), opts)
-}
-
 // ApplyUpdates runs the full VPA pipeline for a batch of primitives:
 // validate (relevancy, sufficiency, rewriting, batching), refreshing the
 // source documents into the round's draft, propagate (incremental
 // maintenance plan execution producing delta update trees) and apply (deep
-// union into the extent); the draft becomes the store at commit.
-func (v *View) ApplyUpdates(prims []*update.Primitive, opts ...Options) (*MaintStats, error) {
-	return v.maintain(prims, 0, opts)
-}
-
-func (v *View) maintain(prims []*update.Primitive, eval time.Duration, opts []Options) (*MaintStats, error) {
-	all, err := MaintainAll(v.Store, []*View{v}, prims, eval, opts...)
+// union into the extent); the draft becomes the store at commit. The view
+// is maintained alone, as a one-view set.
+func (v *View) ApplyUpdates(prims []*update.Primitive) (*MaintStats, error) {
+	set, err := NewViewSet(v.Store, []*View{v})
+	if err != nil {
+		return nil, err
+	}
+	all, err := MaintainAll(set, prims, 0, Options{})
 	if err != nil {
 		return nil, err
 	}
 	return all[0], nil
 }
 
-// MaintainAll maintains several views over the same store under one batch,
-// as one round of phases (round.go): the batch is compacted and validated
-// once against the union of the views' SAPTs, the source documents are
-// refreshed once into the round's draft of the store, shared sub-plan
-// prefixes propagate once, and each view's incremental maintenance plan
-// propagates the batch and refreshes its extent over a bounded worker pool
-// (Options.Parallelism, default GOMAXPROCS). Commit installs the draft.
-// Results do not depend on the pool size.
+// ViewSet is the views of one store, compiled once: everything a round
+// needs that depends only on which views are registered. Build a new set
+// whenever the views change; a set's views, and their order, are fixed.
+type ViewSet struct {
+	Store *xmldoc.Store
+	Views []*View
+	// merged is the union of the views' SAPTs, the tree validate classifies
+	// every batch against.
+	merged *sapt.Tree
+	// dag groups the views' shared sub-plans; its groups' cache partitions
+	// stay warm across the rounds of the set.
+	dag *xat.SharedDAG
+}
+
+// NewViewSet checks that every view reads store, then compiles the set: it
+// merges the views' SAPTs and groups their plans into the shared DAG.
+func NewViewSet(store *xmldoc.Store, views []*View) (*ViewSet, error) {
+	trees := make([]*sapt.Tree, len(views))
+	plans := make([]*xat.Plan, len(views))
+	for i, v := range views {
+		if v.Store != store {
+			return nil, fmt.Errorf("core: view %q is defined over a different store", v.displayName(i))
+		}
+		trees[i], plans[i] = v.SAPT, v.Plan
+	}
+	return &ViewSet{Store: store, Views: append([]*View(nil), views...),
+		merged: sapt.Merge(trees...), dag: xat.BuildSharedDAG(plans)}, nil
+}
+
+// Invalidate drops every cached base table of the set: each view's state
+// cache and each shared group's partition. Call it after any out-of-band
+// mutation of the source store (the caches only track mutations flowing
+// through MaintainAll).
+func (s *ViewSet) Invalidate() {
+	for _, v := range s.Views {
+		v.InvalidateCache()
+	}
+	s.dag.Invalidate()
+}
+
+// cacheStats totals the lifetime counters of every cache a round over the
+// set touches: each view's cache and each shared group's partition. Diffed
+// across the round via CacheStats.Sub it yields the round's cache activity;
+// Entries sums to the current level, not a delta.
+func (s *ViewSet) cacheStats() xat.CacheStats {
+	var t xat.CacheStats
+	add := func(c xat.CacheStats) {
+		t.Hits += c.Hits
+		t.Misses += c.Misses
+		t.Folds += c.Folds
+		t.Evictions += c.Evictions
+		t.Entries += c.Entries
+	}
+	for _, v := range s.Views {
+		add(v.CacheStats())
+	}
+	for _, g := range s.dag.Groups {
+		add(g.Cache.Stats())
+	}
+	return t
+}
+
+// MaintainAll maintains the views of a set under one batch, as one round of
+// phases (round.go): the batch is compacted and validated once against the
+// set's merged SAPT, the source documents are refreshed once into the
+// round's draft of the store, the set's shared sub-plan prefixes propagate
+// once, and each view's incremental maintenance plan propagates the batch
+// and refreshes its extent over a bounded worker pool (Options.Parallelism,
+// default GOMAXPROCS). Commit installs the draft. Results do not depend on
+// the pool size.
 //
 // The round is transactional: every staged outcome is installed together
 // only after the whole round succeeded. On any error or panic the round is
@@ -180,8 +223,7 @@ func (v *View) maintain(prims []*update.Primitive, eval time.Duration, opts []Op
 // It is work done for the round but ahead of it: the round reports it as a
 // ParseEvaluate span preceding its own and as RoundSample.EvalNS, and keeps
 // it out of MaintStats.Total.
-func MaintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, eval time.Duration, opts ...Options) ([]*MaintStats, error) {
-	opt := getOpts(opts)
+func MaintainAll(set *ViewSet, prims []*update.Primitive, eval time.Duration, opt Options) ([]*MaintStats, error) {
 	// Provenance journaling: MaintainAll owns the round lifecycle — it
 	// stamps the round ID at Begin and commits the round (success or
 	// rolled-back failure) into the Default journal's retention ring. All
@@ -190,13 +232,13 @@ func MaintainAll(store *xmldoc.Store, views []*View, prims []*update.Primitive, 
 	// nothing else.
 	var jrec *journal.RoundRec
 	if journal.Enabled() {
-		names := make([]string, len(views))
-		for i, v := range views {
+		names := make([]string, len(set.Views))
+		for i, v := range set.Views {
 			names[i] = v.displayName(i)
 		}
 		jrec = journal.Default.Begin(names, len(prims))
 	}
-	out, err := maintainAll(store, views, prims, eval, opt, jrec)
+	out, err := maintainAll(set, prims, eval, opt, jrec)
 	if err != nil {
 		// The round transaction restored all pre-round state (including the
 		// caches, whose entries still describe the restored store), so the

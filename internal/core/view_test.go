@@ -94,10 +94,7 @@ func TestMaintainRunningExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := v.ApplyScript(fig13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := applyScript(t, v, fig13)
 	want := `<result>` +
 		`<yGroup Y="1994"><books>` +
 		`<entry><title>TCP/IP Illustrated</title><price>70</price></entry>` +
@@ -145,9 +142,7 @@ func TestSourceRefreshed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.ApplyScript(fig13); err != nil {
-		t.Fatal(err)
-	}
+	applyScript(t, v, fig13)
 	root, _ := s.RootElem("bib.xml")
 	books := xmldoc.ChildElems(s, root, "book")
 	if len(books) != 2 {
@@ -246,13 +241,10 @@ func TestDeepInsertInsideExposedFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := v.ApplyScript(`
+	ms := applyScript(t, v, `
 for $q in document("d.xml")/d/p/q
 update $q
 insert <r2>b</r2> into $q`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := Recompute(s, q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -266,4 +258,29 @@ insert <r2>b</r2> into $q`)
 	if ms.DeltaRoots == 0 {
 		t.Fatal("no delta produced")
 	}
+}
+
+// mustSet compiles views over s into a view set.
+func mustSet(t testing.TB, s *xmldoc.Store, views []*View) *ViewSet {
+	t.Helper()
+	set, err := NewViewSet(s, views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// applyScript evaluates an update script against the view's store and
+// maintains the view under the resulting primitives.
+func applyScript(t *testing.T, v *View, src string) *MaintStats {
+	t.Helper()
+	prims, err := update.ParseAndEvaluate(v.Store, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := v.ApplyUpdates(prims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
 }

@@ -370,7 +370,7 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 		}
 		return e.deltaNav(o, din, true), nil
 
-	case OpSelect, OpOrderBy, OpXMLUnion, OpXMLUnique, OpXMLDifference, OpXMLIntersection, OpName, OpExpose:
+	case OpSelect, OpOrderBy, OpXMLUnion, OpXMLUnique, OpName, OpExpose:
 		// Tuple-at-a-time operators: the delta is the operator over the
 		// input's delta. Select's predicates are evaluated over the
 		// post-update reader: it resolves inserted keys, keeps deleted

@@ -213,9 +213,6 @@ func applyOp(o *Op, env *Env, ins []*Table) (*Table, error) {
 	case OpXMLUnion:
 		return execXMLUnion(o, env, ins[0]), nil
 
-	case OpXMLDifference, OpXMLIntersection:
-		return execXMLSetOp(o, env, ins[0]), nil
-
 	case OpXMLUnique:
 		return execXMLUnique(o, env, ins[0]), nil
 
@@ -1012,32 +1009,6 @@ func execXMLUnion(o *Op, env *Env, in *Table) *Table {
 			}
 		}
 		out.Append(extend(env.alloc, tp, coll))
-	}
-	return out
-}
-
-// execXMLSetOp implements XML Difference and XML Intersection: id-based set
-// operations over two sequence columns of each tuple. Both return their
-// result in document order, dropping any overriding order (Sec 3.3.2).
-func execXMLSetOp(o *Op, env *Env, in *Table) *Table {
-	out := env.outTable(o)
-	c1 := in.Col(o.UnionCols[0])
-	c2 := in.Col(o.UnionCols[1])
-	for _, tp := range in.Tuples {
-		other := make(map[string]bool, len(tp.Cells[c2]))
-		for _, it := range tp.Cells[c2] {
-			other[it.Lineage()] = true
-		}
-		res := Cell{}
-		for _, it := range tp.Cells[c1] {
-			hit := other[it.Lineage()]
-			if (o.Kind == OpXMLDifference && !hit) || (o.Kind == OpXMLIntersection && hit) {
-				it.ID.Ord = "" // document order
-				res = append(res, it)
-			}
-		}
-		sortCellByOrder(res)
-		out.Append(extend(env.alloc, tp, res))
 	}
 	return out
 }

@@ -47,12 +47,6 @@ const (
 	// OpUnit emits a single zero-column tuple; used as the pipeline of a
 	// constructor with no embedded expressions.
 	OpUnit
-	// OpXMLDifference removes from the first column's sequence every node
-	// (by identifier) present in the second column's sequence.
-	OpXMLDifference
-	// OpXMLIntersection keeps only the nodes (by identifier) present in
-	// both columns' sequences.
-	OpXMLIntersection
 )
 
 var opNames = map[OpKind]string{
@@ -61,7 +55,6 @@ var opNames = map[OpKind]string{
 	OpGroupBy: "GroupBy", OpOrderBy: "OrderBy", OpCombine: "Combine",
 	OpTagger: "Tagger", OpXMLUnion: "XMLUnion", OpXMLUnique: "XMLUnique",
 	OpName: "Name", OpMerge: "Merge", OpExpose: "Expose", OpUnit: "Unit",
-	OpXMLDifference: "XMLDifference", OpXMLIntersection: "XMLIntersection",
 }
 
 func (k OpKind) String() string { return opNames[k] }
@@ -485,22 +478,6 @@ func analyzeOp(o *Op, unionSeq *int) error {
 		}
 		o.Ctx[o.OutCol] = cs
 
-	case OpXMLDifference, OpXMLIntersection:
-		// Sec 3.3.2: these produce sequences in document order (overriding
-		// order removed), with lineage derived from the first input column.
-		src := in(0)
-		if len(o.UnionCols) != 2 {
-			return fmt.Errorf("%s needs exactly 2 input columns", o.Kind)
-		}
-		o.OutCols = append(append([]string(nil), src.OutCols...), o.OutCol)
-		o.OrderSchema = append([]string(nil), src.OrderSchema...)
-		o.Ctx = copyCtx(src)
-		c1 := src.Ctx[o.UnionCols[0]]
-		if c1 == nil {
-			return fmt.Errorf("%s over unknown column %s", o.Kind, o.UnionCols[0])
-		}
-		o.Ctx[o.OutCol] = derivedCtx(c1, o.UnionCols[0])
-
 	case OpXMLUnion:
 		src := in(0)
 		if len(o.UnionCols) != 2 {
@@ -712,7 +689,7 @@ func (o *Op) Describe() string {
 		if o.Pattern != nil {
 			return "<" + o.Pattern.Name + ">"
 		}
-	case OpXMLUnion, OpXMLDifference, OpXMLIntersection:
+	case OpXMLUnion:
 		return strings.Join(o.UnionCols, "∪")
 	case OpName:
 		return o.InCol + "→" + o.OutCol

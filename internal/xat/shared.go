@@ -23,7 +23,7 @@ import (
 // representative.
 type GroupMember struct {
 	// View indexes the subscribing plan in the list BuildSharedDAG was
-	// given (the view order of core.MaintainAll).
+	// given (the order of the view set's views).
 	View int
 	// Ops is the member subtree in depth-first inputs-first order; the last
 	// element is the frontier operator whose delta table the shared run
@@ -119,34 +119,15 @@ func (g *SharedGroup) Propagate(in *DeltaInput, parent obs.Span, record bool) (*
 
 // SharedDAG is the shared operator DAG over a fixed list of view plans:
 // every group holds one representative subtree plus its subscriptions.
-// Build it once per view-set change (Database rebuilds on CreateView) so
-// the groups' cache partitions stay warm across rounds.
+// core.NewViewSet builds one per view set, so the groups' cache partitions
+// stay warm across the set's rounds.
 type SharedDAG struct {
 	Groups []*SharedGroup
-	plans  []*Plan
-}
-
-// Matches reports whether the DAG was built over exactly these plans, in
-// this order — the guard core.MaintainAll uses before trusting a caller-
-// supplied DAG's member indexes.
-func (d *SharedDAG) Matches(plans []*Plan) bool {
-	if d == nil || len(d.plans) != len(plans) {
-		return false
-	}
-	for i, p := range plans {
-		if d.plans[i] != p {
-			return false
-		}
-	}
-	return true
 }
 
 // Invalidate drops every group's cached propagation state (out-of-band
 // store mutations; mirrors View.InvalidateCache).
 func (d *SharedDAG) Invalidate() {
-	if d == nil {
-		return
-	}
 	for _, g := range d.Groups {
 		g.Cache.Invalidate()
 	}
@@ -178,7 +159,7 @@ type sharedOcc struct {
 // Fingerprint equality is verified structurally, so a hash collision can
 // only cost a missed group, never a wrong one.
 func BuildSharedDAG(plans []*Plan) *SharedDAG {
-	d := &SharedDAG{plans: append([]*Plan(nil), plans...)}
+	d := &SharedDAG{}
 	occs := map[uint64][]sharedOcc{}
 	var fps []uint64
 	for vi, p := range plans {

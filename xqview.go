@@ -35,7 +35,6 @@ import (
 	"xqview/internal/journal"
 	"xqview/internal/obs"
 	"xqview/internal/update"
-	"xqview/internal/xat"
 	"xqview/internal/xmldoc"
 )
 
@@ -49,9 +48,12 @@ type Database struct {
 	mu    sync.RWMutex
 	store *xmldoc.Store
 	views []*View
-	opts  core.Options
-	log   *obs.Logger
-	rec   *journal.StreamWriter
+	// set is the registered views compiled once, in registration order: the
+	// merged SAPT and the shared sub-plan DAG every round reuses.
+	set  *core.ViewSet
+	opts core.Options
+	log  *obs.Logger
+	rec  *journal.StreamWriter
 
 	// snaps is the MVCC epoch registry: every committed maintenance round
 	// publishes the next immutable version into it (store snapshot, view
@@ -62,45 +64,25 @@ type Database struct {
 	snaps *core.SnapReg
 }
 
-// coreViews returns the registered views' core handles in registration
-// order. Callers hold db.mu.
-func (db *Database) coreViews() []*core.View {
-	views := make([]*core.View, len(db.views))
-	for i, v := range db.views {
-		views[i] = v.view
-	}
-	return views
-}
-
 // publishFull captures the live store and extents as a fresh version, for
 // the out-of-band store mutations that have no round delta. Callers hold
 // db.mu exclusively.
 func (db *Database) publishFull() {
-	db.snaps.PublishFull(db.store, db.coreViews())
+	db.snaps.PublishFull(db.store, db.set.Views)
 }
 
 // publishFrames publishes the views' live state over the published store
 // snapshot, for the out-of-band paths that leave the store alone. Callers
 // hold db.mu exclusively.
 func (db *Database) publishFrames() {
-	db.snaps.PublishFrames(db.coreViews())
-}
-
-// rebuildSharedDAG regroups the registered views' plans into the shared
-// sub-plan DAG maintenance rounds reuse across rounds (warm shared cache
-// partitions). Callers hold db.mu. A rebuild starts from empty partitions;
-// the next round re-derives them.
-func (db *Database) rebuildSharedDAG() {
-	plans := make([]*xat.Plan, len(db.views))
-	for i, v := range db.views {
-		plans[i] = v.view.Plan
-	}
-	db.opts.SharedDAG = xat.BuildSharedDAG(plans)
+	db.snaps.PublishFrames(db.set.Views)
 }
 
 // NewDatabase creates an empty database.
 func NewDatabase() *Database {
-	db := &Database{store: xmldoc.NewStore(), snaps: core.NewSnapReg()}
+	store := xmldoc.NewStore()
+	set, _ := core.NewViewSet(store, nil) // no views, so no store to mismatch
+	db := &Database{store: store, set: set, snaps: core.NewSnapReg()}
 	db.opts.Snapshots = db.snaps
 	db.publishFull()
 	return db
@@ -179,11 +161,8 @@ func (db *Database) LoadDocument(name, src string) error {
 	_, err := db.store.Load(name, src)
 	// The store changed outside a maintenance round: cached propagation
 	// state no longer matches it — private view caches and the shared DAG's
-	// partitions alike.
-	for _, v := range db.views {
-		v.view.InvalidateCache()
-	}
-	db.rebuildSharedDAG()
+	// partitions alike. The groups stay: the plans did not change.
+	db.set.Invalidate()
 	// The load happened outside a round, whose delta would extend the
 	// version chain: publish a full capture.
 	db.publishFull()
@@ -227,10 +206,15 @@ func (db *Database) CreateView(query string) (*View, error) {
 		return nil, err
 	}
 	cv.Name = fmt.Sprintf("view-%d", len(db.views))
+	// A new plan may overlap existing ones: recompile the set, whose shared
+	// partitions start cold.
+	set, err := core.NewViewSet(db.store, append(db.set.Views, cv))
+	if err != nil {
+		return nil, err
+	}
 	v := &View{db: db, view: cv}
 	db.views = append(db.views, v)
-	// A new plan may overlap existing ones: regroup the shared DAG.
-	db.rebuildSharedDAG()
+	db.set = set
 	// Readers acquire the new view's frame from the next published version.
 	db.publishFrames()
 	return v, nil
@@ -392,11 +376,7 @@ func (db *Database) ApplyUpdates(script string) ([]*MaintenanceReport, error) {
 // primitives; eval is the time their script took to parse and evaluate (zero
 // for a replayed batch). Callers hold db.mu.
 func (db *Database) applyPrims(prims []*update.Primitive, eval time.Duration) ([]*MaintenanceReport, error) {
-	views := make([]*core.View, len(db.views))
-	for i, v := range db.views {
-		views[i] = v.view
-	}
-	stats, err := core.MaintainAll(db.store, views, prims, eval, db.opts)
+	stats, err := core.MaintainAll(db.set, prims, eval, db.opts)
 	if err != nil {
 		if db.log != nil {
 			db.log.Error("maintenance failed", "err", err)
@@ -409,7 +389,7 @@ func (db *Database) applyPrims(prims []*update.Primitive, eval time.Duration) ([
 		if db.log != nil {
 			r := out[i]
 			db.log.Info("maintained",
-				"view", views[i].Name,
+				"view", db.set.Views[i].Name,
 				"validate", r.Validate, "propagate", r.Propagate,
 				"apply", r.Apply, "source", r.Source, "total", r.Total,
 				"updates", r.UpdatesTotal, "irrelevant", r.UpdatesIrrelevant,

@@ -470,3 +470,67 @@ insert <book year="1999"><title>X</title></book> after $b`)
 		t.Fatalf("titles view:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestLoadAfterWarmRoundKeepsSharedAnswers runs a round between two views
+// that share a join over bib.xml and prices.xml, so the shared partition
+// holds the prices side, then loads a document and runs a round whose
+// insert joins. Each view must read as a fresh query of its text, and the
+// load must keep the shared group: the round after it is still served by
+// one shared join.
+func TestLoadAfterWarmRoundKeepsSharedAnswers(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	obs.Rounds.Reset()
+	defer obs.Rounds.Reset()
+	db := NewDatabase()
+	if err := db.LoadDocument("bib.xml", `<bib><book><title>A</title></book></bib>`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadDocument("prices.xml", `<prices>`+
+		`<entry><b-title>A</b-title><price>1</price></entry>`+
+		`<entry><b-title>C</b-title><price>3</price></entry></prices>`); err != nil {
+		t.Fatal(err)
+	}
+	const join = `for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
+	where $b/title = $e/b-title`
+	queries := []string{
+		`<result>{ ` + join + ` return <pair>{$b/title} {$e/price}</pair> }</result>`,
+		`<result>{ ` + join + ` return <deal>{$e/price}</deal> }</result>`,
+	}
+	var views []*View
+	for _, q := range queries {
+		v, err := db.CreateView(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, v)
+	}
+	insert := func(title string) string {
+		return `for $x in document("bib.xml")/bib update $x insert <book><title>` + title + `</title></book> into $x`
+	}
+	round := func(name, script string) {
+		t.Helper()
+		if _, err := db.ApplyUpdates(script); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, v := range views {
+			want, err := db.Query(queries[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := v.XML(); got != want {
+				t.Fatalf("%s: view %d\n%s\nquery\n%s", name, i, got, want)
+			}
+		}
+		if s, _ := obs.Rounds.Last(); s.SharedGroups != 1 || s.SharedHits != 1 {
+			t.Fatalf("%s: shared groups %d, hits %d; want one group serving both views", name, s.SharedGroups, s.SharedHits)
+		}
+	}
+	round("warm", insert("B"))
+	if err := db.LoadDocument("reviews.xml", `<reviews><review><b-title>C</b-title></review></reviews>`); err != nil {
+		t.Fatal(err)
+	}
+	round("after-load", insert("C"))
+	if got := views[0].XML(); !strings.Contains(got, "<price>3</price>") {
+		t.Fatalf("the joining insert found no price: %s", got)
+	}
+}
