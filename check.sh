@@ -8,8 +8,8 @@
 # deadline (the read path's frame-body memo test rides in it: racing first
 # readers, bodies shared across versions), and last the repository's one
 # benchmark against its own bounds (≈ 3 min). The unused-field lint over the
-# round, view-set, shared-DAG, MVCC, draft and script-evaluation structs is a
-# tier-1 test (TestStructFieldsReferenced).
+# round, view-set, shared-DAG, state-cache, MVCC, draft and script-evaluation
+# structs is a tier-1 test (TestStructFieldsReferenced).
 #
 # Usage: ./check.sh [extra go test args, e.g. -count=1; -short falls under the
 # coverage floor]

@@ -58,6 +58,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -183,14 +184,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer faultinject.Reset()
 	}
 
-	level := obs.LevelInfo
+	hopts := &slog.HandlerOptions{Level: slog.LevelInfo}
 	if *verbose {
-		level = obs.LevelDebug
+		hopts.Level = slog.LevelDebug
 	}
-	log := obs.NewLogger(stderr, level)
+	var handler slog.Handler = slog.NewTextHandler(stderr, hopts)
 	if *logJSON {
-		log.JSON()
+		handler = slog.NewJSONHandler(stderr, hopts)
 	}
+	log := slog.New(handler)
 
 	db := xqview.NewDatabase()
 	db.SetParallelism(*parallel)

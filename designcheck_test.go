@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xqview/internal/core"
+	"xqview/internal/obs"
 )
 
 // codeSpan matches one backticked span of Markdown.
@@ -35,10 +36,46 @@ func sortedSet(xs []string) []string {
 	return slices.Compact(out)
 }
 
+// tableColumn returns the backticked names in column col of every row of
+// the first Markdown table in section whose header names that column.
+func tableColumn(t *testing.T, section, col string) []string {
+	t.Helper()
+	var names []string
+	idx := -1
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if idx >= 0 {
+				break
+			}
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if idx < 0 {
+			idx = slices.IndexFunc(cells, func(c string) bool { return strings.TrimSpace(c) == col })
+			if idx < 0 {
+				t.Fatalf("table header has no %s column: %s", col, line)
+			}
+			continue
+		}
+		if idx >= len(cells) {
+			t.Fatalf("table row has %d cells, the %s column is %d: %s", len(cells), col, idx, line)
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(cells[idx], -1) {
+			names = append(names, m[1])
+		}
+	}
+	if idx < 0 {
+		t.Fatalf("no table with a %s column", col)
+	}
+	return names
+}
+
 // TestDesignTablesMatchTree holds DESIGN.md to the tree where it lists what
 // the code defines, in the manner of TestStructFieldsReferenced:
 //   - the "fault point(s)" column of the round's phase table names exactly
 //     the registered fault sites (core.FaultSites);
+//   - the state cache's eviction-cause table names exactly the cause
+//     labels registered on xat_state_cache_evictions_total;
 //   - the "Configuration" section names exactly the fields of core.Options.
 //     There a bare capitalized identifier in backticks is read as a field;
 //     other names are qualified (`core.RecomputeAll`) and tests are cited by
@@ -50,32 +87,24 @@ func TestDesignTablesMatchTree(t *testing.T) {
 	}
 	doc := string(raw)
 
-	var tabled []string
-	col := -1
-	for _, line := range strings.Split(designSection(t, doc, "The maintenance round"), "\n") {
-		if !strings.HasPrefix(line, "|") {
-			continue
-		}
-		cells := strings.Split(strings.Trim(line, "|"), "|")
-		if col < 0 {
-			col = slices.IndexFunc(cells, func(c string) bool { return strings.TrimSpace(c) == "fault point(s)" })
-			if col < 0 {
-				t.Fatalf("phase table header has no fault point(s) column: %s", line)
-			}
-			continue
-		}
-		if col >= len(cells) {
-			t.Fatalf("phase table row has %d cells, the fault column is %d: %s", len(cells), col, line)
-		}
-		for _, m := range codeSpan.FindAllStringSubmatch(cells[col], -1) {
-			tabled = append(tabled, m[1])
-		}
-	}
-	if col < 0 {
-		t.Fatal("DESIGN.md's maintenance round section has no phase table")
-	}
+	tabled := tableColumn(t, designSection(t, doc, "The maintenance round"), "fault point(s)")
 	if got, want := sortedSet(tabled), sortedSet(core.FaultSites()); !slices.Equal(got, want) {
 		t.Errorf("phase table fault points %v, want the registered sites %v", got, want)
+	}
+
+	causes := tableColumn(t, designSection(t, doc, "Propagation state cache & relevance pruning"), "cause")
+	series := regexp.MustCompile(`^xat_state_cache_evictions_total\{cause="([^"]+)"\}$`)
+	var registered []string
+	for name := range obs.Default.Snapshot() {
+		if m := series.FindStringSubmatch(name); m != nil {
+			registered = append(registered, m[1])
+		}
+	}
+	if len(registered) == 0 {
+		t.Fatal("no xat_state_cache_evictions_total series is registered")
+	}
+	if got, want := sortedSet(causes), sortedSet(registered); !slices.Equal(got, want) {
+		t.Errorf("eviction-cause table names %v, want the registered causes %v", got, want)
 	}
 
 	bare := regexp.MustCompile(`^[A-Z][A-Za-z0-9]*$`)

@@ -67,7 +67,7 @@ type round struct {
 
 	// The round transaction (txn.go): one slot per view, and one prepared
 	// cache commit per shared group of the set's DAG (nil without groups;
-	// nil for a group whose partition the round left alone).
+	// nil for a group whose prefix did not run).
 	stages      []viewStage
 	sharedPreps []*xat.PreparedCommit
 
@@ -83,7 +83,7 @@ func maintainAll(set *ViewSet, prims []*update.Primitive, eval time.Duration, op
 	r := newRound(set, prims, eval, opt, jrec)
 	// The single place the round aborts: any error return, and any panic in
 	// the single-threaded phases (the pool already recovered task panics),
-	// drops the draft and rolls the extents and the cache staging back.
+	// drops the draft and the extents' staged copies.
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("core: maintenance panicked: %v", p)
@@ -244,7 +244,8 @@ func (r *round) propagateShared() error {
 // propagateGroup is one task of the shared phase: group gi's prefix runs
 // only when at least one subscriber is live, so a view skipped for
 // relevance never forces shared work on its behalf alone. A nil result
-// means the prefix did not run.
+// means the prefix did not run; the group's partition then stays as it is,
+// since the batch is independent of every plan the prefix belongs to.
 func (r *round) propagateGroup(g *xat.SharedGroup, gi int, sp obs.Span) (res *xat.SharedResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -256,13 +257,6 @@ func (r *round) propagateGroup(g *xat.SharedGroup, gi int, sp obs.Span) (res *xa
 		live = live || !r.skip[m.View]
 	}
 	if !live {
-		// The prefix must not run, but its cached tables still go stale if
-		// the round touches its documents: stage an eviction-only commit.
-		if xat.RegionsTouch(r.din.Regions, g.Docs) {
-			if r.sharedPreps[gi], err = g.Cache.PrepareEvictTouched(r.din.Regions); err != nil {
-				return nil, fmt.Errorf("shared prefix %d: %w", gi, err)
-			}
-		}
 		return nil, nil
 	}
 	if res, err = g.Propagate(r.din, sp, r.jrec.Active()); err != nil {
@@ -320,7 +314,7 @@ func (r *round) maintainView(i int) (err error) {
 
 	t0 := time.Now()
 	pspan := vtrack.ChildAt("Propagate", t0)
-	roots, err := xat.PropagateDeltaShared(v.Plan, r.din, pspan, vrec, v.cache, v.alloc, seeds)
+	roots, err := xat.PropagateDelta(v.Plan, r.din, pspan, vrec, v.cache, v.alloc, seeds)
 	t1 := time.Now()
 	if err != nil {
 		pspan.EndAt(t1)

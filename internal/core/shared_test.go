@@ -604,11 +604,13 @@ func TestSharedDisjointFastPath(t *testing.T) {
 	}
 }
 
-// TestSharedStaleEviction pins the zero-live-subscribers hazard: a round
-// that touches a shared group's documents while every subscriber skips must
-// evict the group's touched cache entries — otherwise the NEXT round would
-// fold deltas into tables describing a store two rounds old.
-func TestSharedStaleEviction(t *testing.T) {
+// TestSkippedRoundKeepsSharedTables pins the zero-live-subscribers rule: a
+// round that touches a shared group's documents while every subscriber
+// skips runs no shared propagation and leaves the group's partition as it
+// is — its tables are sub-plans of plans the batch is independent of, so
+// they still describe the store. Later rounds fold into those tables and
+// must still match recomputation.
+func TestSkippedRoundKeepsSharedTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x57A1E))
 	s := xmldoc.NewStore()
 	if _, err := s.Load("bib.xml", randomBib(rng, 4)); err != nil {
@@ -617,9 +619,10 @@ func TestSharedStaleEviction(t *testing.T) {
 	if _, err := s.Load("prices.xml", randomPrices(rng, 3)); err != nil {
 		t.Fatal(err)
 	}
-	// Two join views sharing a join group over both documents. An
-	// author-only bib insert is SAPT-irrelevant to both (skip), yet touches
-	// bib.xml — the stale-eviction path.
+	// Two join views sharing a join group over both documents, and a view
+	// of the authors outside the group. An author insert is SAPT-irrelevant
+	// to the join views (skip) but not to the authors view, so the round
+	// carries a bib.xml region while the group has no live subscriber.
 	queries := []string{
 		`<result>{
 			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
@@ -629,6 +632,7 @@ func TestSharedStaleEviction(t *testing.T) {
 			for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
 			where $b/title = $e/b-title
 			return <deal>{$e/price}</deal> }</result>`,
+		`<result>{ for $a in doc("bib.xml")/bib/book/author return $a }</result>`,
 	}
 	views := make([]*View, len(queries))
 	for i, q := range queries {
@@ -645,6 +649,7 @@ func TestSharedStaleEviction(t *testing.T) {
 	}
 	opts := Options{Parallelism: 1}
 	bibRoot, _ := s.RootElem("bib.xml")
+	priRoot, _ := s.RootElem("prices.xml")
 
 	step := func(name string, prims []*update.Primitive) []*MaintStats {
 		t.Helper()
@@ -664,28 +669,49 @@ func TestSharedStaleEviction(t *testing.T) {
 		return stats
 	}
 
-	// Warm the shared cache with a relevant round.
-	step("warm", []*update.Primitive{{
+	// Warm the shared cache with relevant rounds on either side of the
+	// join, so the partition holds tables over both documents.
+	step("warm-bib", []*update.Primitive{{
 		Kind: update.Insert, Doc: "bib.xml", Parent: bibRoot,
 		Frag: xmldoc.Elem("book", xmldoc.AttrF("year", "1994"),
 			xmldoc.Elem("title", xmldoc.TextF(titlesPool[1]))),
 	}})
+	step("warm-prices", []*update.Primitive{{
+		Kind: update.Insert, Doc: "prices.xml", Parent: priRoot,
+		Frag: xmldoc.Elem("entry", xmldoc.Elem("price", xmldoc.TextF("12.00")),
+			xmldoc.Elem("b-title", xmldoc.TextF(titlesPool[1]))),
+	}})
+	partition := func() (entries, evictions int) {
+		for _, g := range dag.Groups {
+			st := g.Cache.Stats()
+			entries += st.Entries
+			evictions += st.Evictions
+		}
+		return entries, evictions
+	}
+	entries, evictions := partition()
+	if entries == 0 {
+		t.Fatal("the warm rounds cached no shared table; test is vacuous")
+	}
 
-	// Irrelevant-but-touching round: an author insert under an existing
-	// book changes bib.xml without affecting either view.
+	// An author insert under an existing book changes bib.xml without
+	// affecting either join view.
 	books := xmldoc.ChildElems(s, bibRoot, "book")
 	stats := step("irrelevant-touch", []*update.Primitive{{
 		Kind: update.Insert, Doc: "bib.xml", Parent: books[0],
 		Frag: xmldoc.Elem("author", xmldoc.Elem("last", xmldoc.TextF("Stale"))),
 	}})
-	for i, ms := range stats {
-		if ms.Skipped != 1 {
-			t.Fatalf("view %d not skipped on the irrelevant round", i)
-		}
+	if stats[0].Skipped != 1 || stats[1].Skipped != 1 || stats[2].Skipped != 0 {
+		t.Fatalf("skips on the author round: %d %d %d, want 1 1 0",
+			stats[0].Skipped, stats[1].Skipped, stats[2].Skipped)
+	}
+	if e, ev := partition(); e != entries || ev != evictions {
+		t.Fatalf("skipped round changed the shared partition: entries %d → %d, evictions %d → %d",
+			entries, e, evictions, ev)
 	}
 
-	// Relevant rounds afterwards must still match recomputation: if stale
-	// shared state survived, the fold here would resurrect it.
+	// Relevant rounds afterwards fold into the kept tables and must still
+	// match recomputation.
 	for r := 0; r < 3; r++ {
 		step(fmt.Sprintf("post-%d", r), []*update.Primitive{{
 			Kind: update.Insert, Doc: "bib.xml", Parent: bibRoot,
@@ -693,76 +719,4 @@ func TestSharedStaleEviction(t *testing.T) {
 				xmldoc.Elem("title", xmldoc.TextF(titlesPool[(r+2)%len(titlesPool)]))),
 		}})
 	}
-}
-
-// TestViewSetInvalidateAfterOutOfBandWrite pins what ViewSet.Invalidate owes
-// the shared groups: a round warms the join family's shared partition with
-// the prices side, a price entry is then written into the store outside any
-// round, and after Invalidate a round inserting the book that entry prices
-// must join it. A partition that survived the write would serve the prices
-// side as it was before the entry.
-func TestViewSetInvalidateAfterOutOfBandWrite(t *testing.T) {
-	s := xmldoc.NewStore()
-	if _, err := s.Load("bib.xml", `<bib><book year="1994"><title>A</title></book></bib>`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load("prices.xml", `<prices><entry><price>1</price><b-title>A</b-title></entry></prices>`); err != nil {
-		t.Fatal(err)
-	}
-	const join = `for $b in doc("bib.xml")/bib/book, $e in doc("prices.xml")/prices/entry
-		where $b/title = $e/b-title`
-	queries := []string{
-		`<result>{ ` + join + ` return <pair>{$b/title} {$e/price}</pair> }</result>`,
-		`<result>{ ` + join + ` return <deal>{$e/price}</deal> }</result>`,
-	}
-	views := make([]*View, len(queries))
-	for i, q := range queries {
-		v, err := NewView(s, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[i] = v
-	}
-	set := mustSet(t, s, views)
-	if len(set.dag.Groups) == 0 {
-		t.Fatal("join views share no group; test is vacuous")
-	}
-	bibRoot, _ := s.RootElem("bib.xml")
-	priRoot, _ := s.RootElem("prices.xml")
-	insertBook := func(title string) []*update.Primitive {
-		return []*update.Primitive{{Kind: update.Insert, Doc: "bib.xml", Parent: bibRoot,
-			Frag: xmldoc.Elem("book", xmldoc.AttrF("year", "1995"), xmldoc.Elem("title", xmldoc.TextF(title)))}}
-	}
-	step := func(name string, prims []*update.Primitive) {
-		t.Helper()
-		wants, err := RecomputeAll(s, queries, deepClonePrims(prims))
-		if err != nil {
-			t.Fatalf("%s recompute: %v", name, err)
-		}
-		stats, err := MaintainAll(set, prims, 0, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatalf("%s maintain: %v", name, err)
-		}
-		for i, v := range views {
-			if stats[i].SharedPrefixes == 0 {
-				t.Fatalf("%s view %d was not seeded by the shared join", name, i)
-			}
-			if got := v.XML(); got != wants[i] {
-				t.Fatalf("%s view %d diverged:\ngot:  %s\nwant: %s", name, i, got, wants[i])
-			}
-		}
-	}
-
-	// B has no price: the round derives and caches the prices side.
-	step("warm", insertBook("B"))
-	// Out of band: price C, a book no view holds yet, so every extent is
-	// still current.
-	d := xmldoc.NewDraft(s)
-	if err := update.ApplyToStore(d, &update.Primitive{Kind: update.Insert, Doc: "prices.xml", Parent: priRoot,
-		Frag: xmldoc.Elem("entry", xmldoc.Elem("price", xmldoc.TextF("3")), xmldoc.Elem("b-title", xmldoc.TextF("C")))}); err != nil {
-		t.Fatal(err)
-	}
-	s.Install(d.Delta())
-	set.Invalidate()
-	step("after-write", insertBook("C"))
 }

@@ -17,7 +17,9 @@ var fpRefresh = faultinject.Register("core.refresh")
 // leaving every structure byte-identical to the pre-round state. The round
 // memory itself is the views': each view owns its state cache, round arena
 // and tracker, so install and restore walk the views and the shared groups
-// directly, and resetting a view that did not run is a no-op.
+// directly, and resetting a view that did not run is a no-op. A state cache
+// needs no restore: it changes only at Install, and its staging dies at the
+// next round's begin.
 
 // viewStage is one view's staged outcome within a round transaction. The
 // worker maintaining view i is the only writer of slot i (the same
@@ -38,7 +40,9 @@ type viewStage struct {
 func (r *round) install() {
 	r.set.Store.Install(r.draft.Delta())
 	for gi, g := range r.set.dag.Groups {
-		g.Cache.Install(r.sharedPreps[gi])
+		if p := r.sharedPreps[gi]; p != nil {
+			g.Cache.Install(p)
+		}
 	}
 	for i, v := range r.set.Views {
 		if st := &r.stages[i]; st.staged {
@@ -54,24 +58,19 @@ func (r *round) install() {
 }
 
 // restore undoes everything the round staged: the draft is dropped (the
-// store was never written), candidate extent copies are abandoned with each
-// view's deepunion.Txn (the live extent was never written either), and
-// cache staging is rolled back (held cache entries stay — they describe the
-// pre-round store, which is still current). Staged extents and prepared
-// commits are simply dropped. Returns draft records discarded plus copies
-// abandoned.
+// store was never written) and candidate extent copies are abandoned with
+// each view's deepunion.Txn (the live extent was never written either).
+// Staged extents and prepared commits are simply dropped; held cache entries
+// stay, since they describe the pre-round store, which is still current.
+// Returns draft records discarded plus copies abandoned.
 func (r *round) restore() int {
 	restored := 0
 	if r.draft != nil {
 		restored = r.draft.Delta().Len()
 		r.draft = nil
 	}
-	for _, g := range r.set.dag.Groups {
-		g.Cache.Rollback()
-	}
 	for _, v := range r.set.Views {
 		restored += v.tx.Rollback()
-		v.cache.Rollback()
 		v.alloc.Release()
 	}
 	return restored

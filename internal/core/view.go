@@ -41,14 +41,6 @@ type View struct {
 	tx    *deepunion.Txn
 }
 
-// InvalidateCache drops every base table the view's propagation state cache
-// holds. After an out-of-band mutation of the source store (the cache only
-// tracks mutations flowing through MaintainAll), call ViewSet.Invalidate,
-// which also empties the shared partitions.
-func (v *View) InvalidateCache() {
-	v.cache.Invalidate()
-}
-
 // CacheStats reports the propagation state cache's lifetime counters.
 func (v *View) CacheStats() xat.CacheStats {
 	return v.cache.Stats()
@@ -105,11 +97,10 @@ func NewView(store *xmldoc.Store, query string) (*View, error) {
 	return v, nil
 }
 
-// Materialize (re)computes the extent from scratch. Any cached propagation
-// state is dropped: a from-scratch run implies the prior incremental state
-// is no longer trusted.
+// Materialize (re)computes the extent from scratch. It leaves the store
+// alone, so the propagation state cache, which describes the store, stays
+// valid.
 func (v *View) Materialize() error {
-	v.InvalidateCache()
 	env := xat.NewEnv(v.Store)
 	tbl, err := xat.Execute(v.Plan, env)
 	if err != nil {
@@ -169,17 +160,6 @@ func NewViewSet(store *xmldoc.Store, views []*View) (*ViewSet, error) {
 		merged: sapt.Merge(trees...), dag: xat.BuildSharedDAG(plans)}, nil
 }
 
-// Invalidate drops every cached base table of the set: each view's state
-// cache and each shared group's partition. Call it after any out-of-band
-// mutation of the source store (the caches only track mutations flowing
-// through MaintainAll).
-func (s *ViewSet) Invalidate() {
-	for _, v := range s.Views {
-		v.InvalidateCache()
-	}
-	s.dag.Invalidate()
-}
-
 // cacheStats totals the lifetime counters of every cache a round over the
 // set touches: each view's cache and each shared group's partition. Diffed
 // across the round via CacheStats.Sub it yields the round's cache activity;
@@ -214,7 +194,7 @@ func (s *ViewSet) cacheStats() xat.CacheStats {
 // The round is transactional: every staged outcome is installed together
 // only after the whole round succeeded. On any error or panic the round is
 // rolled back — view extents, source documents and cached propagation
-// state are restored byte-identical to the pre-round state, the journal
+// state are left byte-identical to the pre-round state, the journal
 // records an aborted round — and the error is returned. A failed batch can
 // simply be retried.
 //

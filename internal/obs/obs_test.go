@@ -218,40 +218,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
-func TestLoggerTextAndJSON(t *testing.T) {
-	var b bytes.Buffer
-	l := NewLogger(&b, LevelInfo).NoTime()
-	l.Debug("hidden")
-	l.Info("maintain", "view", "view-0", "total", 1500*time.Microsecond, "updates", 3)
-	l.Error("boom", "err", "bad thing")
-	out := b.String()
-	if strings.Contains(out, "hidden") {
-		t.Fatal("debug line leaked at info level")
-	}
-	for _, want := range []string{
-		"level=info msg=maintain view=view-0 total=1.5ms updates=3",
-		`level=error msg=boom err="bad thing"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in %q", want, out)
-		}
-	}
-
-	b.Reset()
-	j := NewLogger(&b, LevelDebug).JSON().NoTime()
-	j.Info("maintain", "updates", 3, "dur", time.Second)
-	var obj map[string]any
-	if err := json.Unmarshal(b.Bytes(), &obj); err != nil {
-		t.Fatalf("json line: %v (%q)", err, b.String())
-	}
-	if obj["msg"] != "maintain" || obj["updates"] != float64(3) || obj["dur"] != "1s" {
-		t.Fatalf("json fields: %+v", obj)
-	}
-
-	var nilLogger *Logger
-	nilLogger.Info("safe") // must not panic
-}
-
 func TestEnabledToggle(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)

@@ -90,12 +90,13 @@ func TestDeltaNavArenaAllocs(t *testing.T) {
 	const small, big = 2, 32
 	run := func(inserts int, withArena bool) func() {
 		in := deltaNavInput(t, inserts)
+		c := NewStateCache()
 		var a *Alloc
 		if withArena {
 			a = NewAlloc()
 		}
 		return func() {
-			if _, err := PropagateDeltaShared(plan, in, obs.Span{}, nil, nil, a, nil); err != nil {
+			if _, err := PropagateDelta(plan, in, obs.Span{}, nil, c, a, nil); err != nil {
 				t.Fatal(err)
 			}
 			a.Release()
@@ -131,7 +132,7 @@ func TestDeltaNavArenaAllocs(t *testing.T) {
 
 // deltaNavInput builds a reusable DeltaInput that inserts the given number
 // of new books under the root of a fixed 8-book bib, one region per insert
-// (PropagateDeltaShared treats its input as read-only, so runs may share one).
+// (PropagateDelta treats its input as read-only, so runs may share one).
 func deltaNavInput(t testing.TB, inserts int) *DeltaInput {
 	t.Helper()
 	var sb strings.Builder
@@ -186,13 +187,14 @@ func BenchmarkDeltaNav(b *testing.B) {
 		arena bool
 	}{{"alloc=arena", true}, {"alloc=heap", false}} {
 		b.Run(arm.name, func(b *testing.B) {
+			c := NewStateCache()
 			var a *Alloc
 			if arm.arena {
 				a = NewAlloc()
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := PropagateDeltaShared(plan, in, obs.Span{}, nil, nil, a, nil); err != nil {
+				if _, err := PropagateDelta(plan, in, obs.Span{}, nil, c, a, nil); err != nil {
 					b.Fatal(err)
 				}
 				a.Release()

@@ -23,7 +23,7 @@ var fpPropagate = faultinject.Register("xat.propagate")
 // Concurrency contract: a DeltaInput is read-only once built — Base must not
 // be mutated while any propagation is in flight, New must be frozen, and the
 // Region values are never written by the engine. Under that contract one
-// DeltaInput may be shared by concurrent PropagateDeltaShared calls (one per
+// DeltaInput may be shared by concurrent PropagateDelta calls (one per
 // view); all per-run mutable state (environments, skeleton registries,
 // base-table memos) lives in the per-call deltaEngine.
 type DeltaInput struct {
@@ -32,7 +32,7 @@ type DeltaInput struct {
 	Regions map[string][]*Region
 }
 
-// PropagateDeltaShared derives and executes the incremental maintenance plan
+// PropagateDelta derives and executes the incremental maintenance plan
 // of the view: the same algebra operators process delta tables instead of
 // base tables, consulting base inputs where the propagation equations
 // require them (e.g. ΔT1 ⋈ T2 ∪ T1' ⋈ ΔT2 for joins). The output delta
@@ -41,7 +41,8 @@ type DeltaInput struct {
 // DeltaInput (see its concurrency contract); each call builds private
 // environments and returns freshly allocated delta trees.
 //
-// The maintenance round's plumbing is passed in, each piece optional:
+// The maintenance round's plumbing is passed in; every piece but the cache
+// is optional:
 //
 //   - parent: every operator of the maintenance plan emits a child span
 //     (named "Kind#id", carrying its delta tuple count) nested under it, and
@@ -50,21 +51,21 @@ type DeltaInput struct {
 //   - rec: every operator's delta evaluation lands in the journal as an
 //     OpRecord (input FlexKeys consumed, output delta tuples produced, each
 //     linked to its originating update region).
-//   - cache: base sub-plan tables are served from tables the cache carried
-//     over from prior rounds, and this round's fresh derivations and
-//     per-operator deltas are staged on it so the caller can commit them once
-//     the apply phase succeeds.
+//   - cache (required): base sub-plan tables are served from tables the
+//     cache carried over from prior rounds, and this round's fresh
+//     derivations and per-operator deltas are staged on it so the caller can
+//     commit them (Prepare, then Install) once the apply phase succeeds.
 //   - alloc: all intermediate tuples, cells and table slices come from the
 //     round arena and die wholesale when the owning round transaction
-//     releases it; the state cache deep-copies staged tables out at its
-//     Prepare boundary. Nil allocates on the heap.
+//     releases it; the state cache copies what it admits out at its Prepare
+//     boundary. Nil allocates on the heap.
 //   - seeds: each Seed hands the propagation a shared prefix's precomputed
 //     round deltas, so when the walk reaches the seed's frontier operator it
 //     serves the shared delta table instead of re-propagating the subtree
 //     (staging the per-operator deltas on the view's private cache and
 //     replaying the shared lineage records, so cache folds and journal output
 //     are byte-identical to an unseeded run).
-func PropagateDeltaShared(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec, cache *StateCache, alloc *Alloc, seeds []Seed) ([]*VNode, error) {
+func PropagateDelta(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec, cache *StateCache, alloc *Alloc, seeds []Seed) ([]*VNode, error) {
 	if err := fpPropagate.Fire(); err != nil {
 		return nil, err
 	}
@@ -93,13 +94,13 @@ type deltaEngine struct {
 	env      *Env // over the post-update reader
 	baseEnv  *Env // over the pre-update store
 	baseMemo map[*Op]*Table
-	cache    *StateCache      // cross-round base-table cache (nil: every base table is derived)
+	cache    *StateCache      // cross-round base-table cache
 	span     obs.Span         // parent span for per-operator tracing (zero = off)
 	rec      *journal.ViewRec // provenance recorder (nil = off)
 	recOut   map[int][]string // op ID -> distinct output lineage keys recorded
 
 	// seeds maps a frontier operator of this plan to its shared group's
-	// precomputed round result (PropagateDeltaShared); nil when the view
+	// precomputed round result (PropagateDelta); nil when the view
 	// subscribes to no shared prefix this round.
 	seeds map[*Op]*Seed
 
@@ -114,10 +115,9 @@ type deltaEngine struct {
 
 // newDeltaEngine builds a propagation engine over one frozen DeltaInput,
 // beginning the cache's round staging. Shared-prefix propagation
-// (SharedGroup.Propagate) and per-view propagation (PropagateDeltaShared)
+// (SharedGroup.Propagate) and per-view propagation (PropagateDelta)
 // both run on it; p may be nil for sub-plan runs that never touch the root.
 func newDeltaEngine(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewRec, cache *StateCache, alloc *Alloc) *deltaEngine {
-	cache.begin(alloc != nil)
 	e := &deltaEngine{
 		plan:     p,
 		in:       in,
@@ -130,18 +130,16 @@ func newDeltaEngine(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewR
 	}
 	e.env.alloc = alloc
 	e.baseEnv.alloc = alloc
-	if cache != nil {
-		// Recycle the cross-round value-memo maps: the base map persists
-		// across rounds (Install prunes it by region), the new-store map is
-		// per-round. The new-store env additionally reads through to the
-		// persistent map for keys no region of this round can affect — those
-		// read identically in both stores.
-		e.baseEnv.vals, e.env.vals = cache.scratchVals()
-		e.env.baseVals = e.baseEnv.vals
-		for _, rgs := range in.Regions {
-			for _, r := range rgs {
-				e.env.dirty = append(e.env.dirty, r.Anchor)
-			}
+	// Recycle the cross-round value-memo maps: the base map persists across
+	// rounds (Install prunes it by region), the new-store map is per-round.
+	// The new-store env additionally reads through to the persistent map for
+	// keys no region of this round can affect — those read identically in
+	// both stores.
+	e.baseEnv.vals, e.env.vals = cache.begin()
+	e.env.baseVals = e.baseEnv.vals
+	for _, rgs := range in.Regions {
+		for _, r := range rgs {
+			e.env.dirty = append(e.env.dirty, r.Anchor)
 		}
 	}
 	if rec.Active() {
@@ -167,8 +165,8 @@ func newDeltaEngine(p *Plan, in *DeltaInput, parent obs.Span, rec *journal.ViewR
 }
 
 // base executes the sub-plan rooted at o over the pre-update store, or
-// serves it from the cross-round state cache when one is attached and holds
-// a table folded forward to the current pre-update state.
+// serves it from the cross-round state cache when that holds a table folded
+// forward to the current pre-update state.
 func (e *deltaEngine) base(o *Op) (*Table, error) {
 	if t, ok := e.baseMemo[o]; ok {
 		return t, nil

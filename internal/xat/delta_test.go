@@ -66,10 +66,10 @@ func (f *deltaFixture) propagate(t testing.TB, r *Region, frag *xmldoc.Frag) []*
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots, err := PropagateDeltaShared(f.plan, &DeltaInput{
+	roots, err := PropagateDelta(f.plan, &DeltaInput{
 		Base: f.store, New: d,
 		Regions: map[string][]*Region{"bib.xml": {r}},
-	}, obs.Span{}, nil, nil, nil, nil)
+	}, obs.Span{}, nil, NewStateCache(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +181,10 @@ func TestDeltaIrrelevantDocUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = other
-	roots, err := PropagateDeltaShared(f.plan, &DeltaInput{
+	roots, err := PropagateDelta(f.plan, &DeltaInput{
 		Base: f.store, New: xmldoc.NewDraft(f.store),
 		Regions: map[string][]*Region{"other.xml": {{Mode: RegionDelete, Anchor: "zz"}}},
-	}, obs.Span{}, nil, nil, nil, nil)
+	}, obs.Span{}, nil, NewStateCache(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,15 +38,14 @@ type SharedGroup struct {
 	// Rep is the representative subtree (the first subscriber's operators)
 	// in depth-first inputs-first order; the last element is the frontier.
 	Rep []*Op
-	// Docs is the representative's source-document footprint, sorted — the
-	// group's invalidation and relevance unit.
-	Docs []string
 	// Members lists every subscription, in (view, plan position) order.
 	Members []GroupMember
 	// Cache is the group's own cross-round StateCache partition: base
 	// tables the shared propagation derives (join/aggregate equations) are
-	// carried across rounds under the same Prepare/Install/Rollback
-	// prepared-commit protocol as the per-view caches.
+	// carried across rounds under the same begin/Prepare/Install lifecycle
+	// as the per-view caches. A round in which no subscriber is live runs
+	// no propagation and leaves the partition as it is: its tables are
+	// sub-plans of the members' plans, which the round cannot change.
 	Cache *StateCache
 }
 
@@ -71,7 +70,7 @@ type SharedResult struct {
 }
 
 // Seed hands one shared group's round result to a member view's
-// propagation (PropagateDeltaShared).
+// propagation (PropagateDelta).
 type Seed struct {
 	// Ops is the member subtree, positionally lockstep with Result.Deltas.
 	Ops []*Op
@@ -123,26 +122,6 @@ func (g *SharedGroup) Propagate(in *DeltaInput, parent obs.Span, record bool) (*
 // stay warm across the set's rounds.
 type SharedDAG struct {
 	Groups []*SharedGroup
-}
-
-// Invalidate drops every group's cached propagation state (out-of-band
-// store mutations; mirrors View.InvalidateCache).
-func (d *SharedDAG) Invalidate() {
-	for _, g := range d.Groups {
-		g.Cache.Invalidate()
-	}
-}
-
-// RegionsTouch reports whether any of the round's update regions lies in
-// one of docs (the group-level relevance test; regions are keyed by
-// document).
-func RegionsTouch(regions map[string][]*Region, docs []string) bool {
-	for _, d := range docs {
-		if len(regions[d]) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // sharedOcc is one candidate subtree occurrence during DAG construction.
@@ -202,7 +181,6 @@ func BuildSharedDAG(plans []*Plan) *SharedDAG {
 		}
 		g := &SharedGroup{
 			Rep:     members[0].Ops,
-			Docs:    rep.SourceDocs(),
 			Members: members,
 			Cache:   NewStateCache(),
 		}

@@ -37,13 +37,11 @@ const (
 	evictConstructed                   // constructed content in the delta
 	evictMiss                          // a retraction of an identity the entry does not hold
 	evictNegative                      // a count the delta would drive below zero
-	evictTouched                       // PrepareEvictTouched: no deltas to fold
-	evictInvalidate                    // Invalidate: every entry dropped
 	numEvictCauses
 )
 
 var evictCauseNames = [numEvictCauses]string{
-	"patch", "unheld", "value", "constructed", "miss", "negative", "touched", "invalidate",
+	"patch", "unheld", "value", "constructed", "miss", "negative",
 }
 
 // CacheStats summarizes one StateCache's lifetime activity.
@@ -83,22 +81,22 @@ type cacheEntry struct {
 }
 
 // StateCache carries a view's base operator state across maintenance rounds
-// (the per-call baseMemo of PropagateDeltaShared promoted to View lifetime). It is
+// (the per-call baseMemo of PropagateDelta promoted to View lifetime). It is
 // keyed by the plan-stable operator ID, so it survives the per-round
 // deltaEngine whose *Op memo keys it replaces.
 //
-// Lifecycle per round: begin() clears the staging maps, the engine stages
-// fresh derivations (noteFresh) and every operator's delta (noteDelta)
-// during propagation, and the commit — Prepare once the round's apply phase
-// succeeded, Install when the whole round commits — reconciles the store
-// mutations into the held tables: entries
-// whose source documents are untouched by the round's regions are kept
-// verbatim (their deltas are provably empty), and touched entries are
-// updated in place by folding the round's own deltas (insert Δ+ tuples,
-// retract Δ− via the counting solution, absorb value-modify patches of held
-// tuples) or evicted when the fold cannot absorb the delta (see
-// cacheEntry.fold). Invalidate drops
-// everything, for rounds that fail mid-way or out-of-band store mutations.
+// Lifecycle per round, and the only way a held table changes: begin()
+// resets the staging, the engine stages fresh derivations (noteFresh) and
+// every operator's delta (noteDelta) during propagation, Prepare — once the
+// round's apply phase succeeded — builds the next entries map, and Install,
+// when the whole round commits, swaps it in. Entries whose source documents
+// are untouched by the round's regions are kept verbatim (their deltas are
+// provably empty), and touched entries are folded forward by the round's
+// own deltas (insert Δ+ tuples, retract Δ− via the counting solution,
+// absorb value-modify patches of held tuples) or evicted when the fold
+// cannot absorb the delta (see cacheEntry.fold). A round that aborts, or
+// that skips the cache's sub-plans as independent of the batch, leaves the
+// held tables as they are: they still describe the store.
 //
 // Concurrency: a StateCache belongs to one view and is only touched by the
 // worker maintaining that view, so it needs no locking (the same ownership
@@ -106,13 +104,10 @@ type cacheEntry struct {
 type StateCache struct {
 	entries map[int]*cacheEntry
 
-	// Per-round staging, cleared by begin():
+	// Per-round staging, reset by begin() and by nothing else. Staged
+	// tables may live in the round arena; Prepare copies out what it admits.
 	pendingFresh map[int]*cacheEntry
 	pendingDelta map[int]*Table
-	// pendingPromote marks staged tables as arena-backed: they die with the
-	// round transaction, so Prepare must deep-copy them to heap memory
-	// before they may join the cross-round entries map.
-	pendingPromote bool
 
 	// valsBase/valsNew are the engine's string-value memo maps. valsNew
 	// (over the round's draft) is valid only within one round and is
@@ -123,26 +118,13 @@ type StateCache struct {
 	// whose concatenated text value shifts; an update no view reads has no
 	// region and changes no value any view memoized). A rollback leaves the
 	// pre-round store, which is what the memo describes, so the memo
-	// survives rollbacks verbatim; Invalidate clears it along with the
-	// tables.
+	// survives rollbacks verbatim.
 	valsBase, valsNew map[flexkey.Key]string
 
 	// stats are the lifetime counters; round stages the hits and misses of
-	// the round in flight, which Install adds and Rollback drops, like the
-	// folds and evictions a PreparedCommit carries.
+	// the round in flight, which Install adds and the next begin drops,
+	// like the folds and evictions a PreparedCommit carries.
 	stats, round CacheStats
-}
-
-// scratchVals returns the round's value-memo maps: the persistent base-store
-// memo as-is (see the field comment for its invalidation contract) and the
-// per-round updated-reader memo cleared.
-func (c *StateCache) scratchVals() (base, fresh map[flexkey.Key]string) {
-	if c.valsBase == nil {
-		c.valsBase = make(map[flexkey.Key]string)
-		c.valsNew = make(map[flexkey.Key]string)
-	}
-	clear(c.valsNew)
-	return c.valsBase, c.valsNew
 }
 
 // NewStateCache returns an empty cache.
@@ -151,28 +133,25 @@ func NewStateCache() *StateCache {
 		entries:      map[int]*cacheEntry{},
 		pendingFresh: map[int]*cacheEntry{},
 		pendingDelta: map[int]*Table{},
+		valsBase:     map[flexkey.Key]string{},
+		valsNew:      map[flexkey.Key]string{},
 	}
 }
 
-// begin starts a round: any staging left over from an uncommitted round
-// (e.g. a propagation that errored before apply) is discarded. promote
-// declares that the round's tables live in a round arena and must be
-// deep-copied out at the Prepare boundary.
-func (c *StateCache) begin(promote bool) {
-	if c == nil {
-		return
-	}
-	c.pendingFresh = map[int]*cacheEntry{}
-	c.pendingDelta = map[int]*Table{}
-	c.pendingPromote = promote
+// begin starts a round and returns its value-memo maps: the staging and the
+// updated-reader memo of the previous round, committed or not, are
+// discarded in place, and the persistent base-store memo is returned as-is
+// (see the field comment for its invalidation contract).
+func (c *StateCache) begin() (base, fresh map[flexkey.Key]string) {
+	clear(c.pendingFresh)
+	clear(c.pendingDelta)
+	clear(c.valsNew)
 	c.round = CacheStats{}
+	return c.valsBase, c.valsNew
 }
 
 // lookup serves operator o's base table from a prior round, if held.
 func (c *StateCache) lookup(o *Op) (*Table, bool) {
-	if c == nil {
-		return nil, false
-	}
 	e, ok := c.entries[o.ID]
 	if !ok {
 		return nil, false
@@ -185,9 +164,6 @@ func (c *StateCache) lookup(o *Op) (*Table, bool) {
 // Tables holding constructed nodes are never cached: their skeletons live in
 // the per-round registry and their identities are not stable across rounds.
 func (c *StateCache) noteFresh(o *Op, t *Table) {
-	if c == nil {
-		return
-	}
 	c.round.Misses++
 	if tableHasConstructed(t) {
 		return
@@ -198,9 +174,6 @@ func (c *StateCache) noteFresh(o *Op, t *Table) {
 // noteDelta stages operator o's delta table of the current round; Prepare
 // folds it into o's cached base table (the cached state is pre-update).
 func (c *StateCache) noteDelta(o *Op, t *Table) {
-	if c == nil {
-		return
-	}
 	c.pendingDelta[o.ID] = t
 }
 
@@ -228,15 +201,13 @@ func (p *PreparedCommit) Len() int { return len(p.entries) }
 // update regions is folded forward (or evicted when folding is unsound).
 // Tables over untouched documents are kept as-is — deltas originate only
 // from OpSource region tuples, so an untouched sub-plan's delta is empty
-// and its base table is unchanged.
+// and its base table is unchanged. Staged tables may live in the round
+// arena, so whatever Prepare admits from them is copied to the heap.
 //
 // Prepare is the fallible half of the commit protocol: it may fail (today
 // only by fault injection), and failure leaves the cache exactly as the
 // round found it. Install is the infallible second half.
 func (c *StateCache) Prepare(regions map[string][]*Region) (*PreparedCommit, error) {
-	if c == nil {
-		return nil, nil
-	}
 	if err := fpCommit.Fire(); err != nil {
 		return nil, err
 	}
@@ -257,19 +228,14 @@ func (c *StateCache) Prepare(regions map[string][]*Region) (*PreparedCommit, err
 		p.entries[id] = e
 	}
 	for id, e := range c.pendingFresh {
-		tbl := e.tbl
-		if c.pendingPromote {
-			// Fresh derivations ran on the round arena; copy them out so
-			// the cached table survives the arena's wholesale release.
-			tbl = promoteTable(tbl)
-		}
+		tbl := promoteTable(e.tbl)
 		p.entries[id] = &cacheEntry{tbl: tbl, ids: tableIdentities(tbl), docs: e.docs}
 	}
 	for id, e := range p.entries {
-		if !RegionsTouch(regions, e.docs) {
+		if !regionsTouch(regions, e.docs) {
 			continue
 		}
-		ne, cause := e.fold(c.pendingDelta[id], modified, c.pendingPromote)
+		ne, cause := e.fold(c.pendingDelta[id], modified)
 		if ne == nil {
 			delete(p.entries, id)
 			p.evicts[cause]++
@@ -281,42 +247,9 @@ func (c *StateCache) Prepare(regions map[string][]*Region) (*PreparedCommit, err
 	return p, nil
 }
 
-// PrepareEvictTouched builds a prepared commit that drops every held entry
-// whose source documents intersect the round's update regions, without any
-// delta folding. It serves shared groups whose documents the round touched
-// but which had zero live subscribers: the shared propagation did not run,
-// so no deltas exist to fold the touched tables forward — keeping them
-// would serve stale state to the next round. Untouched entries (and fresh
-// staging, which cannot exist on this path) are kept verbatim.
-func (c *StateCache) PrepareEvictTouched(regions map[string][]*Region) (*PreparedCommit, error) {
-	if c == nil {
-		return nil, nil
-	}
-	if err := fpCommit.Fire(); err != nil {
-		return nil, err
-	}
-	p := &PreparedCommit{entries: make(map[int]*cacheEntry, len(c.entries))}
-	for _, rgs := range regions {
-		for _, r := range rgs {
-			p.dirty = append(p.dirty, r.Anchor)
-		}
-	}
-	for id, e := range c.entries {
-		if RegionsTouch(regions, e.docs) {
-			p.evicts[evictTouched]++
-			continue
-		}
-		p.entries[id] = e
-	}
-	return p, nil
-}
-
-// Install atomically swaps in a prepared commit and clears the round's
-// staging. It cannot fail: everything fallible happened in Prepare.
+// Install atomically swaps in a prepared commit and adds the round's
+// counters. It cannot fail: everything fallible happened in Prepare.
 func (c *StateCache) Install(p *PreparedCommit) {
-	if c == nil || p == nil {
-		return
-	}
 	c.entries = p.entries
 	// The store now holds the round's mutations: drop every memoized string
 	// value the regions could have changed. A key is affected if it lies in
@@ -331,11 +264,8 @@ func (c *StateCache) Install(p *PreparedCommit) {
 			}
 		}
 	}
-	c.pendingFresh = map[int]*cacheEntry{}
-	c.pendingDelta = map[int]*Table{}
 	c.stats.Hits += c.round.Hits
 	c.stats.Misses += c.round.Misses
-	c.round = CacheStats{}
 	c.stats.Folds += p.folds
 	for _, n := range p.evicts {
 		c.stats.Evictions += n
@@ -352,29 +282,10 @@ func (c *StateCache) Install(p *PreparedCommit) {
 	}
 }
 
-// Rollback abandons the round: staging is dropped, held tables stay exactly
-// as the round found them (they describe the pre-round store, which a
-// rolled-back round restores). The round's staged hits and misses are
-// dropped with the rest, so a retried round reports the same totals as a
-// fault-free run.
-func (c *StateCache) Rollback() {
-	if c == nil {
-		return
-	}
-	c.pendingFresh = map[int]*cacheEntry{}
-	c.pendingDelta = map[int]*Table{}
-	c.round = CacheStats{}
-}
-
 // Fingerprint renders the held entries deterministically — operator IDs in
 // order, each with its source documents and full table contents — so tests
-// can assert byte-identity of cache state across rollback/retry. A nil
-// cache fingerprints like an empty one: lazy cache creation is not an
-// observable state change.
+// can assert byte-identity of cache state across rollback/retry.
 func (c *StateCache) Fingerprint() string {
-	if c == nil {
-		return "entries=0\n"
-	}
 	ids := make([]int, 0, len(c.entries))
 	for id := range c.entries {
 		ids = append(ids, id)
@@ -389,40 +300,27 @@ func (c *StateCache) Fingerprint() string {
 	return b.String()
 }
 
-// Invalidate drops every held table and all staging.
-func (c *StateCache) Invalidate() {
-	if c == nil {
-		return
-	}
-	n := len(c.entries)
-	c.entries = map[int]*cacheEntry{}
-	c.pendingFresh = map[int]*cacheEntry{}
-	c.pendingDelta = map[int]*Table{}
-	c.round = CacheStats{}
-	clear(c.valsBase)
-	c.stats.Evictions += n
-	c.stats.Entries = 0
-	if obs.Enabled() {
-		cCacheEvictions[evictInvalidate].Add(int64(n))
-	}
-}
-
 // Len reports how many base tables the cache holds.
 func (c *StateCache) Len() int {
-	if c == nil {
-		return 0
-	}
 	return len(c.entries)
 }
 
 // Stats returns a snapshot of the cache's counters.
 func (c *StateCache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
 	s := c.stats
 	s.Entries = len(c.entries)
 	return s
+}
+
+// regionsTouch reports whether any of the round's update regions lies in
+// one of docs (regions are keyed by document).
+func regionsTouch(regions map[string][]*Region, docs []string) bool {
+	for _, d := range docs {
+		if len(regions[d]) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // tupleIdentity is the counting-solution identity a fold matches tuples on:
@@ -502,10 +400,10 @@ type foldOp struct {
 // Only delta tuples build an identity; held tuples keep theirs. The entry
 // and its tuples are never written: delta tables share *Tuple pointers
 // across operators, so the fold builds a new tuple slice and copies any
-// tuple whose count changes. When promote is set, cells taken from the
-// (arena-backed) delta are deep-copied so the folded table never aliases
+// tuple whose count changes. Cells taken from the delta, which may live in
+// the round arena, are deep-copied so the folded table never aliases
 // round-arena memory; held tuples are heap memory already.
-func (e *cacheEntry) fold(delta *Table, modified map[flexkey.Key]bool, promote bool) (*cacheEntry, evictCause) {
+func (e *cacheEntry) fold(delta *Table, modified map[flexkey.Key]bool) (*cacheEntry, evictCause) {
 	if delta == nil || len(delta.Tuples) == 0 {
 		return e, 0
 	}
@@ -574,11 +472,7 @@ func (e *cacheEntry) fold(delta *Table, modified map[flexkey.Key]bool, promote b
 		case op.count == 0:
 			continue
 		}
-		cells := op.tp.Cells
-		if promote {
-			cells = promoteCells(cells)
-		}
-		out.Tuples = append(out.Tuples, &Tuple{Cells: cells, Count: op.count})
+		out.Tuples = append(out.Tuples, &Tuple{Cells: promoteCells(op.tp.Cells), Count: op.count})
 		ids = append(ids, op.id)
 	}
 	return &cacheEntry{tbl: out, ids: ids, docs: e.docs}, 0

@@ -47,7 +47,7 @@ func entryOf(t *Table) *cacheEntry {
 // foldTable folds delta into a fresh entry over base, with no modified
 // value nodes and no arena promotion; ok is false when the fold evicts.
 func foldTable(base, delta *Table) (*Table, bool) {
-	ne, _ := entryOf(base).fold(delta, nil, false)
+	ne, _ := entryOf(base).fold(delta, nil)
 	if ne == nil {
 		return nil, false
 	}
@@ -125,7 +125,7 @@ func textTuple(k, val string) *Tuple {
 
 func TestFoldTableModifyPatchOfHeldTupleFolds(t *testing.T) {
 	base := tableOf(nodeTuple("b", 1), nodeTuple("b.d", 2))
-	ne, _ := entryOf(base).fold(tableOf(patchTuple(nodeTuple("b.d", 0), RegionModify, "b.d.f")), nil, false)
+	ne, _ := entryOf(base).fold(tableOf(patchTuple(nodeTuple("b.d", 0), RegionModify, "b.d.f")), nil)
 	if ne == nil {
 		t.Fatal("a modify patch of a held tuple must fold")
 	}
@@ -137,7 +137,7 @@ func TestFoldTableModifyPatchOfHeldTupleFolds(t *testing.T) {
 func TestFoldTableInsertDeletePatchEvicts(t *testing.T) {
 	for _, mode := range []RegionMode{RegionInsert, RegionDelete} {
 		base := tableOf(nodeTuple("b", 1))
-		ne, cause := entryOf(base).fold(tableOf(patchTuple(nodeTuple("b", 0), mode, "b.d")), nil, false)
+		ne, cause := entryOf(base).fold(tableOf(patchTuple(nodeTuple("b", 0), mode, "b.d")), nil)
 		if ne != nil || cause != evictPatch {
 			t.Errorf("mode %d patch: entry kept=%v cause=%s, want evicted as patch", mode, ne != nil, evictCauseNames[cause])
 		}
@@ -146,7 +146,7 @@ func TestFoldTableInsertDeletePatchEvicts(t *testing.T) {
 
 func TestFoldTableModifyPatchUnheldEvicts(t *testing.T) {
 	base := tableOf(nodeTuple("b", 1))
-	ne, cause := entryOf(base).fold(tableOf(patchTuple(nodeTuple("zz", 0), RegionModify, "zz.d")), nil, false)
+	ne, cause := entryOf(base).fold(tableOf(patchTuple(nodeTuple("zz", 0), RegionModify, "zz.d")), nil)
 	if ne != nil || cause != evictUnheld {
 		t.Errorf("unheld modify patch: entry kept=%v cause=%s, want evicted as unheld", ne != nil, evictCauseNames[cause])
 	}
@@ -157,7 +157,7 @@ func TestFoldTableModifyPatchUnheldEvicts(t *testing.T) {
 func TestFoldTableModifyPatchNewValueEvicts(t *testing.T) {
 	base := tableOf(textTuple("b.p.t", "10"))
 	patch := patchTuple(textTuple("b.p.t", "12"), RegionModify, "b.p.t")
-	ne, cause := entryOf(base).fold(tableOf(patch), nil, false)
+	ne, cause := entryOf(base).fold(tableOf(patch), nil)
 	if ne != nil || cause != evictUnheld {
 		t.Errorf("new-value modify patch: entry kept=%v cause=%s, want evicted as unheld", ne != nil, evictCauseNames[cause])
 	}
@@ -170,11 +170,11 @@ func TestFoldTableModifiedValueItemEvicts(t *testing.T) {
 	base := tableOf(textTuple("b.p.t", "10"))
 	patch := patchTuple(textTuple("b.p.t", "10"), RegionModify, "b.p.t")
 	modified := map[flexkey.Key]bool{"b.p.t": true}
-	ne, cause := entryOf(base).fold(tableOf(patch), modified, false)
+	ne, cause := entryOf(base).fold(tableOf(patch), modified)
 	if ne != nil || cause != evictValue {
 		t.Errorf("modified value item: entry kept=%v cause=%s, want evicted as value", ne != nil, evictCauseNames[cause])
 	}
-	if ne, _ := entryOf(base).fold(tableOf(patch), nil, false); ne == nil {
+	if ne, _ := entryOf(base).fold(tableOf(patch), nil); ne == nil {
 		t.Error("an unmodified value item must not evict")
 	}
 }
@@ -206,7 +206,7 @@ func TestFoldIdentitiesStayAligned(t *testing.T) {
 				}
 			}
 		}
-		ne, cause := e.fold(tableOf(tuples...), nil, false)
+		ne, cause := e.fold(tableOf(tuples...), nil)
 		if ne == nil {
 			t.Fatalf("round %d: fold evicted (%s)", round, evictCauseNames[cause])
 		}
@@ -239,7 +239,7 @@ func TestFoldAllocsIndependentOfTableSize(t *testing.T) {
 		e := entryOf(tableOf(tuples...))
 		delta := tableOf(deltaTuple("b.00003", 1))
 		return testing.AllocsPerRun(20, func() {
-			if ne, _ := e.fold(delta, nil, false); ne == nil {
+			if ne, _ := e.fold(delta, nil); ne == nil {
 				t.Fatal("fold evicted")
 			}
 		})
@@ -314,7 +314,7 @@ func TestStateCacheCommitRegions(t *testing.T) {
 	priOp := &Op{ID: 2, Kind: OpSource, Doc: "prices.xml"}
 
 	c := NewStateCache()
-	c.begin(false)
+	c.begin()
 	bibTbl := tableOf(nodeTuple("b", 1))
 	priTbl := tableOf(nodeTuple("p", 1))
 	c.noteFresh(bibOp, bibTbl)
@@ -323,9 +323,12 @@ func TestStateCacheCommitRegions(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
+	// Prepare copied the staged table out; the copy is what later rounds
+	// must keep.
+	heldPri, _ := c.lookup(priOp)
 
 	// Round 2: a bib-only region with a foldable delta for the bib entry.
-	c.begin(false)
+	c.begin()
 	c.noteDelta(bibOp, tableOf(deltaTuple("b.d", 1)))
 	commit(t, c, map[string][]*Region{
 		"bib.xml": {{Mode: RegionInsert, Anchor: "b.d"}},
@@ -334,7 +337,7 @@ func TestStateCacheCommitRegions(t *testing.T) {
 	if st.Folds != 1 || st.Evictions != 0 {
 		t.Errorf("bib-only fold round: folds=%d evictions=%d, want 1/0", st.Folds, st.Evictions)
 	}
-	if tbl, ok := c.lookup(priOp); !ok || tbl != priTbl {
+	if tbl, ok := c.lookup(priOp); !ok || tbl != heldPri {
 		t.Error("untouched prices entry was not kept verbatim")
 	}
 	if tbl, ok := c.lookup(bibOp); !ok || len(tbl.Tuples) != 2 {
@@ -343,7 +346,7 @@ func TestStateCacheCommitRegions(t *testing.T) {
 
 	// Round 3: a prices region whose delta retracts something never held —
 	// the prices entry must be evicted, the bib entry untouched.
-	c.begin(false)
+	c.begin()
 	c.noteDelta(priOp, tableOf(deltaTuple("zz", -1)))
 	commit(t, c, map[string][]*Region{
 		"prices.xml": {{Mode: RegionDelete, Anchor: "p"}},
@@ -357,22 +360,6 @@ func TestStateCacheCommitRegions(t *testing.T) {
 	if _, ok := c.lookup(bibOp); !ok {
 		t.Error("bib entry lost on a prices-only round")
 	}
-
-	// Invalidate drops the rest.
-	c.Invalidate()
-	if c.Len() != 0 {
-		t.Errorf("Invalidate left %d entries", c.Len())
-	}
-	// A nil cache is inert.
-	var nc *StateCache
-	nc.begin(false)
-	nc.noteFresh(bibOp, bibTbl)
-	nc.noteDelta(bibOp, nil)
-	commit(t, nc, nil)
-	nc.Invalidate()
-	if nc.Len() != 0 || nc.Stats() != (CacheStats{}) {
-		t.Error("nil cache must be a no-op")
-	}
 }
 
 // TestStateCacheRejectsConstructed ensures noteFresh never admits tables
@@ -380,7 +367,7 @@ func TestStateCacheCommitRegions(t *testing.T) {
 func TestStateCacheRejectsConstructed(t *testing.T) {
 	op := &Op{ID: 3, Kind: OpSource, Doc: "bib.xml"}
 	c := NewStateCache()
-	c.begin(false)
+	c.begin()
 	tbl := tableOf(&Tuple{
 		Cells: []Cell{{Item{ID: ID{Constructed: true, Body: "c1"}, Count: 1}}},
 		Count: 1,

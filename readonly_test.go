@@ -128,22 +128,20 @@ func TestReaderContractMaterializeAndPropagate(t *testing.T) {
 	// the base store plus the batch refreshed into a draft of it.
 	din := deltaInputFor(t, s, batch)
 	requireUnchanged(t, s, snap, "source refresh")
-	if _, err := xat.PropagateDeltaShared(v.Plan, din, obs.Span{}, nil, nil, nil, nil); err != nil {
+	cache := xat.NewStateCache()
+	if _, err := xat.PropagateDelta(v.Plan, din, obs.Span{}, nil, cache, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	requireUnchanged(t, s, snap, "propagate")
 
-	// The cached engine shares the same contract, including its commit.
-	cache := xat.NewStateCache()
-	if _, err := xat.PropagateDeltaShared(v.Plan, din, obs.Span{}, nil, cache, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	// The cache's commit, and propagation served from what it holds, share
+	// the same contract.
 	prep, err := cache.Prepare(din.Regions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache.Install(prep)
-	if _, err := xat.PropagateDeltaShared(v.Plan, din, obs.Span{}, nil, cache, nil, nil); err != nil {
+	if _, err := xat.PropagateDelta(v.Plan, din, obs.Span{}, nil, cache, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	requireUnchanged(t, s, snap, "cached propagate")

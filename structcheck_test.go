@@ -15,7 +15,8 @@ import (
 // fills or reports; a shared-DAG, MVCC or draft field, a broken fan-out,
 // publish, drain or install path; a script-evaluation one, a dead memo; a
 // view, arena or copy-on-write tracker one, round memory nobody resets; a
-// view-set one, compiled once and read by no round.
+// view-set one, compiled once and read by no round; a state-cache one,
+// staging no commit reads.
 var structCheckFiles = []string{
 	"internal/core/round.go",
 	"internal/xat/shared.go",
@@ -26,6 +27,7 @@ var structCheckFiles = []string{
 	"internal/xmldoc/draft.go",
 	"internal/update/script.go",
 	"internal/xat/alloc.go",
+	"internal/xat/statecache.go",
 	"internal/deepunion/txn.go",
 }
 

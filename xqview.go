@@ -27,6 +27,7 @@ package xqview
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"strings"
 	"sync"
 	"time"
@@ -52,7 +53,7 @@ type Database struct {
 	// merged SAPT and the shared sub-plan DAG every round reuses.
 	set  *core.ViewSet
 	opts core.Options
-	log  *obs.Logger
+	log  *slog.Logger
 	rec  *journal.StreamWriter
 
 	// snaps is the MVCC epoch registry: every committed maintenance round
@@ -110,9 +111,9 @@ func (db *Database) SetTracer(t *obs.Tracer) {
 }
 
 // SetLogger attaches a structured logger: the database emits one summary
-// line per view per maintenance batch. A nil logger (the default) is
-// silent.
-func (db *Database) SetLogger(l *obs.Logger) {
+// line per view per maintenance batch at info level, and one line per
+// failed batch at error level. A nil logger (the default) is silent.
+func (db *Database) SetLogger(l *slog.Logger) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.log = l
@@ -154,19 +155,22 @@ func (db *Database) ReplayUpdates(r io.Reader) (int, error) {
 }
 
 // LoadDocument parses src as XML and registers it under the given name,
-// assigning FlexKey identifiers to every node.
+// assigning FlexKey identifiers to every node. A failed load changes
+// nothing and publishes no version.
+//
+// A load leaves every cached propagation table valid: a view is compiled
+// only over loaded documents, and a loaded name cannot be loaded again, so
+// no cached table reads the new document.
 func (db *Database) LoadDocument(name, src string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, err := db.store.Load(name, src)
-	// The store changed outside a maintenance round: cached propagation
-	// state no longer matches it — private view caches and the shared DAG's
-	// partitions alike. The groups stay: the plans did not change.
-	db.set.Invalidate()
+	if _, err := db.store.Load(name, src); err != nil {
+		return err
+	}
 	// The load happened outside a round, whose delta would extend the
 	// version chain: publish a full capture.
 	db.publishFull()
-	return err
+	return nil
 }
 
 // DocumentXML serializes a document as of the published version, without

@@ -471,12 +471,41 @@ insert <book year="1999"><title>X</title></book> after $b`)
 	}
 }
 
+// TestFailedLoadPublishesNothing loads a duplicate name and malformed XML:
+// each load fails, and neither publishes a version.
+func TestFailedLoadPublishesNothing(t *testing.T) {
+	db := NewDatabase()
+	if err := db.LoadDocument("bib.xml", `<bib><book><title>A</title></book></bib>`); err != nil {
+		t.Fatal(err)
+	}
+	epoch := func() uint64 {
+		snap := db.Snapshot()
+		defer snap.Release()
+		return snap.Epoch()
+	}
+	before := epoch()
+	for _, c := range []struct{ name, src string }{
+		{"bib.xml", `<bib/>`},             // already loaded
+		{"prices.xml", `<prices><entry>`}, // malformed
+	} {
+		if err := db.LoadDocument(c.name, c.src); err == nil {
+			t.Fatalf("loading %s %q succeeded", c.name, c.src)
+		}
+		if got := epoch(); got != before {
+			t.Fatalf("failed load of %s published epoch %d over %d", c.name, got, before)
+		}
+	}
+	if docs := db.Documents(); len(docs) != 1 {
+		t.Fatalf("documents after failed loads: %v", docs)
+	}
+}
+
 // TestLoadAfterWarmRoundKeepsSharedAnswers runs a round between two views
 // that share a join over bib.xml and prices.xml, so the shared partition
 // holds the prices side, then loads a document and runs a round whose
 // insert joins. Each view must read as a fresh query of its text, and the
-// load must keep the shared group: the round after it is still served by
-// one shared join.
+// load must keep the shared group and its cached tables: the round after it
+// is still served by one shared join, from tables the warm round cached.
 func TestLoadAfterWarmRoundKeepsSharedAnswers(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	obs.Rounds.Reset()
@@ -507,7 +536,7 @@ func TestLoadAfterWarmRoundKeepsSharedAnswers(t *testing.T) {
 	insert := func(title string) string {
 		return `for $x in document("bib.xml")/bib update $x insert <book><title>` + title + `</title></book> into $x`
 	}
-	round := func(name, script string) {
+	round := func(name, script string) obs.RoundSample {
 		t.Helper()
 		if _, err := db.ApplyUpdates(script); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -521,15 +550,19 @@ func TestLoadAfterWarmRoundKeepsSharedAnswers(t *testing.T) {
 				t.Fatalf("%s: view %d\n%s\nquery\n%s", name, i, got, want)
 			}
 		}
-		if s, _ := obs.Rounds.Last(); s.SharedGroups != 1 || s.SharedHits != 1 {
+		s, _ := obs.Rounds.Last()
+		if s.SharedGroups != 1 || s.SharedHits != 1 {
 			t.Fatalf("%s: shared groups %d, hits %d; want one group serving both views", name, s.SharedGroups, s.SharedHits)
 		}
+		return s
 	}
 	round("warm", insert("B"))
 	if err := db.LoadDocument("reviews.xml", `<reviews><review><b-title>C</b-title></review></reviews>`); err != nil {
 		t.Fatal(err)
 	}
-	round("after-load", insert("C"))
+	if s := round("after-load", insert("C")); s.CacheHits == 0 {
+		t.Fatalf("after-load: no cache hit; the load emptied the caches (misses %d)", s.CacheMisses)
+	}
 	if got := views[0].XML(); !strings.Contains(got, "<price>3</price>") {
 		t.Fatalf("the joining insert found no price: %s", got)
 	}
