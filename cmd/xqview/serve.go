@@ -53,8 +53,8 @@ func newServer(db *xqview.Database) *http.Server {
 }
 
 // snapshotHandler serves /snapshot: a JSON digest of the current published
-// version — epoch, store overlay depth, documents, and per-view cache
-// occupancy — without taking the maintenance lock.
+// version — epoch, documents, and per-view cache occupancy — without taking
+// the maintenance lock.
 func snapshotHandler(db *xqview.Database) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		start := time.Now()
@@ -69,10 +69,9 @@ func snapshotHandler(db *xqview.Database) http.Handler {
 			views = append(views, viewInfo{Name: name, CacheEntries: snap.CacheEntries(name)})
 		}
 		resp := map[string]any{
-			"epoch":       snap.Epoch(),
-			"store_depth": snap.StoreDepth(),
-			"documents":   snap.Documents(),
-			"views":       views,
+			"epoch":     snap.Epoch(),
+			"documents": snap.Documents(),
+			"views":     views,
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)

@@ -68,10 +68,9 @@ func TestSnapshotEndpointsServe(t *testing.T) {
 		t.Fatalf("/snapshot = %d: %s", code, body)
 	}
 	var snap struct {
-		Epoch      uint64   `json:"epoch"`
-		StoreDepth int      `json:"store_depth"`
-		Documents  []string `json:"documents"`
-		Views      []struct {
+		Epoch     uint64   `json:"epoch"`
+		Documents []string `json:"documents"`
+		Views     []struct {
 			Name string `json:"name"`
 		} `json:"views"`
 	}

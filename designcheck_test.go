@@ -76,6 +76,8 @@ func tableColumn(t *testing.T, section, col string) []string {
 //     the registered fault sites (core.FaultSites);
 //   - the state cache's eviction-cause table names exactly the cause
 //     labels registered on xat_state_cache_evictions_total;
+//   - the round-telemetry table's "json field" column names exactly the
+//     JSON fields of obs.RoundSample;
 //   - the "Configuration" section names exactly the fields of core.Options.
 //     There a bare capitalized identifier in backticks is read as a field;
 //     other names are qualified (`core.RecomputeAll`) and tests are cited by
@@ -107,6 +109,16 @@ func TestDesignTablesMatchTree(t *testing.T) {
 		t.Errorf("eviction-cause table names %v, want the registered causes %v", got, want)
 	}
 
+	fields := tableColumn(t, designSection(t, doc, "Round telemetry & xqtop"), "json field")
+	var tags []string
+	for st, i := reflect.TypeFor[obs.RoundSample](), 0; i < st.NumField(); i++ {
+		tag, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
+		tags = append(tags, tag)
+	}
+	if got, want := sortedSet(fields), sortedSet(tags); !slices.Equal(got, want) {
+		t.Errorf("round-telemetry table names %v, want obs.RoundSample's JSON fields %v", got, want)
+	}
+
 	bare := regexp.MustCompile(`^[A-Z][A-Za-z0-9]*$`)
 	var named []string
 	for _, m := range codeSpan.FindAllStringSubmatch(designSection(t, doc, "Configuration"), -1) {
@@ -114,11 +126,11 @@ func TestDesignTablesMatchTree(t *testing.T) {
 			named = append(named, m[1])
 		}
 	}
-	var fields []string
+	var opts []string
 	for ot, i := reflect.TypeFor[core.Options](), 0; i < ot.NumField(); i++ {
-		fields = append(fields, ot.Field(i).Name)
+		opts = append(opts, ot.Field(i).Name)
 	}
-	if got, want := sortedSet(named), sortedSet(fields); !slices.Equal(got, want) {
+	if got, want := sortedSet(named), sortedSet(opts); !slices.Equal(got, want) {
 		t.Errorf("Configuration names option fields %v, want core.Options' fields %v", got, want)
 	}
 }

@@ -331,7 +331,7 @@ func Fig9_6(scale float64) (*Figure, error) {
 				return nil, err
 			}
 		}
-		store.Install(grow.Delta())
+		store.Snap = grow.Freeze()
 		query := `<result>{ for $p in doc("site.xml")/site/people/person return $p }</result>`
 		v, err := core.NewView(store, query)
 		if err != nil {

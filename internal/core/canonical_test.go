@@ -53,9 +53,7 @@ func TestUnorderedViewMaintenanceCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clone := s.Clone()
-	clone.Install(d.Delta())
-	rv, err := NewView(clone, unorderedView)
+	rv, err := NewView(&xmldoc.Store{Snap: d.Freeze()}, unorderedView)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,9 +330,9 @@ var roundFamilies = []struct {
 // round after round on the same store, and after every round every view's
 // extent must equal full recomputation, the stored documents must equal
 // the stream applied one primitive at a time (updates no view reads
-// included), and the published store snapshot must read exactly as the
-// live store. The DAG is held across rounds as Database does, so shared
-// cache partitions fold forward like private ones.
+// included), and the published version must hold the store's root. The DAG
+// is held across rounds as Database does, so shared cache partitions fold
+// forward like private ones.
 func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 	defer journal.SetEnabled(journal.SetEnabled(true))
 	defer journal.Default.Reset()
@@ -341,7 +341,7 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 			rng := rand.New(rand.NewSource(fam.seed))
 			store, views := newArm(t, randomBib(rng, 6), randomPrices(rng, 5), fam.queries)
 			reg := NewSnapReg()
-			reg.PublishFull(store, views)
+			reg.PublishLive(store, views)
 			set := mustSet(t, store, views)
 			opts := Options{Snapshots: reg}
 			rounds := 25
@@ -366,7 +366,7 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 						t.Fatalf("round %d replay: %v", round, err)
 					}
 				}
-				wantDocs := documentsXML(replay)
+				wantDocs := documentsXML(replay.Freeze())
 				journal.Default.Reset()
 				stats, err := MaintainAll(set, prims, 0, opts)
 				if err != nil {
@@ -390,9 +390,8 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 							round, i, got, want)
 					}
 				}
-				if got, want := reg.Current().Store.DebugDump(), store.DumpPrefix(); got != want {
-					t.Fatalf("round %d: published snapshot diverges from the store\nprims: %v\n--- store ---\n%s--- snapshot ---\n%s",
-						round, prims, want, got)
+				if reg.Current().Store != store.Snap {
+					t.Fatalf("round %d: the published version is not the store's root\nprims: %v", round, prims)
 				}
 				// The journal stays truthful about compaction: it snapshots
 				// the ORIGINAL stream, and no verdict names a primitive that

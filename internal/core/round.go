@@ -54,9 +54,10 @@ type round struct {
 	batch *validate.Batch
 	skip  []bool // per view: the batch provably cannot touch it
 	// draft is the store's next version: source refresh writes it,
-	// propagation reads it, the snapshot layers its delta and commit
-	// installs it. Rollback drops it.
+	// propagation reads it, and the snapshot phase freezes it into next,
+	// the root commit swaps in. Rollback drops both.
 	draft *xmldoc.Draft
+	next  *xmldoc.Snap
 	din   *xat.DeltaInput
 	seeds [][]xat.Seed // per view: shared-prefix results to serve; nil without groups
 	out   []*MaintStats
@@ -365,20 +366,22 @@ func (r *round) refreshSources() error {
 	return nil
 }
 
-// buildSnapshot assembles the next MVCC version: the previous version's
-// store snapshot extended with the draft's delta. Both fault points fire
-// before commit, so an abort here leaves the old version published. Without
-// an epoch registry there is no such phase.
-func (r *round) buildSnapshot() (err error) {
+// buildSnapshot freezes the draft into the store's next version and, with
+// an epoch registry, assembles the candidate MVCC version over it. Both fault
+// points fire before commit, so an abort here leaves the old version
+// published and the store on its old root.
+func (r *round) buildSnapshot() error {
+	sp := r.span("SnapshotBuild")
+	defer r.lap(&r.snapshotTime, sp)
+	r.next = r.draft.Freeze()
 	if r.opt.Snapshots == nil {
 		return nil
 	}
-	sp := r.span("SnapshotBuild")
-	defer r.lap(&r.snapshotTime, sp)
-	if r.cand, err = buildCandidate(r.opt.Snapshots, r.set.Store, r.draft.Delta(), r.set.Views, r.stages); err != nil {
-		return err
+	if err := fpSnapBuild.Fire(); err != nil {
+		return fmt.Errorf("snapshot build: %w", err)
 	}
-	if err = fpSnapSwap.Fire(); err != nil {
+	r.cand = r.opt.Snapshots.capture(r.next, r.set.Views, r.stages)
+	if err := fpSnapSwap.Fire(); err != nil {
 		return fmt.Errorf("snapshot swap: %w", err)
 	}
 	sp.Arg("seq", int(r.cand.Seq))

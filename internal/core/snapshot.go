@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -13,8 +12,8 @@ import (
 )
 
 // Fault points at the MVCC commit path's two boundaries: building the
-// candidate version (after propagation, from the round's draft) and the
-// instant before the pointer swap. Both fire BEFORE the
+// candidate version (after propagation, over the round's frozen draft) and
+// the instant before the pointer swap. Both fire BEFORE the
 // infallible install of the round, so an injected fault aborts the round with the
 // old version still published — in-flight readers never observe a torn
 // state, and rollback restores the writer-side structures byte-identically.
@@ -77,9 +76,10 @@ func (f *ViewFrame) inheritBody(prev *Version, i int) {
 }
 
 // Version is one immutable published state of the whole database: a store
-// snapshot plus one frame per registered view. Readers acquire it through
-// SnapReg.Acquire and hold it as long as they like; maintenance rounds
-// publish successors without ever writing a published version's structures.
+// version (a trie root) plus one frame per registered view. Readers acquire
+// it through SnapReg.Acquire and hold it as long as they like; maintenance
+// rounds publish successors without ever writing a published version's
+// structures.
 type Version struct {
 	Seq    uint64
 	Store  *xmldoc.Snap
@@ -230,79 +230,34 @@ func (r *SnapReg) Epoch() uint64 {
 	return 0
 }
 
-// PublishFull captures the store and every view's live state as a fresh
-// version and publishes it. This is the out-of-band path for changes of the
-// store outside a round — initial load, document loads — so the store
-// snapshot is a fresh base (SnapOf: map copies, no node copies) rather than
-// an extension of the chain. Callers must hold the database's write lock
-// (the store must be quiescent).
-func (r *SnapReg) PublishFull(store *xmldoc.Store, views []*View) {
-	r.publishLive(xmldoc.SnapOf(store), views)
+// PublishLive publishes the store's current version with every view's live
+// state as the next version: the out-of-band path for changes made outside a
+// round — document loads, view creation, renaming, recomputation. Capturing
+// the store is taking its root. Callers hold the database's write lock.
+func (r *SnapReg) PublishLive(store *xmldoc.Store, views []*View) {
+	r.Publish(r.capture(store.Snap, views, nil))
 }
 
-// PublishFrames publishes the views' live state over the current version's
-// store snapshot: the out-of-band path for changes that leave the store
-// alone — view creation, renaming, recomputation. The snapshot is immutable,
-// so the new version shares it instead of cloning the store again. Callers
-// hold the database's write lock and have published at least once.
-func (r *SnapReg) PublishFrames(views []*View) {
-	r.publishLive(r.Current().Store, views)
-}
-
-func (r *SnapReg) publishLive(store *xmldoc.Snap, views []*View) {
-	r.Publish(&Version{
-		Seq:    r.seq.Add(1),
-		Store:  store,
-		Frames: liveFrames(views, r.Current()),
-	})
-}
-
-// liveFrames captures every view's current extent and cache occupancy as
-// frames. Extents are immutable going forward (the COW apply never writes
+// capture assembles the next version over the given store version: a view
+// staged by a round (stages may be nil) contributes its candidate extent and
+// the cache occupancy its prepared commit installs; every other view its
+// live extent, serialized body included when the extent is the previous
+// version's. Extents are immutable going forward (the COW apply never writes
 // published nodes), so capturing the slice headers is enough.
-func liveFrames(views []*View, prev *Version) []ViewFrame {
-	frames := make([]ViewFrame, len(views))
-	for i, cv := range views {
-		f := &frames[i]
-		f.View, f.Name, f.Query = cv, cv.displayName(i), cv.Query
-		f.Extent, f.CacheEntries = cv.Extent, cv.cache.Len()
-		f.inheritBody(prev, i)
-	}
-	return frames
-}
-
-// buildCandidate assembles the next version from a round's staged outcome,
-// BEFORE the round commits: the store snapshot extends the previous
-// version's with the round's delta (post-images of exactly the keys source
-// refresh touched — the delta commit installs into the store), staged views
-// contribute their candidate extents and the cache occupancy their prepared
-// commits install, untouched views carry their frames forward, serialized
-// body included. The caller publishes the result only after the round
-// installed.
-func buildCandidate(reg *SnapReg, store *xmldoc.Store, delta *xmldoc.Delta, views []*View, stages []viewStage) (*Version, error) {
-	if err := fpSnapBuild.Fire(); err != nil {
-		return nil, fmt.Errorf("snapshot build: %w", err)
-	}
-	prev := reg.Current()
-	var base *xmldoc.Snap
-	if prev != nil {
-		base = prev.Store
-	} else {
-		// First version ever published on this registry: no chain to extend.
-		base = xmldoc.SnapOf(store)
-	}
-	v := &Version{Seq: reg.seq.Add(1), Store: base.Extend(delta), Frames: make([]ViewFrame, len(views))}
+func (r *SnapReg) capture(store *xmldoc.Snap, views []*View, stages []viewStage) *Version {
+	prev := r.Current()
+	v := &Version{Seq: r.seq.Add(1), Store: store, Frames: make([]ViewFrame, len(views))}
 	for i, cv := range views {
 		f := &v.Frames[i]
 		f.View, f.Name, f.Query = cv, cv.displayName(i), cv.Query
-		if st := &stages[i]; st.staged {
-			f.Extent, f.CacheEntries = st.extent, st.prep.Len()
+		if stages != nil && stages[i].staged {
+			f.Extent, f.CacheEntries = stages[i].extent, stages[i].prep.Len()
 		} else {
 			f.Extent, f.CacheEntries = cv.Extent, cv.cache.Len()
 			f.inheritBody(prev, i)
 		}
 	}
-	return v, nil
+	return v
 }
 
 // QueryReader compiles and evaluates an XQuery expression against any

@@ -28,12 +28,12 @@ func TestSnapRegLifecycle(t *testing.T) {
 	if _, err := s.Load("a.xml", "<a><b/></a>"); err != nil {
 		t.Fatal(err)
 	}
-	reg.PublishFull(s, nil)
+	reg.PublishLive(s, nil)
 	v1 := reg.Acquire()
 	if v1 == nil || v1.Seq != 1 {
 		t.Fatalf("acquire after publish = %+v", v1)
 	}
-	reg.PublishFull(s, nil)
+	reg.PublishLive(s, nil)
 	if reg.Epoch() != 2 {
 		t.Fatalf("epoch after second publish = %d", reg.Epoch())
 	}
@@ -87,7 +87,7 @@ func TestSnapshotEpochReclamation(t *testing.T) {
 	}
 	views := []*View{v}
 	reg := NewSnapReg()
-	reg.PublishFull(s, views)
+	reg.PublishLive(s, views)
 	opt := Options{Snapshots: reg}
 	set := mustSet(t, s, views)
 

@@ -82,12 +82,12 @@ func TestSoakKeyDensity(t *testing.T) {
 	a := kids[0]
 	for i := 0; i < 300; i++ {
 		// Always squeeze right after <a>.
-		_, next := s.Siblings(a)
+		next := s.NextSibling(a)
 		d := xmldoc.NewDraft(s)
 		if _, err := d.InsertFragment(root, a, next, xmldoc.Elem("x")); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		s.Install(d.Delta())
+		s.Snap = d.Freeze()
 	}
 	cs := s.Children(root)
 	if len(cs) != 302 {

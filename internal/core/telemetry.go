@@ -83,7 +83,6 @@ func (r *round) record(aborted bool) {
 		retired, readers := r.opt.Snapshots.occupancy()
 		s.SnapEpoch = int64(r.cand.Seq)
 		s.SnapRetired, s.SnapReaders = int32(retired), int32(readers)
-		s.SnapDepth = int32(r.cand.Store.Depth())
 	}
 	obs.Rounds.Append(s)
 }

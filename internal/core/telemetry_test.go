@@ -199,7 +199,7 @@ func TestRoundPhasesSumToTotal(t *testing.T) {
 			rng := rand.New(rand.NewSource(fam.seed))
 			store, views := newArm(t, randomBib(rng, 6), randomPrices(rng, 5), fam.queries)
 			reg := NewSnapReg()
-			reg.PublishFull(store, views)
+			reg.PublishLive(store, views)
 			set := mustSet(t, store, views)
 			opts := Options{Snapshots: reg}
 			for round := 0; round < 8; round++ {
@@ -293,8 +293,9 @@ func TestRoundTelemetryDisabled(t *testing.T) {
 
 // TestRoundTelemetrySnapshotFields checks the MVCC columns of the round
 // sample: a round committed through an epoch registry records the epoch it
-// published, the store snapshot's overlay depth, and — with a reader handle
-// held across the swap — the outstanding reader and retired-version counts.
+// published — a version whose store is the live store's new root, so its
+// overlay depth is 0 — and, with a reader handle held across the swap, the
+// outstanding reader and retired-version counts.
 // The reader count is derived from the handles themselves, so a handle
 // acquired while telemetry was off and released after it was switched on
 // leaves no reader behind.
@@ -303,7 +304,7 @@ func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	obs.Rounds.Reset()
 	s, views, prims := obsFixture(t)
 	reg := NewSnapReg()
-	reg.PublishFull(s, views)
+	reg.PublishLive(s, views)
 	h := reg.Acquire() // pins the pre-round version across the swap
 	if _, err := MaintainAll(mustSet(t, s, views), prims, 0, Options{Snapshots: reg}); err != nil {
 		t.Fatal(err)
@@ -315,8 +316,8 @@ func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	if sm.SnapEpoch != 2 {
 		t.Fatalf("snap_epoch = %d, want 2 (full publish then one round)", sm.SnapEpoch)
 	}
-	if sm.SnapDepth < 1 {
-		t.Fatalf("snap_depth = %d, want >= 1", sm.SnapDepth)
+	if reg.Current().Store != s.Snap || sm.SnapDepth != 0 {
+		t.Fatalf("published a store other than the live root (snap_depth = %d)", sm.SnapDepth)
 	}
 	if sm.SnapReaders != 1 {
 		t.Fatalf("snap_readers = %d, want the held handle counted", sm.SnapReaders)

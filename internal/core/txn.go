@@ -32,13 +32,13 @@ type viewStage struct {
 	prep   *xat.PreparedCommit
 }
 
-// install makes the round live: the draft's delta is installed into the
-// store, staged extents become the views' extents, and prepared cache
-// commits are swapped in (shared partitions first; they are disjoint from
+// install makes the round live: the store's root becomes the frozen draft,
+// staged extents become the views' extents, and prepared cache commits are
+// swapped in (shared partitions first; they are disjoint from
 // the views', so order is irrelevant). Nothing here can fail — every
 // fallible step already ran.
 func (r *round) install() {
-	r.set.Store.Install(r.draft.Delta())
+	r.set.Store.Snap = r.next
 	for gi, g := range r.set.dag.Groups {
 		if p := r.sharedPreps[gi]; p != nil {
 			g.Cache.Install(p)
@@ -57,17 +57,18 @@ func (r *round) install() {
 	}
 }
 
-// restore undoes everything the round staged: the draft is dropped (the
-// store was never written) and candidate extent copies are abandoned with
-// each view's deepunion.Txn (the live extent was never written either).
+// restore undoes everything the round staged: the draft and its frozen
+// root are dropped (the store still holds the pre-round root) and candidate
+// extent copies are abandoned with each view's deepunion.Txn (the live
+// extent was never written either).
 // Staged extents and prepared commits are simply dropped; held cache entries
 // stay, since they describe the pre-round store, which is still current.
 // Returns draft records discarded plus copies abandoned.
 func (r *round) restore() int {
 	restored := 0
 	if r.draft != nil {
-		restored = r.draft.Delta().Len()
-		r.draft = nil
+		restored = r.draft.Len()
+		r.draft, r.next = nil, nil
 	}
 	for _, v := range r.set.Views {
 		restored += v.tx.Rollback()

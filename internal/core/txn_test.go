@@ -65,7 +65,7 @@ func newCrashArm(t *testing.T, bibXML, pricesXML string) *crashArm {
 		a.views = append(a.views, v)
 	}
 	a.set = mustSet(t, s, a.views)
-	a.reg.PublishFull(a.store, a.views)
+	a.reg.PublishLive(a.store, a.views)
 	return a
 }
 

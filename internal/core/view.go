@@ -230,9 +230,9 @@ func MaintainAll(set *ViewSet, prims []*update.Primitive, eval time.Duration, op
 	return out, err
 }
 
-// Recompute is the full-recomputation baseline of Ch 9: it clones the
-// store, applies the updates, and evaluates the view from scratch,
-// returning the resulting XML.
+// Recompute is the full-recomputation baseline of Ch 9: it applies the
+// updates to a draft of the store's version, and evaluates the view from
+// scratch over the frozen result, returning the resulting XML.
 func Recompute(store *xmldoc.Store, query string, prims []*update.Primitive) (string, error) {
 	out, err := RecomputeAll(store, []string{query}, prims)
 	if err != nil {
@@ -243,11 +243,11 @@ func Recompute(store *xmldoc.Store, query string, prims []*update.Primitive) (st
 
 // RecomputeAll recomputes several views from scratch under one batch, the
 // multi-view counterpart of Recompute and the oracle the maintenance tests
-// compare against: the updates are applied once, to a clone of the store,
-// and each view evaluates its query over the result, in query order. The
-// source store is never mutated.
+// compare against: the updates are applied once, to a draft of the store's
+// version, and each view evaluates its query over the frozen result, in
+// query order. The source store is never mutated.
 func RecomputeAll(store *xmldoc.Store, queries []string, prims []*update.Primitive) ([]string, error) {
-	// Primitives reference keys of the original store, which the clone
+	// Primitives reference keys of the original store, which the draft
 	// shares. Apply shallow copies: ApplyToStore assigns insert keys on the
 	// primitive, and the shared Frag trees are only ever read.
 	d := xmldoc.NewDraft(store)
@@ -257,8 +257,7 @@ func RecomputeAll(store *xmldoc.Store, queries []string, prims []*update.Primiti
 			return nil, fmt.Errorf("recompute: %w", err)
 		}
 	}
-	post := store.Clone()
-	post.Install(d.Delta())
+	post := &xmldoc.Store{Snap: d.Freeze()}
 	out := make([]string, len(queries))
 	for i, q := range queries {
 		v, err := NewView(post, q)

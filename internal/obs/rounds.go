@@ -57,7 +57,7 @@ type RoundSample struct {
 	TotalNS    int64 `json:"total_ns"`
 
 	// RollbackRestored counts what an aborted round's rollback discarded:
-	// draft node and root records plus candidate extent copies.
+	// draft node records plus candidate extent copies.
 	RollbackRestored int32 `json:"rollback_restored,omitempty"`
 
 	// PropagateNS/ApplyNS sum the per-view work inside the pool phase; with
@@ -105,8 +105,10 @@ type RoundSample struct {
 
 	// MVCC snapshot state at the round's pointer swap: the epoch this round
 	// published (0 when no registry is attached), retired versions still
-	// awaiting reader drain, reader handles out at publish time, and the
-	// published store snapshot's overlay-chain depth.
+	// awaiting reader drain, and reader handles out at publish time.
+	// SnapDepth is always 0: a store version is one trie root, with no
+	// overlay chain to measure. The field stays because the benchmark, whose
+	// sources change only in a benchmark revision, still reads it.
 	SnapEpoch   int64 `json:"snap_epoch,omitempty"`
 	SnapRetired int32 `json:"snap_retired,omitempty"`
 	SnapReaders int32 `json:"snap_readers,omitempty"`
@@ -171,7 +173,7 @@ func newRoundFold(r *Registry) roundFold {
 		read:            ReadSeconds(r),
 		runs:            r.CounterOf("xqview_maintain_runs_total", "maintenance batches completed"),
 		rollbacks:       r.CounterOf("xqview_round_rollbacks_total", "maintenance rounds rolled back"),
-		restored:        r.CounterOf("xqview_rollback_restored_total", "draft node and root records discarded plus candidate extent copies abandoned by round rollbacks"),
+		restored:        r.CounterOf("xqview_rollback_restored_total", "draft node records discarded plus candidate extent copies abandoned by round rollbacks"),
 		skipped:         r.CounterOf("xqview_views_skipped_total", "views skipped by the region-relevance filter"),
 		merged:          r.CounterOf("deepunion_nodes_merged_total", "view nodes whose counts were merged"),
 		inserted:        r.CounterOf("deepunion_subtrees_inserted_total", "delta subtrees attached to the extent"),

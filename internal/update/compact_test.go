@@ -23,7 +23,7 @@ func applySeq(t *testing.T, s *xmldoc.Store, prims []*Primitive) string {
 			t.Fatalf("apply %v: %v", p, err)
 		}
 	}
-	root, _ := d.RootElem("bib.xml")
+	root, _ := s.RootElem("bib.xml")
 	return xmldoc.Serialize(d, root)
 }
 

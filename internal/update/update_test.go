@@ -87,7 +87,7 @@ func TestApplyToStore(t *testing.T) {
 			t.Fatalf("apply %v: %v", p, err)
 		}
 	}
-	s.Install(d.Delta())
+	s.Snap = d.Freeze()
 	root, _ := s.RootElem("bib.xml")
 	books := xmldoc.ChildElems(s, root, "book")
 	if len(books) != 2 {
@@ -124,7 +124,7 @@ insert <book><title>Last</title></book> into $b
 			t.Fatal(err)
 		}
 	}
-	s.Install(d.Delta())
+	s.Snap = d.Freeze()
 	root, _ := s.RootElem("bib.xml")
 	books := xmldoc.ChildElems(s, root, "book")
 	if len(books) != 4 {

@@ -193,7 +193,7 @@ func ValidateRec(s *xmldoc.Store, t *sapt.Tree, prims []*update.Primitive, rec *
 		if err != nil {
 			return nil, err
 		}
-		_, next := s.Siblings(a)
+		next := s.NextSibling(a)
 		ins := &update.Primitive{Kind: update.Insert, Doc: g.doc, Parent: s.Parent(a), After: a, Before: next, Frag: frag}
 		assign(ins)
 		kept = append(kept,

@@ -220,7 +220,7 @@ func TestFoldMatchesRederiveRandomized(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.Install(d.Delta())
+					s.Snap = d.Freeze()
 					c.Install(pc)
 					a.Release()
 					checkHeldEntries(t, fmt.Sprintf("seed %d round %d (%d %s)", seed, round, r.Mode, r.Anchor), p, c, s)

@@ -29,7 +29,7 @@ type op func(d *Draft) error
 // randomOp draws one mutation against the draft's current state: a fragment
 // insert, a subtree delete or a text replace.
 func randomOp(d *Draft, rng *rand.Rand, i int) op {
-	root, _ := d.RootElem("a.xml")
+	root, _ := d.base.RootElem("a.xml")
 	kids := d.Children(root)
 	switch rng.Intn(3) {
 	case 0:
@@ -135,7 +135,7 @@ func TestDraftInsertLeavesStoreUntouched(t *testing.T) {
 // TestDraftDeletes: a deleted subtree leaves its parent's children but stays
 // readable by key through the draft — a delete region's propagation
 // navigates the content it removes (xat deltaNav relies on this) — while
-// the installed store and a snapshot over the delta no longer have it.
+// the draft's frozen version no longer has it.
 func TestDraftDeletes(t *testing.T) {
 	s, d, root := draftSetup(t)
 	books := ChildElems(s, root, "book")
@@ -156,15 +156,12 @@ func TestDraftDeletes(t *testing.T) {
 		t.Fatal("store written by the draft")
 	}
 
-	snap := SnapOf(s).Extend(d.Delta())
-	s.Install(d.Delta())
-	for name, r := range map[string]Reader{"store": s, "snapshot": snap} {
-		if _, ok := r.Node(books[0]); ok {
-			t.Fatalf("%s still holds the deleted node", name)
-		}
-		if len(r.Children(books[0])) != 0 || len(r.Attrs(books[0])) != 0 {
-			t.Fatalf("%s still lists the deleted node's content", name)
-		}
+	s.Snap = d.Freeze()
+	if _, ok := s.Node(books[0]); ok {
+		t.Fatal("the next version still holds the deleted node")
+	}
+	if len(s.Children(books[0])) != 0 || len(s.Attrs(books[0])) != 0 {
+		t.Fatal("the next version still lists the deleted node's content")
 	}
 }
 
@@ -300,22 +297,23 @@ func TestDraftRoot(t *testing.T) {
 	}
 }
 
-// storedKeys returns the keys sn stores: every key of its base and its
-// deltas that a live read (deletion markers hide) finds. For a draft's Snap
-// that is the next version; for &Snap{base: s} it is the store.
+// storedKeys returns the keys the version sn stores.
 func storedKeys(sn *Snap) []flexkey.Key {
-	seen := map[flexkey.Key]bool{}
-	for k := range sn.base.nodes {
-		seen[k] = true
-	}
-	for _, d := range sn.deltas {
-		for k := range d.nodes {
-			seen[k] = true
-		}
+	var out []flexkey.Key
+	sn.root.each(topShift, func(n *Node) { out = append(out, n.Key) })
+	return out
+}
+
+// draftKeys returns the keys of the next version d describes: every key of
+// its base and its writes that a live read (deletion markers hide) finds.
+func draftKeys(d *Draft) []flexkey.Key {
+	keys := storedKeys(d.base)
+	for k := range d.nodes {
+		keys = append(keys, k)
 	}
 	var out []flexkey.Key
-	for k := range seen {
-		if _, ok := sn.node(k, false); ok {
+	for _, k := range keys {
+		if _, ok := d.live(k); ok && !slices.Contains(out, k) {
 			out = append(out, k)
 		}
 	}
@@ -357,16 +355,14 @@ func checkShape(t *testing.T, what string, r Reader, keys []flexkey.Key) {
 	}
 }
 
-// TestDraftInstallMatchesSequential: installing one draft holding a whole
+// TestDraftInstallMatchesSequential: committing one draft holding a whole
 // batch leaves the store byte-identical (size line included) to applying
-// the batch one primitive at a time, each in its own installed draft — and
-// the snapshot extended with each batch's delta reads as the store. The
-// draft before install, the installed store and the snapshot each keep the
+// the batch one primitive at a time, each in its own committed draft. The
+// draft before the commit and the committed version each keep the
 // one-record shape. The first batch inserts under a node it then deletes.
 func TestDraftInstallMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s, seq := draftTestStore(t), draftTestStore(t)
-	snap := SnapOf(s)
 	for round := 0; round < 30; round++ {
 		d := NewDraft(s)
 		var ops []op
@@ -390,23 +386,18 @@ func TestDraftInstallMatchesSequential(t *testing.T) {
 				ops = append(ops, o)
 			}
 		}
-		checkShape(t, fmt.Sprintf("round %d draft", round), d, storedKeys(&d.Snap))
-		s.Install(d.Delta())
-		snap = snap.Extend(d.Delta())
-		checkShape(t, fmt.Sprintf("round %d store", round), s, storedKeys(&Snap{base: s}))
-		checkShape(t, fmt.Sprintf("round %d snapshot", round), snap, storedKeys(snap))
+		checkShape(t, fmt.Sprintf("round %d draft", round), d, draftKeys(d))
+		s.Snap = d.Freeze()
+		checkShape(t, fmt.Sprintf("round %d store", round), s, storedKeys(s.Snap))
 		for _, o := range ops {
 			one := NewDraft(seq)
 			if err := o(one); err != nil {
 				t.Fatal(err)
 			}
-			seq.Install(one.Delta())
+			seq.Snap = one.Freeze()
 		}
 		if got, want := s.DebugDump(), seq.DebugDump(); got != want {
-			t.Fatalf("round %d: batch install diverges from sequential:\n--- sequential ---\n%s--- batch ---\n%s", round, want, got)
-		}
-		if got, want := snap.DebugDump(), s.DumpPrefix(); got != want {
-			t.Fatalf("round %d: snapshot diverges from store:\n--- store ---\n%s--- snapshot ---\n%s", round, want, got)
+			t.Fatalf("round %d: batch commit diverges from sequential:\n--- sequential ---\n%s--- batch ---\n%s", round, want, got)
 		}
 	}
 }
@@ -414,7 +405,7 @@ func TestDraftInstallMatchesSequential(t *testing.T) {
 // TestDroppedDraftLeavesStoreUntouched: rolling a round back is dropping its
 // draft. Random mutation batches on a draft never write the store, so the
 // store's DebugDump after the drop is byte-identical to before, while the
-// same class of mutations installed does change it.
+// same class of mutations committed does change it.
 func TestDroppedDraftLeavesStoreUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := draftTestStore(t)
@@ -431,13 +422,13 @@ func TestDroppedDraftLeavesStoreUntouched(t *testing.T) {
 		// shapes.
 		d = NewDraft(s)
 		mutate(t, d, rng, round*10+9)
-		s.Install(d.Delta())
+		s.Snap = d.Freeze()
 	}
 }
 
 // TestHandedOutNodeSurvivesDraftAndInstall: a node handed out before the round keeps its
 // pre-round contents through the draft, after a rollback, and after a
-// commit too — the store installs a new node rather than writing the old.
+// commit too — the next version holds a new node rather than the old one written.
 func TestHandedOutNodeSurvivesDraftAndInstall(t *testing.T) {
 	s := draftTestStore(t)
 	root, _ := s.RootElem("c.xml")
@@ -450,9 +441,9 @@ func TestHandedOutNodeSurvivesDraftAndInstall(t *testing.T) {
 	if n, _ := d.Node(text); n.Value != "changed" || alias.Value != "v" {
 		t.Fatalf("draft reads %q, alias %q", n.Value, alias.Value)
 	}
-	s.Install(d.Delta())
+	s.Snap = d.Freeze()
 	if n, _ := s.Node(text); n.Value != "changed" || alias.Value != "v" {
-		t.Fatalf("store reads %q after install, alias %q", n.Value, alias.Value)
+		t.Fatalf("store reads %q after the commit, alias %q", n.Value, alias.Value)
 	}
 }
 
@@ -483,17 +474,17 @@ func TestDroppedDraftLoadLeavesStoreUntouched(t *testing.T) {
 	}
 }
 
-// TestEmptyDraftInstallIsNoop: a draft nothing was written to holds an empty delta,
-// and installing it leaves the store byte-identical.
+// TestEmptyDraftInstallIsNoop: a draft nothing was written to holds no
+// records, and committing it leaves the store byte-identical.
 func TestEmptyDraftInstallIsNoop(t *testing.T) {
 	s := draftTestStore(t)
 	before := s.DebugDump()
 	d := NewDraft(s)
-	if !d.Delta().Empty() || d.Delta().Len() != 0 {
-		t.Fatalf("unwritten draft masks %d keys", d.Delta().Len())
+	if d.Len() != 0 {
+		t.Fatalf("unwritten draft holds %d records", d.Len())
 	}
-	s.Install(d.Delta())
+	s.Snap = d.Freeze()
 	if s.DebugDump() != before {
-		t.Fatal("installing an empty delta changed the store")
+		t.Fatal("committing an empty draft changed the store")
 	}
 }

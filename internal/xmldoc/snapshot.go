@@ -2,89 +2,29 @@ package xmldoc
 
 import (
 	"fmt"
-	"maps"
-	"sort"
+	"slices"
+	"strings"
 
 	"xqview/internal/flexkey"
 )
 
-// maxDeltaChain bounds how many overlay deltas a snapshot stacks before
-// Extend flattens them into one. Every point read scans the chain newest-
-// first, so the bound caps read cost; flattening merges maps (newest wins)
-// without ever re-cloning the base, so its amortized cost is proportional
-// to the keys the rounds actually touched.
-const maxDeltaChain = 16
-
-// Snap is an immutable point-in-time Reader over the store: a base store
-// plus a chain of round deltas layered over it. Snaps are never mutated —
-// Extend returns a NEW Snap sharing the base and the existing deltas — so
-// any number of readers can hold and read one concurrently while
-// maintenance rounds keep committing behind them.
-//
-// The same layered lookup serves a Draft, whose one delta lies over the
-// live store; there a deletion marker reads through to the store (draft).
+// Snap is one immutable version of the store: the root of a persistent
+// hash trie holding one record per node (trie.go), the document roots and
+// the document sequence. Nothing in a Snap is ever written — a round builds
+// the next version in a Draft and Freeze path-copies it into a new root —
+// so any number of readers can hold and read one while later versions are
+// committed behind them, and capturing a version is taking its pointer.
 type Snap struct {
-	base   *Store
-	deltas []*Delta // oldest first; reads scan newest-first
-	draft  bool     // deletion markers read through to base
-}
-
-// SnapOf captures the store's current state as a fresh snapshot. The base
-// is a Clone (two map copies, no node copies) — callers take one at load
-// time and extend it with per-round deltas afterwards.
-func SnapOf(s *Store) *Snap {
-	return &Snap{base: s.Clone()}
-}
-
-// Extend returns a new snapshot that reads as sn with d layered on top. sn
-// itself is untouched. A nil or empty delta returns sn unchanged (the store
-// state is identical). When the chain would exceed maxDeltaChain, the
-// existing deltas and d are flattened into a single combined delta first.
-func (sn *Snap) Extend(d *Delta) *Snap {
-	if d == nil || d.Empty() {
-		return sn
-	}
-	if len(sn.deltas) >= maxDeltaChain {
-		return &Snap{base: sn.base, deltas: []*Delta{flatten(sn.deltas, d)}}
-	}
-	ds := make([]*Delta, 0, len(sn.deltas)+1)
-	ds = append(ds, sn.deltas...)
-	ds = append(ds, d)
-	return &Snap{base: sn.base, deltas: ds}
-}
-
-// flatten merges a delta chain (oldest first) plus one more into a single
-// delta, newest record winning per key. The inputs stay untouched — records
-// are shared by reference into the combined maps, which is safe because
-// deltas are immutable once their draft is done.
-func flatten(ds []*Delta, last *Delta) *Delta {
-	out := &Delta{nodes: map[flexkey.Key]*Node{}, roots: map[string]flexkey.Key{}, docSeq: last.docSeq}
-	for _, d := range append(append([]*Delta(nil), ds...), last) {
-		maps.Copy(out.nodes, d.nodes)
-		maps.Copy(out.roots, d.roots)
-	}
-	return out
-}
-
-// node is the one layered lookup. It scans the deltas newest first; the
-// first that holds k answers, and a deletion marker answers "absent" —
-// unless through is set, when it falls back to the base: the pre-round
-// state a draft's propagation still reads. Children, Attrs and Parent read
-// the record it returns.
-func (sn *Snap) node(k flexkey.Key, through bool) (*Node, bool) {
-	for i := len(sn.deltas) - 1; i >= 0; i-- {
-		if n, ok := sn.deltas[i].nodes[k]; ok {
-			if n != nil || !through {
-				return n, n != nil
-			}
-			break
-		}
-	}
-	return sn.base.Node(k)
+	root   entry
+	roots  map[string]flexkey.Key // shared by every version until a load
+	docSeq int
 }
 
 // Node implements Reader.
-func (sn *Snap) Node(k flexkey.Key) (*Node, bool) { return sn.node(k, sn.draft) }
+func (sn *Snap) Node(k flexkey.Key) (*Node, bool) {
+	n := sn.root.get(k, hashKey(k))
+	return n, n != nil
+}
 
 // Children implements Reader.
 func (sn *Snap) Children(k flexkey.Key) []flexkey.Key { return childKeys(sn.Node(k)) }
@@ -92,20 +32,13 @@ func (sn *Snap) Children(k flexkey.Key) []flexkey.Key { return childKeys(sn.Node
 // Attrs implements Reader.
 func (sn *Snap) Attrs(k flexkey.Key) []flexkey.Key { return attrKeys(sn.Node(k)) }
 
-// Parent returns the parent key of k, like Store.Parent.
-func (sn *Snap) Parent(k flexkey.Key) flexkey.Key { return parentKey(sn.Node(k)) }
-
 // Root implements Reader.
 func (sn *Snap) Root(doc string) (flexkey.Key, bool) {
-	for i := len(sn.deltas) - 1; i >= 0; i-- {
-		if v, ok := sn.deltas[i].roots[doc]; ok {
-			return v, v != ""
-		}
-	}
-	return sn.base.Root(doc)
+	k, ok := sn.roots[doc]
+	return k, ok
 }
 
-// RootElem returns the root element key of a document, like Store.RootElem.
+// RootElem returns the root element key of a document.
 func (sn *Snap) RootElem(doc string) (flexkey.Key, bool) {
 	d, ok := sn.Root(doc)
 	if !ok {
@@ -118,39 +51,67 @@ func (sn *Snap) RootElem(doc string) (flexkey.Key, bool) {
 	return cs[0], true
 }
 
-// Docs returns the names of all documents visible in the snapshot.
+// Docs returns the names of all registered documents, sorted.
 func (sn *Snap) Docs() []string {
-	seen := map[string]bool{}
-	for _, doc := range sn.base.Docs() {
-		seen[doc] = true
+	out := make([]string, 0, len(sn.roots))
+	for d := range sn.roots {
+		out = append(out, d)
 	}
-	for _, d := range sn.deltas {
-		for doc, v := range d.roots {
-			seen[doc] = v != ""
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for doc, live := range seen {
-		if live {
-			out = append(out, doc)
-		}
-	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-// Depth returns the overlay chain length, for telemetry and the
-// reclamation tests (bounded by maxDeltaChain).
-func (sn *Snap) Depth() int { return len(sn.deltas) }
-
-// DebugDump renders the snapshot's visible state in the same deterministic
-// format as Store.DebugDump minus the size line (a snapshot has no cheap
-// total-node count), so tests can byte-compare a snapshot against a live
-// store frame via DumpPrefix.
-func (sn *Snap) DebugDump() string {
-	seq := sn.base.docSeq
-	if n := len(sn.deltas); n > 0 {
-		seq = sn.deltas[n-1].docSeq
+// Parent returns the parent key of k ("" for document nodes and absent
+// keys): a stored key's prefix.
+func (sn *Snap) Parent(k flexkey.Key) flexkey.Key {
+	if _, ok := sn.Node(k); !ok {
+		return ""
 	}
-	return dump(sn) + fmt.Sprintf("docSeq=%d\n", seq)
+	p, _ := flexkey.Parent(k)
+	return p
+}
+
+// NextSibling returns the key after k among its parent's children ("" when
+// k is last or absent).
+func (sn *Snap) NextSibling(k flexkey.Key) flexkey.Key {
+	cs := sn.Children(sn.Parent(k))
+	if i := slices.Index(cs, k); i >= 0 && i+1 < len(cs) {
+		return cs[i+1]
+	}
+	return ""
+}
+
+// Size returns the number of stored nodes.
+func (sn *Snap) Size() int {
+	n := 0
+	sn.root.each(topShift, func(*Node) { n++ })
+	return n
+}
+
+// DebugDump renders the version deterministically — every document tree in
+// key order with kinds, names, values and parent links, then the stored node
+// count and the document sequence — so tests can assert byte-identity
+// between two states (e.g. pre-round vs post-rollback). Unreachable nodes
+// show up through the size line.
+func (sn *Snap) DebugDump() string {
+	var b strings.Builder
+	var walk func(k flexkey.Key, depth int)
+	walk = func(k flexkey.Key, depth int) {
+		n, _ := sn.Node(k)
+		fmt.Fprintf(&b, "%s%s kind=%d name=%q value=%q parent=%s\n",
+			strings.Repeat(" ", depth), k, int(n.Kind), n.Name, n.Value, sn.Parent(k))
+		for _, a := range n.Attrs {
+			walk(a, depth+1)
+		}
+		for _, c := range n.Children {
+			walk(c, depth+1)
+		}
+	}
+	for _, doc := range sn.Docs() {
+		root := sn.roots[doc]
+		fmt.Fprintf(&b, "doc %s root=%s\n", doc, root)
+		walk(root, 1)
+	}
+	fmt.Fprintf(&b, "size=%d docSeq=%d\n", sn.Size(), sn.docSeq)
+	return b.String()
 }

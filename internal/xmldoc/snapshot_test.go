@@ -7,67 +7,67 @@ import (
 	"xqview/internal/flexkey"
 )
 
-// TestSnapshotImmutableAcrossRounds pins the MVCC store contract: a snapshot
+// docsXML serializes every document r registers, in name order.
+func docsXML(r Reader, docs []string) string {
+	out := ""
+	for _, doc := range docs {
+		root, _ := r.Root(doc)
+		out += doc + ":" + Serialize(r, root) + "\n"
+	}
+	return out
+}
+
+// TestSnapshotImmutableAcrossRounds pins the MVCC store contract: a version
 // taken before a round of mutations keeps reading the pre-round state
-// byte-identically, while Extend with the round's delta reads the post-round
-// state byte-identically — both verified against live-store dumps.
+// byte-identically, while the round's frozen draft reads the post-round
+// state the draft showed.
 func TestSnapshotImmutableAcrossRounds(t *testing.T) {
 	s := draftTestStore(t)
-	pre := s.DumpPrefix()
-	snap0 := SnapOf(s)
-	if got := snap0.DebugDump(); got != pre {
-		t.Fatalf("fresh snapshot diverges from store:\n%s\nvs\n%s", pre, got)
-	}
+	snap0 := s.Snap
+	pre := snap0.DebugDump()
 
 	rng := rand.New(rand.NewSource(7))
 	d := NewDraft(s)
 	for i := 0; i < 8; i++ {
 		mutate(t, d, rng, i)
 	}
-	delta := d.Delta()
-	if delta.Empty() {
+	if d.Len() == 0 {
 		t.Fatal("round touched nothing; test exercises nothing")
 	}
-	s.Install(delta)
-	post := s.DumpPrefix()
-	if post == pre {
+	drafted := docsXML(d, s.Docs())
+	s.Snap = d.Freeze()
+	if s.DebugDump() == pre {
 		t.Fatal("mutations were a no-op")
 	}
-
 	if got := snap0.DebugDump(); got != pre {
 		t.Fatalf("pre-round snapshot changed under mutation:\n--- want ---\n%s--- got ---\n%s", pre, got)
 	}
-	snap1 := snap0.Extend(delta)
-	if got := snap1.DebugDump(); got != post {
-		t.Fatalf("extended snapshot diverges from post-round store:\n--- want ---\n%s--- got ---\n%s", post, got)
-	}
-	// And the old snapshot is still untouched after Extend.
-	if got := snap0.DebugDump(); got != pre {
-		t.Fatal("Extend mutated the base snapshot")
+	if got := docsXML(s.Snap, s.Docs()); got != drafted {
+		t.Fatalf("frozen version diverges from its draft:\n--- draft ---\n%s--- frozen ---\n%s", drafted, got)
 	}
 }
 
-// TestSnapshotDeltaCopiesNotAliases verifies a delta holds its own copies:
-// a later round writing the same node (its draft copies the node the store
-// got from this delta) must not bleed into an already-built snapshot.
+// TestSnapshotDeltaCopiesNotAliases verifies a version holds its own
+// records: a later round writing the same node (its draft copies the record
+// the earlier round froze) must not bleed into the earlier version.
 func TestSnapshotDeltaCopiesNotAliases(t *testing.T) {
 	s := draftTestStore(t)
-	snap0 := SnapOf(s)
 	root, _ := s.RootElem("a.xml")
 	texts := s.Children(s.Children(root)[0])
 	textKey := s.Children(texts[0])[0]
 
+	var snap1 *Snap
 	for _, v := range []string{"round1", "round2"} {
 		d := NewDraft(s)
 		if err := d.ReplaceText(textKey, v); err != nil {
 			t.Fatal(err)
 		}
-		s.Install(d.Delta())
+		s.Snap = d.Freeze()
 		if v == "round1" {
-			snap0 = snap0.Extend(d.Delta())
+			snap1 = s.Snap
 		}
 	}
-	n, ok := snap0.Node(textKey)
+	n, ok := snap1.Node(textKey)
 	if !ok || n.Value != "round1" {
 		t.Fatalf("snapshot node aliased live store: got %q want %q", n.Value, "round1")
 	}
@@ -76,63 +76,24 @@ func TestSnapshotDeltaCopiesNotAliases(t *testing.T) {
 	}
 }
 
-// TestSnapshotChainFlattens runs more rounds than maxDeltaChain and asserts
-// the chain depth stays bounded while the newest snapshot still reads the
-// live state byte-identically and old handles keep their frames.
-func TestSnapshotChainFlattens(t *testing.T) {
-	s := draftTestStore(t)
-	snap := SnapOf(s)
-	rng := rand.New(rand.NewSource(11))
-	frames := []string{s.DumpPrefix()}
-	snaps := []*Snap{snap}
-	const rounds = 3*maxDeltaChain + 5
-	for i := 0; i < rounds; i++ {
-		d := NewDraft(s)
-		mutate(t, d, rng, i)
-		s.Install(d.Delta())
-		snap = snap.Extend(d.Delta())
-		if snap.Depth() > maxDeltaChain {
-			t.Fatalf("round %d: chain depth %d exceeds bound %d", i, snap.Depth(), maxDeltaChain)
-		}
-		frames = append(frames, s.DumpPrefix())
-		snaps = append(snaps, snap)
-	}
-	if got := snap.DebugDump(); got != frames[len(frames)-1] {
-		t.Fatalf("final snapshot diverges from live store:\n--- want ---\n%s--- got ---\n%s",
-			frames[len(frames)-1], got)
-	}
-	// Spot-check a handful of historical handles, including ones taken
-	// before and after flattening kicked in.
-	for _, i := range []int{0, 1, maxDeltaChain, maxDeltaChain + 1, 2 * maxDeltaChain, rounds} {
-		if got := snaps[i].DebugDump(); got != frames[i] {
-			t.Fatalf("snapshot %d lost its frame:\n--- want ---\n%s--- got ---\n%s", i, frames[i], got)
-		}
-	}
-}
-
-// TestSnapshotEmptyDeltaSharesHandle pins the no-op optimization: extending
-// with an empty delta returns the same immutable snapshot.
+// TestSnapshotEmptyDeltaSharesHandle pins the no-op optimization: freezing
+// a draft nothing was written to returns the base version itself.
 func TestSnapshotEmptyDeltaSharesHandle(t *testing.T) {
 	s := draftTestStore(t)
-	snap := SnapOf(s)
-	d := NewDraft(s).Delta()
-	if !d.Empty() {
-		t.Fatalf("no mutations but delta masks %d keys", d.Len())
+	d := NewDraft(s)
+	if d.Len() != 0 {
+		t.Fatalf("no mutations but the draft holds %d records", d.Len())
 	}
-	if got := snap.Extend(d); got != snap {
-		t.Fatal("empty delta produced a new snapshot")
-	}
-	if snap.Extend(nil) != snap {
-		t.Fatal("nil delta produced a new snapshot")
+	if d.Freeze() != s.Snap {
+		t.Fatal("an empty draft produced a new version")
 	}
 }
 
-// TestSnapshotDocLifecycle covers document-level delta entries: a document
-// loaded mid-stream appears only in snapshots extended past its round, and
-// deleting a subtree masks the keys for newer snapshots only.
+// TestSnapshotDocLifecycle covers document-level changes: a document loaded
+// mid-stream appears only in versions from its round on.
 func TestSnapshotDocLifecycle(t *testing.T) {
 	s := draftTestStore(t)
-	snap0 := SnapOf(s)
+	snap0 := s.Snap
 
 	f, err := Parse(`<n><m>x</m></n>`)
 	if err != nil {
@@ -142,8 +103,8 @@ func TestSnapshotDocLifecycle(t *testing.T) {
 	if _, err := d.LoadFragment("new.xml", f); err != nil {
 		t.Fatal(err)
 	}
-	s.Install(d.Delta())
-	snap1 := snap0.Extend(d.Delta())
+	s.Snap = d.Freeze()
+	snap1 := s.Snap
 
 	if _, ok := snap0.Root("new.xml"); ok {
 		t.Fatal("pre-load snapshot sees the new document")
@@ -154,27 +115,25 @@ func TestSnapshotDocLifecycle(t *testing.T) {
 	if got, want := len(snap1.Docs()), len(snap0.Docs())+1; got != want {
 		t.Fatalf("Docs: got %d want %d", got, want)
 	}
-	if got := snap1.DebugDump(); got != s.DumpPrefix() {
-		t.Fatalf("post-load snapshot diverges:\n--- want ---\n%s--- got ---\n%s", s.DumpPrefix(), got)
+	if got, want := docsXML(snap1, snap0.Docs()), docsXML(snap0, snap0.Docs()); got != want {
+		t.Fatalf("the load changed the other documents:\n--- before ---\n%s--- after ---\n%s", want, got)
 	}
 }
 
 // TestSnapshotNeverResurrectsDeleted: re-inserting a bare fragment at a key
 // an earlier round deleted, or one the same draft deleted, brings back none
-// of the old node's attributes or children — not through the draft, not
-// through the snapshot chain, not after the chain flattens, and not in the
-// store, which keep the one-record shape throughout.
+// of the old node's attributes or children — not through the draft, not in
+// its frozen version, and not in any later version, which keep the
+// one-record shape throughout.
 func TestSnapshotNeverResurrectsDeleted(t *testing.T) {
 	s := draftTestStore(t)
-	snap := SnapOf(s)
 	root, _ := s.RootElem("a.xml")
 	b := s.Children(root)[0]
 	d := NewDraft(s)
 	if err := d.DeleteSubtree(b); err != nil {
 		t.Fatal(err)
 	}
-	s.Install(d.Delta())
-	snap = snap.Extend(d.Delta())
+	s.Snap = d.Freeze()
 
 	d = NewDraft(s)
 	if err := d.InsertFragmentWithKey(b, Elem("b")); err != nil {
@@ -193,30 +152,19 @@ func TestSnapshotNeverResurrectsDeleted(t *testing.T) {
 			t.Fatalf("the draft resurrected %s's content", k)
 		}
 	}
-	s.Install(d.Delta())
-	snap = snap.Extend(d.Delta())
-	for round := 0; ; round++ {
-		for name, r := range map[string]Reader{"store": s, "snapshot": snap} {
-			for _, k := range reborn {
-				if len(r.Attrs(k)) != 0 || len(r.Children(k)) != 0 {
-					t.Fatalf("round %d: %s resurrected %s's content", round, name, k)
-				}
+	s.Snap = d.Freeze()
+	for round := 0; round < 20; round++ {
+		for _, k := range reborn {
+			if len(s.Attrs(k)) != 0 || len(s.Children(k)) != 0 {
+				t.Fatalf("round %d: the store resurrected %s's content", round, k)
 			}
 		}
-		checkShape(t, "store", s, storedKeys(&Snap{base: s}))
-		checkShape(t, "snapshot", snap, storedKeys(snap))
-		if got, want := snap.DebugDump(), s.DumpPrefix(); got != want {
-			t.Fatalf("round %d: snapshot diverges from store:\n--- store ---\n%s--- snapshot ---\n%s", round, want, got)
-		}
-		if round > maxDeltaChain {
-			return
-		}
-		// Filler rounds until the chain flattens.
+		checkShape(t, "store", s, storedKeys(s.Snap))
+		// Filler rounds: later versions path-copy the same trie nodes.
 		d = NewDraft(s)
 		if _, err := d.InsertFragment(root, "", "", Elem("f")); err != nil {
 			t.Fatal(err)
 		}
-		s.Install(d.Delta())
-		snap = snap.Extend(d.Delta())
+		s.Snap = d.Freeze()
 	}
 }

@@ -104,7 +104,7 @@ func TestInsertFragmentOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Install(d.Delta())
+	s.Snap = d.Freeze()
 	nb = ChildElems(s, root, "book")
 	if len(nb) != 4 || nb[1] != k2 {
 		t.Fatalf("middle book misplaced: %v (k2=%s)", nb, k2)
@@ -129,7 +129,7 @@ func TestDeleteSubtree(t *testing.T) {
 	if err := d.DeleteSubtree(books[0]); err == nil {
 		t.Fatal("deleting a deleted node should fail")
 	}
-	s.Install(d.Delta())
+	s.Snap = d.Freeze()
 	if got := ChildElems(s, root, "book"); len(got) != 1 {
 		t.Fatalf("still %d books", len(got))
 	}
@@ -156,22 +156,19 @@ func TestReplaceText(t *testing.T) {
 	if err := d.ReplaceText(titles[0], "x"); err == nil {
 		t.Fatal("replacing an element should fail")
 	}
-	s.Install(d.Delta())
+	s.Snap = d.Freeze()
 	if got := StringValue(s, titles[0]); got != "New Title" {
 		t.Fatalf("after replace: %q", got)
 	}
 }
 
-// TestCloneIsolation: a clone shares the store's nodes and key slices, and
-// installing on the original a draft that uses every primitive kind —
-// document load, insert, delete, replace — leaves the clone as it was.
-func TestCloneIsolation(t *testing.T) {
+// TestVersionIsolation: committing over a store a draft that uses every
+// primitive kind — document load, insert, delete, replace — leaves the
+// version the store held before as it was.
+func TestVersionIsolation(t *testing.T) {
 	s, root := loadBib(t)
-	c := s.Clone()
+	c := s.Snap
 	want := c.DebugDump()
-	if want != s.DebugDump() {
-		t.Fatal("clone differs from its store")
-	}
 	books := ChildElems(s, root, "book")
 	text := TextChildren(s, ChildElems(s, books[1], "title")[0])[0]
 	d := NewDraft(s)
@@ -187,12 +184,12 @@ func TestCloneIsolation(t *testing.T) {
 	if err := d.ReplaceText(text, "Changed"); err != nil {
 		t.Fatal(err)
 	}
-	s.Install(d.Delta())
+	s.Snap = d.Freeze()
 	if got := c.DebugDump(); got != want {
-		t.Fatalf("clone affected by install:\n--- want ---\n%s--- got ---\n%s", want, got)
+		t.Fatalf("earlier version affected by the commit:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 	if got := len(ChildElems(s, root, "book")); got != 1 {
-		t.Fatalf("original should have 1 book, has %d", got)
+		t.Fatalf("the store should have 1 book, has %d", got)
 	}
 }
 

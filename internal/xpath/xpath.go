@@ -7,6 +7,7 @@ package xpath
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"xqview/internal/flexkey"
@@ -299,33 +300,44 @@ func Eval(r xmldoc.Reader, start flexkey.Key, path *Path) []flexkey.Key {
 }
 
 // evalStep applies one location step to every context node. Contexts are
-// distinct (Eval starts from one node, and each step's output is distinct),
-// so the child, attribute and text() results of different contexts are
-// disjoint: only a descendant step over several contexts — which may be
-// nested in one another — can reach a node twice and needs the dedup set.
+// distinct and in document order (Eval starts from one node, and each
+// step's output is), yet contexts nested in one another — a descendant
+// step's, or a child step's under nested names — can reach nodes out of
+// order, and a descendant step can reach a node twice: output that is not
+// strictly increasing is sorted into document order and compacted.
 func evalStep(r xmldoc.Reader, ctx []flexkey.Key, st *Step) []flexkey.Key {
 	if len(ctx) == 1 {
 		return applyPreds(r, stepFrom(r, ctx[0], st), st.Preds)
 	}
 	var out []flexkey.Key
-	var seen map[flexkey.Key]bool
-	if st.Axis == Descendant {
-		seen = make(map[flexkey.Key]bool)
-	}
 	for _, c := range ctx {
-		matched := applyPreds(r, stepFrom(r, c, st), st.Preds)
-		if seen == nil {
-			out = append(out, matched...)
-			continue
-		}
-		for _, m := range matched {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
+		out = append(out, applyPreds(r, stepFrom(r, c, st), st.Preds)...)
+	}
+	order := strings.Compare
+	if st.Kind == AttrTest {
+		order = attrOrder
+	}
+	for i := 1; i < len(out); i++ {
+		if order(string(out[i-1]), string(out[i])) >= 0 {
+			slices.SortFunc(out, func(a, b flexkey.Key) int { return order(string(a), string(b)) })
+			return slices.Compact(out)
 		}
 	}
 	return out
+}
+
+// attrOrder compares attribute keys in document order. Key order is
+// document order for elements and text, but an attribute's '@' segment can
+// sort after a sibling segment that inserts before the first child opened
+// below '@', so attributes order by their element first: an element's
+// attributes precede its descendants'.
+func attrOrder(a, b string) int {
+	ea, _ := flexkey.Parent(flexkey.Key(a))
+	eb, _ := flexkey.Parent(flexkey.Key(b))
+	if c := strings.Compare(string(ea), string(eb)); c != 0 {
+		return c
+	}
+	return strings.Compare(a, b)
 }
 
 // stepFrom returns the nodes the step's axis and node test reach from one

@@ -190,9 +190,22 @@ func TestCompareValues(t *testing.T) {
 }
 
 // evalDedupEverywhere is the step kernel as it was before the child step
-// stopped deduplicating: every step, whatever its axis, filters its output
-// through a seen set.
+// stopped deduplicating — every step, whatever its axis, filters its output
+// through a seen set — with each step's output put in document order by
+// position in a walk of the document, not by key.
 func evalDedupEverywhere(r xmldoc.Reader, start flexkey.Key, path *Path) []flexkey.Key {
+	pos := map[flexkey.Key]int{}
+	var walk func(k flexkey.Key)
+	walk = func(k flexkey.Key) {
+		pos[k] = len(pos)
+		for _, a := range r.Attrs(k) {
+			pos[a] = len(pos)
+		}
+		for _, c := range r.Children(k) {
+			walk(c)
+		}
+	}
+	walk(start)
 	ctx := []flexkey.Key{start}
 	for i := range path.Steps {
 		st := &path.Steps[i]
@@ -209,6 +222,7 @@ func evalDedupEverywhere(r xmldoc.Reader, start flexkey.Key, path *Path) []flexk
 		if len(out) == 0 {
 			return nil
 		}
+		slices.SortFunc(out, func(a, b flexkey.Key) int { return pos[a] - pos[b] })
 		ctx = out
 	}
 	return ctx
@@ -233,13 +247,14 @@ func randomTree(rng *rand.Rand, name string, depth int) *xmldoc.Frag {
 
 // TestChildStepMatchesDedupEverywhere pins the induction the child step
 // relies on: from one start node, every step's output is distinct, so only
-// the descendant axis over several (possibly nested) contexts needs a dedup
-// set. The order of hits is the reference's too.
+// the descendant axis over several (possibly nested) contexts needs a
+// dedup. Hits come in document order. Each tree also gets children inserted
+// before its first ones, whose keys open below the attributes' '@'.
 func TestChildStepMatchesDedupEverywhere(t *testing.T) {
 	paths := []string{
 		"a//b/c", "//a//b", "//a//a/b", "a/b/@x", "//a/@x", "//@x", "//a/text()", "//text()",
 		"a//b[1]/c", "*//*/c", "//a[b]/c", `//a[@x = "1"]//b`, "//b[2]//c/text()", "a/a/a", "//a//b//c",
-		`//a[b = "3"]/b`, "*/*/*",
+		`//a[b = "3"]/b`, "*/*/*", "//a/b", "//*/@x",
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -248,6 +263,22 @@ func TestChildStepMatchesDedupEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := xmldoc.NewDraft(s)
+		elems := xmldoc.DescendantElems(s, root, "*")
+		for _, e := range elems[:min(4, len(elems))] {
+			for i := 0; i < 3; i++ {
+				first := ""
+				if cs := d.Children(e); len(cs) > 0 {
+					first = string(cs[0])
+				}
+				f := randomTree(rng, string("ab"[i%2]), 1)
+				f.Attrs = append(f.Attrs, xmldoc.AttrF("x", "p"))
+				if _, err := d.InsertFragment(e, "", flexkey.Key(first), f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		s.Snap = d.Freeze()
 		for _, src := range paths {
 			p := MustParse(src)
 			got, want := Eval(s, root, p), evalDedupEverywhere(s, root, p)
@@ -255,5 +286,23 @@ func TestChildStepMatchesDedupEverywhere(t *testing.T) {
 				t.Fatalf("seed %d, %s:\n got  %v\n want %v", seed, src, got, want)
 			}
 		}
+	}
+}
+
+// TestNestedContextsInDocumentOrder: a child step under nested contexts
+// returns the inner context's hits first, as they come first in the
+// document.
+func TestNestedContextsInDocumentOrder(t *testing.T) {
+	s := xmldoc.NewStore()
+	root, err := s.Load("n.xml", `<r><a><a><b>1</b></a><b>2</b></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, k := range Eval(s, root, MustParse("//a/b")) {
+		got = append(got, xmldoc.StringValue(s, k))
+	}
+	if !slices.Equal(got, []string{"1", "2"}) {
+		t.Fatalf("//a/b = %v, want [1 2]", got)
 	}
 }

@@ -16,7 +16,8 @@ import (
 // publish, drain or install path; a script-evaluation one, a dead memo; a
 // view, arena or copy-on-write tracker one, round memory nobody resets; a
 // view-set one, compiled once and read by no round; a state-cache one,
-// staging no commit reads.
+// staging no commit reads; a store-trie one, a slot no lookup or freeze
+// reads.
 var structCheckFiles = []string{
 	"internal/core/round.go",
 	"internal/xat/shared.go",
@@ -25,6 +26,7 @@ var structCheckFiles = []string{
 	"internal/core/snapshot.go",
 	"internal/xmldoc/snapshot.go",
 	"internal/xmldoc/draft.go",
+	"internal/xmldoc/trie.go",
 	"internal/update/script.go",
 	"internal/xat/alloc.go",
 	"internal/xat/statecache.go",

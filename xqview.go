@@ -57,26 +57,12 @@ type Database struct {
 	rec  *journal.StreamWriter
 
 	// snaps is the MVCC epoch registry: every committed maintenance round
-	// publishes the next immutable version into it (store snapshot, view
-	// extents, cache occupancy); document loads publish a full capture
-	// of the store, view creation, renaming and recomputation publish new
-	// frames over the same store snapshot. Readers acquire version handles
-	// lock-free through it.
+	// publishes the next immutable version into it (store root, view
+	// extents, cache occupancy), and so does every change made outside a
+	// round — document loads, view creation, renaming, recomputation —
+	// through the one PublishLive. Readers acquire version handles lock-free
+	// through it.
 	snaps *core.SnapReg
-}
-
-// publishFull captures the live store and extents as a fresh version, for
-// the out-of-band store mutations that have no round delta. Callers hold
-// db.mu exclusively.
-func (db *Database) publishFull() {
-	db.snaps.PublishFull(db.store, db.set.Views)
-}
-
-// publishFrames publishes the views' live state over the published store
-// snapshot, for the out-of-band paths that leave the store alone. Callers
-// hold db.mu exclusively.
-func (db *Database) publishFrames() {
-	db.snaps.PublishFrames(db.set.Views)
 }
 
 // NewDatabase creates an empty database.
@@ -85,7 +71,7 @@ func NewDatabase() *Database {
 	set, _ := core.NewViewSet(store, nil) // no views, so no store to mismatch
 	db := &Database{store: store, set: set, snaps: core.NewSnapReg()}
 	db.opts.Snapshots = db.snaps
-	db.publishFull()
+	db.snaps.PublishLive(db.store, db.set.Views)
 	return db
 }
 
@@ -167,9 +153,7 @@ func (db *Database) LoadDocument(name, src string) error {
 	if _, err := db.store.Load(name, src); err != nil {
 		return err
 	}
-	// The load happened outside a round, whose delta would extend the
-	// version chain: publish a full capture.
-	db.publishFull()
+	db.snaps.PublishLive(db.store, db.set.Views)
 	return nil
 }
 
@@ -220,7 +204,7 @@ func (db *Database) CreateView(query string) (*View, error) {
 	db.views = append(db.views, v)
 	db.set = set
 	// Readers acquire the new view's frame from the next published version.
-	db.publishFrames()
+	db.snaps.PublishLive(db.store, db.set.Views)
 	return v, nil
 }
 
@@ -248,7 +232,7 @@ func (v *View) SetName(name string) {
 	defer v.db.mu.Unlock()
 	v.view.Name = name
 	// Frames capture the name; republish so snapshot lookups see it.
-	v.db.publishFrames()
+	v.db.snaps.PublishLive(v.db.store, v.db.set.Views)
 }
 
 // frame returns the view's frame in the published version, with a handle
@@ -297,8 +281,8 @@ func (v *View) Recompute() error {
 	v.db.mu.Lock()
 	defer v.db.mu.Unlock()
 	err := v.view.Materialize()
-	// The extent changed outside a round; the store did not.
-	v.db.publishFrames()
+	// The extent changed outside a round.
+	v.db.snaps.PublishLive(v.db.store, v.db.set.Views)
 	return err
 }
 
