@@ -1,138 +1,86 @@
 // Package arena implements round-scoped bump allocation for the delta
-// engine. A Pool hands out values and slices carved from large retained
-// chunks; Reset rewinds the pool wholesale so a steady-state maintenance
-// round performs no heap allocation for tuple construction at all.
+// engine. A Pool hands out values and slices carved from one retained
+// chunk; Reset rewinds it, so a warm maintenance round performs no heap
+// allocation for tuple construction at all.
 //
-// The safety contract is lifetime-based, not reference-counted: everything
-// allocated from a pool dies together when the round that allocated it
-// commits or rolls back. Data that must outlive the round (state-cache
-// entries, materialized extents) is deep-copied out at the transaction
-// boundary by its owner — the pool has no way to exempt individual values.
+// Everything allocated from a pool dies together when the round that
+// allocated it commits or rolls back. Data that must outlive the round
+// (state-cache entries, materialized extents) is deep-copied out at the
+// transaction boundary by its owner.
 //
-// Reset always zeroes the used prefix of each retained chunk, for two
-// reasons: retained chunks must not pin garbage from previous rounds, and
-// callers of Make rely on Go's make() zero-value contract. In poison mode
-// (default under -race, see poison.go) Reset additionally drops the chunks
-// themselves, so any pointer that escaped the round dangles into zeroed,
-// unreachable memory and use-after-release shows up as deterministic
-// zero-value reads in tests instead of silent aliasing.
+// A pool sizes itself. A request that does not fit the current chunk sets
+// it aside for the rest of the round and starts one of max(2×current,
+// request) elements; Reset keeps only that newest chunk. A chunk starts only
+// after the round has used more than the one before it, so a pool retains
+// less than twice its largest round, and rounds of steady size soon stop
+// allocating.
+//
+// Reset zeroes every element the round handed out, so retained memory pins
+// no garbage and Make keeps make()'s zero-value contract. In poison mode
+// (default under -race, see poison.go) Reset drops the current chunk too,
+// so a pointer that escaped the round reads zero values, not the next
+// round's data.
 package arena
 
-// DefaultChunk is the per-chunk element count used when a Pool's ChunkSize
-// is left zero. Chunks are element-counted, not byte-counted, so pools of
-// large element types simply retain fewer, larger chunks.
-const DefaultChunk = 1024
-
-// Pool is a typed bump allocator. The zero value is ready to use.
-// A Pool is not safe for concurrent use; the engine keeps one bundle of
-// pools per view, for the view's lifetime, and only the worker maintaining
-// the view touches it during a round.
+// Pool is a typed bump allocator; the zero value is ready to use. It is not
+// safe for concurrent use: each view owns its pools, and only the worker
+// maintaining the view touches them during a round.
 type Pool[T any] struct {
-	// ChunkSize overrides DefaultChunk when > 0. Requests larger than the
-	// chunk size are served from dedicated "big" allocations that are
-	// dropped (not retained) on Reset.
-	ChunkSize int
-
-	chunks [][]T // retained chunks, each of length chunkSize
-	ci     int   // index of the chunk currently being filled
-	n      int   // elements used in chunks[ci]
-	big    [][]T // oversized one-off allocations for this round
+	cur   []T   // the chunk being carved, kept across Reset
+	n     int   // elements of cur handed out this round
+	spent [][]T // used prefixes of the chunks this round outgrew
 }
 
-func (p *Pool[T]) size() int {
-	if p.ChunkSize > 0 {
-		return p.ChunkSize
-	}
-	return DefaultChunk
-}
-
-// Make returns a slice of length n and capacity at least c, carved from the
-// current chunk. The returned slice is zeroed, like make([]T, n, c).
-// Appending beyond the returned capacity falls back to the ordinary heap —
-// safe, because the bump pointer has already advanced past the reservation.
+// Make returns a zeroed slice of length n and capacity at least c, like
+// make([]T, n, c). Appending past that capacity moves to the heap — safe,
+// because the bump pointer has already advanced past the reservation.
 func (p *Pool[T]) Make(n, c int) []T {
-	if c < n {
-		c = n
-	}
+	c = max(c, n)
 	if c == 0 {
 		return nil
 	}
-	cs := p.size()
-	if c > cs {
-		s := make([]T, n, c)
-		p.big = append(p.big, s[:0:c])
-		return s
-	}
-	if len(p.chunks) == 0 {
-		p.chunks = append(p.chunks, make([]T, cs))
-	}
-	if cs-p.n < c {
-		p.ci++
-		p.n = 0
-		if p.ci == len(p.chunks) {
-			p.chunks = append(p.chunks, make([]T, cs))
+	if len(p.cur)-p.n < c {
+		if p.n > 0 {
+			p.spent = append(p.spent, p.cur[:p.n])
 		}
+		p.cur, p.n = make([]T, max(2*len(p.cur), c)), 0
 	}
-	s := p.chunks[p.ci][p.n : p.n+n : p.n+c]
+	s := p.cur[p.n : p.n+n : p.n+c]
 	p.n += c
 	return s
 }
 
 // Get returns a pointer to a zeroed T carved from the current chunk.
-func (p *Pool[T]) Get() *T {
-	return &p.Make(1, 1)[0]
-}
+func (p *Pool[T]) Get() *T { return &p.Make(1, 1)[0] }
 
-// Reset rewinds the pool for reuse by the next round. The used prefix of
-// every retained chunk is zeroed (dropping references for the GC and
-// restoring the make() zero-value contract); oversized allocations are
-// released. With poison set, the chunks themselves are dropped too, so
-// stale pointers from the finished round dangle into unreachable memory.
+// Reset rewinds the pool for reuse by the next round: it zeroes what the
+// round handed out, drops the chunks the round outgrew and, with poison
+// set, the current chunk as well.
 func (p *Pool[T]) Reset(poison bool) {
-	var zero T
-	for i := 0; i <= p.ci && i < len(p.chunks); i++ {
-		c := p.chunks[i]
-		if i == p.ci {
-			c = c[:p.n]
-		}
-		for j := range c {
-			c[j] = zero
-		}
+	clear(p.cur[:p.n])
+	for _, s := range p.spent {
+		clear(s)
 	}
-	for _, b := range p.big {
-		b = b[:cap(b)]
-		for j := range b {
-			b[j] = zero
-		}
-	}
-	p.big = nil
+	clear(p.spent)
+	p.spent = p.spent[:0]
 	if poison {
-		p.chunks = nil
+		p.cur = nil
 	}
-	p.ci, p.n = 0, 0
+	p.n = 0
 }
 
-// Retained reports how many chunk elements the pool currently holds on to,
-// for tests and introspection.
-func (p *Pool[T]) Retained() int {
-	return len(p.chunks) * p.size()
-}
+// Retained reports how many elements the pool keeps across Reset.
+func (p *Pool[T]) Retained() int { return len(p.cur) }
 
-// Footprint reports the pool's current occupancy: elements bump-allocated
-// since the last Reset (chunks before the one being filled count as full —
-// the bump pointer only advances past a chunk when its remaining capacity
-// cannot serve a request) and the number of backing allocations (retained
-// chunks in use plus oversized one-offs). It is the round-telemetry view of
-// the arena: a sample of Footprint just before the owning transaction's
-// Release prices the round's arena traffic.
+// Footprint reports the round's use of the pool so far: the elements handed
+// out since the last Reset, reserved capacity included, and the chunks they
+// were carved from. Sampled just before Reset, it prices a round.
 func (p *Pool[T]) Footprint() (elems, chunks int) {
-	if p.ci < len(p.chunks) && (p.ci > 0 || p.n > 0) {
-		elems = p.ci*p.size() + p.n
-		chunks = p.ci + 1
+	for _, s := range p.spent {
+		elems += len(s)
 	}
-	for _, b := range p.big {
-		elems += cap(b)
+	if p.n > 0 {
+		chunks = 1
 	}
-	chunks += len(p.big)
-	return elems, chunks
+	return elems + p.n, chunks + len(p.spent)
 }

@@ -113,7 +113,7 @@ func (c *compiler) compileNested(e xquery.Expr, cur *xat.Op, sc *scope) (*xat.Op
 		}
 		// Per-tuple aggregation: group by the iteration keys, which uniquely
 		// identify the current tuples, carrying every other column through.
-		carry := diffCols(c.outColsOf(cur), append(append([]string(nil), sc.keyCols...), col), "")
+		carry := diffCols(xat.OutCols(cur), append(append([]string(nil), sc.keyCols...), col), "")
 		byID := true
 		for _, g := range sc.keyCols {
 			if c.colKind[g] != nodeCol {
@@ -154,28 +154,4 @@ func (c *compiler) compileNested(e xquery.Expr, cur *xat.Op, sc *scope) (*xat.Op
 		return nil, "", fmt.Errorf("compile: bare literal expressions are only supported inside constructors")
 	}
 	return nil, "", fmt.Errorf("compile: unsupported expression %T", e)
-}
-
-// outColsOf mirrors the output-column computation of xat.Analyze for plans
-// still under construction.
-func (c *compiler) outColsOf(o *xat.Op) []string {
-	switch o.Kind {
-	case xat.OpSource:
-		return []string{o.OutCol}
-	case xat.OpUnit:
-		return nil
-	case xat.OpNavUnnest, xat.OpNavCollection, xat.OpTagger, xat.OpXMLUnion, xat.OpXMLUnique, xat.OpName:
-		return append(c.outColsOf(o.Inputs[0]), o.OutCol)
-	case xat.OpSelect, xat.OpOrderBy, xat.OpExpose:
-		return c.outColsOf(o.Inputs[0])
-	case xat.OpJoin, xat.OpLOJ, xat.OpMerge:
-		return append(c.outColsOf(o.Inputs[0]), c.outColsOf(o.Inputs[1])...)
-	case xat.OpDistinct, xat.OpCombine:
-		return []string{o.InCol}
-	case xat.OpGroupBy:
-		out := append([]string(nil), o.GroupCols...)
-		out = append(out, o.CarryCols...)
-		return append(out, o.InCol)
-	}
-	return nil
 }

@@ -90,7 +90,7 @@ func NewView(store *xmldoc.Store, query string) (*View, error) {
 		return nil, err
 	}
 	v := &View{Query: query, Plan: plan, Store: store, SAPT: sapt.Build(plan),
-		cache: xat.NewStateCache(), alloc: xat.NewAlloc(), tx: deepunion.NewTxn()}
+		cache: xat.NewStateCache(), alloc: &xat.Alloc{}, tx: deepunion.NewTxn()}
 	if err := v.Materialize(); err != nil {
 		return nil, err
 	}

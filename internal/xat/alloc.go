@@ -12,8 +12,10 @@ import (
 // means "allocate from the heap": the path taken by one-shot full view
 // computation (Execute, Materialize).
 //
-// The lifetime contract is the round's: each core.View owns one Alloc for
-// its whole lifetime, and the round's commit or rollback calls Release.
+// The zero value is ready to use; every pool sizes its own chunks (see
+// internal/arena). The lifetime contract is the round's: each core.View
+// owns one Alloc for its whole lifetime, and the round's commit or rollback
+// calls Release.
 // Nothing allocated from an Alloc may survive Release — the state cache
 // deep-copies entries out at its Prepare boundary, and materialized extents
 // are built from fresh VNodes, never from arena memory.
@@ -35,22 +37,10 @@ type Alloc struct {
 	spanUsed int
 }
 
-// NewAlloc returns an empty round arena. Its chunks are allocated on first
-// use and kept across Release, so an owner that keeps one Alloc performs no
-// allocation for the arenas themselves in steady-state rounds.
-func NewAlloc() *Alloc {
-	return &Alloc{
-		items: arena.Pool[Item]{ChunkSize: 4096},
-		refs:  arena.Pool[*Tuple]{ChunkSize: 4096},
-		vrefs: arena.Pool[*VNode]{ChunkSize: 4096},
-		ints:  arena.Pool[int32]{ChunkSize: 8192},
-	}
-}
-
 // Release rewinds the arena in place for its owner's next round. With
-// poisoning active (default under -race, see internal/arena), the retained
-// chunks are zeroed and dropped instead, so round-escaping pointers read as
-// zero values rather than silently aliasing the next round's data.
+// poisoning active (default under -race, see internal/arena), the chunks
+// are zeroed and dropped instead, so round-escaping pointers read as zero
+// values rather than silently aliasing the next round's data.
 func (a *Alloc) Release() {
 	if a == nil {
 		return
@@ -72,17 +62,17 @@ func (a *Alloc) Release() {
 	a.spanUsed = 0
 }
 
-// poolBytes prices one pool's occupancy in bytes.
+// poolBytes prices one pool's round use in bytes.
 func poolBytes[T any](p *arena.Pool[T]) (bytes int64, chunks int) {
 	elems, n := p.Footprint()
 	var zero T
 	return int64(elems) * int64(unsafe.Sizeof(zero)), n
 }
 
-// Footprint reports the bump-allocated bytes and backing chunk count across
-// every pool of the bundle — the round-telemetry arena occupancy, sampled by
-// core just before the round's commit releases the views' arenas. Nil-safe:
-// the heap-fallback path reports zeros.
+// Footprint reports the bytes every pool of the bundle handed out this round
+// and the chunks they were carved from — the round-telemetry arena
+// occupancy, sampled by core just before the round's commit releases the
+// views' arenas. Nil-safe: the heap-fallback path reports zeros.
 func (a *Alloc) Footprint() (bytes int64, chunks int) {
 	if a == nil {
 		return 0, 0

@@ -51,7 +51,7 @@ func TestArenaSteadyStateZeroAllocs(t *testing.T) {
 	if arena.Poisoning() {
 		t.Skip("poison mode drops chunks at Release, so rounds re-allocate by design")
 	}
-	a := NewAlloc()
+	a := &Alloc{}
 	for i := 0; i < 4; i++ {
 		tupleRound(a) // grow chunks and spanMaps
 	}
@@ -93,7 +93,7 @@ func TestDeltaNavArenaAllocs(t *testing.T) {
 		c := NewStateCache()
 		var a *Alloc
 		if withArena {
-			a = NewAlloc()
+			a = &Alloc{}
 		}
 		return func() {
 			if _, err := PropagateDelta(plan, in, obs.Span{}, nil, c, a, nil); err != nil {
@@ -168,7 +168,7 @@ func deltaNavInput(t testing.TB, inserts int) *DeltaInput {
 // BenchmarkTupleConstructors measures the raw constructor round (64 extends
 // plus vnode/int32/spanMap traffic) with allocs/op reported.
 func BenchmarkTupleConstructors(b *testing.B) {
-	a := NewAlloc()
+	a := &Alloc{}
 	tupleRound(a)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -190,7 +190,7 @@ func BenchmarkDeltaNav(b *testing.B) {
 			c := NewStateCache()
 			var a *Alloc
 			if arm.arena {
-				a = NewAlloc()
+				a = &Alloc{}
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

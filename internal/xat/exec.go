@@ -9,6 +9,7 @@ import (
 	"xqview/internal/flexkey"
 	"xqview/internal/obs"
 	"xqview/internal/xmldoc"
+	"xqview/internal/xpath"
 )
 
 // SkelAttr is a resolved attribute of a constructed node.
@@ -327,16 +328,16 @@ func condTrue(env *Env, tbl *Table, tp *Tuple, lt *Table, ltp *Tuple, conds []Cm
 func cmpExists(env *Env, c Cmp, lc, rc Cell) bool {
 	switch {
 	case c.L.IsLit && c.R.IsLit:
-		return compareVals(c.L.Lit, c.Op, c.R.Lit)
+		return xpath.CompareValues(c.L.Lit, c.Op, c.R.Lit)
 	case c.L.IsLit:
 		for _, b := range rc {
-			if compareVals(c.L.Lit, c.Op, env.value(b)) {
+			if xpath.CompareValues(c.L.Lit, c.Op, env.value(b)) {
 				return true
 			}
 		}
 	case c.R.IsLit:
 		for _, a := range lc {
-			if compareVals(env.value(a), c.Op, c.R.Lit) {
+			if xpath.CompareValues(env.value(a), c.Op, c.R.Lit) {
 				return true
 			}
 		}
@@ -344,7 +345,7 @@ func cmpExists(env *Env, c Cmp, lc, rc Cell) bool {
 		for _, a := range lc {
 			av := env.value(a)
 			for _, b := range rc {
-				if compareVals(av, c.Op, env.value(b)) {
+				if xpath.CompareValues(av, c.Op, env.value(b)) {
 					return true
 				}
 			}
@@ -377,25 +378,6 @@ func pairCondTrue(env *Env, out *Table, lcols int, lt, rt *Tuple, conds []Cmp) b
 		}
 	}
 	return true
-}
-
-func compareVals(a, op, b string) bool {
-	cmp := compareComponent(a, b)
-	switch op {
-	case "=":
-		return cmp == 0
-	case "!=":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	case ">=":
-		return cmp >= 0
-	}
-	return false
 }
 
 // execJoin implements Theta Join and Left Outer Join via a hash-accelerated
@@ -710,7 +692,7 @@ func aggregate(env *Env, fn string, members []*Tuple, ci int) string {
 		}
 		n++
 		strs = append(strs, a.val)
-		if f, ok := parseNum(a.val); ok {
+		if f, ok := xpath.ParseNum(a.val); ok {
 			vals = append(vals, f)
 		}
 	}
@@ -735,7 +717,7 @@ func aggregate(env *Env, fn string, members []*Tuple, ci int) string {
 		}
 		best := strs[0]
 		for _, v := range strs[1:] {
-			c := compareComponent(v, best)
+			c := xpath.Compare(v, best)
 			if fn == "min" && c < 0 || fn == "max" && c > 0 {
 				best = v
 			}

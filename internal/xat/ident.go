@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"xqview/internal/flexkey"
+	"xqview/internal/xpath"
 )
 
 // ordSep joins the components of an Ord key; it sorts below every printable
@@ -72,7 +73,7 @@ func CompareOrd(a, b Ord) int {
 		if i := strings.IndexByte(bs, ordSep[0]); i >= 0 {
 			bc, bs, bMore = bs[:i], bs[i+1:], true
 		}
-		if c := compareComponent(ac, bc); c != 0 {
+		if c := xpath.Compare(ac, bc); c != 0 {
 			return c
 		}
 		switch {
@@ -84,60 +85,6 @@ func CompareOrd(a, b Ord) int {
 			return 0
 		}
 	}
-}
-
-func compareComponent(a, b string) int {
-	af, aok := parseNum(a)
-	bf, bok := parseNum(b)
-	if aok && bok {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
-	}
-	return strings.Compare(a, b)
-}
-
-func parseNum(s string) (float64, bool) {
-	if s == "" {
-		return 0, false
-	}
-	var f, frac float64
-	neg := false
-	i := 0
-	if s[0] == '-' {
-		neg = true
-		i = 1
-		if len(s) == 1 {
-			return 0, false
-		}
-	}
-	seenDot := false
-	scale := 0.1
-	for ; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-			if seenDot {
-				frac += float64(c-'0') * scale
-				scale /= 10
-			} else {
-				f = f*10 + float64(c-'0')
-			}
-		case c == '.' && !seenDot:
-			seenDot = true
-		default:
-			return 0, false
-		}
-	}
-	f += frac
-	if neg {
-		f = -f
-	}
-	return f, true
 }
 
 // bodySep joins lineage components inside an ID body.

@@ -2,6 +2,7 @@ package xat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -288,6 +289,32 @@ func Analyze(root *Op) (*Plan, error) {
 	return p, nil
 }
 
+// OutCols computes an operator's output columns, recomputing its inputs'
+// columns recursively, so it serves plans still under construction (the
+// compiler's nested FLWORs). Analyze stores the same result in Op.OutCols.
+func OutCols(o *Op) []string {
+	return outCols(o, func(i int) []string { return OutCols(o.Inputs[i]) })
+}
+
+// outCols is the one output-column rule; in(i) gives input i's columns.
+func outCols(o *Op, in func(i int) []string) []string {
+	switch o.Kind {
+	case OpSource:
+		return []string{o.OutCol}
+	case OpNavUnnest, OpNavCollection, OpTagger, OpXMLUnion, OpXMLUnique, OpName:
+		return append(slices.Clone(in(0)), o.OutCol)
+	case OpSelect, OpOrderBy, OpExpose:
+		return slices.Clone(in(0))
+	case OpJoin, OpLOJ, OpMerge:
+		return append(slices.Clone(in(0)), in(1)...)
+	case OpDistinct, OpCombine:
+		return []string{o.InCol}
+	case OpGroupBy:
+		return append(append(slices.Clone(o.GroupCols), o.CarryCols...), o.InCol)
+	}
+	return nil
+}
+
 func analyzeOp(o *Op, unionSeq *int) error {
 	in := func(i int) *Op { return o.Inputs[i] }
 	copyCtx := func(src *Op) map[string]*CtxSchema {
@@ -297,9 +324,9 @@ func analyzeOp(o *Op, unionSeq *int) error {
 		}
 		return m
 	}
+	o.OutCols = outCols(o, func(i int) []string { return in(i).OutCols })
 	switch o.Kind {
 	case OpSource:
-		o.OutCols = []string{o.OutCol}
 		o.OrderSchema = nil // single tuple
 		o.Ctx = map[string]*CtxSchema{o.OutCol: {HasOrder: true, LngSelf: true}}
 
@@ -308,7 +335,6 @@ func analyzeOp(o *Op, unionSeq *int) error {
 		if !hasCol(src.OutCols, o.InCol) {
 			return fmt.Errorf("missing input column %s", o.InCol)
 		}
-		o.OutCols = append(append([]string(nil), src.OutCols...), o.OutCol)
 		// Table 3.1 category IV: OS' = OS + col' (dropping col if it was
 		// last).
 		os := append([]string(nil), src.OrderSchema...)
@@ -333,34 +359,29 @@ func analyzeOp(o *Op, unionSeq *int) error {
 		if !hasCol(src.OutCols, o.InCol) {
 			return fmt.Errorf("missing input column %s", o.InCol)
 		}
-		o.OutCols = append(append([]string(nil), src.OutCols...), o.OutCol)
 		o.OrderSchema = append([]string(nil), src.OrderSchema...) // category I
 		o.Ctx = copyCtx(src)
 		o.Ctx[o.OutCol] = derivedCtx(src.Ctx[o.InCol], o.InCol)
 
 	case OpXMLUnique:
 		src := in(0)
-		o.OutCols = append(append([]string(nil), src.OutCols...), o.OutCol)
 		o.OrderSchema = append([]string(nil), src.OrderSchema...)
 		o.Ctx = copyCtx(src)
 		o.Ctx[o.OutCol] = derivedCtx(src.Ctx[o.InCol], o.InCol)
 
 	case OpName:
 		src := in(0)
-		o.OutCols = append(append([]string(nil), src.OutCols...), o.OutCol)
 		o.OrderSchema = append([]string(nil), src.OrderSchema...)
 		o.Ctx = copyCtx(src)
 		o.Ctx[o.OutCol] = derivedCtx(src.Ctx[o.InCol], o.InCol)
 
 	case OpSelect:
 		src := in(0)
-		o.OutCols = append([]string(nil), src.OutCols...)
 		o.OrderSchema = append([]string(nil), src.OrderSchema...)
 		o.Ctx = copyCtx(src)
 
 	case OpJoin, OpLOJ:
 		l, r := in(0), in(1)
-		o.OutCols = append(append([]string(nil), l.OutCols...), r.OutCols...)
 		// Table 3.1 category III: OS = OS(T1) + OS(T2).
 		o.OrderSchema = append(append([]string(nil), l.OrderSchema...), r.OrderSchema...)
 		// Table 4.1 category IX: left columns get right's table OS appended
@@ -379,19 +400,14 @@ func analyzeOp(o *Op, unionSeq *int) error {
 		if !hasCol(src.OutCols, o.InCol) {
 			return fmt.Errorf("missing distinct column %s", o.InCol)
 		}
-		o.OutCols = []string{o.InCol}
 		o.OrderSchema = nil                                     // category II: order destroyed
 		o.Ctx = map[string]*CtxSchema{o.InCol: {LngSelf: true}} // [col], no order
 
 	case OpGroupBy:
 		src := in(0)
-		outCols := append([]string(nil), o.GroupCols...)
-		outCols = append(outCols, o.CarryCols...)
 		if !hasCol(src.OutCols, o.InCol) {
 			return fmt.Errorf("missing grouped column %s", o.InCol)
 		}
-		outCols = append(outCols, o.InCol)
-		o.OutCols = outCols
 		if o.GroupByID {
 			o.OrderSchema = append([]string(nil), o.GroupCols...)
 		} else {
@@ -399,7 +415,7 @@ func analyzeOp(o *Op, unionSeq *int) error {
 		}
 		// Table 4.1 category VI: the grouped column gets the grouping
 		// columns' lineage.
-		o.Ctx = make(map[string]*CtxSchema, len(outCols))
+		o.Ctx = make(map[string]*CtxSchema, len(o.OutCols))
 		{
 			cs := &CtxSchema{LngCols: append([]string(nil), o.GroupCols...),
 				UnionTags: make([]string, len(o.GroupCols))}
@@ -428,7 +444,6 @@ func analyzeOp(o *Op, unionSeq *int) error {
 
 	case OpOrderBy:
 		src := in(0)
-		o.OutCols = append([]string(nil), src.OutCols...)
 		// Table 3.1 category V: a synthetic order column; we reuse the key
 		// columns directly since their values carry the order.
 		o.OrderSchema = append([]string(nil), o.OrderCols...)
@@ -447,13 +462,11 @@ func analyzeOp(o *Op, unionSeq *int) error {
 		}
 
 	case OpCombine:
-		o.OutCols = []string{o.InCol}
 		o.OrderSchema = nil // single output tuple
 		o.Ctx = map[string]*CtxSchema{o.InCol: {All: true}}
 
 	case OpTagger:
 		src := in(0)
-		o.OutCols = append(append([]string(nil), src.OutCols...), o.OutCol)
 		o.OrderSchema = append([]string(nil), src.OrderSchema...) // category I
 		o.Ctx = copyCtx(src)
 		// Table 4.1 category V: order follows the pattern input column.
@@ -483,7 +496,6 @@ func analyzeOp(o *Op, unionSeq *int) error {
 		if len(o.UnionCols) != 2 {
 			return fmt.Errorf("XMLUnion needs exactly 2 input columns")
 		}
-		o.OutCols = append(append([]string(nil), src.OutCols...), o.OutCol)
 		o.OrderSchema = append([]string(nil), src.OrderSchema...)
 		o.Ctx = copyCtx(src)
 		c1, c2 := src.Ctx[o.UnionCols[0]], src.Ctx[o.UnionCols[1]]
@@ -507,7 +519,6 @@ func analyzeOp(o *Op, unionSeq *int) error {
 
 	case OpMerge:
 		l, r := in(0), in(1)
-		o.OutCols = append(append([]string(nil), l.OutCols...), r.OutCols...)
 		o.OrderSchema = nil
 		o.Ctx = make(map[string]*CtxSchema, len(l.Ctx)+len(r.Ctx))
 		for k, v := range l.Ctx {
@@ -519,12 +530,10 @@ func analyzeOp(o *Op, unionSeq *int) error {
 
 	case OpExpose:
 		src := in(0)
-		o.OutCols = append([]string(nil), src.OutCols...)
 		o.OrderSchema = append([]string(nil), src.OrderSchema...)
 		o.Ctx = copyCtx(src)
 
 	case OpUnit:
-		o.OutCols = nil
 		o.OrderSchema = nil
 		o.Ctx = map[string]*CtxSchema{}
 
@@ -553,7 +562,6 @@ func analyzeOp(o *Op, unionSeq *int) error {
 			o.ECC = append(o.ECC, c)
 		}
 	}
-	_ = in
 	return nil
 }
 

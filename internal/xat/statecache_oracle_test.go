@@ -210,7 +210,7 @@ func TestFoldMatchesRederiveRandomized(t *testing.T) {
 					regions := map[string][]*Region{doc: {r}}
 					var a *Alloc
 					if round%2 == 1 {
-						a = NewAlloc() // odd rounds run on an arena, whose tables Prepare copies out
+						a = &Alloc{} // odd rounds run on an arena, whose tables Prepare copies out
 					}
 					if _, err := PropagateDelta(p, &DeltaInput{Base: s, New: d, Regions: regions},
 						obs.Span{}, nil, c, a, nil); err != nil {

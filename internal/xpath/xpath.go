@@ -426,23 +426,10 @@ func evalPred(r xmldoc.Reader, n flexkey.Key, pr Pred) bool {
 	return false
 }
 
-// CompareValues applies comparison op between two string values, using
-// numeric comparison when both parse as numbers (XQuery general comparison
-// on untyped data), else string comparison.
+// CompareValues applies comparison op between two string values, ordered
+// by Compare.
 func CompareValues(a, op, b string) bool {
-	af, aok := ParseNum(a)
-	bf, bok := ParseNum(b)
-	var cmp int
-	if aok && bok {
-		switch {
-		case af < bf:
-			cmp = -1
-		case af > bf:
-			cmp = 1
-		}
-	} else {
-		cmp = strings.Compare(a, b)
-	}
+	cmp := Compare(a, b)
 	switch op {
 	case "=":
 		return cmp == 0
@@ -458,6 +445,24 @@ func CompareValues(a, op, b string) bool {
 		return cmp >= 0
 	}
 	return false
+}
+
+// Compare orders two string values: numerically when both parse as numbers
+// (XQuery general comparison on untyped data), else as strings. It returns
+// -1, 0 or 1.
+func Compare(a, b string) int {
+	af, aok := ParseNum(a)
+	bf, bok := ParseNum(b)
+	if !aok || !bok {
+		return strings.Compare(a, b)
+	}
+	switch {
+	case af < bf:
+		return -1
+	case af > bf:
+		return 1
+	}
+	return 0
 }
 
 // ParseNum is CompareValues' notion of a number: an optional minus sign,

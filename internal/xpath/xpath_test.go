@@ -181,6 +181,8 @@ func TestCompareValues(t *testing.T) {
 		{"39.95", "<=", "39.95", true},
 		{"-2", "<", "1", true},
 		{"", "=", "", true},
+		{" 1994 ", "=", "1994", true}, // white space around a number is ignored
+		{" abc", "=", "abc", false},
 	}
 	for _, c := range cases {
 		if got := CompareValues(c.a, c.op, c.b); got != c.want {

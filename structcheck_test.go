@@ -17,7 +17,8 @@ import (
 // view, arena or copy-on-write tracker one, round memory nobody resets; a
 // view-set one, compiled once and read by no round; a state-cache one,
 // staging no commit reads; a store-trie one, a slot no lookup or freeze
-// reads.
+// reads; an arena pool one (the current chunk, its bump offset or the
+// round's outgrown chunks), memory that no Make carves or no Reset clears.
 var structCheckFiles = []string{
 	"internal/core/round.go",
 	"internal/xat/shared.go",
@@ -31,6 +32,7 @@ var structCheckFiles = []string{
 	"internal/xat/alloc.go",
 	"internal/xat/statecache.go",
 	"internal/deepunion/txn.go",
+	"internal/arena/arena.go",
 }
 
 // TestStructFieldsReferenced is the unused-field lint: every field declared

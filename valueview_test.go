@@ -1,6 +1,9 @@
 package xqview
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 const valueBibXML = `<bib>` +
 	`<book year="1994"><title>T1</title></book>` +
@@ -70,5 +73,52 @@ func TestValueExposingViewsMatchQuery(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestViewsAndUpdatesCompareAlike checks that a view's where clause and an
+// update statement's where clause select the same books: both compare an
+// attribute with a literal by one rule, numerically when both sides are
+// numbers (surrounding white space ignored), else as strings.
+func TestViewsAndUpdatesCompareAlike(t *testing.T) {
+	cases := []struct {
+		year, lit string
+		match     bool
+	}{
+		{"1994", "1994", true},
+		{" 1994 ", "1994", true},
+		{" 1994 ", `"1994"`, true},
+		{"1994.0", "1994", true},
+		{"1994", "1995", false},
+		{"abc", `"abc"`, true},
+		{" abc", `"abc"`, false},
+	}
+	for _, c := range cases {
+		db := NewDatabase()
+		bib := `<bib><book year="` + c.year + `"><title>T1</title></book>` +
+			`<book year="2000"><title>T2</title></book></bib>`
+		if err := db.LoadDocument("bib.xml", bib); err != nil {
+			t.Fatal(err)
+		}
+		q := `<r>{for $b in doc("bib.xml")/bib/book where $b/@year = ` + c.lit + ` return $b/title}</r>`
+		v, err := db.CreateView(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[bool]string{true: "<r><title>T1</title></r>", false: "<r/>"}[c.match]
+		if got := v.XML(); got != want {
+			t.Errorf("year %q = %s: view reads %s, want %s", c.year, c.lit, got, want)
+			continue
+		}
+		// The update language takes string literals only.
+		lit := `"` + strings.Trim(c.lit, `"`) + `"`
+		if _, err := db.ApplyUpdates(`for $b in document("bib.xml")/bib/book where $b/@year = ` + lit +
+			` update $b replace $b/title/text() with "hit"`); err != nil {
+			t.Fatal(err)
+		}
+		want = map[bool]string{true: "<r><title>hit</title></r>", false: "<r/>"}[c.match]
+		if got := v.XML(); got != want {
+			t.Errorf("year %q = %s: after the update the view reads %s, want %s", c.year, c.lit, got, want)
+		}
 	}
 }
