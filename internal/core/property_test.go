@@ -380,6 +380,11 @@ func TestRoundsMatchRecomputeRandomized(t *testing.T) {
 				}
 				for i, v := range views {
 					seeded += stats[i].SharedPrefixes
+					// The apply pass's copy slabs are sized on this bound.
+					if u := stats[i].Union; u.Kept > u.DeltaNodes {
+						t.Fatalf("round %d view %d: apply kept %d nodes for a %d-node delta\nprims: %v",
+							round, i, u.Kept, u.DeltaNodes, prims)
+					}
 					if got := v.XML(); got != wants[i] {
 						t.Fatalf("round %d view %d diverges from recompute\nprims: %v\nincr: %s\nfull: %s",
 							round, i, prims, got, wants[i])

@@ -71,6 +71,7 @@ func (r *round) record(aborted bool) {
 		s.Inserted += int32(ms.Union.Inserted)
 		s.Removed += int32(ms.Union.Removed)
 		s.Modified += int32(ms.Union.Modified)
+		s.ApplyBytes += ms.Union.Bytes
 	}
 	d := r.set.cacheStats().Sub(r.cacheBefore)
 	s.CacheHits = int32(d.Hits)

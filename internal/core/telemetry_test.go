@@ -47,6 +47,9 @@ func TestRoundTelemetrySample(t *testing.T) {
 	if sm.DeltaRoots <= 0 || sm.Inserted+sm.Merged+sm.Removed+sm.Modified <= 0 {
 		t.Fatalf("round did no visible extent work: %+v", sm)
 	}
+	if sm.ApplyBytes <= 0 {
+		t.Fatalf("round changed the extent but reported no apply bytes: %+v", sm)
+	}
 	// First cached round derives every base table fresh.
 	if sm.CacheMisses <= 0 || sm.CacheHits != 0 {
 		t.Fatalf("first-round cache deltas = hits %d misses %d, want fresh derivations only",

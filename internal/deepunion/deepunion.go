@@ -36,19 +36,42 @@ type Stats struct {
 	Inserted int // delta subtrees attached
 	Removed  int // fragments disconnected (root disconnections, not nodes)
 	Modified int // value replacements
+
+	// DeltaNodes counts the nodes of the pass's delta trees, attributes
+	// included; Kept counts the nodes the pass allocated for the candidate
+	// extent, extent copies plus attached delta nodes. Each copy is of the
+	// extent node one delta node merges into and each attached node is one
+	// delta node, so Kept never exceeds DeltaNodes: the copy slabs are
+	// sized on that bound.
+	DeltaNodes int
+	Kept       int
+	// Bytes is what the pass allocated for copies, attached fragments and
+	// pointer lists, capacity included.
+	Bytes int64
 }
 
-// applyCtx threads the stats sink, the set of nodes whose children may
-// need pruning after all deltas merged, and the copy-on-write tracker that
-// hands out round-private copies of every node the pass mutates.
+// applyCtx is one apply pass's scratch state: the stats sink, the set of
+// nodes whose children may need pruning after all deltas merged, the root
+// and attribute position indexes, and the key buffer. It lives on the Txn,
+// so its maps and buffer are reused across passes; each pass and Release
+// clear it, so it retains no extent memory between rounds.
 type applyCtx struct {
 	st    *Stats
 	dirty map[*xat.VNode]bool
-	tx    *Txn
+	roots map[string]int // root key → position in the pass's root slice
+	attrs map[string]int // attribute key → position; each merge clears it
 	// keyBuf backs alloc-free index lookups: node keys are appended here and
 	// looked up as map[string(keyBuf)], which the compiler compiles without
 	// materializing the string. Only inserts pay for a real Key() string.
 	keyBuf []byte
+}
+
+// reset clears the scratch state for a pass recording into st (nil drops
+// the last pass's sink).
+func (ctx *applyCtx) reset(st *Stats) {
+	ctx.st = st
+	clear(ctx.dirty)
+	clear(ctx.roots)
 }
 
 // find looks id up in idx without allocating the key string.
@@ -122,16 +145,16 @@ func ApplyTx(roots []*xat.VNode, deltas []*xat.VNode, st *Stats, rec *journal.Vi
 			rec.Fusion(fusionOf(d))
 		}
 	}
-	ctx := &applyCtx{st: st, dirty: map[*xat.VNode]bool{}, tx: tx}
-	idx := map[string]int{}
+	tx.begin(deltas, st)
+	idx := tx.roots
 	for i, r := range roots {
 		idx[r.Key()] = i
 	}
 	rootsDirty := false
 	for _, d := range deltas {
-		if pos, ok := ctx.findPos(idx, d.ID); ok {
+		if pos, ok := tx.findPos(idx, d.ID); ok {
 			old := roots[pos]
-			nr := ctx.merge(old, d)
+			nr := tx.merge(old, d)
 			if nr != old {
 				roots[pos] = nr
 			}
@@ -142,8 +165,7 @@ func ApplyTx(roots []*xat.VNode, deltas []*xat.VNode, st *Stats, rec *journal.Vi
 			}
 			continue
 		}
-		cp := d.Clone()
-		tx.adopt(cp)
+		cp := tx.attach(d)
 		idx[cp.Key()] = len(roots)
 		roots = append(roots, cp)
 		st.Inserted++
@@ -156,7 +178,7 @@ func ApplyTx(roots []*xat.VNode, deltas []*xat.VNode, st *Stats, rec *journal.Vi
 	if err := fpApplyPrune.Fire(); err != nil {
 		return nil, err
 	}
-	for n := range ctx.dirty {
+	for n := range tx.dirty {
 		pruneChildren(n, st)
 	}
 	if rootsDirty {
@@ -183,57 +205,57 @@ func ApplyTx(roots []*xat.VNode, deltas []*xat.VNode, st *Stats, rec *journal.Vi
 // siblings stay shared — so the copy set tracks the nodes that actually
 // changed, not the nodes the delta visited. No pruning happens here: counts
 // may transit through zero while the batch's deltas accumulate.
-func (ctx *applyCtx) merge(ex, d *xat.VNode) *xat.VNode {
-	ctx.st.Merged++
+func (t *Txn) merge(ex, d *xat.VNode) *xat.VNode {
+	t.st.Merged++
 	out := ex // promoted to a round-private copy on the first real change
 	if d.Count != 0 {
-		out = ctx.tx.Writable(out)
+		out = t.writable(out, d)
 		out.Count += d.Count
 	}
 	if d.Mod {
-		out = ctx.tx.Writable(out)
+		out = t.writable(out, d)
 		out.Value = d.Value
-		ctx.st.Modified++
+		t.st.Modified++
 	}
 	if len(d.Attrs) > 0 {
 		attrsChanged := false
-		aidx := map[string]int{}
+		aidx := t.attrs
+		clear(aidx)
 		for i, a := range out.Attrs {
 			aidx[a.Key()] = i
 		}
 		for _, da := range d.Attrs {
-			if i, ok := ctx.findPos(aidx, da.ID); ok {
+			if i, ok := t.findPos(aidx, da.ID); ok {
 				if da.Count == 0 && !da.Mod {
 					continue // a spine attr: nothing to add, nothing to modify
 				}
-				out = ctx.tx.Writable(out)
-				ea := ctx.tx.Writable(out.Attrs[i])
+				out = t.writable(out, d)
+				ea := t.writable(out.Attrs[i], da)
 				out.Attrs[i] = ea
 				ea.Count += da.Count
 				if da.Mod {
 					ea.Value = da.Value
-					ctx.st.Modified++
+					t.st.Modified++
 				} else if da.Count > 0 && da.Value != ea.Value {
 					// A re-constructed node (e.g. a refreshed aggregate)
 					// carries the attribute's new value with positive count.
 					ea.Value = da.Value
-					ctx.st.Modified++
+					t.st.Modified++
 				}
 				attrsChanged = true
 			} else {
-				out = ctx.tx.Writable(out)
-				cp := da.Clone()
-				ctx.tx.adopt(cp)
+				out = t.writable(out, d)
+				cp := t.attach(da)
 				aidx[cp.Key()] = len(out.Attrs)
 				out.Attrs = append(out.Attrs, cp)
-				ctx.st.Inserted++
+				t.st.Inserted++
 				attrsChanged = true
 			}
 		}
 		if attrsChanged {
 			for _, a := range out.Attrs {
 				if a.Count <= 0 {
-					ctx.dirty[out] = true
+					t.dirty[out] = true
 					break
 				}
 			}
@@ -245,10 +267,10 @@ func (ctx *applyCtx) merge(ex, d *xat.VNode) *xat.VNode {
 		// cidx stays the live index either way.
 		cidx := childIndex(out)
 		for _, dc := range d.Children {
-			if ec, ok := ctx.find(cidx, dc.ID); ok {
-				nc := ctx.merge(ec, dc)
+			if ec, ok := t.find(cidx, dc.ID); ok {
+				nc := t.merge(ec, dc)
 				if nc != ec {
-					out = ctx.tx.Writable(out)
+					out = t.writable(out, d)
 					replaceChild(out, ec, nc)
 					cidx[nc.Key()] = nc
 				}
@@ -256,19 +278,18 @@ func (ctx *applyCtx) merge(ex, d *xat.VNode) *xat.VNode {
 				// delta of the same batch may have zeroed the child's count,
 				// and pruning needs the parent dirty (and writable).
 				if nc.Count <= 0 {
-					out = ctx.tx.Writable(out)
-					ctx.dirty[out] = true
+					out = t.writable(out, d)
+					t.dirty[out] = true
 				}
 				continue
 			}
-			out = ctx.tx.Writable(out)
-			cp := dc.Clone()
-			ctx.tx.adopt(cp)
+			out = t.writable(out, d)
+			cp := t.attach(dc)
 			insertOrdered(out, cp)
 			cidx[cp.Key()] = cp
-			ctx.st.Inserted++
+			t.st.Inserted++
 			if cp.Count <= 0 {
-				ctx.dirty[out] = true
+				t.dirty[out] = true
 			}
 		}
 	}

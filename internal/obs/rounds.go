@@ -92,11 +92,13 @@ type RoundSample struct {
 	SharedFanout int32 `json:"shared_fanout"`
 	SharedHits   int32 `json:"shared_hits"`
 
-	// Deep-union extent traffic of the apply phase.
-	Merged   int32 `json:"merged"`
-	Inserted int32 `json:"inserted"`
-	Removed  int32 `json:"removed"`
-	Modified int32 `json:"modified"`
+	// Deep-union extent traffic of the apply phase, and the bytes it
+	// allocated for extent copies, attached fragments and pointer lists.
+	Merged     int32 `json:"merged"`
+	Inserted   int32 `json:"inserted"`
+	Removed    int32 `json:"removed"`
+	Modified   int32 `json:"modified"`
+	ApplyBytes int64 `json:"apply_bytes"`
 
 	// Arena occupancy at commit: bytes bump-allocated by the round's view
 	// arenas and the chunk count backing them.

@@ -18,7 +18,9 @@ import (
 // view-set one, compiled once and read by no round; a state-cache one,
 // staging no commit reads; a store-trie one, a slot no lookup or freeze
 // reads; an arena pool one (the current chunk, its bump offset or the
-// round's outgrown chunks), memory that no Make carves or no Reset clears.
+// round's outgrown chunks), memory that no Make carves or no Reset clears;
+// an apply-pass scratch one (it lives as long as its tracker), memory no
+// pass reads.
 var structCheckFiles = []string{
 	"internal/core/round.go",
 	"internal/xat/shared.go",
@@ -32,6 +34,7 @@ var structCheckFiles = []string{
 	"internal/xat/alloc.go",
 	"internal/xat/statecache.go",
 	"internal/deepunion/txn.go",
+	"internal/deepunion/deepunion.go",
 	"internal/arena/arena.go",
 }
 
