@@ -75,16 +75,17 @@ go test ./internal/top/ -run 'TestRenderGolden|TestRenderShape' >&2
 # The MVCC concurrency battery runs under -race with an explicit deadline (a
 # lost wakeup or livelock in the epoch registry must fail the gate, not hang
 # it): the randomized linearizability sweep, the epoch-reclamation leak
-# test (versions and the frame bodies they hold), the frame-body memo test
-# (first readers of an epoch race to one body), the round sample's reader
-# count (derived from the handles, whatever the telemetry switch did between
-# acquire and release), and the crash-consistency sweeps that pin reader
+# test (versions and the frame bodies they hold), the dropped-handle test
+# (an unreleased handle pins no version), the frame-body memo test (first
+# readers of an epoch race to one body), the round sample's reader count
+# (kept on every acquire and release, whatever the telemetry switch did in
+# between), and the crash-consistency sweeps that pin reader
 # isolation across aborted rounds. Arena poison is on
 # under -race, so a published extent aliasing round-arena memory fails here
 # too.
 echo "== MVCC concurrency battery (-race, 300s deadline)" >&2
 go test -race -timeout 300s \
-	-run 'TestSnapshotLinearizability|TestSnapshotEpochReclamation|TestSnapRegLifecycle|TestFrameBodySharedAcrossVersions|TestRoundTelemetrySnapshotFields|TestCrashConsistencyEverySite|TestSharedCrashConsistencyEverySite' \
+	-run 'TestSnapshotLinearizability|TestSnapshotEpochReclamation|TestDroppedHandleDoesNotPin|TestSnapRegLifecycle|TestFrameBodySharedAcrossVersions|TestRoundTelemetrySnapshotFields|TestCrashConsistencyEverySite|TestSharedCrashConsistencyEverySite' \
 	. ./internal/core/ >&2
 
 # The benchmark, twice over this tree: every operation checked against the

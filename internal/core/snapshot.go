@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"xqview/internal/compile"
@@ -22,8 +21,8 @@ var (
 	fpSnapSwap  = faultinject.Register("core.snapshot.swap")
 )
 
-// cSnapAcquire counts reader handles. The epoch, retired and reader gauges
-// are folded from each round's sample (see occupancy).
+// cSnapAcquire counts reader handles acquired. The epoch and reader gauges
+// are folded from each round's sample.
 var cSnapAcquire = obs.Default.CounterOf("xqview_snapshot_acquires_total", "snapshot handles acquired")
 
 // ViewFrame is one view's immutable state within a published Version: the
@@ -79,17 +78,14 @@ func (f *ViewFrame) inheritBody(prev *Version, i int) {
 // version (a trie root) plus one frame per registered view. Readers acquire
 // it through SnapReg.Acquire and hold it as long as they like; maintenance
 // rounds publish successors without ever writing a published version's
-// structures.
+// structures. A version is a value: the collector frees it once neither the
+// registry nor any handle points at it.
 type Version struct {
 	Seq    uint64
 	Store  *xmldoc.Snap
 	Frames []ViewFrame
 
-	// refs counts reasons the version must stay tracked: one for being (or
-	// having been) the registry's current version until retirement drops it,
-	// plus one per outstanding reader handle.
-	refs atomic.Int64
-	reg  *SnapReg
+	reg *SnapReg // whose reader count Release decrements
 }
 
 // Frame returns the frame of the view named name (nil when absent).
@@ -113,113 +109,55 @@ func (v *Version) FrameOf(cv *View) *ViewFrame {
 	return nil
 }
 
-// Release drops one reader reference. After Release the version must not be
-// read again through this handle.
+// Release gives the reader handle back. After Release the version must not
+// be read again through this handle.
 func (v *Version) Release() {
 	if v == nil {
 		return
 	}
-	if v.refs.Add(-1) == 0 {
-		v.reg.sweep()
-	}
+	v.reg.readers.Add(-1)
 }
 
 // SnapReg is the epoch registry of published versions: a single atomic root
-// pointer readers acquire through, plus the retired list — versions swapped
-// out while readers still hold them — swept as those readers drain.
-//
-// Reclamation is accounting, not memory safety (the Go runtime guarantees
-// the latter): the retired list is what the leak tests and the telemetry
-// gauges measure, and its boundedness is the proof that version chains
-// don't grow without limit. A reader that loses the acquire race may touch
-// a version's refcount after it left the list; that transient is harmless
-// and conservative (the version was already drained).
+// pointer readers acquire through, the sequence counter, and the number of
+// reader handles out. It does not manage version lifetime — the Go collector
+// does: a swapped-out version lives exactly as long as some handle still
+// points at it. The reader count is accounting only; a handle dropped
+// without Release leaves it one too high but pins nothing.
 type SnapReg struct {
-	cur atomic.Pointer[Version]
-	seq atomic.Uint64
-
-	mu      sync.Mutex
-	retired []*Version
+	cur     atomic.Pointer[Version]
+	seq     atomic.Uint64
+	readers atomic.Int64
 }
 
 // NewSnapReg returns an empty registry; Publish installs the first version.
 func NewSnapReg() *SnapReg { return &SnapReg{} }
 
-// Acquire returns the current version with a reader reference taken, or nil
-// when nothing is published yet. It is lock-free: a load, an increment, and
-// a re-check that the version is still current (retrying when a publish
-// raced the increment, so a drained version's sweep is never missed).
+// Acquire returns the current version as a reader handle, or nil when
+// nothing is published yet. It is lock-free: a load and an increment of the
+// reader count. The count is kept whatever the telemetry switch, so toggling
+// the switch between an Acquire and its Release cannot skew it.
 func (r *SnapReg) Acquire() *Version {
-	for {
-		v := r.cur.Load()
-		if v == nil {
-			return nil
-		}
-		v.refs.Add(1)
-		if r.cur.Load() == v {
-			if obs.Enabled() {
-				cSnapAcquire.Inc()
-			}
-			return v
-		}
-		if v.refs.Add(-1) == 0 {
-			r.sweep()
-		}
+	v := r.cur.Load()
+	if v == nil {
+		return nil
 	}
+	r.readers.Add(1)
+	if obs.Enabled() {
+		cSnapAcquire.Inc()
+	}
+	return v
 }
 
-// Current returns the published version WITHOUT taking a reference — for
+// Current returns the published version without counting a reader — for
 // telemetry and version-build plumbing only, never for reading through.
 func (r *SnapReg) Current() *Version { return r.cur.Load() }
 
-// Publish makes v the current version: the single pointer swap that commits
-// a round for readers. The previous version is retired; it is freed (leaves
-// the retired list) once its last reader drains.
+// Publish makes v the current version: the single pointer store that
+// commits a round for readers. Handles on the predecessor keep serving it.
 func (r *SnapReg) Publish(v *Version) {
 	v.reg = r
-	v.refs.Add(1) // the registry's own reference
-	old := r.cur.Swap(v)
-	if old != nil {
-		r.mu.Lock()
-		r.retired = append(r.retired, old)
-		r.mu.Unlock()
-		if old.refs.Add(-1) == 0 {
-			r.sweep()
-		}
-	}
-}
-
-// sweep drops drained versions (refs == 0) from the retired list.
-func (r *SnapReg) sweep() {
-	r.mu.Lock()
-	live := r.retired[:0]
-	for _, v := range r.retired {
-		if v.refs.Load() > 0 {
-			live = append(live, v)
-		}
-	}
-	for i := len(live); i < len(r.retired); i++ {
-		r.retired[i] = nil
-	}
-	r.retired = live
-	r.mu.Unlock()
-}
-
-// occupancy reports the retired versions still awaiting readers and the
-// reader handles out, derived under the registry lock from the references
-// themselves: every reference to the current version but the registry's
-// own, plus every reference to a retired one. (A reader losing Acquire's
-// race holds a reference for an instant; the count is telemetry.)
-func (r *SnapReg) occupancy() (retired, readers int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v := r.cur.Load(); v != nil {
-		readers = int(v.refs.Load()) - 1
-	}
-	for _, v := range r.retired {
-		readers += int(v.refs.Load())
-	}
-	return len(r.retired), readers
+	r.cur.Store(v)
 }
 
 // Epoch returns the sequence number of the published version (0 when none).

@@ -12,17 +12,16 @@ import (
 	"xqview/internal/xmldoc"
 )
 
-// TestSnapRegLifecycle pins the registry's reference-counting contract on
-// one goroutine: an empty registry acquires nil, publishing retires the
-// predecessor only while readers hold it, and draining the last handle
-// sweeps the retired list to empty.
+// TestSnapRegLifecycle pins the registry's contract on one goroutine: an
+// empty registry acquires nil, a held handle keeps serving its version after
+// a publish swaps it out, and the reader count follows Acquire and Release.
 func TestSnapRegLifecycle(t *testing.T) {
 	reg := NewSnapReg()
 	if reg.Acquire() != nil {
 		t.Fatal("empty registry handed out a version")
 	}
-	if reg.Epoch() != 0 {
-		t.Fatalf("empty registry epoch = %d", reg.Epoch())
+	if reg.Epoch() != 0 || reg.readers.Load() != 0 {
+		t.Fatalf("empty registry epoch/readers = %d/%d", reg.Epoch(), reg.readers.Load())
 	}
 	s := xmldoc.NewStore()
 	if _, err := s.Load("a.xml", "<a><b/></a>"); err != nil {
@@ -37,44 +36,68 @@ func TestSnapRegLifecycle(t *testing.T) {
 	if reg.Epoch() != 2 {
 		t.Fatalf("epoch after second publish = %d", reg.Epoch())
 	}
-	if got, readers := reg.occupancy(); got != 1 || readers != 1 {
-		t.Fatalf("retired/readers with v1 held = %d/%d, want 1/1", got, readers)
+	if n := reg.readers.Load(); n != 1 {
+		t.Fatalf("readers with v1 held = %d, want 1", n)
 	}
 	// The held handle still serves version-1 bytes after the swap.
 	if _, ok := v1.Store.Root("a.xml"); !ok {
 		t.Fatal("held version lost its store")
 	}
 	v1.Release()
-	if got, readers := reg.occupancy(); got != 0 || readers != 0 {
-		t.Fatalf("retired/readers after drain = %d/%d, want 0/0", got, readers)
+	if n := reg.readers.Load(); n != 0 {
+		t.Fatalf("readers after release = %d, want 0", n)
 	}
 	// Releasing the only handle must not unpublish the current version.
 	v2 := reg.Acquire()
 	if v2 == nil || v2.Seq != 2 {
-		t.Fatalf("current version gone after sweep: %+v", v2)
+		t.Fatalf("current version gone after release: %+v", v2)
 	}
 	v2.Release()
 }
 
+// TestDroppedHandleDoesNotPin checks that version lifetime belongs to the
+// collector alone: a handle dropped without Release, once a later publish
+// has swapped its version out, leaves nothing pointing at the version, so
+// its finalizer runs. The reader count stays one too high — the only trace
+// a leaked handle leaves.
+func TestDroppedHandleDoesNotPin(t *testing.T) {
+	reg := NewSnapReg()
+	s := xmldoc.NewStore()
+	if _, err := s.Load("a.xml", "<a><b/></a>"); err != nil {
+		t.Fatal(err)
+	}
+	reg.PublishLive(s, nil)
+	var freed atomic.Bool
+	func() {
+		h := reg.Acquire()
+		runtime.SetFinalizer(h, func(*Version) { freed.Store(true) })
+	}() // the handle goes out of scope unreleased
+	reg.PublishLive(s, nil)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for !freed.Load() && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("a dropped, swapped-out version was never collected")
+	}
+	if n := reg.readers.Load(); n != 1 {
+		t.Fatalf("readers after a dropped handle = %d, want 1", n)
+	}
+}
+
 // TestSnapshotEpochReclamation is the leak battery: a thousand maintenance
 // rounds with reader goroutines churning acquire/release the whole time.
-// The retired list must stay bounded by the reader population throughout
-// (each reader pins at most one version; predecessors drain as the churn
-// moves on), must drain to zero once the readers stop, and the heap must
-// come back down — a registry that silently retained version chains would
-// hold every round's delta alive and fail the final delta check. Every
-// round's serialized frame body is tracked with a finalizer: once the
-// versions are retired and drained, only the published one may still be
-// reachable.
+// Once the readers stop, the reader count must be back at zero and the heap
+// must come back down — a registry that silently retained version chains
+// would hold every round's delta alive and fail the final delta check.
+// Every round's serialized frame body is tracked with a finalizer: once the
+// readers have let go, only the published version's may still be reachable.
 func TestSnapshotEpochReclamation(t *testing.T) {
 	const (
 		rounds  = 1000
 		readers = 4
-		// Retired bound: one pinned version per reader, plus slack for
-		// versions between a swap and the next sweep and for acquire-race
-		// transients. Anything unbounded blows far past this within 1000
-		// rounds.
-		retiredBound = readers*2 + 8
 	)
 	s := xmldoc.NewStore()
 	if _, err := s.Load("inv.xml",
@@ -132,7 +155,6 @@ func TestSnapshotEpochReclamation(t *testing.T) {
 		}
 	}
 
-	maxRetired := 0
 	for i := 0; i < rounds; i++ {
 		prims, err := update.ParseAndEvaluate(s, fmt.Sprintf(`
 for $i in document("inv.xml")/inv/item update $i
@@ -147,20 +169,14 @@ replace $i/qty/text() with "%d"`, i%97))
 			wg.Wait()
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if n, _ := reg.occupancy(); n > maxRetired {
-			maxRetired = n
-		}
 		trackBody()
 	}
 	done.Store(true)
 	wg.Wait()
 	lastBody = nil
 
-	if maxRetired > retiredBound {
-		t.Fatalf("retired list peaked at %d with %d readers, want <= %d", maxRetired, readers, retiredBound)
-	}
-	if got, _ := reg.occupancy(); got != 0 {
-		t.Fatalf("retired after all readers drained = %d, want 0", got)
+	if n := reg.readers.Load(); n != 0 {
+		t.Fatalf("readers after all readers drained = %d, want 0", n)
 	}
 	if reg.Epoch() != rounds+1 {
 		t.Fatalf("epoch = %d, want %d (full publish + one per round)", reg.Epoch(), rounds+1)

@@ -81,9 +81,8 @@ func (r *round) record(aborted bool) {
 	s.CacheEntries = int32(d.Entries)
 	s.HeapAllocs = int64(heapAllocObjects() - r.heapBefore)
 	if r.cand != nil {
-		retired, readers := r.opt.Snapshots.occupancy()
 		s.SnapEpoch = int64(r.cand.Seq)
-		s.SnapRetired, s.SnapReaders = int32(retired), int32(readers)
+		s.SnapReaders = int32(r.opt.Snapshots.readers.Load())
 	}
 	obs.Rounds.Append(s)
 }

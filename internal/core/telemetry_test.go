@@ -298,10 +298,10 @@ func TestRoundTelemetryDisabled(t *testing.T) {
 // sample: a round committed through an epoch registry records the epoch it
 // published — a version whose store is the live store's new root, so its
 // overlay depth is 0 — and, with a reader handle held across the swap, the
-// outstanding reader and retired-version counts.
-// The reader count is derived from the handles themselves, so a handle
-// acquired while telemetry was off and released after it was switched on
-// leaves no reader behind.
+// outstanding reader count; the retired count reads 0, since the collector,
+// not a list, reclaims swapped-out versions. The reader count is kept
+// whatever the telemetry switch, so a handle acquired while telemetry was
+// off and released after it was switched on leaves no reader behind.
 func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	obs.Rounds.Reset()
@@ -325,8 +325,8 @@ func TestRoundTelemetrySnapshotFields(t *testing.T) {
 	if sm.SnapReaders != 1 {
 		t.Fatalf("snap_readers = %d, want the held handle counted", sm.SnapReaders)
 	}
-	if sm.SnapRetired != 1 {
-		t.Fatalf("snap_retired = %d, want the pinned pre-round version", sm.SnapRetired)
+	if sm.SnapRetired != 0 {
+		t.Fatalf("snap_retired = %d, want 0", sm.SnapRetired)
 	}
 
 	obs.SetEnabled(false)
@@ -346,8 +346,7 @@ replace $entry/price/text() with "71"
 	if _, err := MaintainAll(mustSet(t, s, views), prims2, 0, Options{Snapshots: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if sm, _ = obs.Rounds.Last(); sm.SnapReaders != 0 || sm.SnapRetired != 0 {
-		t.Fatalf("snap_readers = %d, snap_retired = %d after every handle was released, want 0 and 0",
-			sm.SnapReaders, sm.SnapRetired)
+	if sm, _ = obs.Rounds.Last(); sm.SnapReaders != 0 {
+		t.Fatalf("snap_readers = %d after every handle was released, want 0", sm.SnapReaders)
 	}
 }

@@ -204,8 +204,8 @@ func TestCrashConsistencyEverySite(t *testing.T) {
 					t.Fatalf("reader's frame changed after a later commit at %s (%s)", site, mode)
 				}
 				h.Release()
-				if n, _ := a.reg.occupancy(); n != 0 {
-					t.Fatalf("released reader left %d retired versions undrained", n)
+				if n := a.reg.readers.Load(); n != 0 {
+					t.Fatalf("released reader left the reader count at %d", n)
 				}
 			})
 		}

@@ -106,11 +106,12 @@ type RoundSample struct {
 	ArenaChunks int32 `json:"arena_chunks"`
 
 	// MVCC snapshot state at the round's pointer swap: the epoch this round
-	// published (0 when no registry is attached), retired versions still
-	// awaiting reader drain, and reader handles out at publish time.
-	// SnapDepth is always 0: a store version is one trie root, with no
-	// overlay chain to measure. The field stays because the benchmark, whose
-	// sources change only in a benchmark revision, still reads it.
+	// published (0 when no registry is attached) and reader handles out at
+	// publish time. SnapRetired and SnapDepth are always 0: the collector
+	// frees a swapped-out version, so no retired list exists to measure, and
+	// a store version is one trie root, with no overlay chain. The fields
+	// stay because the benchmark, whose sources change only in a benchmark
+	// revision, still reads them.
 	SnapEpoch   int64 `json:"snap_epoch,omitempty"`
 	SnapRetired int32 `json:"snap_retired,omitempty"`
 	SnapReaders int32 `json:"snap_readers,omitempty"`
@@ -160,7 +161,7 @@ type roundFold struct {
 	cacheHits, cacheMisses, cacheFolds                         *Counter
 	sharedGroups, sharedFanout, sharedHits                     *Counter
 	deltaRows, compactBatches, compactDropped, compactCoalesce *Counter
-	snapEpoch, snapRetired, snapReaders, cacheEntries          *Gauge
+	snapEpoch, snapReaders, cacheEntries                       *Gauge
 }
 
 func newRoundFold(r *Registry) roundFold {
@@ -192,7 +193,6 @@ func newRoundFold(r *Registry) roundFold {
 		compactDropped:  r.CounterOf("update_compact_prims_dropped_total", dropped, "rule", "all"),
 		compactCoalesce: r.CounterOf("update_compact_prims_dropped_total", dropped, "rule", "coalesce"),
 		snapEpoch:       r.GaugeOf("xqview_snapshot_epoch", "sequence number of the version the last round published"),
-		snapRetired:     r.GaugeOf("xqview_snapshot_retired", "retired versions not yet drained by readers, at the last round's publish"),
 		snapReaders:     r.GaugeOf("xqview_snapshot_readers", "snapshot handles held by readers, at the last round's publish"),
 		cacheEntries:    r.GaugeOf("xat_state_cache_entries", "base tables held by the state caches of the last committed round"),
 	}
@@ -219,7 +219,6 @@ func (f *roundFold) add(s *RoundSample) {
 		f.cacheEntries.Set(int64(s.CacheEntries))
 		if s.SnapEpoch != 0 {
 			f.snapEpoch.Set(s.SnapEpoch)
-			f.snapRetired.Set(int64(s.SnapRetired))
 			f.snapReaders.Set(int64(s.SnapReaders))
 		}
 	}

@@ -145,7 +145,7 @@ func TestRoundSeriesFoldsIntoRegistry(t *testing.T) {
 	rs.Append(RoundSample{TotalNS: 9, PropagateNS: 4, ApplyNS: 2, PrimsIn: 5, PrimsOut: 3,
 		Skipped: 2, DeltaRoots: 3, CacheHits: 4, CacheMisses: 1, CacheFolds: 2, CacheEntries: 7,
 		SharedGroups: 1, SharedFanout: 3, SharedHits: 2, Merged: 1, Inserted: 2, Removed: 3, Modified: 4,
-		SnapEpoch: 6, SnapRetired: 1, SnapReaders: 2})
+		SnapEpoch: 6, SnapReaders: 2})
 	rs.Append(RoundSample{Aborted: true, TotalNS: 3, PrimsIn: 2, PrimsOut: 2, RollbackRestored: 5})
 	counter := func(name string, labels ...string) int64 { return r.CounterOf(name, "", labels...).Value() }
 	gauge := func(name string) int64 { return r.GaugeOf(name, "").Value() }
@@ -177,8 +177,7 @@ func TestRoundSeriesFoldsIntoRegistry(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]int64{
-		"xat_state_cache_entries": 7, "xqview_snapshot_epoch": 6,
-		"xqview_snapshot_retired": 1, "xqview_snapshot_readers": 2,
+		"xat_state_cache_entries": 7, "xqview_snapshot_epoch": 6, "xqview_snapshot_readers": 2,
 	} {
 		if got := gauge(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

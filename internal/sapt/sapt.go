@@ -154,8 +154,6 @@ func Build(p *xat.Plan) *Tree {
 			colNodes[o.OutCol] = nil // constructed
 		case xat.OpXMLUnion:
 			colNodes[o.OutCol] = append(append([]*Node(nil), colNodes[o.UnionCols[0]]...), colNodes[o.UnionCols[1]]...)
-		case xat.OpName, xat.OpXMLUnique:
-			colNodes[o.OutCol] = colNodes[o.InCol]
 		}
 	}
 	return t

@@ -180,3 +180,49 @@ insert <last>Extra</last> into $a`)
 		t.Fatal("insert of //last-matching node must be relevant")
 	}
 }
+
+// TestClassifyUsedBelowAndDescendants covers the classification paths that
+// look past the matched trie node: an insert at a node whose descendants,
+// not the node itself, are used (usedBelow), and a change strictly below a
+// node whose descendant-axis edge leads to a used node (descUsed). Each
+// change alters the view, so each must rewrite; a change beside every used
+// path stays irrelevant.
+func TestClassifyUsedBelowAndDescendants(t *testing.T) {
+	const doc = `<bib><book year="1994"><title>T1</title>` +
+		`<author><last>L</last></author>` +
+		`<editors><author><last>E</last></author></editors></book></bib>`
+	const each = `
+for $b in document("bib.xml")/bib/book[1]
+update $b
+`
+	for _, c := range []struct {
+		name, ret, change string
+		want              Disposition
+	}{
+		{"insert at a node whose child is used",
+			`$b/author/last`, `insert <author><last>X</last></author> into $b`, Rewrite},
+		{"insert at a node whose descendant edge is used",
+			`$b/author//last`, `insert <author><x><last>X</last></x></author> into $b`, Rewrite},
+		{"change below a descendant edge to a used node",
+			`$b//last`, `delete $b/author`, Rewrite},
+		{"change below a descendant edge whose child is used",
+			`$b//author/last`, `delete $b/editors`, Rewrite},
+		{"change beside every used path",
+			`$b/author/last`, `delete $b/title`, Irrelevant},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan, err := compile.Compile(`<r>{ for $b in doc("bib.xml")/bib/book return <x>{` + c.ret + `}</x> }</r>`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := xmldoc.NewStore()
+			if _, err := s.Load("bib.xml", doc); err != nil {
+				t.Fatal(err)
+			}
+			tree := Build(plan)
+			if got := classify(t, tree, s, each+c.change); len(got) != 1 || got[0] != c.want {
+				t.Fatalf("classified %v, want [%v]\n%s", got, c.want, tree.Dump())
+			}
+		})
+	}
+}

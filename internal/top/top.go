@@ -1,9 +1,9 @@
 // Package top renders the xqtop terminal dashboard: a fixed-size text frame
 // summarizing the round-telemetry pipeline — per-phase latency quantiles and
 // sparklines, cache/skip/compaction and shared sub-plan rates, arena
-// occupancy, the MVCC snapshot tile (published epoch, retired-version and
-// reader-handle counts, read-latency quantiles) and an aborted-round log —
-// from one /stats/rounds payload.
+// occupancy, the MVCC snapshot tile (published epoch, reader-handle count,
+// read-latency quantiles) and an aborted-round log — from one /stats/rounds
+// payload.
 //
 // Render is pure: frame in, string out, no terminal I/O, no clock, no
 // global state. The callers (cmd/xqtop polling a serving xqview, xqview
@@ -121,8 +121,8 @@ func Render(f Frame, w, h int) string {
 	add(" arena   %s in %d chunks · heap %d objs/round",
 		fmtBytes(last.ArenaBytes), last.ArenaChunks, last.HeapAllocs)
 	read := f.Quantiles["read"]
-	add(" snap    epoch %d  retired %d  readers %d · read p50 %s p99 %s (%d)",
-		last.SnapEpoch, last.SnapRetired, last.SnapReaders,
+	add(" snap    epoch %d  readers %d · read p50 %s p99 %s (%d)",
+		last.SnapEpoch, last.SnapReaders,
 		fmtSeconds(read.P50), fmtSeconds(read.P99), read.N)
 	add(" rates   skip %s · compaction %s · journal %d/%d (dropped %d) · trace drops %d",
 		ratio(skipped, views), ratio(primsIn-primsOut, primsIn),

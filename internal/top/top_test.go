@@ -68,7 +68,6 @@ func fixtureFrame() Frame {
 			ArenaChunks:  int32(3 + i%2),
 			HeapAllocs:   int64(5_500 + i*11),
 			SnapEpoch:    int64(31 + i),
-			SnapRetired:  int32(i % 3),
 			SnapReaders:  int32(4 + i%2),
 		}
 		if i == 6 {
@@ -151,7 +150,7 @@ func TestRenderContent(t *testing.T) {
 		"#42", // last round's sequence
 		"shared  groups 2  fanout 6  saved 4",
 		"window shared hit-rate",
-		"snap    epoch 42  retired 2  readers 5",
+		"snap    epoch 42  readers 5",
 		"read p50 15.0µs p99 90.0µs (5150)",
 		"journal 12/256 (dropped 2)",
 		"aborted rounds",

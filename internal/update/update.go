@@ -63,24 +63,6 @@ func (p *Primitive) String() string {
 	return "?"
 }
 
-// NodeCount returns the number of nodes the primitive touches (fragment
-// size for inserts, subtree size must be computed by the caller for
-// deletes).
-func (p *Primitive) NodeCount() int {
-	if p.Kind == Insert && p.Frag != nil {
-		return fragSize(p.Frag)
-	}
-	return 1
-}
-
-func fragSize(f *xmldoc.Frag) int {
-	n := 1 + len(f.Attrs)
-	for _, c := range f.Children {
-		n += fragSize(c)
-	}
-	return n
-}
-
 // NormalizePosition defaults a bound-less insert (no After/Before) to
 // appending after the parent's current last child, so successive appends
 // receive distinct keys.

@@ -2,6 +2,7 @@ package xat
 
 import (
 	"fmt"
+	"strings"
 
 	"xqview/internal/faultinject"
 	"xqview/internal/flexkey"
@@ -191,22 +192,9 @@ func (e *deltaEngine) base(o *Op) (*Table, error) {
 	return t, nil
 }
 
-// readerFor picks the store a tuple's content must be resolved against.
-func (e *deltaEngine) readerFor(tp *Tuple) xmldoc.Reader {
-	if tp.Region != nil {
-		if tp.Region.Mode == RegionInsert {
-			return e.in.New
-		}
-		return e.in.Base
-	}
-	if tp.Count >= 0 && tp.Kind == Delta {
-		return e.in.New
-	}
-	return e.in.Base
-}
-
-// envFor picks the construction environment matching readerFor(tp): the
-// delta env for post-update content, the shared pre-update env otherwise.
+// envFor picks the environment a tuple's content is built in and resolved
+// against: the delta env (post-update store) for post-update content, the
+// shared pre-update env otherwise. Its Store is the tuple's reader.
 func (e *deltaEngine) envFor(tp *Tuple) *Env {
 	if tp.Region != nil {
 		if tp.Region.Mode == RegionInsert {
@@ -368,7 +356,7 @@ func (e *deltaEngine) delta1(o *Op) (*Table, error) {
 		}
 		return e.deltaNav(o, din, true), nil
 
-	case OpSelect, OpOrderBy, OpXMLUnion, OpXMLUnique, OpName, OpExpose:
+	case OpSelect, OpOrderBy, OpXMLUnion, OpExpose:
 		// Tuple-at-a-time operators: the delta is the operator over the
 		// input's delta. Select's predicates are evaluated over the
 		// post-update reader: it resolves inserted keys, keeps deleted
@@ -477,7 +465,7 @@ func (e *deltaEngine) deltaNav(o *Op, din *Table, collection bool) *Table {
 		// root), where a deleted fragment is only reachable pre-update.
 		rd := xmldoc.Reader(e.in.New)
 		if tp.Kind == Patch {
-			rd = e.readerFor(tp)
+			rd = e.envFor(tp).Store
 		}
 		r := tp.Region
 		// Unnest navigation from a patch tuple keeps only region-related
@@ -841,7 +829,7 @@ func (e *deltaEngine) deltaAggregate(o *Op, din *Table) (*Table, error) {
 		for i, g := range o.GroupCols {
 			parts[i] = cellIdentity(t.Cell(tp, g))
 		}
-		return joinKey(parts)
+		return strings.Join(parts, "\x1f\x1f")
 	}
 	affected := map[string]bool{}
 	for _, tp := range dDeltas {
@@ -865,15 +853,4 @@ func (e *deltaEngine) deltaAggregate(o *Op, din *Table) (*Table, error) {
 		}
 	}
 	return out, nil
-}
-
-func joinKey(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "\x1f\x1f"
-		}
-		out += p
-	}
-	return out
 }

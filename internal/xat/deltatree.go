@@ -25,7 +25,7 @@ func (e *deltaEngine) materializeDelta(final *Table, col string) []*VNode {
 				if c == 0 {
 					c = tp.Count
 				}
-				n = e.derefDelta(e.readerFor(tp), it, c)
+				n = e.derefDelta(e.envFor(tp).Store, it, c)
 			}
 			if n != nil {
 				out = append(out, n)

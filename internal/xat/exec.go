@@ -214,17 +214,6 @@ func applyOp(o *Op, env *Env, ins []*Table) (*Table, error) {
 	case OpXMLUnion:
 		return execXMLUnion(o, env, ins[0]), nil
 
-	case OpXMLUnique:
-		return execXMLUnique(o, env, ins[0]), nil
-
-	case OpName:
-		out := env.outTable(o)
-		ci := ins[0].Col(o.InCol)
-		for _, tp := range ins[0].Tuples {
-			out.Append(extend(env.alloc, tp, tp.Cells[ci]))
-		}
-		return out, nil
-
 	case OpMerge:
 		return execMerge(o, ins[0], ins[1]), nil
 
@@ -991,28 +980,6 @@ func execXMLUnion(o *Op, env *Env, in *Table) *Table {
 			}
 		}
 		out.Append(extend(env.alloc, tp, coll))
-	}
-	return out
-}
-
-func execXMLUnique(o *Op, env *Env, in *Table) *Table {
-	out := env.outTable(o)
-	ci := in.Col(o.InCol)
-	for _, tp := range in.Tuples {
-		seen := make(map[string]bool)
-		var uniq Cell
-		for _, it := range tp.Cells[ci] {
-			k := it.Lineage()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			// XML Unique removes overriding order: it returns document order
-			// (Sec 3.3.2).
-			it.ID.Ord = ""
-			uniq = append(uniq, it)
-		}
-		out.Append(extend(env.alloc, tp, uniq))
 	}
 	return out
 }

@@ -35,9 +35,13 @@ func buildPlan(t *testing.T, root *Op) *Plan {
 	return p
 }
 
-func booksPipeline() *Op {
-	src := &Op{Kind: OpSource, Doc: "bib.xml", OutCol: "$s"}
-	return &Op{Kind: OpNavUnnest, InCol: "$s", OutCol: "$b",
+func booksPipeline() *Op { return booksPipelineAs("$s", "$b") }
+
+// booksPipelineAs is booksPipeline under the given source and book column
+// names, so a plan can join two copies of it without a column clash.
+func booksPipelineAs(s, b string) *Op {
+	src := &Op{Kind: OpSource, Doc: "bib.xml", OutCol: s}
+	return &Op{Kind: OpNavUnnest, InCol: s, OutCol: b,
 		Path: xpath.MustParse("bib/book"), Inputs: []*Op{src}}
 }
 
@@ -172,15 +176,13 @@ func TestGroupByAggregates(t *testing.T) {
 func TestJoinHashAndNested(t *testing.T) {
 	s := execStore(t)
 	// Self join on @year: books joined with books.
-	mk := func(b, y string) *Op {
-		books := booksPipeline()
-		ren := &Op{Kind: OpName, InCol: "$b", OutCol: b, Inputs: []*Op{books}}
+	mk := func(s, b, y string) *Op {
 		return &Op{Kind: OpNavCollection, InCol: b, OutCol: y,
-			Path: xpath.MustParse("@year"), Inputs: []*Op{ren}}
+			Path: xpath.MustParse("@year"), Inputs: []*Op{booksPipelineAs(s, b)}}
 	}
 	join := &Op{Kind: OpJoin,
 		Conds:  []Cmp{{L: CmpOperand{Col: "$y1"}, Op: "=", R: CmpOperand{Col: "$y2"}}},
-		Inputs: []*Op{mk("$b1", "$y1"), mk("$b2", "$y2")}}
+		Inputs: []*Op{mk("$s1", "$b1", "$y1"), mk("$s2", "$b2", "$y2")}}
 	tbl, _ := runTable(t, s, join)
 	// 1994 has 2 books (4 pairs), 2000 has 1 (1 pair) = 5.
 	if len(tbl.Tuples) != 5 {
@@ -293,25 +295,6 @@ func TestXMLUnionColIDPrefixes(t *testing.T) {
 		n0, _ := s.Node(flexkey.Key(cell[0].ID.Body))
 		if n0.Name != "price" {
 			t.Fatalf("first union member is %s, want price", n0.Name)
-		}
-	}
-}
-
-func TestXMLUniqueRemovesDupsAndOrd(t *testing.T) {
-	s := execStore(t)
-	books := booksPipeline()
-	tc := &Op{Kind: OpNavCollection, InCol: "$b", OutCol: "$t",
-		Path: xpath.MustParse("title"), Inputs: []*Op{books}}
-	u := &Op{Kind: OpXMLUnion, OutCol: "$u", UnionCols: []string{"$t", "$t"}, Inputs: []*Op{tc}}
-	uq := &Op{Kind: OpXMLUnique, InCol: "$u", OutCol: "$q", Inputs: []*Op{u}}
-	tbl, _ := runTable(t, s, uq)
-	for _, tp := range tbl.Tuples {
-		cell := tbl.Cell(tp, "$q")
-		if len(cell) != 1 {
-			t.Fatalf("unique cell: %d", len(cell))
-		}
-		if cell[0].ID.Ord != "" {
-			t.Fatalf("unique must clear overriding order, got %q", cell[0].ID.Ord)
 		}
 	}
 }

@@ -37,10 +37,6 @@ const (
 	OpTagger
 	// OpXMLUnion unions two columns of each tuple into one sequence.
 	OpXMLUnion
-	// OpXMLUnique removes duplicates (by node id) from sequences.
-	OpXMLUnique
-	// OpName renames a column.
-	OpName
 	// OpMerge concatenates the single tuples of two tables column-wise.
 	OpMerge
 	// OpExpose extracts the result column as an XML document.
@@ -54,8 +50,8 @@ var opNames = map[OpKind]string{
 	OpSource: "Source", OpNavUnnest: "NavUnnest", OpNavCollection: "NavCollection",
 	OpSelect: "Select", OpJoin: "Join", OpLOJ: "LOJ", OpDistinct: "Distinct",
 	OpGroupBy: "GroupBy", OpOrderBy: "OrderBy", OpCombine: "Combine",
-	OpTagger: "Tagger", OpXMLUnion: "XMLUnion", OpXMLUnique: "XMLUnique",
-	OpName: "Name", OpMerge: "Merge", OpExpose: "Expose", OpUnit: "Unit",
+	OpTagger: "Tagger", OpXMLUnion: "XMLUnion", OpMerge: "Merge",
+	OpExpose: "Expose", OpUnit: "Unit",
 }
 
 func (k OpKind) String() string { return opNames[k] }
@@ -146,8 +142,8 @@ type Op struct {
 
 	// Parameters (used according to Kind):
 	Doc       string      // Source
-	InCol     string      // navigations, Combine, Distinct, XMLUnique, Name, Expose
-	OutCol    string      // navigations, Tagger, XMLUnion, XMLUnique, Name
+	InCol     string      // navigations, Combine, Distinct, Expose
+	OutCol    string      // navigations, Tagger, XMLUnion
 	Path      *xpath.Path // navigations
 	Conds     []Cmp       // Select / Join / LOJ (conjunction)
 	GroupCols []string    // GroupBy
@@ -301,7 +297,7 @@ func outCols(o *Op, in func(i int) []string) []string {
 	switch o.Kind {
 	case OpSource:
 		return []string{o.OutCol}
-	case OpNavUnnest, OpNavCollection, OpTagger, OpXMLUnion, OpXMLUnique, OpName:
+	case OpNavUnnest, OpNavCollection, OpTagger, OpXMLUnion:
 		return append(slices.Clone(in(0)), o.OutCol)
 	case OpSelect, OpOrderBy, OpExpose:
 		return slices.Clone(in(0))
@@ -360,18 +356,6 @@ func analyzeOp(o *Op, unionSeq *int) error {
 			return fmt.Errorf("missing input column %s", o.InCol)
 		}
 		o.OrderSchema = append([]string(nil), src.OrderSchema...) // category I
-		o.Ctx = copyCtx(src)
-		o.Ctx[o.OutCol] = derivedCtx(src.Ctx[o.InCol], o.InCol)
-
-	case OpXMLUnique:
-		src := in(0)
-		o.OrderSchema = append([]string(nil), src.OrderSchema...)
-		o.Ctx = copyCtx(src)
-		o.Ctx[o.OutCol] = derivedCtx(src.Ctx[o.InCol], o.InCol)
-
-	case OpName:
-		src := in(0)
-		o.OrderSchema = append([]string(nil), src.OrderSchema...)
 		o.Ctx = copyCtx(src)
 		o.Ctx[o.OutCol] = derivedCtx(src.Ctx[o.InCol], o.InCol)
 
@@ -699,8 +683,6 @@ func (o *Op) Describe() string {
 		}
 	case OpXMLUnion:
 		return strings.Join(o.UnionCols, "∪")
-	case OpName:
-		return o.InCol + "→" + o.OutCol
 	}
 	return ""
 }
@@ -731,8 +713,6 @@ func (p *Plan) Dump() string {
 			fmt.Fprintf(&b, " <%s> -> %s", o.Pattern.Name, o.OutCol)
 		case OpXMLUnion:
 			fmt.Fprintf(&b, " %v -> %s", o.UnionCols, o.OutCol)
-		case OpName:
-			fmt.Fprintf(&b, " %s -> %s", o.InCol, o.OutCol)
 		case OpExpose:
 			fmt.Fprintf(&b, " %s", o.InCol)
 		}

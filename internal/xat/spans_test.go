@@ -15,13 +15,12 @@ import (
 // Span nothing is recorded.
 func TestExecuteSpans(t *testing.T) {
 	s := execStore(t)
-	side := func(b, y string) *Op {
-		ren := &Op{Kind: OpName, InCol: "$b", OutCol: b, Inputs: []*Op{booksPipeline()}}
-		return &Op{Kind: OpNavCollection, InCol: b, OutCol: y, Path: xpath.MustParse("@year"), Inputs: []*Op{ren}}
+	side := func(s, b, y string) *Op {
+		return &Op{Kind: OpNavCollection, InCol: b, OutCol: y, Path: xpath.MustParse("@year"), Inputs: []*Op{booksPipelineAs(s, b)}}
 	}
 	p := buildPlan(t, &Op{Kind: OpJoin,
 		Conds:  []Cmp{{L: CmpOperand{Col: "$y1"}, Op: "=", R: CmpOperand{Col: "$y2"}}},
-		Inputs: []*Op{side("$b1", "$y1"), side("$b2", "$y2")}})
+		Inputs: []*Op{side("$s1", "$b1", "$y1"), side("$s2", "$b2", "$y2")}})
 
 	tr := obs.NewTracerLimit(0)
 	env := NewEnv(s)

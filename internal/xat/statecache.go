@@ -324,7 +324,7 @@ func regionsTouch(regions map[string][]*Region, docs []string) bool {
 }
 
 // tupleIdentity is the counting-solution identity a fold matches tuples on:
-// the per-cell identities of Def 4.2.4, joined like joinKey.
+// the per-cell identities of Def 4.2.4, joined like execGroupBy's group keys.
 func tupleIdentity(tp *Tuple) string {
 	return string(appendTupleIdentity(nil, tp))
 }

@@ -131,18 +131,15 @@ func Deref(env *Env, it Item, count int) *VNode {
 	if !ok {
 		panic(fmt.Sprintf("xat: missing base node %s", k))
 	}
-	root := copyBase(env.Store, nd, count)
+	root := copyBaseAlloc(nil, env.Store, nd, count)
 	root.ID = it.ID // preserve the overriding order assigned by the query
 	return root
 }
 
-func copyBase(r xmldoc.Reader, nd *xmldoc.Node, count int) *VNode {
-	return copyBaseAlloc(nil, r, nd, count)
-}
-
-// copyBaseAlloc is copyBase with an optional round arena: the delta engine's
-// update trees are transient, so their base-subtree copies need not touch
-// the heap. Materialization passes nil and gets plain heap nodes.
+// copyBaseAlloc copies a store subtree into VNodes, in an optional round
+// arena: the delta engine's update trees are transient, so their
+// base-subtree copies need not touch the heap. Materialization passes nil
+// and gets plain heap nodes.
 func copyBaseAlloc(a *Alloc, r xmldoc.Reader, nd *xmldoc.Node, count int) *VNode {
 	n := a.vnode(VNode{ID: BaseID(nd.Key), Kind: nd.Kind, Name: nd.Name, Value: nd.Value, Count: count})
 	if len(nd.Attrs) > 0 {

@@ -21,7 +21,7 @@ type Snapshot struct {
 }
 
 // Snapshot acquires a handle on the current published version. Lock-free:
-// a pointer load plus a reference count. Release the handle when done.
+// a pointer load plus a reader-count increment. Release the handle when done.
 func (db *Database) Snapshot() *Snapshot {
 	return &Snapshot{v: db.snaps.Acquire()}
 }
